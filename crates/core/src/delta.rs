@@ -1037,7 +1037,6 @@ fn apply_delete(
 /// repaired, and the live tables are attached to the result.
 fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
     let nbits = u.instance.pairs().len();
-    let old_n = u.sigs.len();
 
     let mut deaths = false;
     for (c, &d) in acc.cdelta.iter().enumerate() {
@@ -1073,7 +1072,6 @@ fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
     if deaths {
         // Compact: surviving classes keep their relative order (stable
         // remap), buckets and closure are rebuilt over the survivors.
-        let mut keep: Vec<u32> = Vec::with_capacity(u.sigs.len());
         let mut w = 0usize;
         for c in 0..u.sigs.len() {
             if u.counts[c] > 0 {
@@ -1081,7 +1079,6 @@ fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
                 u.counts.swap(w, c);
                 u.sig_sizes.swap(w, c);
                 u.reps.swap(w, c);
-                keep.push(c as u32);
                 w += 1;
             }
         }
@@ -1097,7 +1094,6 @@ fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
                 .push(c as u32);
         }
         u.closure = ClassClosure::build(&u.sigs, nbits, 1);
-        let _ = (old_n, keep);
     }
 
     // Representative repair: every class must point at instance rows whose

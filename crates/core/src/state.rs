@@ -1098,7 +1098,7 @@ impl<'u> InferenceState<'u> {
         &self,
         universe: Arc<Universe>,
     ) -> Result<(InferenceState<'static>, RebindReport)> {
-        if self.consistent && self.universe.sigs() == universe.sigs() {
+        if self.consistent && self.universe().same_classes(&universe) {
             let omega_len = universe.omega_len();
             let mask_words = word_count(universe.num_classes());
             let mut next = InferenceState {

@@ -932,6 +932,15 @@ impl Universe {
         &self.sigs
     }
 
+    /// Whether `other` has the identical signature sequence — every class
+    /// id names the same signature in both (a count-only delta keeps
+    /// this). Consistency and certainty (§3.1, Lemmas 3.3/3.4) read
+    /// signatures only, so a label history valid over `self` is valid,
+    /// with the same derived masks, over `other`.
+    pub fn same_classes(&self, other: &Universe) -> bool {
+        self.sigs == other.sigs
+    }
+
     /// `|T(t)|` for class `c`, precomputed at construction.
     #[inline]
     pub fn sig_size(&self, c: ClassId) -> usize {

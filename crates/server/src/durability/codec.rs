@@ -107,17 +107,31 @@ pub fn parse_file_header(bytes: &[u8], magic: [u8; 8], what: &str) -> Result<Opt
 
 /// Wraps `payload` in a checksummed frame.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() as u64 <= MAX_PAYLOAD_LEN as u64,
-        "oversized record"
-    );
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    let hcrc = crc32(&out[..8]);
-    out.extend_from_slice(&hcrc.to_le_bytes());
-    out.extend_from_slice(payload);
+    frame_into(&mut out, |out| out.extend_from_slice(payload));
     out
+}
+
+/// Appends one checksummed frame to `out`, its payload written in place
+/// by `encode`, and returns the frame's length. The same bytes as
+/// `out.extend_from_slice(&frame(&payload))`, without the two
+/// intermediate buffers — the WAL frames every record straight into its
+/// group-commit batch this way.
+pub(crate) fn frame_into(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    encode(out);
+    let len = out.len() - start - FRAME_HEADER_LEN;
+    if len as u64 > MAX_PAYLOAD_LEN as u64 {
+        out.truncate(start);
+        panic!("oversized record");
+    }
+    let pcrc = crc32(&out[start + FRAME_HEADER_LEN..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&pcrc.to_le_bytes());
+    let hcrc = crc32(&out[start..start + 8]);
+    out[start + 8..start + FRAME_HEADER_LEN].copy_from_slice(&hcrc.to_le_bytes());
+    out.len() - start
 }
 
 /// One step of a frame scan — see [`next_frame`].
@@ -272,11 +286,16 @@ pub enum WalRecord {
     },
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    assert!(bytes.len() <= u16::MAX as usize, "oversized string");
-    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    out.extend_from_slice(bytes);
+/// Appends `value`'s display form as a `u16`-length-prefixed string,
+/// formatted straight into `out` (the prefix is patched afterwards).
+fn put_str(out: &mut Vec<u8>, value: &impl std::fmt::Display) {
+    use std::io::Write;
+    let at = out.len();
+    out.extend_from_slice(&[0; 2]);
+    write!(out, "{value}").expect("writing to a Vec cannot fail");
+    let len = out.len() - at - 2;
+    assert!(len <= u16::MAX as usize, "oversized string");
+    out[at..at + 2].copy_from_slice(&(len as u16).to_le_bytes());
 }
 
 fn put_class(out: &mut Vec<u8>, c: ClassId) {
@@ -303,6 +322,36 @@ fn put_pending(out: &mut Vec<u8>, pending: Option<ClassId>) {
             put_class(out, c);
         }
     }
+}
+
+/// Appends one session's replay state — the body a `Restore` record and
+/// a spill payload share.
+fn put_session(
+    out: &mut Vec<u8>,
+    id: u64,
+    strategy: &StrategyConfig,
+    history: &[(ClassId, Label)],
+    pending: Option<ClassId>,
+) {
+    out.extend_from_slice(&id.to_le_bytes());
+    put_str(out, strategy);
+    put_pending(out, pending);
+    put_history(out, history);
+}
+
+/// Appends the payload of a [`WalRecord::Restore`] from borrowed parts:
+/// byte for byte what `WalRecord::Restore { .. }.encode()` produces,
+/// without building the owned record. The migration checkpoint re-logs a
+/// whole fleet through this.
+pub(crate) fn encode_restore(
+    out: &mut Vec<u8>,
+    id: u64,
+    strategy: &StrategyConfig,
+    history: &[(ClassId, Label)],
+    pending: Option<ClassId>,
+) {
+    out.push(TAG_RESTORE);
+    put_session(out, id, strategy, history, pending);
 }
 
 /// A strict little-endian reader over a record payload.
@@ -397,33 +446,34 @@ impl WalRecord {
     /// Serializes the record payload (the frame is added by the WAL).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the record payload to `out` — [`Self::encode`] without the
+    /// fresh buffer.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Create { id, strategy } => {
                 out.push(TAG_CREATE);
                 out.extend_from_slice(&id.to_le_bytes());
-                put_str(&mut out, &strategy.to_string());
+                put_str(out, strategy);
             }
             WalRecord::Restore {
                 id,
                 strategy,
                 history,
                 pending,
-            } => {
-                out.push(TAG_RESTORE);
-                out.extend_from_slice(&id.to_le_bytes());
-                put_str(&mut out, &strategy.to_string());
-                put_pending(&mut out, *pending);
-                put_history(&mut out, history);
-            }
+            } => encode_restore(out, *id, strategy, history, *pending),
             WalRecord::Answers { id, answers } => {
                 out.push(TAG_ANSWERS);
                 out.extend_from_slice(&id.to_le_bytes());
-                put_history(&mut out, answers);
+                put_history(out, answers);
             }
             WalRecord::Question { id, class } => {
                 out.push(TAG_QUESTION);
                 out.extend_from_slice(&id.to_le_bytes());
-                put_class(&mut out, *class);
+                put_class(out, *class);
             }
             WalRecord::Hibernate { id } => {
                 out.push(TAG_HIBERNATE);
@@ -446,7 +496,6 @@ impl WalRecord {
                 out.extend_from_slice(&id.to_le_bytes());
             }
         }
-        out
     }
 
     /// Parses a record payload (already CRC-validated by the frame).
@@ -506,10 +555,13 @@ impl SpillPayload {
     /// Serializes the payload (the segment adds the frame).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + 5 * self.history.len());
-        out.extend_from_slice(&self.id.to_le_bytes());
-        put_str(&mut out, &self.strategy.to_string());
-        put_pending(&mut out, self.pending);
-        put_history(&mut out, &self.history);
+        put_session(
+            &mut out,
+            self.id,
+            &self.strategy,
+            &self.history,
+            self.pending,
+        );
         out
     }
 
@@ -635,6 +687,57 @@ mod tests {
             let bytes = record.encode();
             assert_eq!(WalRecord::decode(&bytes).unwrap(), record, "{record:?}");
         }
+    }
+
+    #[test]
+    fn borrowed_restore_encoder_matches_the_owned_record() {
+        let cases = [
+            (0, StrategyConfig::Bu, vec![], None),
+            (
+                u64::MAX,
+                StrategyConfig::Lks { depth: 2 },
+                vec![(3, Label::Positive), (0, Label::Negative)],
+                Some(12),
+            ),
+            (
+                9,
+                StrategyConfig::Rnd { seed: 7 },
+                vec![(1, Label::Negative)],
+                None,
+            ),
+        ];
+        for (id, strategy, history, pending) in cases {
+            let mut out = vec![0xAA];
+            encode_restore(&mut out, id, &strategy, &history, pending);
+            let owned = WalRecord::Restore {
+                id,
+                strategy,
+                history,
+                pending,
+            };
+            assert_eq!(out[0], 0xAA, "appends, never overwrites");
+            assert_eq!(&out[1..], owned.encode().as_slice(), "{owned:?}");
+        }
+    }
+
+    #[test]
+    fn framing_in_place_appends_the_documented_layout() {
+        let record = WalRecord::Answers {
+            id: 5,
+            answers: vec![(2, Label::Positive)],
+        };
+        let payload = record.encode();
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&crc32(&payload).to_le_bytes());
+        expected.extend_from_slice(&crc32(&expected).to_le_bytes());
+        expected.extend_from_slice(&payload);
+
+        let mut out = b"prefix".to_vec();
+        let len = frame_into(&mut out, |out| record.encode_into(out));
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(&out[6..], expected.as_slice());
+        assert_eq!(len, expected.len());
+        assert_eq!(frame(&payload), expected);
     }
 
     #[test]

@@ -42,11 +42,16 @@ pub use wal::{CrashScript, Damage, FileWal, MemWal, Wal, WalStats, WalStorage};
 /// Knobs of the durability tier.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Group commit: fsync the WAL every this many records. `1` fsyncs
-    /// every record (safest, slowest); the manager additionally forces a
-    /// commit at the end of every `answer_batch` round and every sweep,
-    /// so a larger value amortizes fsyncs across a fleet's answer round
-    /// without ever leaving an *acknowledged* round unsynced.
+    /// Group commit: write and fsync the WAL every this many records.
+    /// `1` fsyncs every record (safest, slowest). Outside the quota the
+    /// batch is committed only by `SessionManager::flush_wal`, a sweep
+    /// (`sweep` / `hibernate_idle`), a migration, or dropping the
+    /// manager — `answer_batch` itself does not commit, and neither does
+    /// the HTTP gateway's answers handler. So with a value above `1` up
+    /// to `group_commit_every - 1` *acknowledged* records can live only
+    /// in process memory until the next of those; a serving loop that
+    /// needs every acknowledged round durable calls `flush_wal` after
+    /// the round.
     pub group_commit_every: usize,
     /// Spill watermark: when a sweep finds
     /// `resident_bytes + hibernated_bytes` above this, parked sessions

@@ -23,7 +23,8 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use super::codec::{frame, WalRecord};
+use super::codec::{encode_restore, frame_into, WalRecord};
+use jqi_core::{ClassId, Label, StrategyConfig};
 
 /// An append-only, truncatable byte log the WAL writes through.
 ///
@@ -264,11 +265,11 @@ pub struct WalStats {
 
 /// The record-level WAL writer: frames records into an in-memory batch
 /// and, every `group_every` records (or on an explicit [`Wal::commit`] —
-/// the manager issues one per answer round), writes the batch to the
-/// storage and fsyncs once. Group commit therefore amortizes the write
-/// syscall *and* the fsync over the whole batch; an uncommitted batch is
-/// lost on `kill -9`, which recovery treats the same as any other torn
-/// tail.
+/// the manager issues one on `flush_wal`, per sweep and per migration),
+/// writes the batch to the storage and fsyncs once. Group commit
+/// therefore amortizes the write syscall *and* the fsync over the whole
+/// batch; an uncommitted batch is lost on `kill -9`, which recovery
+/// treats the same as any other torn tail.
 pub struct Wal {
     storage: Box<dyn WalStorage>,
     group_every: usize,
@@ -313,11 +314,30 @@ impl Wal {
     /// successful commit must not durably log an operation the caller was
     /// told failed — recovery would resurrect a phantom.
     pub fn append(&mut self, record: &WalRecord) -> std::io::Result<()> {
-        let framed = frame(&record.encode());
+        self.append_with(|out| record.encode_into(out))
+    }
+
+    /// Appends a `Restore` record from borrowed parts — the same bytes
+    /// and commit cadence as [`Self::append`] of the owned
+    /// [`WalRecord::Restore`], without copying the history or the
+    /// strategy. The migration checkpoint re-logs the fleet through this.
+    pub(crate) fn append_restore(
+        &mut self,
+        id: u64,
+        strategy: &StrategyConfig,
+        history: &[(ClassId, Label)],
+        pending: Option<ClassId>,
+    ) -> std::io::Result<()> {
+        self.append_with(|out| encode_restore(out, id, strategy, history, pending))
+    }
+
+    /// Frames the payload `encode` writes straight into the batch, then
+    /// applies the group-commit quota (the body of every append).
+    fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
         let mark = self.batch.len();
-        self.batch.extend_from_slice(&framed);
+        let framed = frame_into(&mut self.batch, encode) as u64;
         self.stats.records += 1;
-        self.stats.appended_bytes += framed.len() as u64;
+        self.stats.appended_bytes += framed;
         self.dirty += 1;
         if self.dirty >= self.group_every {
             if let Err(e) = self.commit() {
@@ -330,7 +350,7 @@ impl Wal {
                     self.batch.truncate(mark);
                     self.dirty -= 1;
                     self.stats.records -= 1;
-                    self.stats.appended_bytes -= framed.len() as u64;
+                    self.stats.appended_bytes -= framed;
                 }
                 return Err(e);
             }
@@ -472,6 +492,29 @@ mod tests {
             vec![WalRecord::Hibernate { id: 1 }],
             "the unwound Remove must not resurface in the log"
         );
+    }
+
+    #[test]
+    fn borrowed_restore_appends_the_owned_records_bytes_and_cadence() {
+        let history = [(4, Label::Positive), (1, Label::Negative)];
+        let strategy = StrategyConfig::Lks { depth: 1 };
+        let owned = MemWal::new();
+        let borrowed = MemWal::new();
+        let mut a = Wal::create(Box::new(owned.clone()), 3, 2).unwrap();
+        let mut b = Wal::create(Box::new(borrowed.clone()), 3, 2).unwrap();
+        for id in 0..5 {
+            let pending = (id % 2 == 0).then_some(id as ClassId);
+            a.append(&WalRecord::Restore {
+                id,
+                strategy: strategy.clone(),
+                history: history.to_vec(),
+                pending,
+            })
+            .unwrap();
+            b.append_restore(id, &strategy, &history, pending).unwrap();
+            assert_eq!(owned.durable_image(), borrowed.durable_image());
+        }
+        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

@@ -562,13 +562,14 @@ fn apply_delta(manager: &SessionManager, request: &Request) -> Result<Response, 
         ));
     }
     deadline_guard(request)?;
+    // Built from the report alone: a second delta may already have
+    // replaced the universe this one produced.
     let report = manager.apply_delta(&delta).map_err(server_error)?;
-    let universe = manager.universe();
     Ok(ok(Json::Obj(vec![
-        ("epoch".into(), Json::num(universe.epoch() as f64)),
+        ("epoch".into(), Json::num(report.to_epoch as f64)),
         (
             "universe".into(),
-            Json::str(format!("{:016x}", manager.universe_fingerprint())),
+            Json::str(format!("{:016x}", report.to_fingerprint)),
         ),
         ("edits".into(), Json::num(delta.len() as f64)),
         ("sessions".into(), Json::num(report.sessions as f64)),

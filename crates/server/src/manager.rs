@@ -404,12 +404,15 @@ struct Serving {
 pub struct MigrationReport {
     /// Live sessions examined (every tier).
     pub sessions: usize,
-    /// Sessions whose derived masks carried over verbatim — the serving
-    /// universe's class structure was unchanged (a count-only delta), so
-    /// migration cost O(masks) per session.
+    /// Sessions carried over without replay because the class structure
+    /// was unchanged (a count-only delta, [`Universe::same_classes`]): a
+    /// resident session's masks transfer verbatim in O(masks), and a
+    /// parked session's replay log is kept as it is — its class ids mean
+    /// the same signatures on the new universe.
     pub carried: usize,
     /// Sessions re-validated by signature-remapped replay against the new
-    /// universe (structural deltas, and every parked session).
+    /// universe — every session of a structural delta, resident or
+    /// parked.
     pub replayed: usize,
     /// Labels dropped across the fleet because their class has no
     /// signature-equal counterpart in the new universe (its rows were all
@@ -425,6 +428,10 @@ pub struct MigrationReport {
     pub from_epoch: u64,
     /// The epoch served after it.
     pub to_epoch: u64,
+    /// The [`Universe::fingerprint`] served after it — with `to_epoch`,
+    /// enough to describe the post-migration universe without reading the
+    /// manager again (a later migration may already have replaced it).
+    pub to_fingerprint: u64,
 }
 
 /// A thread-safe, multi-session inference service over one shared universe.
@@ -871,9 +878,10 @@ impl SessionManager {
     /// re-logged, and a batch that errors mid-way still logs the prefix
     /// it applied, keeping the log aligned with the state. The record is
     /// fsync'd by group commit ([`DurabilityConfig::group_commit_every`])
-    /// or the next [`Self::flush_wal`], whichever comes first; a serving
-    /// loop calls `flush_wal` once per answer round, so a whole round
-    /// across many sessions shares one fsync.
+    /// or the next [`Self::flush_wal`] / sweep, whichever comes first —
+    /// this call does not commit. A serving loop that calls `flush_wal`
+    /// once per answer round has a whole round across many sessions
+    /// share one fsync.
     pub fn answer_batch(&self, id: SessionId, answers: &[(ClassId, Label)]) -> Result<usize> {
         let serving = self.serving.read();
         let slot = self.slot(id)?;
@@ -1202,9 +1210,11 @@ impl SessionManager {
     }
 
     /// Forces an fsync of all WAL records appended so far (a no-op on a
-    /// non-durable manager or a clean log). The serving loop calls this
-    /// once per answer round: together with group commit it bounds the
-    /// window of acknowledged-but-unsynced work.
+    /// non-durable manager or a clean log). Called once per answer round,
+    /// together with group commit it bounds the window of
+    /// acknowledged-but-unsynced work; nothing calls it implicitly (the
+    /// HTTP gateway does not), see
+    /// [`DurabilityConfig::group_commit_every`].
     pub fn flush_wal(&self) -> Result<()> {
         let _serving = self.serving.read();
         self.commit_wal()
@@ -1242,19 +1252,28 @@ impl SessionManager {
         self.migrate_locked(&mut serving, Arc::new(next))
     }
 
-    /// Swaps the serving universe and re-validates **every** open session
-    /// against it, atomically with respect to all other operations (the
-    /// serving lock's write half quiesces the fleet first).
+    /// Swaps the serving universe and carries every open session over to
+    /// it, atomically with respect to all other operations (the serving
+    /// lock's write half quiesces the fleet first).
     ///
-    /// Per session: a resident one rebinds through
-    /// [`OwnedSession::rebind`] — masks carry over verbatim when the
-    /// class structure is unchanged (count-only deltas, O(masks)),
-    /// otherwise its history is remapped by class signature and replayed;
-    /// parked (hibernated/spilled) ones have their replay logs remapped
-    /// the same way and are re-validated by a full replay. Labels whose
-    /// class vanished are dropped (consistency only widens); a session
-    /// whose remapped history no longer replays is removed and reported
-    /// in [`MigrationReport::invalidated`] — loudly, never served wrong.
+    /// Whether the class structure is unchanged
+    /// ([`Universe::same_classes`] — a count-only delta) is decided once
+    /// for the fleet:
+    ///
+    /// * **Unchanged** — consistency and certainty read signatures only,
+    ///   so no history can have become invalid. A resident session
+    ///   rebinds through [`OwnedSession::rebind`], its masks carried
+    ///   verbatim in O(masks); a parked session is left exactly as it is
+    ///   (a spilled one is only lifted back into RAM, see below). The
+    ///   fleet walk replays nothing: one visit per slot plus O(masks)
+    ///   per resident session.
+    /// * **Changed** — every session's history is remapped by class
+    ///   signature and re-validated by a full replay: resident ones
+    ///   through `rebind`, parked ones straight from their replay logs
+    ///   (they stay parked). Labels whose class vanished are dropped
+    ///   (consistency only widens); a session whose remapped history no
+    ///   longer replays is removed and reported in
+    ///   [`MigrationReport::invalidated`] — loudly, never served wrong.
     ///
     /// On a durable manager the WAL is **reset** to the new universe's
     /// fingerprint and the surviving fleet is re-logged as one `Restore`
@@ -1278,8 +1297,13 @@ impl SessionManager {
         let mut report = MigrationReport {
             from_epoch: old.epoch(),
             to_epoch: universe.epoch(),
+            to_fingerprint: universe.fingerprint(),
             ..MigrationReport::default()
         };
+        // Decided once for the whole fleet: with every signature in place
+        // a parked replay log already means the same thing on the new
+        // universe, and replaying it would hand it back unchanged.
+        let same_classes = old.same_classes(&universe);
         // Remap a parked replay log onto the new universe's class ids by
         // signature, dropping labels of vanished classes.
         let remap = |history: &[(ClassId, Label)], dropped: &mut usize| {
@@ -1293,23 +1317,17 @@ impl SessionManager {
             out
         };
         let mut doomed: Vec<SessionId> = Vec::new();
+        // The serving write lock has quiesced the fleet, so walking each
+        // shard under its read lock (shard → session mutex, the usual
+        // order) blocks nobody.
         for shard in self.shards.iter() {
-            let slots: Vec<(SessionId, Arc<Mutex<Slot>>)> = shard
-                .read()
-                .iter()
-                .map(|(&id, slot)| (id, Arc::clone(slot)))
-                .collect();
-            for (id, slot) in slots {
+            for (&id, slot) in shard.read().iter() {
                 let mut guard = slot.lock();
                 report.sessions += 1;
                 // Lift a spilled slot into RAM first: its segment home is
                 // abandoned by the log reset below.
                 if let Tier::Spilled { locator, .. } = guard.tier {
-                    let state = self
-                        .durability
-                        .as_ref()
-                        .expect("spilled tier only exists under a durability tier");
-                    let payload = state.spill.lock().read(locator)?;
+                    let payload = self.read_spilled(locator)?;
                     guard.tier = Tier::Hibernated {
                         history: payload.history,
                         pending: payload.pending,
@@ -1330,6 +1348,7 @@ impl SessionManager {
                             Err(_) => doomed.push(id),
                         }
                     }
+                    Tier::Hibernated { .. } if same_classes => report.carried += 1,
                     Tier::Hibernated { history, pending } => {
                         let remapped = remap(history, &mut report.dropped_labels);
                         let pending =
@@ -1360,8 +1379,8 @@ impl SessionManager {
         // The fleet is consistent on the new universe; serve it before
         // the durable reset so an I/O failure below cannot leave RAM and
         // the serving pointer disagreeing.
-        serving.universe = Arc::clone(&universe);
-        serving.fingerprint = universe.fingerprint();
+        serving.universe = universe;
+        serving.fingerprint = report.to_fingerprint;
         if let Some(state) = &self.durability {
             let io =
                 |e: std::io::Error| ServerError::Durability(DurabilityError::Io(e.to_string()));
@@ -1376,25 +1395,15 @@ impl SessionManager {
             let mut wal = state.wal.lock();
             wal.reset(serving.fingerprint).map_err(io)?;
             for shard in self.shards.iter() {
-                let slots: Vec<(SessionId, Arc<Mutex<Slot>>)> = shard
-                    .read()
-                    .iter()
-                    .map(|(&id, slot)| (id, Arc::clone(slot)))
-                    .collect();
-                for (id, slot) in slots {
+                for (&id, slot) in shard.read().iter() {
                     let guard = slot.lock();
                     let (history, pending) = match &guard.tier {
-                        Tier::Resident(s) => (s.history().to_vec(), s.pending_class()),
-                        Tier::Hibernated { history, pending } => (history.clone(), *pending),
+                        Tier::Resident(s) => (s.history(), s.pending_class()),
+                        Tier::Hibernated { history, pending } => (history.as_slice(), *pending),
                         Tier::Spilled { .. } => unreachable!("lifted above"),
                     };
-                    wal.append(&WalRecord::Restore {
-                        id,
-                        strategy: guard.config.clone(),
-                        history,
-                        pending,
-                    })
-                    .map_err(io)?;
+                    wal.append_restore(id, &guard.config, history, pending)
+                        .map_err(io)?;
                 }
             }
             wal.commit().map_err(io)?;
@@ -2039,8 +2048,16 @@ mod tests {
         let u = live_universe();
         let m = SessionManager::new(Arc::clone(&u), ServerConfig::default());
         let id = m.create_session(StrategyConfig::Td).unwrap();
-        let q = m.next_question(id).unwrap().unwrap();
-        m.answer(id, q.class, Label::Negative).unwrap();
+        let parked = m.create_session(StrategyConfig::Bu).unwrap();
+        for &sid in &[id, parked] {
+            let q = m.next_question(sid).unwrap().unwrap();
+            m.answer(sid, q.class, Label::Negative).unwrap();
+        }
+        // A pending question rides along with the parked payload.
+        let parked_q = m.next_question(parked).unwrap();
+        assert!(parked_q.is_some());
+        assert!(m.hibernate(parked).unwrap());
+        let parked_pre = m.snapshot(parked).unwrap();
         let pre = m.snapshot(id).unwrap();
         let old_fp = m.universe_fingerprint();
 
@@ -2048,20 +2065,35 @@ mod tests {
         let mut d = UniverseDelta::new();
         d.insert(Side::R, row(&u, &[1, 100]));
         let report = m.apply_delta(&d).unwrap();
-        assert_eq!(report.sessions, 1);
-        assert_eq!(report.carried, 1, "count-only deltas carry masks verbatim");
+        assert_eq!(report.sessions, 2);
+        assert_eq!(
+            report.carried, 2,
+            "count-only deltas carry masks verbatim and leave parked sessions be"
+        );
         assert_eq!(report.replayed, 0);
         assert_eq!(report.dropped_labels, 0);
         assert!(report.invalidated.is_empty());
         assert_eq!((report.from_epoch, report.to_epoch), (0, 1));
         assert_ne!(m.universe_fingerprint(), old_fp);
+        assert_eq!(report.to_fingerprint, m.universe_fingerprint());
         assert_eq!(m.universe().epoch(), 1);
-        // The label survived and the session still drives to completion.
-        assert_eq!(m.interactions(id).unwrap(), 1);
-        while let Some(q) = m.next_question(id).unwrap() {
-            m.answer(id, q.class, Label::Negative).unwrap();
+        // The parked session was not woken, and its payload is unchanged.
+        assert_eq!(m.stats().hibernated_sessions, 1);
+        let parked_post = m.snapshot(parked).unwrap();
+        assert_eq!(
+            (parked_post.history, parked_post.pending),
+            (parked_pre.history, parked_pre.pending)
+        );
+        // The labels survived and both sessions still drive to completion;
+        // the parked one re-delivers its outstanding question first.
+        assert_eq!(m.next_question(parked).unwrap(), parked_q);
+        for &sid in &[id, parked] {
+            assert_eq!(m.interactions(sid).unwrap(), 1);
+            while let Some(q) = m.next_question(sid).unwrap() {
+                m.answer(sid, q.class, Label::Negative).unwrap();
+            }
+            assert!(m.is_done(sid).unwrap());
         }
-        assert!(m.is_done(id).unwrap());
         // A pre-delta snapshot is now another universe's snapshot.
         assert!(matches!(
             m.restore(&SessionSnapshot {
