@@ -1,7 +1,7 @@
 //! Figure 6: TPC-H experiments — interactions (6a/6b) and inference time
 //! (6c/6d) for the five goal joins at two scales.
 
-use crate::json::{Json, ToJson};
+use crate::json::{self, Json, ToJson};
 use crate::measure::{fmt_seconds, run_timed, Measurement};
 use crate::report::TextTable;
 use jqi_core::strategy::StrategyKind;
@@ -64,7 +64,7 @@ impl ToJson for Fig6Row {
             ("goal_size".into(), Json::Num(self.goal_size as f64)),
             ("product_size".into(), Json::Num(self.product_size as f64)),
             ("join_ratio".into(), Json::Num(self.join_ratio)),
-            ("strategies".into(), Json::arr(&self.strategies)),
+            ("strategies".into(), json::arr(&self.strategies)),
         ])
     }
 }
@@ -73,7 +73,7 @@ impl ToJson for Fig6Report {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("scale".into(), Json::str(&self.scale)),
-            ("rows".into(), Json::arr(&self.rows)),
+            ("rows".into(), json::arr(&self.rows)),
         ])
     }
 }

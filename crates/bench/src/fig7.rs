@@ -6,7 +6,7 @@
 //! (`runs`, `max_goals_per_size`) so the full protocol is reproducible but
 //! the default invocation stays fast.
 
-use crate::json::{Json, ToJson};
+use crate::json::{self, Json, ToJson};
 use crate::measure::{average, fmt_seconds, run_timed, Averaged, Measurement};
 use crate::report::TextTable;
 use jqi_core::lattice::goals_by_size;
@@ -127,7 +127,7 @@ impl ToJson for Fig7SizeRow {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("goal_size".into(), Json::Num(self.goal_size as f64)),
-            ("strategies".into(), Json::arr(&self.strategies)),
+            ("strategies".into(), json::arr(&self.strategies)),
         ])
     }
 }
@@ -138,7 +138,7 @@ impl ToJson for Fig7Report {
             ("config".into(), Json::str(&self.config)),
             ("join_ratio".into(), Json::Num(self.join_ratio)),
             ("product_size".into(), Json::Num(self.product_size as f64)),
-            ("rows".into(), Json::arr(&self.rows)),
+            ("rows".into(), json::arr(&self.rows)),
         ])
     }
 }

@@ -1,127 +1,10 @@
-//! Minimal JSON emission for the `--json` report mode.
+//! JSON emission for the `--json` report mode.
 //!
-//! The build container cannot fetch `serde`/`serde_json`, so the report
-//! structs implement the tiny [`ToJson`] trait instead of deriving
-//! `serde::Serialize`. Output is deliberately plain: objects keep insertion
-//! order, floats print with `{}` (shortest round-trip), strings escape the
-//! JSON control set.
+//! The reports are written with the server's [`Json`] (the same writer
+//! and parser `bench_guard` reads them back with); this module only adds
+//! the [`ToJson`] trait the report structs implement, and [`arr`].
 
-use std::fmt::Write as _;
-
-/// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (u64 counts are exact below 2^53, plenty for reports).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience string constructor.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// Convenience number constructor.
-    pub fn num(n: impl Into<f64>) -> Json {
-        Json::Num(n.into())
-    }
-
-    /// An array of anything convertible via [`ToJson`].
-    pub fn arr<'a, T: ToJson + 'a>(items: impl IntoIterator<Item = &'a T>) -> Json {
-        Json::Arr(items.into_iter().map(ToJson::to_json).collect())
-    }
-
-    /// Pretty-prints with two-space indentation (the `serde_json`
-    /// `to_string_pretty` look).
-    pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let pad_in = "  ".repeat(indent + 1);
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad_in);
-                    item.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    out.push_str(&pad_in);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+pub use jqi_server::json::Json;
 
 /// Report structs that can render themselves as JSON.
 pub trait ToJson {
@@ -129,37 +12,7 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pretty_printing_matches_serde_json_shape() {
-        let v = Json::Obj(vec![
-            ("name".into(), Json::str("x\"y")),
-            ("n".into(), Json::num(3u32)),
-            ("mean".into(), Json::Num(1.5)),
-            (
-                "items".into(),
-                Json::Arr(vec![Json::Num(1.0), Json::Bool(true), Json::Null]),
-            ),
-            ("empty".into(), Json::Arr(vec![])),
-        ]);
-        let s = v.to_string_pretty();
-        assert_eq!(
-            s,
-            "{\n  \"name\": \"x\\\"y\",\n  \"n\": 3,\n  \"mean\": 1.5,\n  \"items\": [\n    1,\n    true,\n    null\n  ],\n  \"empty\": []\n}"
-        );
-    }
-
-    #[test]
-    fn integral_floats_print_without_fraction() {
-        assert_eq!(Json::Num(7.0).to_string_pretty(), "7");
-        assert_eq!(Json::Num(0.25).to_string_pretty(), "0.25");
-    }
-
-    #[test]
-    fn control_characters_are_escaped() {
-        assert_eq!(Json::str("a\u{1}b").to_string_pretty(), "\"a\\u0001b\"");
-    }
+/// An array of anything convertible via [`ToJson`].
+pub fn arr<'a, T: ToJson + 'a>(items: impl IntoIterator<Item = &'a T>) -> Json {
+    Json::Arr(items.into_iter().map(ToJson::to_json).collect())
 }

@@ -3,7 +3,7 @@
 //! but is exponential; this quantifies what the efficient strategies give
 //! up on instances small enough to compute the bound).
 
-use crate::json::{Json, ToJson};
+use crate::json::{self, Json, ToJson};
 use crate::report::TextTable;
 use jqi_core::paper::{example_2_1, flight_hotel};
 use jqi_core::strategy::{optimal_worst_case, strategy_worst_case, StrategyKind};
@@ -91,7 +91,7 @@ impl ToJson for OptGapRow {
 
 impl ToJson for OptGapReport {
     fn to_json(&self) -> Json {
-        Json::Obj(vec![("rows".into(), Json::arr(&self.rows))])
+        Json::Obj(vec![("rows".into(), json::arr(&self.rows))])
     }
 }
 

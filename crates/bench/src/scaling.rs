@@ -15,7 +15,7 @@
 //! The `scaling` binary renders the points as a table and writes
 //! `BENCH_scaling.json` at the repo root; see the README for the schema.
 
-use crate::json::{Json, ToJson};
+use crate::json::{self, Json, ToJson};
 use jqi_core::strategy::{Lookahead, Strategy};
 use jqi_core::universe::Universe;
 use jqi_core::{InferenceState, IngestOptions, UniverseDelta};
@@ -766,9 +766,9 @@ impl ToJson for ScalingReport {
                 Json::num(self.params.reference_cap as f64),
             ),
             ("seed".into(), Json::num(self.params.seed as f64)),
-            ("points".into(), Json::arr(&self.points)),
-            ("streaming".into(), Json::arr(&self.streaming)),
-            ("incremental".into(), Json::arr(&self.incremental)),
+            ("points".into(), json::arr(&self.points)),
+            ("streaming".into(), json::arr(&self.streaming)),
+            ("incremental".into(), json::arr(&self.incremental)),
         ])
     }
 }

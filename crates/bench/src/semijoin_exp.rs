@@ -7,7 +7,7 @@
 //! ∘ reduce` coincide with DPLL's, and the solver's running time grows
 //! sharply with the number of variables around the 3SAT phase transition.
 
-use crate::json::{Json, ToJson};
+use crate::json::{self, Json, ToJson};
 use crate::report::TextTable;
 use jqi_semijoin::consistency::find_consistent_semijoin;
 use jqi_semijoin::reduction::{decode_valuation, reduce};
@@ -98,7 +98,7 @@ impl ToJson for SemijoinRow {
 
 impl ToJson for SemijoinReport {
     fn to_json(&self) -> Json {
-        Json::Obj(vec![("rows".into(), Json::arr(&self.rows))])
+        Json::Obj(vec![("rows".into(), json::arr(&self.rows))])
     }
 }
 

@@ -3,7 +3,7 @@
 
 use crate::fig6::{self, Fig6Report};
 use crate::fig7::{self, Fig7Params, Fig7Report};
-use crate::json::{Json, ToJson};
+use crate::json::{self, Json, ToJson};
 use crate::measure::fmt_seconds;
 use crate::report::{fmt_scientific, TextTable};
 use jqi_datagen::tpch::TpchScale;
@@ -120,7 +120,7 @@ impl ToJson for Table1Row {
 
 impl ToJson for Table1 {
     fn to_json(&self) -> Json {
-        Json::Obj(vec![("rows".into(), Json::arr(&self.rows))])
+        Json::Obj(vec![("rows".into(), json::arr(&self.rows))])
     }
 }
 

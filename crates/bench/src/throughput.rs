@@ -63,7 +63,7 @@
 //! The `throughput` binary renders a table and writes `BENCH_server.json`
 //! at the repo root; see the README for the schema.
 
-use crate::json::{Json, ToJson};
+use crate::json::{self, Json, ToJson};
 use jqi_core::paper::flight_hotel;
 use jqi_core::{ClassId, DecisionCacheStats, Label, StrategyConfig, Universe};
 use jqi_relation::BitSet;
@@ -617,10 +617,10 @@ impl ToJson for ThroughputReport {
                     ),
                 ]),
             ),
-            ("phases".into(), Json::arr(&self.phases)),
+            ("phases".into(), json::arr(&self.phases)),
             (
                 "restore_vs_history".into(),
-                Json::arr(&self.restore_vs_history),
+                json::arr(&self.restore_vs_history),
             ),
             ("fleet".into(), self.fleet.to_json()),
             ("hibernate".into(), self.hibernate.to_json()),

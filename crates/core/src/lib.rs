@@ -79,7 +79,7 @@ pub use error::{InferenceError, Result};
 pub use ingest::{scan_shared_symbols, IngestOptions, IngestStats};
 pub use sample::{Label, Sample};
 pub use session::{Candidate, OwnedSession, Session};
-pub use state::{ClassState, InferenceState, RebindReport};
+pub use state::{ClassState, InferenceState};
 pub use strategy::{DynStrategy, Strategy, StrategyConfig, StrategyKind};
 pub use universe::{ClassId, DecisionCacheStats, Universe, DEFAULT_DECISION_CACHE_BYTES};
 

@@ -307,41 +307,53 @@ impl OwnedSession {
         Ok(session)
     }
 
-    /// Re-targets the session at `universe` — typically the
-    /// [`Universe::apply_delta`](crate::delta) successor of the one it
-    /// runs over — carrying its labels across by class signature (see
-    /// [`InferenceState::rebind`] for the carried/replayed split and the
-    /// dropped-label semantics).
+    /// Re-targets the session at `universe` when it has the same class
+    /// structure as the one the session runs over (a count-only delta):
+    /// the masks carry over verbatim ([`InferenceState::rebind`]), and so
+    /// do the history and the pending question, whose class ids name the
+    /// same signatures on both. The strategy is rebuilt from `config`,
+    /// exactly as [`OwnedSession::replay`] would.
     ///
-    /// The strategy is rebuilt from `config`: strategies are
-    /// deterministic functions of their configuration and the current
-    /// state, so this matches [`OwnedSession::replay`] semantics exactly.
-    /// A pending question follows its class's signature into the new
-    /// universe and is withdrawn if the class vanished or is no longer
-    /// informative — the next [`Session::next`] call asks a fresh one.
-    /// On error the session is untouched.
-    pub fn rebind(
-        &mut self,
-        universe: Arc<Universe>,
-        config: &StrategyConfig,
-    ) -> Result<crate::state::RebindReport> {
-        let (state, report) = self.state.rebind(Arc::clone(&universe))?;
-        let pending = self
-            .pending
-            .and_then(|c| universe.class_for_signature(self.state.universe().sig(c)))
-            .filter(|&nc| state.is_informative(nc));
+    /// Returns `false`, leaving the session untouched, when the class
+    /// structure changed: remap the replay parts with
+    /// [`remap_replay_parts`] and replay them instead.
+    pub fn rebind(&mut self, universe: Arc<Universe>, config: &StrategyConfig) -> bool {
+        let Some(state) = self.state.rebind(universe) else {
+            return false;
+        };
         self.state = state;
         self.strategy = config.build();
-        self.pending = pending;
-        Ok(report)
+        true
     }
+}
 
-    /// A fresh handle to the shared universe.
-    pub fn universe_arc(&self) -> Arc<Universe> {
-        self.state
-            .shared_universe()
-            .expect("owned sessions always share their universe")
-    }
+/// Carries a replay log from `old` onto `new` by class **signature** —
+/// class ids shift when classes are born or die, signatures are the stable
+/// identity. Returns the remapped history, the remapped pending question,
+/// and how many labels were dropped.
+///
+/// A label whose class has no signature-equal counterpart in `new` (all of
+/// its tuples were deleted) is dropped: a label about data that no longer
+/// exists constrains nothing, and dropping labels only widens the
+/// consistent interval. A pending question on such a class is withdrawn.
+/// Feed the result to [`OwnedSession::replay`] on `new`.
+pub fn remap_replay_parts(
+    old: &Universe,
+    new: &Universe,
+    mut history: Vec<(ClassId, Label)>,
+    pending: Option<ClassId>,
+) -> (Vec<(ClassId, Label)>, Option<ClassId>, usize) {
+    let before = history.len();
+    history.retain_mut(|(c, _)| match new.class_for_signature(old.sig(*c)) {
+        Some(nc) => {
+            *c = nc;
+            true
+        }
+        None => false,
+    });
+    let dropped = before - history.len();
+    let pending = pending.and_then(|c| new.class_for_signature(old.sig(c)));
+    (history, pending, dropped)
 }
 
 #[cfg(test)]
@@ -432,9 +444,7 @@ mod tests {
         );
         let next = Arc::new(u.apply_delta(&d).unwrap());
         let pending_before = session.pending_class();
-        let report = session.rebind(Arc::clone(&next), &config).unwrap();
-        assert!(report.carried_masks);
-        assert_eq!(report.dropped_labels, 0);
+        assert!(session.rebind(Arc::clone(&next), &config));
         assert_eq!(session.history(), &[(cand.class, Label::Negative)]);
         assert_eq!(session.pending_class(), pending_before);
         assert_eq!(session.universe().epoch(), 1);
@@ -463,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn rebind_replays_over_structural_deltas() {
+    fn structural_deltas_are_remapped_and_replayed() {
         use crate::delta::UniverseDelta;
         use jqi_relation::{Interner, Side, Tuple, Value};
         let u = Arc::new(Universe::build(example_2_1()));
@@ -480,9 +490,15 @@ mod tests {
         d.insert(Side::R, row);
         let next = Arc::new(u.apply_delta(&d).unwrap());
         assert_ne!(next.sigs(), u.sigs());
-        let report = session.rebind(Arc::clone(&next), &config).unwrap();
-        assert!(!report.carried_masks);
-        assert_eq!(report.dropped_labels, 0);
+        // Masks cannot carry over a changed class structure: rebind
+        // refuses and leaves the session on the old universe.
+        assert!(!session.rebind(Arc::clone(&next), &config));
+        assert_eq!(session.universe().epoch(), 0);
+        let (history, pending) = session.into_replay_parts();
+        let (history, pending, dropped) = remap_replay_parts(&u, &next, history, pending);
+        assert_eq!(dropped, 0);
+        let mut session =
+            OwnedSession::replay(Arc::clone(&next), &config, &history, pending).unwrap();
         // The label survived, remapped by signature.
         assert_eq!(session.interactions(), 1);
         let (nc, label) = session.history()[0];
@@ -504,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn rebind_drops_labels_whose_class_vanished() {
+    fn remap_drops_labels_whose_class_vanished() {
         use crate::delta::UniverseDelta;
         use jqi_relation::{Interner, Side, Tuple, Value};
         // Base with an extra R row whose symbols are unique to it.
@@ -528,8 +544,15 @@ mod tests {
         let mut d = UniverseDelta::new();
         d.delete(Side::R, doomed);
         let next = Arc::new(u.apply_delta(&d).unwrap());
-        let report = session.rebind(Arc::clone(&next), &config).unwrap();
-        assert_eq!(report.dropped_labels, 1);
+        let (history, _) = session.into_replay_parts();
+        let (history, pending, dropped) =
+            remap_replay_parts(&u, &next, history, Some(doomed_class));
+        assert_eq!(dropped, 1);
+        assert_eq!(
+            pending, None,
+            "a question about a vanished class is withdrawn"
+        );
+        let session = OwnedSession::replay(next, &config, &history, pending).unwrap();
         assert_eq!(session.interactions(), 0, "the dropped label is gone");
         assert!(session.state().is_consistent());
     }

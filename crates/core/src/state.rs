@@ -219,19 +219,6 @@ fn retire_words(open: &mut BitSet, into: &mut BitSet, take: &[u64], counts: &[u6
     (dt, dc)
 }
 
-/// How a session's derived state survived a universe migration — see
-/// [`InferenceState::rebind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RebindReport {
-    /// Labels that could not carry over because their class's signature —
-    /// and hence all of its tuples — vanished from the new universe.
-    pub dropped_labels: usize,
-    /// Whether the masks carried over structurally in `O(masks)` (the new
-    /// universe has the identical signature sequence — a count-only
-    /// delta) rather than via history replay.
-    pub carried_masks: bool,
-}
-
 /// The incrementally maintained, mask-compressed derived state of one
 /// inference session.
 ///
@@ -345,15 +332,6 @@ impl<'u> InferenceState<'u> {
     #[inline]
     pub fn universe(&self) -> &Universe {
         &self.universe
-    }
-
-    /// When the universe is jointly owned (see [`InferenceState::new_shared`]),
-    /// a fresh handle to it; `None` for borrowing states.
-    pub fn shared_universe(&self) -> Option<Arc<Universe>> {
-        match &self.universe {
-            UniverseHandle::Borrowed(_) => None,
-            UniverseHandle::Shared(u) => Some(Arc::clone(u)),
-        }
     }
 
     /// Number of T-equivalence classes.
@@ -1073,85 +1051,50 @@ impl<'u> InferenceState<'u> {
         Ok(applied)
     }
 
-    /// Re-derives this state over `universe` — typically the
+    /// Carries this state over to `universe` — typically the
     /// [`Universe::apply_delta`](crate::delta) successor of the one it was
-    /// built over — carrying labels across by class **signature** (class
-    /// ids shift when classes die; signatures are the stable identity).
+    /// built over — when both have the *identical* signature sequence
+    /// ([`Universe::same_classes`], a count-only delta). Every mask
+    /// transfers verbatim (certainty is a function of signatures alone);
+    /// only the weighted uninformative counters are re-derived from the new
+    /// class counts. `O(masks)` words, no replay.
     ///
-    /// Two paths:
-    ///
-    /// * **Carried** — the new universe has the *identical* signature
-    ///   sequence (a count-only delta). Every mask transfers verbatim
-    ///   (certainty is a function of signatures alone); only the weighted
-    ///   uninformative counters are re-derived from the new class counts.
-    ///   `O(masks)` words, no replay.
-    /// * **Replayed** — the class structure changed. The label history is
-    ///   remapped by signature and folded into a fresh state with
-    ///   [`InferenceState::apply_batch`]. Labels whose class signature
-    ///   vanished (all of its tuples were deleted) are dropped and
-    ///   counted in the report — a label about data that no longer exists
-    ///   constrains nothing. Dropping labels can only *widen* the
-    ///   consistent interval, so a consistent session stays consistent;
-    ///   replay errors (a corrupt history) are propagated, leaving the
-    ///   original state untouched.
-    pub fn rebind(
-        &self,
-        universe: Arc<Universe>,
-    ) -> Result<(InferenceState<'static>, RebindReport)> {
-        if self.consistent && self.universe().same_classes(&universe) {
-            let omega_len = universe.omega_len();
-            let mask_words = word_count(universe.num_classes());
-            let mut next = InferenceState {
-                universe: UniverseHandle::Shared(universe),
-                open: self.open.clone(),
-                labeled_pos: self.labeled_pos.clone(),
-                labeled_neg: self.labeled_neg.clone(),
-                cert_pos: self.cert_pos.clone(),
-                cert_neg: self.cert_neg.clone(),
-                pos: self.pos.clone(),
-                neg: self.neg.clone(),
-                history: self.history.clone(),
-                theta_possible: self.theta_possible.clone(),
-                theta_is_omega: self.theta_is_omega,
-                // Stamp 0 never matches a live version: recomputed on read.
-                theta_certain: RefCell::new((0, BitSet::empty(omega_len))),
-                open_count: self.open_count,
-                uninf_tuples: 0,
-                uninf_classes: 0,
-                consistent: true,
-                version: self.version,
-                scratch: RefCell::new(MaskScratch {
-                    a: vec![0; mask_words],
-                    b: vec![0; mask_words],
-                    tp: vec![0; word_count(omega_len)],
-                }),
-            };
-            next.recount_uninformative();
-            return Ok((
-                next,
-                RebindReport {
-                    dropped_labels: 0,
-                    carried_masks: true,
-                },
-            ));
+    /// Returns `None` when the class structure changed (or the state is
+    /// inconsistent): the label history must then be remapped by signature
+    /// ([`crate::session::remap_replay_parts`]) and replayed.
+    pub fn rebind(&self, universe: Arc<Universe>) -> Option<InferenceState<'static>> {
+        if !self.consistent || !self.universe().same_classes(&universe) {
+            return None;
         }
-        let mut history = Vec::with_capacity(self.history.len());
-        let mut dropped = 0usize;
-        for &(c, label) in &self.history {
-            match universe.class_for_signature(self.universe.sig(c)) {
-                Some(nc) => history.push((nc, label)),
-                None => dropped += 1,
-            }
-        }
-        let mut next = InferenceState::new_shared(universe);
-        next.apply_batch(&history)?;
-        Ok((
-            next,
-            RebindReport {
-                dropped_labels: dropped,
-                carried_masks: false,
-            },
-        ))
+        let omega_len = universe.omega_len();
+        let mask_words = word_count(universe.num_classes());
+        let mut next = InferenceState {
+            universe: UniverseHandle::Shared(universe),
+            open: self.open.clone(),
+            labeled_pos: self.labeled_pos.clone(),
+            labeled_neg: self.labeled_neg.clone(),
+            cert_pos: self.cert_pos.clone(),
+            cert_neg: self.cert_neg.clone(),
+            pos: self.pos.clone(),
+            neg: self.neg.clone(),
+            history: self.history.clone(),
+            theta_possible: self.theta_possible.clone(),
+            theta_is_omega: self.theta_is_omega,
+            // Stamp 0 never matches a live version: recomputed on read.
+            theta_certain: RefCell::new((0, BitSet::empty(omega_len))),
+            open_count: self.open_count,
+            uninf_tuples: 0,
+            uninf_classes: 0,
+            consistent: true,
+            version: self.version,
+            scratch: RefCell::new(MaskScratch {
+                a: vec![0; mask_words],
+                b: vec![0; mask_words],
+                tp: vec![0; word_count(omega_len)],
+            }),
+        };
+        next.recount_uninformative();
+        Some(next)
     }
 
     /// Re-derives the weighted uninformative counters from the current

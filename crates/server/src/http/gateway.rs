@@ -19,7 +19,9 @@ use crate::http::metrics::{GatewayMetrics, LatencyHistogram};
 use crate::http::overload::OverloadConfig;
 use crate::http::registry::{valid_universe_id, UniverseEntry, UniverseRegistry};
 use crate::json::Json;
-use crate::manager::{ManagerStats, ServerError, SessionId, SessionManager};
+use crate::manager::{
+    ManagerStats, ServerError, SessionId, SessionManager, SessionOp, SessionOutcome,
+};
 use crate::snapshot::SessionSnapshot;
 use jqi_core::{Candidate, ClassId, Label, StrategyConfig, UniverseDelta};
 use jqi_net::{NetStats, Request, Response, StatsHandle};
@@ -204,6 +206,15 @@ impl Gateway {
     }
 
     fn list_universes(&self) -> Result<Response, Response> {
+        let universes =
+            self.universes_json(|m| ("sessions".into(), Json::num(m.session_count() as f64)));
+        Ok(ok(Json::Obj(vec![("universes".into(), universes)])))
+    }
+
+    /// One entry per registered universe: its status, plus its
+    /// fingerprint and the `detail` field while it serves, or the
+    /// recovery error once it failed.
+    fn universes_json(&self, detail: impl Fn(&SessionManager) -> (String, Json)) -> Json {
         let universes = self
             .registry
             .uids()
@@ -217,7 +228,7 @@ impl Gateway {
                             "fingerprint".into(),
                             Json::str(format!("{:016x}", m.universe_fingerprint())),
                         ),
-                        ("sessions".into(), Json::num(m.session_count() as f64)),
+                        detail(&m),
                     ]),
                     UniverseEntry::Failed { error } => Json::Obj(vec![
                         ("status".into(), Json::str("failed")),
@@ -227,10 +238,7 @@ impl Gateway {
                 (uid, value)
             })
             .collect();
-        Ok(ok(Json::Obj(vec![(
-            "universes".into(),
-            Json::Obj(universes),
-        )])))
+        Json::Obj(universes)
     }
 
     /// The `"transport"` block for `GET /v1/stats` — [`NetStats`] as
@@ -271,31 +279,9 @@ impl Gateway {
     }
 
     fn stats(&self) -> Result<Response, Response> {
-        let universes = self
-            .registry
-            .uids()
-            .into_iter()
-            .filter_map(|uid| self.registry.lookup(&uid).map(|e| (uid, e)))
-            .map(|(uid, entry)| {
-                let value = match entry {
-                    UniverseEntry::Serving(m) => Json::Obj(vec![
-                        ("status".into(), Json::str("serving")),
-                        (
-                            "fingerprint".into(),
-                            Json::str(format!("{:016x}", m.universe_fingerprint())),
-                        ),
-                        ("stats".into(), manager_stats_json(&m.stats())),
-                    ]),
-                    UniverseEntry::Failed { error } => Json::Obj(vec![
-                        ("status".into(), Json::str("failed")),
-                        ("error".into(), Json::str(error)),
-                    ]),
-                };
-                (uid, value)
-            })
-            .collect();
+        let universes = self.universes_json(|m| ("stats".into(), manager_stats_json(&m.stats())));
         Ok(ok(Json::Obj(vec![
-            ("universes".into(), Json::Obj(universes)),
+            ("universes".into(), universes),
             ("endpoints".into(), self.metrics.to_json()),
             ("transport".into(), self.transport_json()),
         ])))
@@ -378,21 +364,25 @@ fn create_session(manager: &SessionManager, request: &Request) -> Result<Respons
 }
 
 fn question(manager: &SessionManager, sid: SessionId) -> Result<Response, Response> {
-    let candidate = manager.next_question(sid).map_err(server_error)?;
-    let interactions = manager.interactions(sid).map_err(server_error)?;
+    let outcome = manager
+        .serve(sid, SessionOp::Question)
+        .map_err(server_error)?;
     let mut fields = vec![("session".into(), Json::num(sid as f64))];
-    match candidate {
-        Some(c) => {
-            fields.push(("question".into(), candidate_json(manager, &c)));
+    match &outcome.question {
+        Some((candidate, values)) => {
+            fields.push(("question".into(), candidate_json(candidate, values)));
             fields.push(("done".into(), Json::Bool(false)));
         }
         None => {
             fields.push(("question".into(), Json::Null));
             fields.push(("done".into(), Json::Bool(true)));
-            fields.push(("predicate".into(), predicate_json(manager, sid)?));
+            fields.push(("predicate".into(), predicate_json(&outcome)));
         }
     }
-    fields.push(("interactions".into(), Json::num(interactions as f64)));
+    fields.push((
+        "interactions".into(),
+        Json::num(outcome.interactions as f64),
+    ));
     Ok(ok(Json::Obj(fields)))
 }
 
@@ -441,34 +431,33 @@ fn answers(
         batch.push((class, label));
     }
     deadline_guard(request)?;
-    let applied = manager.answer_batch(sid, &batch).map_err(server_error)?;
-    let done = manager.is_done(sid).map_err(server_error)?;
-    let interactions = manager.interactions(sid).map_err(server_error)?;
+    let outcome = manager
+        .serve(sid, SessionOp::Answers(&batch))
+        .map_err(server_error)?;
     Ok(ok(Json::Obj(vec![
         ("session".into(), Json::num(sid as f64)),
-        ("applied".into(), Json::num(applied as f64)),
-        ("interactions".into(), Json::num(interactions as f64)),
-        ("done".into(), Json::Bool(done)),
+        ("applied".into(), Json::num(outcome.applied as f64)),
+        (
+            "interactions".into(),
+            Json::num(outcome.interactions as f64),
+        ),
+        ("done".into(), Json::Bool(outcome.done)),
     ])))
 }
 
 fn session_status(manager: &SessionManager, sid: SessionId) -> Result<Response, Response> {
-    let done = manager.is_done(sid).map_err(server_error)?;
-    let interactions = manager.interactions(sid).map_err(server_error)?;
-    let mut fields = vec![
+    let outcome = manager
+        .serve(sid, SessionOp::Status)
+        .map_err(server_error)?;
+    Ok(ok(Json::Obj(vec![
         ("session".into(), Json::num(sid as f64)),
-        ("interactions".into(), Json::num(interactions as f64)),
-        ("done".into(), Json::Bool(done)),
-    ];
-    fields.push((
-        "predicate".into(),
-        if done {
-            predicate_json(manager, sid)?
-        } else {
-            Json::Null
-        },
-    ));
-    Ok(ok(Json::Obj(fields)))
+        (
+            "interactions".into(),
+            Json::num(outcome.interactions as f64),
+        ),
+        ("done".into(), Json::Bool(outcome.done)),
+        ("predicate".into(), predicate_json(&outcome)),
+    ])))
 }
 
 fn restore(manager: &SessionManager, request: &Request) -> Result<Response, Response> {
@@ -594,12 +583,7 @@ fn apply_delta(manager: &SessionManager, request: &Request) -> Result<Response, 
 
 // ── shared plumbing ────────────────────────────────────────────────────
 
-fn candidate_json(manager: &SessionManager, candidate: &Candidate) -> Json {
-    let values = candidate
-        .values(&manager.universe())
-        .iter()
-        .map(|v| Json::str(v.to_string()))
-        .collect();
+fn candidate_json(candidate: &Candidate, values: &[Value]) -> Json {
     Json::Obj(vec![
         ("class".into(), Json::num(candidate.class as f64)),
         (
@@ -609,15 +593,16 @@ fn candidate_json(manager: &SessionManager, candidate: &Candidate) -> Json {
                 Json::num(candidate.tuple.1 as f64),
             ]),
         ),
-        ("values".into(), Json::Arr(values)),
+        (
+            "values".into(),
+            Json::Arr(values.iter().map(|v| Json::str(v.to_string())).collect()),
+        ),
     ])
 }
 
-fn predicate_json(manager: &SessionManager, sid: SessionId) -> Result<Json, Response> {
-    let theta = manager.inferred_predicate(sid).map_err(server_error)?;
-    Ok(Json::str(
-        manager.universe().instance().predicate_string(&theta),
-    ))
+/// The outcome's predicate string, or `null` while inference is running.
+fn predicate_json(outcome: &SessionOutcome) -> Json {
+    outcome.predicate.clone().map_or(Json::Null, Json::Str)
 }
 
 fn parse_session_id(segment: &str) -> Option<SessionId> {

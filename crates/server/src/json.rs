@@ -1,8 +1,8 @@
 //! Minimal JSON emission **and parsing** for session snapshots.
 //!
-//! The build container cannot fetch `serde`/`serde_json`, so snapshots use
-//! the same hand-rolled JSON the `jqi_bench` reports use — plus the parser
-//! that crate never needed (reports are write-only; snapshots round-trip).
+//! The build container cannot fetch `serde`/`serde_json`, so snapshots,
+//! the HTTP gateway and the `jqi_bench` reports share this hand-rolled
+//! JSON (snapshots and `bench_guard` also read it back).
 //! Emission is deliberately plain: objects keep insertion order, floats
 //! print with `{}` (shortest round-trip), strings escape the JSON control
 //! set. The parser is a strict recursive-descent reader of exactly that
@@ -434,5 +434,35 @@ mod tests {
     fn numbers_parse_with_sign_and_exponent() {
         assert_eq!(Json::parse("-2.5e2").unwrap(), Json::Num(-250.0));
         assert_eq!(Json::parse("7").unwrap(), Json::Num(7.0));
+    }
+
+    #[test]
+    fn pretty_printing_matches_serde_json_shape() {
+        let v = Json::Obj(vec![
+            ("name".into(), Json::str("x\"y")),
+            ("n".into(), Json::num(3u32)),
+            ("mean".into(), Json::Num(1.5)),
+            (
+                "items".into(),
+                Json::Arr(vec![Json::Num(1.0), Json::Bool(true), Json::Null]),
+            ),
+            ("empty".into(), Json::Arr(vec![])),
+        ]);
+        let s = v.to_string_pretty();
+        assert_eq!(
+            s,
+            "{\n  \"name\": \"x\\\"y\",\n  \"n\": 3,\n  \"mean\": 1.5,\n  \"items\": [\n    1,\n    true,\n    null\n  ],\n  \"empty\": []\n}"
+        );
+    }
+
+    #[test]
+    fn integral_floats_print_without_fraction() {
+        assert_eq!(Json::Num(7.0).to_string_pretty(), "7");
+        assert_eq!(Json::Num(0.25).to_string_pretty(), "0.25");
+    }
+
+    #[test]
+    fn control_characters_are_escaped() {
+        assert_eq!(Json::str("a\u{1}b").to_string_pretty(), "\"a\\u0001b\"");
     }
 }

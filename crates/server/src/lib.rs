@@ -84,6 +84,6 @@ pub use durability::{DurabilityConfig, DurabilityError, DurabilityStats, Recover
 pub use http::{Gateway, UniverseRegistry};
 pub use manager::{
     ManagerStats, MigrationReport, Result, ServerConfig, ServerError, SessionId, SessionManager,
-    SweepReport,
+    SessionOp, SessionOutcome, SweepReport,
 };
 pub use snapshot::{SessionSnapshot, SnapshotError, SNAPSHOT_FORMAT};

@@ -19,6 +19,15 @@
 //! inference state under a single lock acquisition, and duplicated by
 //! concurrent workers (agreeing duplicates are idempotent; contradictions
 //! surface as [`InferenceError::ConflictingLabel`]).
+//!
+//! A request reads a session in one place: [`SessionManager::serve`]
+//! performs the operation and reads back the resulting state under one
+//! serving read and one session lock, so its [`SessionOutcome`] never
+//! mixes two states. A session is rebuilt in one place too: waking a
+//! parked session, restoring a snapshot, recovering a WAL and migrating
+//! across a structural delta all replay a label history through
+//! `Slot::wake`. Sessions move between tiers through one park (`Slot::park`)
+//! and one lift back from disk (`SessionManager::lift`).
 
 use crate::durability::recover::{recover_fleet, RecoveredTier};
 use crate::durability::{
@@ -26,12 +35,12 @@ use crate::durability::{
     SegmentStore, SpillLocator, SpillPayload, SpillStore, Wal, WalRecord, WalStorage,
 };
 use crate::snapshot::SessionSnapshot;
-use jqi_core::session::{Candidate, OwnedSession};
+use jqi_core::session::{remap_replay_parts, Candidate, OwnedSession};
 use jqi_core::{
     ClassId, DecisionCacheStats, DeltaError, InferenceError, Label, StrategyConfig, Universe,
     UniverseDelta,
 };
-use jqi_relation::BitSet;
+use jqi_relation::{BitSet, Value};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -171,6 +180,12 @@ impl From<DurabilityError> for ServerError {
     }
 }
 
+impl From<std::io::Error> for ServerError {
+    fn from(e: std::io::Error) -> Self {
+        ServerError::Durability(DurabilityError::Io(e.to_string()))
+    }
+}
+
 /// Convenience alias for service results.
 pub type Result<T> = std::result::Result<T, ServerError>;
 
@@ -209,32 +224,57 @@ struct Slot {
 }
 
 impl Slot {
-    fn resident(config: StrategyConfig, session: OwnedSession) -> Slot {
+    fn new(config: StrategyConfig, tier: Tier) -> Slot {
         Slot {
             config,
             last_touch: Instant::now(),
-            tier: Tier::Resident(Box::new(session)),
+            tier,
         }
     }
 
-    /// The materialized session, re-materializing a hibernated one lazily
-    /// by replaying its history through one `apply_batch` — warm fleets
-    /// answer the replay's strategy-free mask ops from the shared caches,
-    /// so waking is cheap even at scale. A [`Tier::Spilled`] slot must be
-    /// lifted back to [`Tier::Hibernated`] first (the manager's
-    /// `materialize` does the segment read — it needs the spill store).
-    fn session(&mut self, universe: &Arc<Universe>) -> &mut OwnedSession {
-        if let Tier::Hibernated { history, pending } = &mut self.tier {
-            let history = std::mem::take(history);
-            let pending = pending.take();
+    /// The one replay path: re-materializes a parked slot by replaying its
+    /// history through one `apply_batch` and returns the resident session.
+    /// Wake, restore, recovery and structural migration all rebuild
+    /// sessions here — warm fleets answer the replay's strategy-free mask
+    /// ops from the shared caches, so waking is cheap even at scale. On
+    /// error the slot stays parked. A [`Tier::Spilled`] slot must be
+    /// lifted first ([`SessionManager::lift`] — it needs the spill store).
+    fn wake(
+        &mut self,
+        universe: &Arc<Universe>,
+    ) -> std::result::Result<&mut OwnedSession, InferenceError> {
+        if let Tier::Hibernated { history, pending } = &self.tier {
             let session =
-                OwnedSession::replay(Arc::clone(universe), &self.config, &history, pending)
-                    .expect("hibernated history was applied once, so it replays");
+                OwnedSession::replay(Arc::clone(universe), &self.config, history, *pending)?;
             self.tier = Tier::Resident(Box::new(session));
         }
         match &mut self.tier {
-            Tier::Resident(session) => session,
+            Tier::Resident(session) => Ok(session),
             Tier::Hibernated { .. } => unreachable!("just materialized"),
+            Tier::Spilled { .. } => unreachable!("caller lifts spilled slots first"),
+        }
+    }
+
+    /// The one park: keeps only the replay log (shrunk to its length, so a
+    /// parked session holds exactly its log) and the pending question;
+    /// returns the parked bytes.
+    fn park(&mut self, mut history: Vec<(ClassId, Label)>, pending: Option<ClassId>) -> usize {
+        history.shrink_to_fit();
+        let bytes = Slot::hibernated_bytes(&history);
+        self.tier = Tier::Hibernated { history, pending };
+        bytes
+    }
+
+    /// Moves the replay log out of an in-RAM slot (resident or parked),
+    /// leaving an empty parked tier behind for the caller to overwrite.
+    fn take_replay_parts(&mut self) -> (Vec<(ClassId, Label)>, Option<ClassId>) {
+        let empty = Tier::Hibernated {
+            history: Vec::new(),
+            pending: None,
+        };
+        match std::mem::replace(&mut self.tier, empty) {
+            Tier::Resident(session) => session.into_replay_parts(),
+            Tier::Hibernated { history, pending } => (history, pending),
             Tier::Spilled { .. } => unreachable!("caller lifts spilled slots first"),
         }
     }
@@ -244,25 +284,12 @@ impl Slot {
     /// when a transition happened, `None` otherwise (already parked or
     /// spilled).
     fn hibernate(&mut self) -> Option<(usize, usize)> {
-        if !matches!(self.tier, Tier::Resident(_)) {
+        let Tier::Resident(session) = &self.tier else {
             return None;
-        }
-        let tier = std::mem::replace(
-            &mut self.tier,
-            Tier::Hibernated {
-                history: Vec::new(),
-                pending: None,
-            },
-        );
-        let Tier::Resident(session) = tier else {
-            unreachable!("checked above");
         };
         let freed = session.resident_bytes();
-        let (mut history, pending) = session.into_replay_parts();
-        history.shrink_to_fit();
-        let added = Slot::hibernated_bytes(&history);
-        self.tier = Tier::Hibernated { history, pending };
-        Some((freed, added))
+        let (history, pending) = self.take_replay_parts();
+        Some((freed, self.park(history, pending)))
     }
 
     /// Resident bytes of a parked session: the replay log (by allocation
@@ -377,10 +404,7 @@ struct DurabilityState {
 
 impl DurabilityState {
     fn log(&self, record: &WalRecord) -> Result<()> {
-        self.wal
-            .lock()
-            .append(record)
-            .map_err(|e| ServerError::Durability(DurabilityError::Io(e.to_string())))
+        Ok(self.wal.lock().append(record)?)
     }
 }
 
@@ -414,7 +438,7 @@ pub struct MigrationReport {
     /// universe — every session of a structural delta, resident or
     /// parked.
     pub replayed: usize,
-    /// Labels dropped across the fleet because their class has no
+    /// Labels the surviving sessions dropped because their class has no
     /// signature-equal counterpart in the new universe (its rows were all
     /// deleted). Dropping a label only widens the consistent interval, so
     /// the surviving sessions remain sound.
@@ -432,6 +456,39 @@ pub struct MigrationReport {
     /// enough to describe the post-migration universe without reading the
     /// manager again (a later migration may already have replaced it).
     pub to_fingerprint: u64,
+}
+
+/// One request against one session, for [`SessionManager::serve`].
+#[derive(Debug, Clone, Copy)]
+pub enum SessionOp<'a> {
+    /// Re-deliver the outstanding question, or ask the next one
+    /// ([`SessionManager::next_question`]).
+    Question,
+    /// Fold a batch of class-addressed answers
+    /// ([`SessionManager::answer_batch`]).
+    Answers(&'a [(ClassId, Label)]),
+    /// Only read the state.
+    Status,
+}
+
+/// The session state one [`SessionManager::serve`] call left behind, read
+/// under the same serving read and session lock that performed the
+/// operation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SessionOutcome {
+    /// The question a [`SessionOp::Question`] asked (`None` for the other
+    /// operations, or when inference is complete), with its representative
+    /// tuple's values decoded against the same universe.
+    pub question: Option<(Candidate, Vec<Value>)>,
+    /// Answers a [`SessionOp::Answers`] batch applied as new information.
+    pub applied: usize,
+    /// Answers recorded so far.
+    pub interactions: usize,
+    /// Whether the session has nothing left to ask.
+    pub done: bool,
+    /// The inferred predicate `T(S⁺)` rendered over the universe's
+    /// attribute names, present exactly when `done`.
+    pub predicate: Option<String>,
 }
 
 /// A thread-safe, multi-session inference service over one shared universe.
@@ -465,13 +522,12 @@ impl SessionManager {
     /// Creates an in-memory (non-durable) manager serving sessions over
     /// `universe`. See [`Self::recover`] for the durable constructor.
     pub fn new(universe: Arc<Universe>, config: ServerConfig) -> Self {
-        let shards = config.shards.max(1);
         SessionManager {
             serving: RwLock::new(Serving {
                 fingerprint: universe.fingerprint(),
                 universe,
             }),
-            shards: (0..shards)
+            shards: (0..config.shards.max(1))
                 .map(|_| RwLock::new(HashMap::default()))
                 .collect(),
             next_id: AtomicU64::new(0),
@@ -545,20 +601,13 @@ impl SessionManager {
         )?;
 
         let manager = SessionManager {
-            serving: RwLock::new(Serving {
-                universe: Arc::clone(&universe),
-                fingerprint,
-            }),
-            shards: (0..config.shards.max(1))
-                .map(|_| RwLock::new(HashMap::default()))
-                .collect(),
             next_id: AtomicU64::new(fleet.next_id),
-            config,
             durability: Some(DurabilityState {
                 config: durability,
                 wal: Mutex::new(wal),
                 spill: Mutex::new(spill),
             }),
+            ..SessionManager::new(Arc::clone(&universe), config)
         };
         let mut report = RecoveryReport {
             wal_records: fleet.wal_records,
@@ -568,43 +617,34 @@ impl SessionManager {
         };
         for (id, recovered) in fleet.sessions {
             // Validate by the real replay path: a history the serving
-            // universe cannot replay must fail recovery, not panic at the
-            // first touch. The materialized session is dropped right away
+            // universe cannot replay must fail recovery, not fail at the
+            // first touch. The materialized session is parked right away
             // — its replay also normalizes a pending question that later
             // answers made moot, exactly as the live session would have.
-            let session = OwnedSession::replay(
-                Arc::clone(&universe),
-                &recovered.strategy,
-                &recovered.history,
-                recovered.pending,
-            )
-            .map_err(|error| DurabilityError::Replay { session: id, error })?;
             report.replayed_answers += recovered.history.len() as u64;
-            let (mut history, pending) = session.into_replay_parts();
-            let tier = match recovered.tier {
-                RecoveredTier::Spilled(locator) => {
-                    report.spilled += 1;
-                    Tier::Spilled {
-                        locator,
-                        history_len: history.len(),
-                    }
-                }
-                RecoveredTier::Resident | RecoveredTier::Hibernated => {
-                    report.hibernated += 1;
-                    history.shrink_to_fit();
-                    Tier::Hibernated { history, pending }
-                }
-            };
+            let mut slot = Slot::new(
+                recovered.strategy,
+                Tier::Hibernated {
+                    history: recovered.history,
+                    pending: recovered.pending,
+                },
+            );
+            slot.wake(&universe)
+                .map_err(|error| DurabilityError::Replay { session: id, error })?;
+            let (history, pending) = slot.take_replay_parts();
+            if let RecoveredTier::Spilled(locator) = recovered.tier {
+                report.spilled += 1;
+                slot.tier = Tier::Spilled {
+                    locator,
+                    history_len: history.len(),
+                };
+            } else {
+                report.hibernated += 1;
+                slot.park(history, pending);
+            }
             report.sessions += 1;
             manager
-                .insert(
-                    id,
-                    Slot {
-                        config: recovered.strategy,
-                        last_touch: Instant::now(),
-                        tier,
-                    },
-                )
+                .insert(id, Arc::new(Mutex::new(slot)), None)
                 .expect("recovered ids are unique (log replay is a map)");
         }
         Ok((manager, report))
@@ -736,59 +776,54 @@ impl SessionManager {
             .ok_or(ServerError::UnknownSession(id))
     }
 
-    /// Lifts a spilled slot back into the hibernated tier (one positioned
-    /// segment read, checksum re-verified) and returns the materialized
-    /// session. The wake itself appends nothing to the WAL: the session's
-    /// replay state is unchanged — which tier held it is a RAM detail the
-    /// log only learns about at the next answer/question/spill.
-    fn materialize<'a>(
-        &self,
-        universe: &Arc<Universe>,
-        guard: &'a mut Slot,
-    ) -> Result<&'a mut OwnedSession> {
-        if let Tier::Spilled { locator, .. } = guard.tier {
-            let state = self
-                .durability
-                .as_ref()
-                .expect("spilled tier only exists under a durability tier");
-            let payload = state.spill.lock().read(locator)?;
-            guard.tier = Tier::Hibernated {
-                history: payload.history,
-                pending: payload.pending,
-            };
+    /// The one lift: moves a spilled slot back into the hibernated tier
+    /// (one positioned segment read, checksum re-verified). The lift
+    /// itself appends nothing to the WAL: the session's replay state is
+    /// unchanged — which tier held it is a RAM detail the log only learns
+    /// about at the next answer/question/spill.
+    fn lift(&self, slot: &mut Slot) -> Result<()> {
+        if let Tier::Spilled { locator, .. } = slot.tier {
+            let payload = self.read_spilled(locator)?;
+            slot.park(payload.history, payload.pending);
         }
-        Ok(guard.session(universe))
+        Ok(())
     }
 
-    /// Runs `f` on the materialized session, holding only that session's
-    /// mutex. The shard lock is released before `f` runs, so slow strategy
-    /// work never blocks unrelated lookups. Counts as a touch: the idle
-    /// clock resets, and a hibernated or spilled session is
-    /// re-materialized first.
-    fn with_session<T>(&self, id: SessionId, f: impl FnOnce(&mut OwnedSession) -> T) -> Result<T> {
+    /// Runs `f` on the materialized session under one serving read and the
+    /// session's mutex, so everything `f` does and reads belongs to one
+    /// session state on one universe. The shard lock is released before
+    /// `f` runs, so slow strategy work never blocks unrelated lookups.
+    /// Counts as a touch: the idle clock resets, and a hibernated or
+    /// spilled session is re-materialized first.
+    fn with_session<T>(
+        &self,
+        id: SessionId,
+        f: impl FnOnce(&mut OwnedSession) -> Result<T>,
+    ) -> Result<T> {
         let serving = self.serving.read();
         let slot = self.slot(id)?;
         let mut guard = slot.lock();
         guard.last_touch = Instant::now();
-        Ok(f(self.materialize(&serving.universe, &mut guard)?))
-    }
-
-    /// Inserts without logging — recovery's path (the log already
-    /// describes these sessions).
-    fn insert(&self, id: SessionId, slot: Slot) -> Result<()> {
-        self.insert_logged(id, slot, None)
+        self.lift(&mut guard)?;
+        f(guard.wake(&serving.universe)?)
     }
 
     /// Inserts, appending `record` while the shard write lock is still
     /// held, so the log's Create/Restore/Remove order matches the table's
-    /// (a WAL failure unwinds the insert).
-    fn insert_logged(&self, id: SessionId, slot: Slot, record: Option<&WalRecord>) -> Result<()> {
+    /// (a WAL failure unwinds the insert). Recovery inserts without a
+    /// record: the log already describes its sessions.
+    fn insert(
+        &self,
+        id: SessionId,
+        slot: Arc<Mutex<Slot>>,
+        record: Option<&WalRecord>,
+    ) -> Result<()> {
         use std::collections::hash_map::Entry;
         let mut shard = self.shard(id).write();
         match shard.entry(id) {
             Entry::Occupied(_) => Err(ServerError::SessionExists(id)),
             Entry::Vacant(e) => {
-                e.insert(Arc::new(Mutex::new(slot)));
+                e.insert(slot);
                 if let (Some(state), Some(record)) = (&self.durability, record) {
                     if let Err(err) = state.log(record) {
                         shard.remove(&id);
@@ -807,29 +842,25 @@ impl SessionManager {
     /// the insert and surfaces as [`ServerError::Durability`], so no
     /// session the caller ever saw is missing from the log.
     pub fn create_session(&self, strategy: StrategyConfig) -> Result<SessionId> {
-        use std::collections::hash_map::Entry;
         let serving = self.serving.read();
         let session = OwnedSession::with_config(Arc::clone(&serving.universe), &strategy);
-        let slot = Arc::new(Mutex::new(Slot::resident(strategy.clone(), session)));
+        let slot = Arc::new(Mutex::new(Slot::new(
+            strategy.clone(),
+            Tier::Resident(Box::new(session)),
+        )));
         // A concurrent restore() may race a stale snapshot onto the id the
         // counter just handed out (its fetch_max lands after our
         // fetch_add); skip to the next id instead of clobbering either
         // session.
         loop {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let mut shard = self.shard(id).write();
-            if let Entry::Vacant(e) = shard.entry(id) {
-                e.insert(Arc::clone(&slot));
-                if let Some(state) = &self.durability {
-                    if let Err(e) = state.log(&WalRecord::Create {
-                        id,
-                        strategy: strategy.clone(),
-                    }) {
-                        shard.remove(&id);
-                        return Err(e);
-                    }
-                }
-                return Ok(id);
+            let record = self.durability.is_some().then(|| WalRecord::Create {
+                id,
+                strategy: strategy.clone(),
+            });
+            match self.insert(id, Arc::clone(&slot), record.as_ref()) {
+                Err(ServerError::SessionExists(_)) => continue,
+                inserted => return inserted.map(|()| id),
             }
         }
     }
@@ -845,19 +876,7 @@ impl SessionManager {
     /// strategy step selects a **new** candidate (re-delivery appends
     /// nothing), so recovery reproduces outstanding questions exactly.
     pub fn next_question(&self, id: SessionId) -> Result<Option<Candidate>> {
-        let serving = self.serving.read();
-        let slot = self.slot(id)?;
-        let mut guard = slot.lock();
-        guard.last_touch = Instant::now();
-        let session = self.materialize(&serving.universe, &mut guard)?;
-        if let Some(pending) = session.pending_candidate() {
-            return Ok(Some(pending));
-        }
-        let candidate = session.next().map_err(ServerError::from)?;
-        if let (Some(state), Some(c)) = (&self.durability, &candidate) {
-            state.log(&WalRecord::Question { id, class: c.class })?;
-        }
-        Ok(candidate)
+        self.with_session(id, |session| self.ask(id, session))
     }
 
     /// Records one class-addressed answer.
@@ -883,11 +902,68 @@ impl SessionManager {
     /// once per answer round has a whole round across many sessions
     /// share one fsync.
     pub fn answer_batch(&self, id: SessionId, answers: &[(ClassId, Label)]) -> Result<usize> {
-        let serving = self.serving.read();
-        let slot = self.slot(id)?;
-        let mut guard = slot.lock();
-        guard.last_touch = Instant::now();
-        let session = self.materialize(&serving.universe, &mut guard)?;
+        self.with_session(id, |session| self.apply(id, session, answers))
+    }
+
+    /// Whether the session has nothing left to ask.
+    ///
+    /// A touch: answering this for a parked session requires the derived
+    /// masks (the halt condition is about the informative set), so it
+    /// re-materializes — unlike [`Self::interactions`],
+    /// [`Self::inferred_predicate`], and [`Self::snapshot`], which serve
+    /// parked sessions from the parked payload.
+    pub fn is_done(&self, id: SessionId) -> Result<bool> {
+        self.with_session(id, |session| Ok(session.is_done()))
+    }
+
+    /// Performs `op` and reads the state it left behind in one locked
+    /// call — one serving read, one session lock — so every field of the
+    /// outcome describes the same session state on the same universe,
+    /// however many other requests race on the session. The HTTP
+    /// gateway's question, answers and status handlers are each one call
+    /// of this. A touch, like [`Self::is_done`].
+    pub fn serve(&self, id: SessionId, op: SessionOp<'_>) -> Result<SessionOutcome> {
+        self.with_session(id, |session| {
+            let (candidate, applied) = match op {
+                SessionOp::Question => (self.ask(id, session)?, 0),
+                SessionOp::Answers(answers) => (None, self.apply(id, session, answers)?),
+                SessionOp::Status => (None, 0),
+            };
+            let universe = session.universe();
+            let done = session.is_done();
+            Ok(SessionOutcome {
+                question: candidate.map(|c| (c, c.values(universe))),
+                applied,
+                interactions: session.interactions(),
+                done,
+                predicate: done.then(|| {
+                    universe
+                        .instance()
+                        .predicate_string(&session.inferred_predicate())
+                }),
+            })
+        })
+    }
+
+    /// [`Self::next_question`]'s body on an already-locked session.
+    fn ask(&self, id: SessionId, session: &mut OwnedSession) -> Result<Option<Candidate>> {
+        if let Some(pending) = session.pending_candidate() {
+            return Ok(Some(pending));
+        }
+        let candidate = session.next()?;
+        if let (Some(state), Some(c)) = (&self.durability, &candidate) {
+            state.log(&WalRecord::Question { id, class: c.class })?;
+        }
+        Ok(candidate)
+    }
+
+    /// [`Self::answer_batch`]'s body on an already-locked session.
+    fn apply(
+        &self,
+        id: SessionId,
+        session: &mut OwnedSession,
+        answers: &[(ClassId, Label)],
+    ) -> Result<usize> {
         let before = session.history().len();
         let applied = session.apply_batch(answers);
         if let Some(state) = &self.durability {
@@ -899,18 +975,7 @@ impl SessionManager {
                 })?;
             }
         }
-        applied.map_err(ServerError::from)
-    }
-
-    /// Whether the session has nothing left to ask.
-    ///
-    /// A touch: answering this for a parked session requires the derived
-    /// masks (the halt condition is about the informative set), so it
-    /// re-materializes — unlike [`Self::interactions`],
-    /// [`Self::inferred_predicate`], and [`Self::snapshot`], which serve
-    /// parked sessions from the parked payload.
-    pub fn is_done(&self, id: SessionId) -> Result<bool> {
-        self.with_session(id, |session| session.is_done())
+        Ok(applied?)
     }
 
     /// Number of answers recorded so far.
@@ -1018,22 +1083,21 @@ impl SessionManager {
             }
         }
         let id = snapshot.session;
-        let session = OwnedSession::replay(
-            Arc::clone(&serving.universe),
-            &snapshot.strategy,
-            &snapshot.history,
-            snapshot.pending,
-        )?;
-        self.insert_logged(
-            id,
-            Slot::resident(snapshot.strategy.clone(), session),
-            Some(&WalRecord::Restore {
-                id,
-                strategy: snapshot.strategy.clone(),
+        let mut slot = Slot::new(
+            snapshot.strategy.clone(),
+            Tier::Hibernated {
                 history: snapshot.history.clone(),
                 pending: snapshot.pending,
-            }),
-        )?;
+            },
+        );
+        slot.wake(&serving.universe)?;
+        let record = self.durability.is_some().then(|| WalRecord::Restore {
+            id,
+            strategy: snapshot.strategy.clone(),
+            history: snapshot.history.clone(),
+            pending: snapshot.pending,
+        });
+        self.insert(id, Arc::new(Mutex::new(slot)), record.as_ref())?;
         self.next_id.fetch_max(id + 1, Ordering::Relaxed);
         Ok(id)
     }
@@ -1170,9 +1234,7 @@ impl SessionManager {
             let freed = Slot::hibernated_bytes(history);
             let locator = {
                 let mut spill = state.spill.lock();
-                let locator = spill
-                    .append(&payload)
-                    .map_err(|e| ServerError::Durability(DurabilityError::Io(e.to_string())))?;
+                let locator = spill.append(&payload)?;
                 // The payload must be durable before its locator can reach
                 // the log: `Wal::append` group-commits on its own schedule
                 // (this pass's quota, or a concurrent answer's), so the
@@ -1183,9 +1245,7 @@ impl SessionManager {
                 // power loss as well as process death. (`sync` is a no-op
                 // when nothing is unsynced, so back-to-back spills into
                 // one segment cost one fsync each, never more.)
-                spill
-                    .sync()
-                    .map_err(|e| ServerError::Durability(DurabilityError::Io(e.to_string())))?;
+                spill.sync()?;
                 locator
             };
             // The Spill record is appended while the session mutex is
@@ -1225,11 +1285,7 @@ impl SessionManager {
     /// sweeps, and `migrate` under the write half).
     fn commit_wal(&self) -> Result<()> {
         if let Some(state) = &self.durability {
-            state
-                .wal
-                .lock()
-                .commit()
-                .map_err(|e| ServerError::Durability(DurabilityError::Io(e.to_string())))?;
+            state.wal.lock().commit()?;
         }
         Ok(())
     }
@@ -1267,10 +1323,11 @@ impl SessionManager {
     ///   (a spilled one is only lifted back into RAM, see below). The
     ///   fleet walk replays nothing: one visit per slot plus O(masks)
     ///   per resident session.
-    /// * **Changed** — every session's history is remapped by class
-    ///   signature and re-validated by a full replay: resident ones
-    ///   through `rebind`, parked ones straight from their replay logs
-    ///   (they stay parked). Labels whose class vanished are dropped
+    /// * **Changed** — every session, whatever its tier, is remapped by
+    ///   class signature ([`remap_replay_parts`]), re-validated by a full
+    ///   replay on the new universe, and put back into its own tier
+    ///   (resident stays resident, parked stays parked; a spilled one
+    ///   comes back parked). Labels whose class vanished are dropped
     ///   (consistency only widens); a session whose remapped history no
     ///   longer replays is removed and reported in
     ///   [`MigrationReport::invalidated`] — loudly, never served wrong.
@@ -1304,18 +1361,6 @@ impl SessionManager {
         // a parked replay log already means the same thing on the new
         // universe, and replaying it would hand it back unchanged.
         let same_classes = old.same_classes(&universe);
-        // Remap a parked replay log onto the new universe's class ids by
-        // signature, dropping labels of vanished classes.
-        let remap = |history: &[(ClassId, Label)], dropped: &mut usize| {
-            let mut out = Vec::with_capacity(history.len());
-            for &(c, label) in history {
-                match universe.class_for_signature(old.sig(c)) {
-                    Some(nc) => out.push((nc, label)),
-                    None => *dropped += 1,
-                }
-            }
-            out
-        };
         let mut doomed: Vec<SessionId> = Vec::new();
         // The serving write lock has quiesced the fleet, so walking each
         // shard under its read lock (shard → session mutex, the usual
@@ -1323,53 +1368,38 @@ impl SessionManager {
         for shard in self.shards.iter() {
             for (&id, slot) in shard.read().iter() {
                 let mut guard = slot.lock();
+                let slot: &mut Slot = &mut guard;
                 report.sessions += 1;
                 // Lift a spilled slot into RAM first: its segment home is
                 // abandoned by the log reset below.
-                if let Tier::Spilled { locator, .. } = guard.tier {
-                    let payload = self.read_spilled(locator)?;
-                    guard.tier = Tier::Hibernated {
-                        history: payload.history,
-                        pending: payload.pending,
+                self.lift(slot)?;
+                let carried = same_classes
+                    && match &mut slot.tier {
+                        Tier::Resident(session) => {
+                            session.rebind(Arc::clone(&universe), &slot.config)
+                        }
+                        _ => true,
                     };
+                if carried {
+                    report.carried += 1;
+                    continue;
                 }
-                let slot_ref: &mut Slot = &mut guard;
-                match &mut slot_ref.tier {
-                    Tier::Resident(session) => {
-                        match session.rebind(Arc::clone(&universe), &slot_ref.config) {
-                            Ok(r) => {
-                                if r.carried_masks {
-                                    report.carried += 1;
-                                } else {
-                                    report.replayed += 1;
-                                }
-                                report.dropped_labels += r.dropped_labels;
-                            }
-                            Err(_) => doomed.push(id),
-                        }
-                    }
-                    Tier::Hibernated { .. } if same_classes => report.carried += 1,
-                    Tier::Hibernated { history, pending } => {
-                        let remapped = remap(history, &mut report.dropped_labels);
-                        let pending =
-                            pending.and_then(|c| universe.class_for_signature(old.sig(c)));
-                        match OwnedSession::replay(
-                            Arc::clone(&universe),
-                            &slot_ref.config,
-                            &remapped,
-                            pending,
-                        ) {
-                            Ok(session) => {
-                                let (mut history, pending) = session.into_replay_parts();
-                                history.shrink_to_fit();
-                                slot_ref.tier = Tier::Hibernated { history, pending };
-                                report.replayed += 1;
-                            }
-                            Err(_) => doomed.push(id),
-                        }
-                    }
-                    Tier::Spilled { .. } => unreachable!("lifted above"),
+                // The class structure changed: remap the replay log by
+                // signature, replay it, and return the session to its tier.
+                let resident = matches!(slot.tier, Tier::Resident(_));
+                let (history, pending) = slot.take_replay_parts();
+                let (history, pending, dropped) =
+                    remap_replay_parts(&old, &universe, history, pending);
+                slot.tier = Tier::Hibernated { history, pending };
+                if slot.wake(&universe).is_err() {
+                    doomed.push(id);
+                    continue;
                 }
+                if !resident {
+                    slot.hibernate();
+                }
+                report.replayed += 1;
+                report.dropped_labels += dropped;
             }
         }
         for &id in &doomed {
@@ -1382,18 +1412,12 @@ impl SessionManager {
         serving.universe = universe;
         serving.fingerprint = report.to_fingerprint;
         if let Some(state) = &self.durability {
-            let io =
-                |e: std::io::Error| ServerError::Durability(DurabilityError::Io(e.to_string()));
-            state
-                .spill
-                .lock()
-                .restamp(serving.fingerprint)
-                .map_err(io)?;
+            state.spill.lock().restamp(serving.fingerprint)?;
             // Locking slots while holding the WAL mutex inverts the usual
             // order, but the serving write lock has quiesced every path
             // that takes them the other way around.
             let mut wal = state.wal.lock();
-            wal.reset(serving.fingerprint).map_err(io)?;
+            wal.reset(serving.fingerprint)?;
             for shard in self.shards.iter() {
                 for (&id, slot) in shard.read().iter() {
                     let guard = slot.lock();
@@ -1402,11 +1426,10 @@ impl SessionManager {
                         Tier::Hibernated { history, pending } => (history.as_slice(), *pending),
                         Tier::Spilled { .. } => unreachable!("lifted above"),
                     };
-                    wal.append_restore(id, &guard.config, history, pending)
-                        .map_err(io)?;
+                    wal.append_restore(id, &guard.config, history, pending)?;
                 }
             }
-            wal.commit().map_err(io)?;
+            wal.commit()?;
         }
         Ok(report)
     }
@@ -1422,7 +1445,7 @@ impl SessionManager {
         if !shard.contains_key(&id) {
             return Err(ServerError::UnknownSession(id));
         }
-        // Log first, delete second (the mirror of insert_logged's unwind):
+        // Log first, delete second (the mirror of insert's unwind):
         // a WAL failure leaves the session live and the Remove unlogged,
         // so the table and the log agree either way — never a removal the
         // caller saw fail that recovery silently honors, nor one that

@@ -247,3 +247,103 @@ fn churn_leaves_an_empty_consistent_table() {
     }
     assert_eq!(manager.session_count(), 0);
 }
+
+/// Every answers response describes one session state: the `applied`
+/// count and the `interactions` it reports come from the same locked
+/// call. Four workers answer disjoint classes of each session through the
+/// gateway, one label per batch, so every class is applied exactly once;
+/// if the count were read in a second call, a racing answer could land in
+/// between and two responses would report the same `interactions`.
+#[test]
+fn every_applied_answer_response_reports_its_own_state() {
+    use jqi_net::{Handler, Request};
+    use jqi_server::json::Json;
+    use jqi_server::{Gateway, UniverseRegistry};
+
+    let universe = Arc::new(Universe::build(
+        SyntheticConfig::new(2, 3, 14, 6).generate(11),
+    ));
+    let classes = universe.num_classes();
+    let manager = Arc::new(SessionManager::new(
+        Arc::clone(&universe),
+        ServerConfig::default(),
+    ));
+    const SESSIONS: usize = 2000;
+    const WORKERS: usize = 4;
+    let goals = goals(&universe, SESSIONS);
+    let sessions: Vec<u64> = (0..SESSIONS)
+        .map(|_| {
+            manager
+                .create_session(StrategyConfig::Bu)
+                .expect("in-memory")
+        })
+        .collect();
+    let registry = Arc::new(UniverseRegistry::new());
+    registry.register("u", manager).expect("fresh registry");
+    let gateway = Arc::new(Gateway::new(registry));
+    // Lines the workers up on each session, so their answers race.
+    let barrier = Arc::new(std::sync::Barrier::new(WORKERS));
+
+    let handles: Vec<_> = (0..WORKERS)
+        .map(|w| {
+            let gateway = Arc::clone(&gateway);
+            let barrier = Arc::clone(&barrier);
+            let universe = Arc::clone(&universe);
+            let goals = goals.clone();
+            let sessions = sessions.clone();
+            thread::spawn(move || {
+                // (session index, reported interactions) per applied answer.
+                let mut applied = Vec::new();
+                for (i, &sid) in sessions.iter().enumerate() {
+                    barrier.wait();
+                    for class in (w..classes).step_by(WORKERS) {
+                        let label = match oracle_label(&universe, &goals[i], class) {
+                            Label::Positive => "+",
+                            Label::Negative => "-",
+                        };
+                        let request = Request {
+                            method: "POST".into(),
+                            path: format!("/v1/universes/u/sessions/{sid}/answers"),
+                            headers: vec![],
+                            body: format!(
+                                "{{\"answers\": [{{\"class\": {class}, \"label\": \"{label}\"}}]}}"
+                            )
+                            .into_bytes(),
+                            close: false,
+                            deadline: None,
+                        };
+                        let response = gateway.handle(&request);
+                        assert_eq!(response.status, 200);
+                        let doc = Json::parse(std::str::from_utf8(&response.body).unwrap())
+                            .expect("JSON body");
+                        let field = |key: &str| doc.get(key).and_then(Json::as_num).unwrap();
+                        if field("applied") == 1.0 {
+                            applied.push((i, field("interactions") as usize));
+                        }
+                    }
+                }
+                applied
+            })
+        })
+        .collect();
+    let mut reported = vec![Vec::new(); SESSIONS];
+    for handle in handles {
+        for (i, interactions) in handle.join().expect("no panics") {
+            reported[i].push(interactions);
+        }
+    }
+    let mut duplicates = 0;
+    for counts in &mut reported {
+        counts.sort_unstable();
+        let before = counts.len();
+        counts.dedup();
+        duplicates += before - counts.len();
+    }
+    assert_eq!(
+        duplicates, 0,
+        "{duplicates} applied answers reported an interactions count another response also reported"
+    );
+    for counts in &reported {
+        assert_eq!(*counts, (1..=classes).collect::<Vec<_>>());
+    }
+}

@@ -1159,6 +1159,11 @@ proptest! {
             class_structure(&rebuilt),
             "class structure diverged from the from-scratch build"
         );
+        // Profiles are grouped under the grow-only shared-symbol relation,
+        // so the delta result may split rows a fresh build would merge —
+        // never the other way round.
+        prop_assert!(applied.distinct_r_profiles() >= rebuilt.distinct_r_profiles());
+        prop_assert!(applied.distinct_p_profiles() >= rebuilt.distinct_p_profiles());
         // Every representative must live in the class it represents.
         for c in 0..applied.num_classes() {
             let (ri, pi) = applied.representative(c as ClassId);
