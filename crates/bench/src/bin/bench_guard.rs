@@ -15,10 +15,11 @@
 //!   the fleet phase's warm and cold first-question `mean_us` plus the
 //!   warm-over-cold speedup (`warm_speedup` must not shrink below
 //!   `baseline / factor`), the hibernation tier's parked-session
-//!   resident bytes (`hibernated_bytes_per_session`), and the durability
-//!   tier: group-commit per-answer `mean_us` vs the baseline,
-//!   `overhead_group_x` (the in-memory/WAL-on throughput ratio) against
-//!   an **absolute** ceiling of `factor` (WAL-on interactive throughput
+//!   resident bytes (`hibernated_bytes_per_session`) and one `stats()`
+//!   call on the parked fleet (`stats_us`, when the baseline has it),
+//!   and the durability tier: group-commit per-answer `mean_us` vs the
+//!   baseline, `overhead_group_x` (the in-memory/WAL-on throughput
+//!   ratio) against an **absolute** ceiling of `factor` (WAL-on interactive throughput
 //!   must stay within 3x of in-memory on any machine), and recovery
 //!   `sessions_per_sec` as a floor. When the baseline carries a
 //!   `transport` block (PR 8+), the HTTP request `mean_us` is guarded
@@ -180,6 +181,13 @@ fn guard_server(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(), 
     let b = num(baseline, &["hibernate", "hibernated_bytes_per_session"])
         .ok_or("baseline lacks hibernated_bytes_per_session")?;
     guard.at_most("hibernated_bytes_per_session", f, b);
+    // One stats() call on the parked fleet: gauge loads, not a walk.
+    // Guarded only when the baseline carries it (older ones predate it).
+    if let Some(b) = num(baseline, &["hibernate", "stats_us"]) {
+        let f = num(fresh, &["hibernate", "stats_us"])
+            .ok_or("fresh report lacks hibernate stats_us")?;
+        guard.at_most("hibernate stats_us", f, b);
+    }
     // Durability tier: group-commit answer latency against the baseline,
     // the WAL-on/in-memory ratio against an absolute ceiling (the
     // acceptance bar: group commit must stay within 3x of in-memory on

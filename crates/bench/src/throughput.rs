@@ -277,6 +277,9 @@ pub struct HibernateReport {
     /// Mean resident bytes per parked session (replay log + pending
     /// marker).
     pub hibernated_bytes_per_session: f64,
+    /// Wall time of one `SessionManager::stats()` call on the parked
+    /// fleet — O(1) in its size, so it must not grow with `sessions`.
+    pub stats_us: f64,
     /// Latency of the first touch after parking: lazy re-materialization
     /// by replay through one `apply_batch`.
     pub wake: LatencySummary,
@@ -299,6 +302,7 @@ impl ToJson for HibernateReport {
                 "hibernated_bytes_per_session".into(),
                 Json::Num(self.hibernated_bytes_per_session),
             ),
+            ("stats_us".into(), Json::Num(self.stats_us)),
             ("wake".into(), self.wake.to_json()),
         ])
     }
@@ -689,11 +693,12 @@ impl ThroughputReport {
         let _ = writeln!(
             out,
             "hibernate: {} of {} sessions parked, {:.0} B resident → {:.0} B parked per \
-             session; wake mean {:.1} µs / p50 {:.1} µs",
+             session; stats {:.2} µs; wake mean {:.1} µs / p50 {:.1} µs",
             self.hibernate.parked,
             self.hibernate.sessions,
             self.hibernate.resident_bytes_per_session,
             self.hibernate.hibernated_bytes_per_session,
+            self.hibernate.stats_us,
             self.hibernate.wake.mean_us,
             self.hibernate.wake.p50_us,
         );
@@ -1040,7 +1045,9 @@ pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
         .hibernate_idle(Duration::ZERO)
         .expect("in-memory")
         .parked;
+    let t0 = Instant::now();
     let parked_stats = manager.stats();
+    let stats_us = t0.elapsed().as_nanos() as f64 / 1000.0;
     let mut wake_lat: Vec<u64> = Vec::with_capacity(ids.len());
     for &id in &ids {
         let t0 = Instant::now();
@@ -1053,6 +1060,7 @@ pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
         resident_bytes_per_session: session_memory.resident_bytes_per_session(),
         state_bytes_per_session: session_memory.state_bytes_per_session(),
         hibernated_bytes_per_session: parked_stats.hibernated_bytes_per_session(),
+        stats_us,
         wake: LatencySummary::of(wake_lat),
     };
 
@@ -1899,6 +1907,7 @@ mod tests {
             "hibernate",
             "hibernated_bytes_per_session",
             "resident_bytes_per_session",
+            "stats_us",
             "wake",
             "durability",
             "wal_group",

@@ -347,18 +347,15 @@ fn create_session(manager: &SessionManager, request: &Request) -> Result<Respons
         .parse()
         .map_err(|e: String| error(400, "bad_strategy", &e))?;
     deadline_guard(request)?;
-    let id = manager
-        .create_session(strategy.clone())
+    let (id, fingerprint) = manager
+        .create_session_stamped(strategy.clone())
         .map_err(server_error)?;
     Ok(ok_with(
         201,
         Json::Obj(vec![
             ("session".into(), Json::num(id as f64)),
             ("strategy".into(), Json::str(strategy.to_string())),
-            (
-                "universe".into(),
-                Json::str(format!("{:016x}", manager.universe_fingerprint())),
-            ),
+            ("universe".into(), Json::str(format!("{fingerprint:016x}"))),
         ]),
     ))
 }

@@ -41,11 +41,11 @@ use jqi_core::{
     UniverseDelta,
 };
 use jqi_relation::{BitSet, Value};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -196,7 +196,7 @@ pub type Result<T> = std::result::Result<T, ServerError>;
 /// full session struct — parking a session genuinely returns its memory.
 enum Tier {
     /// Materialized: the full session with every derived mask.
-    Resident(Box<OwnedSession>),
+    Resident(Box<Resident>),
     /// Parked: only what deterministic replay needs. `history` is
     /// `shrink_to_fit`-ed on entry, so a parked session holds exactly its
     /// replay log.
@@ -215,12 +215,131 @@ enum Tier {
     },
 }
 
+impl Tier {
+    /// A freshly materialized session, not yet counted.
+    fn resident(session: OwnedSession) -> Tier {
+        Tier::Resident(Box::new(Resident {
+            session,
+            counted: Footprint::default(),
+        }))
+    }
+}
+
+/// A materialized session and the footprint it last added to the tier
+/// gauges. Its bytes change in place on every answer, so unlike a parked
+/// or spilled slot's they cannot be re-derived from the slot when it is
+/// next locked.
+struct Resident {
+    session: OwnedSession,
+    counted: Footprint,
+}
+
+/// One slot's share of the tier gauges: the session and byte fields of
+/// [`ManagerStats`] in the order [`Gauges::load`] names them — sessions;
+/// resident, hibernated and spilled sessions; state, resident, history,
+/// hibernated and spilled bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Footprint([usize; 9]);
+
+impl Footprint {
+    fn resident(session: &OwnedSession) -> Footprint {
+        let history = std::mem::size_of_val(session.history());
+        let (state, resident) = (session.state_bytes(), session.resident_bytes());
+        Footprint([1, 1, 0, 0, state, resident, history, 0, 0])
+    }
+
+    fn hibernated(history: &Vec<(ClassId, Label)>) -> Footprint {
+        let (bytes, parked) = (
+            std::mem::size_of_val(&history[..]),
+            Slot::hibernated_bytes(history),
+        );
+        Footprint([1, 0, 1, 0, 0, 0, bytes, parked, 0])
+    }
+
+    fn spilled(locator: &SpillLocator) -> Footprint {
+        Footprint([1, 0, 0, 1, 0, 0, 0, 0, locator.len as usize])
+    }
+}
+
+/// The tier gauges behind [`SessionManager::stats`]: one counter per
+/// [`Footprint`] field, equal to the sum of every counted slot's
+/// footprint once the fleet is quiescent. Only [`SlotGuard`] moves them.
+#[derive(Default)]
+struct Gauges([AtomicUsize; 9]);
+
+impl Gauges {
+    /// Moves each gauge by `after - before` (wrapping: a shrinking slot
+    /// adds the two's complement). One slot's share never goes below
+    /// zero, so neither does any gauge a reader loads.
+    fn apply(&self, before: Footprint, after: Footprint) {
+        for ((gauge, b), a) in self.0.iter().zip(before.0).zip(after.0) {
+            if a != b {
+                gauge.fetch_add(a.wrapping_sub(b), Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The session and byte fields of [`ManagerStats`]; the rest default.
+    fn load(&self) -> ManagerStats {
+        let [sessions, resident_sessions, hibernated_sessions, spilled_sessions, state_bytes, resident_bytes, history_bytes, hibernated_bytes, spilled_bytes] =
+            self.0.each_ref().map(|gauge| gauge.load(Ordering::Relaxed));
+        ManagerStats {
+            sessions,
+            resident_sessions,
+            hibernated_sessions,
+            spilled_sessions,
+            state_bytes,
+            resident_bytes,
+            history_bytes,
+            hibernated_bytes,
+            spilled_bytes,
+            ..ManagerStats::default()
+        }
+    }
+}
+
+/// A locked slot that re-counts itself into the tier gauges when it is
+/// released — every session-mutex acquisition of the manager that can
+/// change a slot goes through one ([`SessionManager::lock`]), so whatever
+/// the holder did to the slot (answer, park, wake, spill, lift, replay,
+/// detach) lands in the gauges as the difference between the footprint
+/// counted at acquisition and the one re-counted at release.
+struct SlotGuard<'a> {
+    slot: MutexGuard<'a, Slot>,
+    gauges: &'a Gauges,
+    before: Footprint,
+}
+
+impl std::ops::Deref for SlotGuard<'_> {
+    type Target = Slot;
+
+    fn deref(&self) -> &Slot {
+        &self.slot
+    }
+}
+
+impl std::ops::DerefMut for SlotGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Slot {
+        &mut self.slot
+    }
+}
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        let after = self.slot.recount();
+        self.gauges.apply(self.before, after);
+    }
+}
+
 /// One session table slot: the strategy config (needed to snapshot and to
-/// re-materialize), the idle clock, and the tiered session itself.
+/// re-materialize), the idle clock, the tiered session itself, and
+/// whether its footprint is in the tier gauges — from the insert that
+/// publishes it until the removal that detaches it.
 struct Slot {
     config: StrategyConfig,
     last_touch: Instant,
     tier: Tier,
+    counted: bool,
 }
 
 impl Slot {
@@ -229,7 +348,29 @@ impl Slot {
             config,
             last_touch: Instant::now(),
             tier,
+            counted: false,
         }
+    }
+
+    /// The footprint this slot has in the gauges right now: what the last
+    /// re-count stored for a resident session, a pure function of the
+    /// parked or spilled payload otherwise, nothing while uncounted.
+    fn counted(&self) -> Footprint {
+        match &self.tier {
+            _ if !self.counted => Footprint::default(),
+            Tier::Resident(resident) => resident.counted,
+            Tier::Hibernated { history, .. } => Footprint::hibernated(history),
+            Tier::Spilled { locator, .. } => Footprint::spilled(locator),
+        }
+    }
+
+    /// Re-derives the footprint (storing it on a resident session) and
+    /// returns it.
+    fn recount(&mut self) -> Footprint {
+        if let (true, Tier::Resident(resident)) = (self.counted, &mut self.tier) {
+            resident.counted = Footprint::resident(&resident.session);
+        }
+        self.counted()
     }
 
     /// The one replay path: re-materializes a parked slot by replaying its
@@ -246,10 +387,10 @@ impl Slot {
         if let Tier::Hibernated { history, pending } = &self.tier {
             let session =
                 OwnedSession::replay(Arc::clone(universe), &self.config, history, *pending)?;
-            self.tier = Tier::Resident(Box::new(session));
+            self.tier = Tier::resident(session);
         }
         match &mut self.tier {
-            Tier::Resident(session) => Ok(session),
+            Tier::Resident(resident) => Ok(&mut resident.session),
             Tier::Hibernated { .. } => unreachable!("just materialized"),
             Tier::Spilled { .. } => unreachable!("caller lifts spilled slots first"),
         }
@@ -273,7 +414,7 @@ impl Slot {
             pending: None,
         };
         match std::mem::replace(&mut self.tier, empty) {
-            Tier::Resident(session) => session.into_replay_parts(),
+            Tier::Resident(resident) => resident.session.into_replay_parts(),
             Tier::Hibernated { history, pending } => (history, pending),
             Tier::Spilled { .. } => unreachable!("caller lifts spilled slots first"),
         }
@@ -284,10 +425,10 @@ impl Slot {
     /// when a transition happened, `None` otherwise (already parked or
     /// spilled).
     fn hibernate(&mut self) -> Option<(usize, usize)> {
-        let Tier::Resident(session) = &self.tier else {
+        let Tier::Resident(resident) = &self.tier else {
             return None;
         };
-        let freed = session.resident_bytes();
+        let freed = resident.session.resident_bytes();
         let (history, pending) = self.take_replay_parts();
         Some((freed, self.park(history, pending)))
     }
@@ -304,9 +445,16 @@ impl Slot {
 
 /// Aggregate per-session memory statistics of a [`SessionManager`] — see
 /// [`SessionManager::stats`].
+///
+/// The session and byte fields are gauges the manager keeps up to date on
+/// every slot transition, so reading them costs O(1). Each one is exact
+/// once the fleet is quiescent; under concurrent load each is some value
+/// it passed through, but two fields may come from different instants (a
+/// session caught mid-park can be missing from `resident_sessions`
+/// before it shows in `hibernated_sessions`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ManagerStats {
-    /// Live sessions (resident + hibernated) at sampling time.
+    /// Live sessions, every tier.
     pub sessions: usize,
     /// Sessions materialized with full derived state.
     pub resident_sessions: usize,
@@ -504,6 +652,9 @@ pub struct SessionManager {
     serving: RwLock<Serving>,
     config: ServerConfig,
     shards: Box<[Shard]>,
+    /// Per-tier session counts and byte totals, moved only by
+    /// [`SlotGuard`] — what [`Self::stats`] reads instead of the table.
+    gauges: Gauges,
     next_id: AtomicU64,
     durability: Option<DurabilityState>,
 }
@@ -530,6 +681,7 @@ impl SessionManager {
             shards: (0..config.shards.max(1))
                 .map(|_| RwLock::new(HashMap::default()))
                 .collect(),
+            gauges: Gauges::default(),
             next_id: AtomicU64::new(0),
             config,
             durability: None,
@@ -700,27 +852,52 @@ impl SessionManager {
         Arc::clone(&self.serving.read().universe)
     }
 
-    /// Number of live sessions across all shards.
+    /// Number of live sessions across all shards: the `sessions` gauge of
+    /// [`Self::stats`], O(1) and lock-free.
     pub fn session_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.gauges.load().sessions
     }
 
-    /// Aggregate per-session resident-memory statistics (one pass over the
-    /// session table, locking each session briefly), so footprint
+    /// Aggregate per-session resident-memory statistics, so footprint
     /// regressions are visible in server stats and bench output.
+    ///
+    /// O(1) in the fleet size: the session and byte fields are gauges the
+    /// manager moves on every slot transition, read here together with
+    /// the decision-cache counters and the WAL/spill counters. No shard
+    /// lock and no session mutex is taken, so polling never waits behind
+    /// a session's request nor holds one up; a durable manager's WAL and
+    /// spill mutexes are held just long enough to copy their counters.
+    /// Each gauge is exact once the fleet is quiescent; under concurrent
+    /// load the fields may be mutually unsynchronised (see
+    /// [`ManagerStats`]).
     ///
     /// `state_bytes` sums the mask-compressed derived inference state of
     /// resident sessions ([`jqi_core::InferenceState::state_bytes`]);
-    /// `history_bytes` sums the replay logs (what snapshots persist,
-    /// proportional to answers given); `hibernated_bytes` sums the bare
-    /// footprint of parked sessions. The shared universe is excluded — it
-    /// is paid once per process, not per session — but its decision-cache
-    /// counters ride along in `decision_cache`. Sampling is not a touch:
-    /// it never wakes a parked session or resets an idle clock.
+    /// `history_bytes` sums the replay logs in RAM (what snapshots
+    /// persist, proportional to answers given); `hibernated_bytes` sums
+    /// the bare footprint of parked sessions. The shared universe is
+    /// excluded — it is paid once per process, not per session — but its
+    /// decision-cache counters ride along in `decision_cache`. Sampling
+    /// is not a touch: it never wakes a parked session or resets an idle
+    /// clock.
     pub fn stats(&self) -> ManagerStats {
+        let decision_cache = self.serving.read().universe.decision_cache_stats();
+        ManagerStats {
+            decision_cache,
+            durability: self.durability_stats(),
+            ..self.gauges.load()
+        }
+    }
+
+    /// [`Self::stats`] recomputed by walking the whole table, locking
+    /// every session: the oracle the gauges are tested against, equal to
+    /// `stats()` whenever the fleet is quiescent.
+    #[doc(hidden)]
+    pub fn stats_by_walk(&self) -> ManagerStats {
         let serving = self.serving.read();
         let mut stats = ManagerStats {
             decision_cache: serving.universe.decision_cache_stats(),
+            durability: self.durability_stats(),
             ..ManagerStats::default()
         };
         for shard in self.shards.iter() {
@@ -731,7 +908,8 @@ impl SessionManager {
                 let guard = slot.lock();
                 stats.sessions += 1;
                 match &guard.tier {
-                    Tier::Resident(session) => {
+                    Tier::Resident(resident) => {
+                        let session = &resident.session;
                         stats.resident_sessions += 1;
                         stats.state_bytes += session.state_bytes();
                         stats.resident_bytes += session.resident_bytes();
@@ -749,19 +927,33 @@ impl SessionManager {
                 }
             }
         }
-        if let Some(state) = &self.durability {
-            let wal = state.wal.lock().stats();
-            let spill = state.spill.lock().stats();
-            stats.durability = Some(DurabilityStats {
-                wal_records: wal.records,
-                wal_syncs: wal.syncs,
-                wal_appended_bytes: wal.appended_bytes,
-                spill_entries: spill.entries_written,
-                spill_bytes_written: spill.bytes_written,
-                spill_reads: spill.reads,
-            });
-        }
         stats
+    }
+
+    fn durability_stats(&self) -> Option<DurabilityStats> {
+        let state = self.durability.as_ref()?;
+        let wal = state.wal.lock().stats();
+        let spill = state.spill.lock().stats();
+        Some(DurabilityStats {
+            wal_records: wal.records,
+            wal_syncs: wal.syncs,
+            wal_appended_bytes: wal.appended_bytes,
+            spill_entries: spill.entries_written,
+            spill_bytes_written: spill.bytes_written,
+            spill_reads: spill.reads,
+        })
+    }
+
+    /// The one way to lock a slot that may change: the returned guard
+    /// re-counts the slot into the tier gauges when it is released.
+    fn lock<'a>(&'a self, slot: &'a Mutex<Slot>) -> SlotGuard<'a> {
+        let slot = slot.lock();
+        let before = slot.counted();
+        SlotGuard {
+            slot,
+            gauges: &self.gauges,
+            before,
+        }
     }
 
     fn shard(&self, id: SessionId) -> &Shard {
@@ -802,7 +994,7 @@ impl SessionManager {
     ) -> Result<T> {
         let serving = self.serving.read();
         let slot = self.slot(id)?;
-        let mut guard = slot.lock();
+        let mut guard = self.lock(&slot);
         guard.last_touch = Instant::now();
         self.lift(&mut guard)?;
         f(guard.wake(&serving.universe)?)
@@ -810,8 +1002,9 @@ impl SessionManager {
 
     /// Inserts, appending `record` while the shard write lock is still
     /// held, so the log's Create/Restore/Remove order matches the table's
-    /// (a WAL failure unwinds the insert). Recovery inserts without a
-    /// record: the log already describes its sessions.
+    /// (a WAL failure unwinds the insert before the slot is published or
+    /// counted). Recovery inserts without a record: the log already
+    /// describes its sessions.
     fn insert(
         &self,
         id: SessionId,
@@ -823,13 +1016,12 @@ impl SessionManager {
         match shard.entry(id) {
             Entry::Occupied(_) => Err(ServerError::SessionExists(id)),
             Entry::Vacant(e) => {
-                e.insert(slot);
                 if let (Some(state), Some(record)) = (&self.durability, record) {
-                    if let Err(err) = state.log(record) {
-                        shard.remove(&id);
-                        return Err(err);
-                    }
+                    state.log(record)?;
                 }
+                // Unpublished, so this lock is uncontended.
+                self.lock(&slot).counted = true;
+                e.insert(slot);
                 Ok(())
             }
         }
@@ -842,11 +1034,20 @@ impl SessionManager {
     /// the insert and surfaces as [`ServerError::Durability`], so no
     /// session the caller ever saw is missing from the log.
     pub fn create_session(&self, strategy: StrategyConfig) -> Result<SessionId> {
+        self.create_session_stamped(strategy).map(|(id, _)| id)
+    }
+
+    /// [`Self::create_session`], also returning the fingerprint of the
+    /// universe the session was created on — read under the same serving
+    /// read as the insert, so a concurrent [`Self::apply_delta`] cannot
+    /// slip in between (asking [`Self::universe_fingerprint`] afterwards
+    /// can report the next universe's).
+    pub fn create_session_stamped(&self, strategy: StrategyConfig) -> Result<(SessionId, u64)> {
         let serving = self.serving.read();
         let session = OwnedSession::with_config(Arc::clone(&serving.universe), &strategy);
         let slot = Arc::new(Mutex::new(Slot::new(
             strategy.clone(),
-            Tier::Resident(Box::new(session)),
+            Tier::resident(session),
         )));
         // A concurrent restore() may race a stale snapshot onto the id the
         // counter just handed out (its fetch_max lands after our
@@ -860,7 +1061,7 @@ impl SessionManager {
             });
             match self.insert(id, Arc::clone(&slot), record.as_ref()) {
                 Err(ServerError::SessionExists(_)) => continue,
-                inserted => return inserted.map(|()| id),
+                inserted => return inserted.map(|()| (id, serving.fingerprint)),
             }
         }
     }
@@ -985,9 +1186,9 @@ impl SessionManager {
     /// their idle clocks.
     pub fn interactions(&self, id: SessionId) -> Result<usize> {
         let slot = self.slot(id)?;
-        let guard = slot.lock();
+        let guard = self.lock(&slot);
         Ok(match &guard.tier {
-            Tier::Resident(session) => session.interactions(),
+            Tier::Resident(resident) => resident.session.interactions(),
             Tier::Hibernated { history, .. } => history.len(),
             // The locator carries the length so metrics stay off-disk.
             Tier::Spilled { history_len, .. } => *history_len,
@@ -1004,7 +1205,7 @@ impl SessionManager {
     pub fn inferred_predicate(&self, id: SessionId) -> Result<BitSet> {
         let serving = self.serving.read();
         let slot = self.slot(id)?;
-        let guard = slot.lock();
+        let guard = self.lock(&slot);
         let fold = |history: &[(ClassId, Label)]| {
             let mut theta = serving.universe.omega();
             for &(c, label) in history {
@@ -1015,7 +1216,7 @@ impl SessionManager {
             theta
         };
         Ok(match &guard.tier {
-            Tier::Resident(session) => session.inferred_predicate(),
+            Tier::Resident(resident) => resident.session.inferred_predicate(),
             Tier::Hibernated { history, .. } => fold(history),
             // Served from the checksummed segment payload without waking
             // — the slot stays spilled.
@@ -1035,9 +1236,12 @@ impl SessionManager {
     pub fn snapshot(&self, id: SessionId) -> Result<SessionSnapshot> {
         let serving = self.serving.read();
         let slot = self.slot(id)?;
-        let guard = slot.lock();
+        let guard = self.lock(&slot);
         let (history, pending) = match &guard.tier {
-            Tier::Resident(session) => (session.history().to_vec(), session.pending_class()),
+            Tier::Resident(resident) => {
+                let session = &resident.session;
+                (session.history().to_vec(), session.pending_class())
+            }
             Tier::Hibernated { history, pending } => (history.clone(), *pending),
             // A spilled session's snapshot is read straight off its
             // segment frame — still no wake, still no touch.
@@ -1131,7 +1335,7 @@ impl SessionManager {
                 .map(|(&id, slot)| (id, Arc::clone(slot)))
                 .collect();
             for (id, slot) in slots {
-                let mut guard = slot.lock();
+                let mut guard = self.lock(&slot);
                 if guard.last_touch.elapsed() < ttl {
                     continue;
                 }
@@ -1153,7 +1357,7 @@ impl SessionManager {
     pub fn hibernate(&self, id: SessionId) -> Result<bool> {
         let _serving = self.serving.read();
         let slot = self.slot(id)?;
-        let mut guard = slot.lock();
+        let mut guard = self.lock(&slot);
         let parked = guard.hibernate().is_some();
         if parked {
             if let Some(state) = &self.durability {
@@ -1169,7 +1373,8 @@ impl SessionManager {
     /// on a durable manager with a
     /// [`DurabilityConfig::resident_watermark_bytes`] — the **spill
     /// pass**: while the fleet's RAM footprint (resident + hibernated
-    /// bytes) exceeds the watermark, parked sessions spill oldest-idle
+    /// bytes, read off the tier gauges — a pass under the watermark walks
+    /// nothing) exceeds the watermark, parked sessions spill oldest-idle
     /// first to the segment files, leaving a ~16-byte locator each. Each
     /// spilled payload is fsynced before its `Spill` record is framed
     /// (so a committed locator never points at unsynced bytes); one WAL
@@ -1192,9 +1397,15 @@ impl SessionManager {
         let Some(watermark) = state.config.resident_watermark_bytes else {
             return Ok(());
         };
-        // One metering pass: total RAM footprint + the parked candidates
-        // (oldest idle first — the sessions least likely to wake soon).
-        let mut total = 0usize;
+        let ram_bytes = || {
+            let stats = self.gauges.load();
+            stats.resident_bytes + stats.hibernated_bytes
+        };
+        if ram_bytes() <= watermark {
+            return Ok(());
+        }
+        // Over it: collect the parked candidates, oldest idle first — the
+        // sessions least likely to wake soon.
         let mut candidates: Vec<(Instant, SessionId, Arc<Mutex<Slot>>)> = Vec::new();
         for shard in self.shards.iter() {
             let slots: Vec<(SessionId, Arc<Mutex<Slot>>)> = shard
@@ -1203,25 +1414,20 @@ impl SessionManager {
                 .map(|(&id, slot)| (id, Arc::clone(slot)))
                 .collect();
             for (id, slot) in slots {
-                let guard = slot.lock();
-                match &guard.tier {
-                    Tier::Resident(session) => total += session.resident_bytes(),
-                    Tier::Hibernated { history, .. } => {
-                        total += Slot::hibernated_bytes(history);
-                        candidates.push((guard.last_touch, id, Arc::clone(&slot)));
-                    }
-                    Tier::Spilled { .. } => {}
+                let guard = self.lock(&slot);
+                if let Tier::Hibernated { .. } = guard.tier {
+                    candidates.push((guard.last_touch, id, Arc::clone(&slot)));
                 }
             }
         }
         candidates.sort_by_key(|&(touch, _, _)| touch);
         for (_, id, slot) in candidates {
-            if total <= watermark {
+            if ram_bytes() <= watermark {
                 break;
             }
-            let mut guard = slot.lock();
+            let mut guard = self.lock(&slot);
             // Re-check under the lock: the session may have woken (or
-            // been spilled by a racing sweep) since the metering pass.
+            // been spilled by a racing sweep) since the candidate walk.
             let Tier::Hibernated { history, pending } = &guard.tier else {
                 continue;
             };
@@ -1264,7 +1470,6 @@ impl SessionManager {
             report.spilled += 1;
             report.hibernated_bytes_freed += freed;
             report.spilled_bytes_written += locator.len as usize;
-            total -= freed;
         }
         Ok(())
     }
@@ -1367,7 +1572,9 @@ impl SessionManager {
         // order) blocks nobody.
         for shard in self.shards.iter() {
             for (&id, slot) in shard.read().iter() {
-                let mut guard = slot.lock();
+                // The guard re-counts the slot in this same visit, so the
+                // gauges follow the migration without a walk of their own.
+                let mut guard = self.lock(slot);
                 let slot: &mut Slot = &mut guard;
                 report.sessions += 1;
                 // Lift a spilled slot into RAM first: its segment home is
@@ -1375,8 +1582,8 @@ impl SessionManager {
                 self.lift(slot)?;
                 let carried = same_classes
                     && match &mut slot.tier {
-                        Tier::Resident(session) => {
-                            session.rebind(Arc::clone(&universe), &slot.config)
+                        Tier::Resident(resident) => {
+                            resident.session.rebind(Arc::clone(&universe), &slot.config)
                         }
                         _ => true,
                     };
@@ -1392,6 +1599,8 @@ impl SessionManager {
                     remap_replay_parts(&old, &universe, history, pending);
                 slot.tier = Tier::Hibernated { history, pending };
                 if slot.wake(&universe).is_err() {
+                    // Leaves the gauges with this visit; unlinked below.
+                    slot.counted = false;
                     doomed.push(id);
                     continue;
                 }
@@ -1420,9 +1629,10 @@ impl SessionManager {
             wal.reset(serving.fingerprint)?;
             for shard in self.shards.iter() {
                 for (&id, slot) in shard.read().iter() {
+                    // Read-only, and every slot was re-counted above.
                     let guard = slot.lock();
                     let (history, pending) = match &guard.tier {
-                        Tier::Resident(s) => (s.history(), s.pending_class()),
+                        Tier::Resident(r) => (r.session.history(), r.session.pending_class()),
                         Tier::Hibernated { history, pending } => (history.as_slice(), *pending),
                         Tier::Spilled { .. } => unreachable!("lifted above"),
                     };
@@ -1435,25 +1645,30 @@ impl SessionManager {
     }
 
     /// Drops a session. Operations already holding its handle finish
-    /// against the detached session; later calls get
-    /// [`ServerError::UnknownSession`]. (On a durable manager such
-    /// detached operations may append records behind the `Remove` —
-    /// recovery tolerates and skips them.)
+    /// against the detached session, which no longer counts in
+    /// [`Self::stats`]; later calls get [`ServerError::UnknownSession`].
+    /// (On a durable manager such detached operations may append records
+    /// behind the `Remove` — recovery tolerates and skips them.)
     pub fn remove(&self, id: SessionId) -> Result<()> {
         let _serving = self.serving.read();
-        let mut shard = self.shard(id).write();
-        if !shard.contains_key(&id) {
-            return Err(ServerError::UnknownSession(id));
-        }
-        // Log first, delete second (the mirror of insert's unwind):
-        // a WAL failure leaves the session live and the Remove unlogged,
-        // so the table and the log agree either way — never a removal the
-        // caller saw fail that recovery silently honors, nor one that
-        // succeeded but recovery resurrects.
-        if let Some(state) = &self.durability {
-            state.log(&WalRecord::Remove { id })?;
-        }
-        shard.remove(&id);
+        let slot = {
+            let mut shard = self.shard(id).write();
+            if !shard.contains_key(&id) {
+                return Err(ServerError::UnknownSession(id));
+            }
+            // Log first, delete second (the mirror of insert's unwind):
+            // a WAL failure leaves the session live and the Remove
+            // unlogged, so the table and the log agree either way — never
+            // a removal the caller saw fail that recovery silently
+            // honors, nor one that succeeded but recovery resurrects.
+            if let Some(state) = &self.durability {
+                state.log(&WalRecord::Remove { id })?;
+            }
+            shard.remove(&id).expect("checked above")
+        };
+        // Detach outside the shard lock, which must not wait behind a
+        // request busy on this session; only the remover gets here.
+        self.lock(&slot).counted = false;
         Ok(())
     }
 }
@@ -1582,6 +1797,34 @@ mod tests {
     }
 
     #[test]
+    fn stats_take_neither_a_shard_lock_nor_a_session_mutex() {
+        use std::sync::{mpsc, Barrier};
+        let m = manager();
+        let id = m.create_session(StrategyConfig::Bu).unwrap();
+        let want = m.stats_by_walk();
+        let slot = m.slot(id).unwrap();
+        let held = Barrier::new(2);
+        let (release, released) = mpsc::channel::<()>();
+        let (m, slot, held) = (&m, &slot, &held);
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let _session = slot.lock();
+                let _shard = m.shard(id).write();
+                held.wait();
+                released.recv().unwrap();
+            });
+            held.wait();
+            // Sampled on a thread of its own, so a read that waits on
+            // either lock fails the test instead of hanging it.
+            let (sent, sample) = mpsc::channel();
+            scope.spawn(move || sent.send(m.stats()).unwrap());
+            let got = sample.recv_timeout(Duration::from_secs(10));
+            release.send(()).unwrap();
+            assert_eq!(got.expect("stats() waited on a held lock"), want);
+        });
+    }
+
+    #[test]
     fn hibernated_sessions_shrink_and_wake_transparently() {
         let m = manager();
         let goal = jqi_core::predicate_from_names(
@@ -1608,6 +1851,7 @@ mod tests {
         assert!(m.hibernate(id).unwrap());
         assert!(!m.hibernate(id).unwrap(), "second park is a no-op");
         let stats = m.stats();
+        assert_eq!(stats, m.stats_by_walk());
         assert_eq!(stats.sessions, 2);
         assert_eq!(stats.hibernated_sessions, 1);
         assert_eq!(stats.resident_sessions, 1);
@@ -1930,6 +2174,7 @@ mod tests {
         assert!(swept.hibernated_bytes_freed > 0);
         assert!(swept.spilled_bytes_written > 0);
         let stats = m.stats();
+        assert_eq!(stats, m.stats_by_walk());
         assert_eq!(stats.spilled_sessions, ids.len());
         assert_eq!(stats.hibernated_sessions, 0);
         let d = stats.durability.unwrap();
@@ -2162,6 +2407,32 @@ mod tests {
             }
             assert!(m.is_done(id).unwrap());
         }
+    }
+
+    #[test]
+    fn an_invalidated_session_leaves_the_gauges_with_the_migration() {
+        let u = live_universe();
+        let m = SessionManager::new(Arc::clone(&u), ServerConfig::default());
+        let keep = m.create_session(StrategyConfig::Td).unwrap();
+        // Remapping keeps every signature, so no history a live session
+        // built can stop replaying; plant one that never replayed.
+        let broken = Slot::new(
+            StrategyConfig::Bu,
+            Tier::Hibernated {
+                history: vec![(0, Label::Positive), (0, Label::Negative)],
+                pending: None,
+            },
+        );
+        m.insert(99, Arc::new(Mutex::new(broken)), None).unwrap();
+        assert_eq!(m.stats(), m.stats_by_walk());
+        let mut d = UniverseDelta::new();
+        d.insert(Side::R, row(&u, &[1, 1]));
+        let report = m.apply_delta(&d).unwrap();
+        assert_eq!(report.invalidated, vec![99]);
+        assert_eq!(report.replayed, 1);
+        assert_eq!(m.session_count(), 1);
+        assert_eq!(m.stats(), m.stats_by_walk());
+        assert_eq!(m.interactions(keep).unwrap(), 0);
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //! dropping sessions over one shared `Arc<Universe>`, with every inferred
 //! predicate checked against a single-threaded replay.
 
+mod common;
+
+use common::oracle_label;
 use jqi_core::session::Session;
 use jqi_core::{ClassId, Label, StrategyConfig, Universe};
 use jqi_datagen::SyntheticConfig;
 use jqi_relation::BitSet;
 use jqi_server::{ServerConfig, SessionManager, SessionSnapshot};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 /// The strategy mix the concurrency tests cycle through — heterogeneous on
@@ -29,14 +33,6 @@ fn goals(universe: &Universe, take: usize) -> Vec<BitSet> {
         .cycle()
         .take(take)
         .collect()
-}
-
-fn oracle_label(universe: &Universe, goal: &BitSet, class: ClassId) -> Label {
-    if goal.is_subset(universe.sig(class)) {
-        Label::Positive
-    } else {
-        Label::Negative
-    }
 }
 
 /// Drives a borrowing single-threaded session to completion — the
@@ -346,4 +342,164 @@ fn every_applied_answer_response_reports_its_own_state() {
     for counts in &reported {
         assert_eq!(*counts, (1..=classes).collect::<Vec<_>>());
     }
+}
+
+/// A create response names the universe its session was created on, even
+/// while deltas land between creates. No session is ever removed, so a
+/// migration that saw `n` sessions ran after the creates of ids `0..n`
+/// and before every later one: the migration reports alone say which
+/// universe each session was created on.
+#[test]
+fn create_responses_name_the_universe_the_session_was_created_on() {
+    use jqi_net::{Handler, Request};
+    use jqi_server::json::Json;
+    use jqi_server::{Gateway, UniverseRegistry};
+
+    let mut rng = common::Rng(7);
+    let mut rows = common::Rows::random(&mut rng);
+    let universe = common::live_universe(&rows);
+    let manager = Arc::new(SessionManager::new(
+        Arc::clone(&universe),
+        ServerConfig::default(),
+    ));
+    let registry = Arc::new(UniverseRegistry::new());
+    registry
+        .register("u", Arc::clone(&manager))
+        .expect("fresh registry");
+    let gateway = Gateway::new(registry);
+    // At least this many creates, and creating until at least this many
+    // deltas have landed among them.
+    const CREATES: usize = 300;
+    const DELTAS: usize = 100;
+    let started = Barrier::new(2);
+    let creating = AtomicBool::new(true);
+    let applied = AtomicUsize::new(0);
+    let (created, migrations) = thread::scope(|scope| {
+        let deltas = scope.spawn(|| {
+            started.wait();
+            let mut reports = Vec::new();
+            while creating.load(Ordering::Relaxed) {
+                let delta = common::random_delta(&mut rng, &manager.universe(), &mut rows, true);
+                reports.push(manager.apply_delta(&delta).expect("count-only delta"));
+                applied.fetch_add(1, Ordering::Relaxed);
+            }
+            reports
+        });
+        started.wait();
+        let mut created: Vec<(usize, String)> = Vec::new();
+        while created.len() < CREATES || applied.load(Ordering::Relaxed) < DELTAS {
+            let response = gateway.handle(&Request {
+                method: "POST".into(),
+                path: "/v1/universes/u/sessions".into(),
+                headers: vec![],
+                body: br#"{"strategy": "BU"}"#.to_vec(),
+                close: false,
+                deadline: None,
+            });
+            assert_eq!(response.status, 201);
+            let doc = Json::parse(std::str::from_utf8(&response.body).unwrap()).expect("JSON body");
+            let id = doc.get("session").and_then(Json::as_num).unwrap() as usize;
+            let reported = doc.get("universe").and_then(Json::as_str).unwrap();
+            created.push((id, reported.to_string()));
+        }
+        creating.store(false, Ordering::Relaxed);
+        (created, deltas.join().expect("no panics"))
+    });
+    let mut fingerprints = vec![universe.fingerprint()];
+    fingerprints.extend(migrations.iter().map(|r| r.to_fingerprint));
+    let mislabeled = created
+        .iter()
+        .filter(|(id, reported)| {
+            let epoch = migrations.iter().filter(|r| r.sessions <= *id).count();
+            *reported != format!("{:016x}", fingerprints[epoch])
+        })
+        .count();
+    assert_eq!(
+        mislabeled,
+        0,
+        "{mislabeled} of {} create responses named a universe their session was not created on",
+        created.len()
+    );
+}
+
+/// Four workers answer, park and delete the same sessions while a fifth
+/// polls `stats()`. A request still holding a deleted session's handle
+/// finishes against it without counting it again, so once the workers
+/// are done the O(1) gauges equal a fresh walk of the table.
+#[test]
+fn stats_gauges_hold_through_racing_answers_parks_and_deletes() {
+    let universe = Arc::new(Universe::build(
+        SyntheticConfig::new(2, 3, 14, 6).generate(11),
+    ));
+    let manager = SessionManager::new(
+        Arc::clone(&universe),
+        ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+    );
+    const SESSIONS: usize = 2000;
+    const WORKERS: usize = 4;
+    let goals = goals(&universe, SESSIONS);
+    let sessions: Vec<u64> = (0..SESSIONS)
+        .map(|i| {
+            manager
+                .create_session(common::strategy_mix(i, 7))
+                .expect("in-memory")
+        })
+        .collect();
+    // Lines the workers up on each session, so their operations race.
+    let barrier = Barrier::new(WORKERS);
+    let working = AtomicBool::new(true);
+    thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let mut polls = 0usize;
+            while working.load(Ordering::Relaxed) {
+                let stats = manager.stats();
+                // A gauge taken below zero would wrap past the fleet size.
+                assert!(stats.sessions <= SESSIONS, "{stats:?}");
+                assert!(stats.resident_sessions + stats.hibernated_sessions <= 2 * SESSIONS);
+                polls += 1;
+            }
+            polls
+        });
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let (manager, barrier, universe) = (&manager, &barrier, &universe);
+                let (goals, sessions) = (&goals, &sessions);
+                scope.spawn(move || {
+                    for (i, &sid) in sessions.iter().enumerate() {
+                        barrier.wait();
+                        match (w + i) % WORKERS {
+                            // Every other session is deleted mid-flight.
+                            0 if i % 2 == 0 => {
+                                // A head start for the others' lookups, so
+                                // some still hold the handle when it goes.
+                                thread::yield_now();
+                                manager.remove(sid).expect("one remover per session");
+                            }
+                            1 => {
+                                let _ = manager.hibernate(sid);
+                            }
+                            // Single-label batches on this worker's own
+                            // classes: each one grows the history.
+                            _ => {
+                                for class in (w..universe.num_classes()).step_by(WORKERS).take(4) {
+                                    let label = oracle_label(universe, &goals[i], class);
+                                    let _ = manager.answer(sid, class, label);
+                                }
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("no panics");
+        }
+        working.store(false, Ordering::Relaxed);
+        assert!(poller.join().expect("no panics") > 0);
+    });
+    assert_eq!(manager.session_count(), SESSIONS / 2);
+    assert_eq!(manager.stats(), manager.stats_by_walk());
 }
