@@ -12,9 +12,11 @@
 //! * `--seed S` — generator seed.
 //! * `--reference-cap N` — largest product for which the row-pair
 //!   reference build is also timed.
-//! * `--max-ingest-bytes N` — abort (panic) if the streaming phase's
-//!   tracked ingestion bytes exceed `N`; CI smoke sets this so a profile
-//!   blow-up fails loudly instead of OOMing the runner.
+//! * `--max-ingest-bytes N` — abort (panic) if any streaming build of the
+//!   sweep (the streaming phase, and the incremental phase's live build
+//!   and from-scratch rebuilds) tracks more than `N` ingestion bytes; CI
+//!   smoke sets this so a profile blow-up fails loudly instead of OOMing
+//!   the runner.
 
 use jqi_bench::json::ToJson;
 use jqi_bench::scaling::{run, ScalingParams};

@@ -5,7 +5,7 @@ use jqi_core::engine::{run_inference, PredicateOracle};
 use jqi_core::strategy::StrategyKind;
 use jqi_core::universe::Universe;
 use jqi_relation::BitSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The outcome of one timed inference run.
 #[derive(Debug, Clone)]
@@ -105,17 +105,6 @@ pub fn fmt_seconds(seconds: f64) -> String {
     } else {
         format!("{seconds:.3}")
     }
-}
-
-/// Convenience wrapper returning just the two numbers.
-pub fn interactions_and_time(
-    universe: &Universe,
-    kind: StrategyKind,
-    goal: &BitSet,
-    seed: u64,
-) -> (usize, Duration) {
-    let m = run_timed(universe, kind, goal, seed);
-    (m.interactions, Duration::from_secs_f64(m.seconds))
 }
 
 #[cfg(test)]

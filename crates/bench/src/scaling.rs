@@ -39,9 +39,10 @@ pub struct ScalingParams {
     pub l3s_class_cap: usize,
     /// Generator seed.
     pub seed: u64,
-    /// Hard ceiling on the streaming phase's tracked ingestion bytes
-    /// (`None` = unlimited). CI smoke passes a ceiling so a profile-space
-    /// blow-up fails the job with a message instead of OOMing the runner.
+    /// Hard ceiling on the tracked ingestion bytes of every streaming
+    /// build the sweep makes (`None` = unlimited). CI smoke passes a
+    /// ceiling so a profile-space blow-up fails the job with a message
+    /// instead of OOMing the runner.
     pub ingest_byte_ceiling: Option<usize>,
 }
 
@@ -281,11 +282,13 @@ pub fn measure_streaming(sf: f64, params: &ScalingParams) -> StreamingPoint {
         .expect("streaming workload schema is well-formed");
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let gen_workers = threads.clamp(1, 4);
-    let mut options = IngestOptions::with_threads(threads);
-    options.byte_ceiling = params.ingest_byte_ceiling;
+    let options = IngestOptions {
+        byte_ceiling: params.ingest_byte_ceiling,
+        ..IngestOptions::with_threads(threads)
+    };
 
     let start = Instant::now();
-    let (universe, stats) = Universe::build_streaming_with_options(
+    let (universe, stats) = Universe::build_streaming(
         stream.schema().clone(),
         || stream.par_chunks(gen_workers, 4),
         &options,
@@ -326,8 +329,17 @@ pub fn measure_incremental(sf: f64, params: &ScalingParams) -> Vec<IncrementalPo
         .expect("streaming workload schema is well-formed");
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let schema = stream.schema().clone();
+    // Both builds below run under the sweep's ingestion byte ceiling.
+    let plain = IngestOptions {
+        byte_ceiling: params.ingest_byte_ceiling,
+        ..IngestOptions::with_threads(threads)
+    };
+    let live = IngestOptions {
+        live: true,
+        ..plain
+    };
 
-    let (base, stats) = Universe::build_streaming_live(schema.clone(), || stream.chunks(), threads);
+    let (base, stats) = Universe::build_streaming(schema.clone(), || stream.chunks(), &live);
     let (rows_r, rows_p) = (stats.rows_r, stats.rows_p);
     let total_rows = rows_r + rows_p;
     let live_bytes = stats.peak_tracked_bytes;
@@ -409,7 +421,7 @@ pub fn measure_incremental(sf: f64, params: &ScalingParams) -> Vec<IncrementalPo
                 .chain(extra)
         };
         let start = Instant::now();
-        let (universe, _) = Universe::build_streaming(schema.clone(), source, threads);
+        let (universe, _) = Universe::build_streaming(schema.clone(), source, &plain);
         (ms(start), universe)
     };
 
@@ -845,13 +857,16 @@ mod tests {
 
     #[test]
     fn streaming_byte_ceiling_trips_on_blowup() {
-        // An absurdly small ceiling must abort the streaming phase with a
-        // panic (the CI smoke job's OOM tripwire).
+        // An absurdly small ceiling must abort the streaming and the
+        // incremental phase with a panic (the CI smoke job's OOM tripwire).
         let params = ScalingParams {
             ingest_byte_ceiling: Some(64),
             ..ScalingParams::default()
         };
         let result = std::panic::catch_unwind(|| measure_streaming(0.0005, &params));
+        assert!(result.is_err());
+        // The incremental phase's live build is guarded by the same ceiling.
+        let result = std::panic::catch_unwind(|| measure_incremental(0.0005, &params));
         assert!(result.is_err());
     }
 }

@@ -73,9 +73,9 @@
 //! scored under the pre-split grouping first. Both orderings describe the
 //! same product; the settle points just keep the bookkeeping exact.
 
-use crate::universe::{ClassClosure, Universe};
+use crate::universe::{ClassClosure, Rows, Universe};
 use jqi_relation::bitset::{hash_words, BitSet};
-use jqi_relation::stream::Side;
+use jqi_relation::stream::{Side, PROFILE_HOLE};
 use jqi_relation::{Instance, Tuple};
 use std::collections::HashMap;
 use std::fmt;
@@ -83,9 +83,6 @@ use std::sync::Arc;
 
 /// Sentinel marking "no profile / no row" in the live-table link arrays.
 const NONE_U32: u32 = u32::MAX;
-
-/// The hole marker in profile keys (symbols outside `ever_shared`).
-const HOLE: u32 = Instance::PROFILE_HOLE;
 
 /// An edit operation on one relation side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,8 +165,9 @@ impl UniverseDelta {
 pub enum DeltaError {
     /// The universe carries no live row tables and its instance holds only
     /// profile representatives, so the full row multiset is unknown. Build
-    /// with `Universe::build` (materialized rows) or
-    /// `Universe::build_streaming_live` to get a delta-capable universe.
+    /// with `Universe::build` (materialized rows) or stream with
+    /// [`IngestOptions::live`](crate::IngestOptions::live) set to get a
+    /// delta-capable universe.
     NotLive,
     /// An edit row's arity does not match its side's schema.
     ArityMismatch {
@@ -208,7 +206,7 @@ impl fmt::Display for DeltaError {
             DeltaError::NotLive => write!(
                 f,
                 "universe holds no live row tables (streaming build without \
-                 `build_streaming_live`); deltas need the full row multiset"
+                 `IngestOptions::live`); deltas need the full row multiset"
             ),
             DeltaError::ArityMismatch {
                 side,
@@ -549,7 +547,7 @@ impl LiveTables {
                     if self.ever_shared.contains(s) {
                         s
                     } else {
-                        HOLE
+                        PROFILE_HOLE
                     }
                 })
                 .collect();
@@ -724,16 +722,17 @@ impl Universe {
     /// tables already or its instance holds the complete row multiset from
     /// which they can be materialized on first use.
     pub fn is_live(&self) -> bool {
-        self.live.is_some() || self.rows_complete
+        !matches!(self.rows, Rows::Representatives)
     }
 
     /// Total row multiplicities `(|R|, |P|)` tracked by the live tables,
     /// when present — the true data sizes behind a representative-only
     /// instance.
     pub fn live_row_counts(&self) -> Option<(u64, u64)> {
-        self.live
-            .as_ref()
-            .map(|lt| (lt.r.total_weight(), lt.p.total_weight()))
+        match &self.rows {
+            Rows::Live(lt) => Some((lt.r.total_weight(), lt.p.total_weight())),
+            Rows::Complete | Rows::Representatives => None,
+        }
     }
 
     /// The exact currently-shared symbol set maintained by the live
@@ -742,9 +741,10 @@ impl Universe {
     /// holds only representatives). Exposed for the equivalence property
     /// tests.
     pub fn live_shared_symbols(&self) -> Option<BitSet> {
-        self.live
-            .as_ref()
-            .map(|lt| lt.shared_symbols(self.instance.interner().len()))
+        match &self.rows {
+            Rows::Live(lt) => Some(lt.shared_symbols(self.instance.interner().len())),
+            Rows::Complete | Rows::Representatives => None,
+        }
     }
 
     /// Produces the universe of the edited instance by incremental
@@ -807,15 +807,17 @@ impl Universe {
             }
         }
 
-        let mut lt: LiveTables = match &self.live {
-            Some(lt) => LiveTables::clone(lt),
-            None if self.rows_complete => LiveTables::from_instance(&self.instance),
-            None => return Err(DeltaError::NotLive),
+        let mut lt: LiveTables = match &self.rows {
+            Rows::Live(lt) => LiveTables::clone(lt),
+            Rows::Complete => LiveTables::from_instance(&self.instance),
+            Rows::Representatives => return Err(DeltaError::NotLive),
         };
 
         let mut u = self.clone(); // decision cache clones to empty-same-budget
         u.epoch = self.epoch + 1;
-        u.live = None;
+        // Drop the shared handle on the old tables; `finalize` attaches
+        // the edited ones.
+        u.rows = Rows::Representatives;
 
         let nbits = u.instance.pairs().len();
         let mut acc = PairAcc::new(u.sigs.len(), nbits);
@@ -884,11 +886,13 @@ fn split_on_shared(lt: &mut LiveTables, side: Side, s: u32, instance: &mut Insta
         }
         let old_p = st.prof_of[row as usize];
         key.clear();
-        key.extend(
-            st.row_syms(row)
-                .iter()
-                .map(|&v| if ever_shared.contains(v) { v } else { HOLE }),
-        );
+        key.extend(st.row_syms(row).iter().map(|&v| {
+            if ever_shared.contains(v) {
+                v
+            } else {
+                PROFILE_HOLE
+            }
+        }));
         if st.prof_key(old_p) == key.as_slice() {
             continue;
         }
@@ -971,10 +975,13 @@ fn apply_insert(
         // holing mask (a tombstoned row's stored profile may predate
         // `ever_shared` growth).
         key.clear();
-        key.extend(
-            syms.iter()
-                .map(|&v| if ever_shared.contains(v) { v } else { HOLE }),
-        );
+        key.extend(syms.iter().map(|&v| {
+            if ever_shared.contains(v) {
+                v
+            } else {
+                PROFILE_HOLE
+            }
+        }));
         let prof = match st.find_prof(key) {
             Some(pr) => {
                 if st.prof_weight[pr as usize] == 0 {
@@ -1155,8 +1162,7 @@ fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
 
     u.distinct_r = lt.r.alive_profiles();
     u.distinct_p = lt.p.alive_profiles();
-    u.rows_complete = false;
-    u.live = Some(Arc::new(lt));
+    u.rows = Rows::Live(Arc::new(lt));
 }
 
 #[cfg(test)]

@@ -5,13 +5,13 @@
 //! profile is extracted. But the universe itself only depends on the
 //! *weighted distinct join profiles* of each side — a Z-set-shaped
 //! representation where every row is a `+1` weight delta on one profile
-//! key. This module ingests a stream of [`RowChunk`]s, folds each chunk
-//! into per-thread `profile key → (weight, first row, representative)`
-//! maps, merges the maps deterministically, and hands the resulting
-//! weighted profiles to the same pair-loop kernel the materialized build
-//! uses. Rows are dropped the moment their chunk is folded; what stays
-//! resident is one representative [`Tuple`] and one counter per *distinct*
-//! profile.
+//! key. [`Universe::build_streaming`], the one streaming entry point,
+//! ingests a stream of [`RowChunk`]s, folds each chunk into per-thread
+//! `profile key → (weight, first row, representative)` maps, merges the
+//! maps deterministically, and hands the resulting weighted profiles to the
+//! same pair-loop kernel the materialized build uses. Rows are dropped the
+//! moment their chunk is folded; what stays resident is one representative
+//! [`Tuple`] and one counter per *distinct* profile.
 //!
 //! # Two passes, one bounded memory footprint
 //!
@@ -24,59 +24,73 @@
 //!
 //! 1. **Shared scan** — fold per-side symbol-occurrence sets (memory
 //!    `O(distinct symbols)`), intersect them into the shared set.
-//! 2. **Profile fold** — re-stream the chunks, canonicalize each row with
-//!    the now-exact shared set, and fold weighted profile maps in
-//!    parallel workers fed through a bounded channel.
+//! 2. **Fold** — re-stream the chunks and canonicalize each row with the
+//!    now-exact shared set, in one of two ways picked by
+//!    [`IngestOptions::live`]:
+//!    * `false`: fold weighted profile maps in parallel workers fed
+//!      through a bounded channel. The result keeps only representatives
+//!      and refuses deltas.
+//!    * `true`: fold every distinct full row with its multiplicity into
+//!      the live tables delta maintenance works on (sequentially — they
+//!      are one arena). Memory is `O(distinct rows)`, and the result
+//!      accepts [`Universe::apply_delta`].
+//!
+//! Both folds end in one tail that turns the ordered representatives and
+//! weights into profiles and assembles the universe.
 //!
 //! Seeded generators (e.g. `jqi_datagen::stream`) replay for free, so the
 //! second pass costs one more generation sweep, never a materialization.
-//! Callers that know the shared set up front (or accept a superset — see
-//! [`Universe::build_streaming_with_shared`]) can skip pass 1 and stay
-//! strictly single-pass.
 //!
 //! # Determinism
 //!
 //! Each side's chunks arrive in a fixed order, so every row has a global
 //! index (chunk base + offset). Workers record the *minimum* index at
 //! which each profile key was seen; the merge orders profiles by that
-//! index. The result — profile order, representatives, class ids, counts —
-//! is identical to [`Universe::build`] on the materialized equivalent,
-//! for every thread count and chunk size (property-tested in
+//! index, and the live fold numbers profiles in arrival order. The result —
+//! profile order, representatives, class ids, counts — is identical to
+//! [`Universe::build`] on the materialized equivalent, for both folds and
+//! every thread count and chunk size (property-tested in
 //! `tests/properties.rs`).
 
 use crate::delta::LiveTables;
-use crate::universe::{Profile, Universe};
+use crate::universe::{Profile, Rows, Universe};
 use jqi_relation::bitset::WORD_BITS;
-use jqi_relation::{BitSet, RowChunk, Side, StreamSchema, Tuple};
+use jqi_relation::{BitSet, RowChunk, Side, StreamSchema, Symbol, Tuple};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
+use std::sync::Arc;
 
 /// Options for a streaming ingestion run.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestOptions {
-    /// Ingestion worker threads folding chunks into profile maps. `1`
-    /// folds inline on the calling thread (no channel, no spawn).
+    /// Worker threads. The profile fold (`live: false`) folds chunks in
+    /// this many workers, `1` inline on the calling thread (no channel, no
+    /// spawn); both folds parallelize the pair-loop assembly over it.
     pub threads: usize,
-    /// Bounded-channel capacity, in chunks, between the chunk source and
-    /// the ingestion workers. Caps in-flight row memory at
-    /// `capacity × chunk bytes` while letting generation overlap folding.
-    pub channel_chunks: usize,
-    /// Hard ceiling on tracked accumulator bytes: ingestion panics when
-    /// the profile maps outgrow it. A memory blow-up (a stream whose
-    /// profiles do *not* collapse) then fails fast — in CI, the bench
-    /// smoke job dies with a message instead of OOMing the runner.
+    /// Hard ceiling on tracked ingestion bytes (profile maps, or the live
+    /// tables when `live`): ingestion panics when they outgrow it. A
+    /// memory blow-up (a stream whose profiles do *not* collapse) then
+    /// fails fast — in CI, the bench smoke job dies with a message instead
+    /// of OOMing the runner.
     pub byte_ceiling: Option<usize>,
+    /// Keep live row tables so the result accepts
+    /// [`Universe::apply_delta`]. The memory trade is explicit: the plain
+    /// fold keeps `O(distinct profiles)`, the live fold keeps
+    /// `O(distinct rows)` — every distinct full row with its multiplicity
+    /// (a Z-set), exactly the state incremental maintenance needs. The
+    /// live fold is sequential.
+    pub live: bool,
 }
 
 impl IngestOptions {
-    /// Options with the given worker count and defaults otherwise.
+    /// Options with the given worker count, no ceiling, and no live tables.
     pub fn with_threads(threads: usize) -> Self {
         IngestOptions {
             threads: threads.max(1),
-            channel_chunks: 2 * threads.max(1),
             byte_ceiling: None,
+            live: false,
         }
     }
 
@@ -85,11 +99,13 @@ impl IngestOptions {
         self.byte_ceiling = Some(bytes);
         self
     }
-}
 
-impl Default for IngestOptions {
-    fn default() -> Self {
-        IngestOptions::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    /// Bounded-channel capacity, in chunks, between the chunk source and
+    /// the profile-fold workers: `2 × threads`. Caps in-flight row memory
+    /// at `capacity × chunk bytes` while letting generation overlap
+    /// folding.
+    pub fn channel_depth(&self) -> usize {
+        2 * self.threads.max(1)
     }
 }
 
@@ -106,15 +122,17 @@ pub struct IngestStats {
     pub distinct_r: usize,
     /// Distinct P-side join profiles after the fold.
     pub distinct_p: usize,
-    /// Peak tracked bytes of the profile accumulators across all workers —
-    /// the streaming build's resident ingestion state. Excludes the
-    /// bounded channel (`channel_chunks × chunk bytes`, a configured
-    /// constant) and the final universe itself.
+    /// Peak tracked bytes of the profile accumulators across all workers
+    /// (or of the live tables, for a live build) — the streaming build's
+    /// resident ingestion state. Excludes the bounded channel
+    /// ([`IngestOptions::channel_depth`] chunks) and the final universe
+    /// itself.
     pub peak_tracked_bytes: usize,
     /// What the rows would occupy if materialized as interned tuples —
     /// the memory the streaming path avoids holding.
     pub materialized_row_bytes: u64,
-    /// Worker threads the fold ran with.
+    /// Worker threads the fold ran with (1 for a live build, whose fold is
+    /// sequential).
     pub threads: usize,
 }
 
@@ -129,6 +147,11 @@ const ACC_ENTRY_OVERHEAD: usize =
 fn materialized_bytes(arity: usize) -> u64 {
     (std::mem::size_of::<Tuple>() + arity * std::mem::size_of::<u32>()) as u64
 }
+
+/// One side's folded profiles: representative rows and their weights, in
+/// first-occurrence order — the same order the materialized build's
+/// `distinct_profiles` produces.
+type SideProfiles = (Vec<Tuple>, Vec<u64>);
 
 /// One folded profile: weight, first global row index, representative row.
 #[derive(Debug, Clone)]
@@ -197,10 +220,9 @@ impl SideAcc {
         }
     }
 
-    /// Drains into `(representatives, weights)` ordered by first
-    /// occurrence — the same order the materialized build's
-    /// `distinct_profiles` produces.
-    fn into_ordered(self) -> (Vec<Tuple>, Vec<u64>) {
+    /// Drains into representatives and weights ordered by first
+    /// occurrence.
+    fn into_ordered(self) -> SideProfiles {
         let mut entries: Vec<ProfileAcc> = self.map.into_values().collect();
         entries.sort_unstable_by_key(|a| a.first);
         let counts = entries.iter().map(|a| a.count).collect();
@@ -248,10 +270,7 @@ impl SymbolSet {
 /// [`jqi_relation::Instance::shared_symbols`]).
 ///
 /// Memory is `O(distinct symbols)`; rows are inspected and dropped.
-pub fn scan_shared_symbols(
-    schema: &StreamSchema,
-    chunks: impl Iterator<Item = RowChunk>,
-) -> BitSet {
+fn scan_shared_symbols(schema: &StreamSchema, chunks: impl Iterator<Item = RowChunk>) -> BitSet {
     let mut r_syms = SymbolSet::default();
     let mut p_syms = SymbolSet::default();
     for chunk in chunks {
@@ -328,14 +347,13 @@ impl ByteTracker {
     }
 }
 
-/// Runs the profile fold (pass 2) over `chunks`, returning per-side
-/// ordered `(reps, counts)` plus statistics.
-#[allow(clippy::type_complexity)]
-fn fold_stream(
+/// The profile fold (pass 2, `live: false`) over `chunks`: per-side
+/// ordered profiles plus the row, chunk, byte and thread statistics.
+fn fold_profiles(
     shared: &BitSet,
     chunks: impl Iterator<Item = RowChunk>,
     options: &IngestOptions,
-) -> ((Vec<Tuple>, Vec<u64>), (Vec<Tuple>, Vec<u64>), IngestStats) {
+) -> (SideProfiles, SideProfiles, IngestStats) {
     let threads = options.threads.max(1);
     let tracker = ByteTracker::new(options.byte_ceiling);
     let mut stats = IngestStats {
@@ -347,7 +365,6 @@ fn fold_stream(
     // row numbering is defined by arrival order regardless of which worker
     // folds the chunk.
     let mut next_base: [u64; 2] = [0, 0];
-    let mut arity: [u64; 2] = [0, 0];
     let mut sequence = chunks.map(|chunk| {
         let side = match chunk.side {
             Side::R => 0usize,
@@ -355,9 +372,6 @@ fn fold_stream(
         };
         let base = next_base[side];
         next_base[side] += chunk.rows.len() as u64;
-        if let Some(row) = chunk.rows.first() {
-            arity[side] = row.arity() as u64;
-        }
         (base, chunk)
     });
 
@@ -371,7 +385,7 @@ fn fold_stream(
         }
         (r_acc, p_acc)
     } else {
-        let (tx, rx) = sync_channel::<(u64, RowChunk)>(options.channel_chunks.max(1));
+        let (tx, rx) = sync_channel::<(u64, RowChunk)>(options.channel_depth());
         // Workers co-own the receiver: if every worker dies (e.g. the
         // byte ceiling trips and the panic unwinds them), the channel
         // disconnects and the blocked feeder's `send` errors out instead
@@ -438,24 +452,78 @@ fn fold_stream(
     stats.rows_r = next_base[0];
     stats.rows_p = next_base[1];
     stats.peak_tracked_bytes = tracker.peak();
-    stats.materialized_row_bytes = next_base[0] * materialized_bytes(arity[0] as usize)
-        + next_base[1] * materialized_bytes(arity[1] as usize);
     r_acc.bytes = 0; // merged views are not re-tracked
     p_acc.bytes = 0;
-    let r = r_acc.into_ordered();
-    let p = p_acc.into_ordered();
-    stats.distinct_r = r.0.len();
-    stats.distinct_p = p.0.len();
-    (r, p, stats)
+    (r_acc.into_ordered(), p_acc.into_ordered(), stats)
+}
+
+/// The live fold (pass 2, `live: true`): every row goes into the live
+/// tables, whose profiles come out numbered in arrival order. Returns the
+/// per-side profiles, the tables and the statistics.
+fn fold_live(
+    schema: &StreamSchema,
+    shared: &BitSet,
+    chunks: impl Iterator<Item = RowChunk>,
+    byte_ceiling: Option<usize>,
+) -> (SideProfiles, SideProfiles, LiveTables, IngestStats) {
+    let mut stats = IngestStats {
+        threads: 1,
+        ..IngestStats::default()
+    };
+    let mut lt = LiveTables::new(
+        schema.side(Side::R).arity(),
+        schema.side(Side::P).arity(),
+        shared,
+    );
+    let mut syms: Vec<u32> = Vec::new();
+    for chunk in chunks {
+        stats.chunks += 1;
+        for row in &chunk.rows {
+            syms.clear();
+            syms.extend(row.symbols().iter().map(|s| s.0));
+            lt.ingest(chunk.side, &syms, false);
+        }
+        match chunk.side {
+            Side::R => stats.rows_r += chunk.rows.len() as u64,
+            Side::P => stats.rows_p += chunk.rows.len() as u64,
+        }
+        let resident = lt.resident_bytes();
+        stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(resident);
+        if let Some(ceiling) = byte_ceiling {
+            assert!(
+                resident <= ceiling,
+                "live streaming ingestion exceeded its byte ceiling: \
+                 {resident} resident live-table bytes > {ceiling} — the \
+                 stream's distinct rows are not collapsing"
+            );
+        }
+    }
+    lt.finalize_ingest();
+    let side_profiles = |st: &crate::delta::SideTable| -> SideProfiles {
+        (0..st.prof_count() as u32)
+            .map(|p| {
+                let rep = Tuple::new(
+                    st.rep_syms(p)
+                        .iter()
+                        .map(|&s| Symbol(s))
+                        .collect::<Box<[_]>>(),
+                );
+                (rep, st.prof_weight(p))
+            })
+            .unzip()
+    };
+    let (r, p) = (side_profiles(&lt.r), side_profiles(&lt.p));
+    (r, p, lt, stats)
 }
 
 impl Universe {
     /// Builds the universe from a **restartable** stream of row chunks,
     /// with peak ingestion memory `O(distinct profiles)` instead of
-    /// `O(rows)`.
+    /// `O(rows)` — or `O(distinct rows)` with [`IngestOptions::live`],
+    /// which makes the result delta-capable.
     ///
     /// `source` is called twice: once for the shared-symbol scan, once for
-    /// the profile fold (see the module docs for why two passes are the
+    /// the fold (see the module docs for why two passes are the
     /// memory-honest design). Both passes stream; nothing row-shaped
     /// outlives its chunk. The finished universe is **equivalent to**
     /// [`Universe::build`] on the materialized instance — identical class
@@ -467,69 +535,65 @@ impl Universe {
     pub fn build_streaming<I>(
         schema: StreamSchema,
         source: impl Fn() -> I,
+        options: &IngestOptions,
+    ) -> (Universe, IngestStats)
+    where
+        I: Iterator<Item = RowChunk>,
+    {
+        let shared = scan_shared_symbols(&schema, source());
+        Self::build_on_shared(schema, shared, source(), options)
+    }
+
+    /// [`Universe::build_streaming`] with [`IngestOptions::live`] set.
+    pub fn build_streaming_live<I>(
+        schema: StreamSchema,
+        source: impl Fn() -> I,
         threads: usize,
     ) -> (Universe, IngestStats)
     where
         I: Iterator<Item = RowChunk>,
     {
-        let shared = scan_shared_symbols(&schema, source());
-        Self::build_streaming_with_shared(
-            schema,
-            shared,
-            source(),
-            &IngestOptions::with_threads(threads),
-        )
+        let options = IngestOptions {
+            live: true,
+            ..IngestOptions::with_threads(threads)
+        };
+        Self::build_streaming(schema, source, &options)
     }
 
-    /// [`Universe::build_streaming`] with explicit [`IngestOptions`]
-    /// (worker count, channel depth, byte ceiling).
-    pub fn build_streaming_with_options<I>(
-        schema: StreamSchema,
-        source: impl Fn() -> I,
-        options: &IngestOptions,
-    ) -> (Universe, IngestStats)
-    where
-        I: Iterator<Item = RowChunk>,
-    {
-        let shared = scan_shared_symbols(&schema, source());
-        Self::build_streaming_with_shared(schema, shared, source(), options)
-    }
-
-    /// The single-pass streaming primitive: folds `chunks` into weighted
-    /// profiles against a caller-provided `shared` symbol set and
-    /// assembles the universe.
+    /// Pass 2 and the shared tail: folds `chunks` against `shared` with
+    /// the fold `options.live` picks, turns the folded representatives and
+    /// weights into profiles, and assembles the universe.
     ///
-    /// `shared` must contain every symbol occurring on both sides.
-    /// Providing exactly the true shared set (what
-    /// [`scan_shared_symbols`] computes) reproduces [`Universe::build`]
-    /// bit for bit; a strict **superset** still yields correct signatures
-    /// and counts but may split profiles finer (more resident
-    /// representatives, and class ids follow the finer enumeration).
-    /// A set *missing* a genuinely shared symbol is unsound — its
-    /// equality bits would be lost.
-    pub fn build_streaming_with_shared(
+    /// `shared` must contain every symbol occurring on both sides. Exactly
+    /// the true shared set reproduces [`Universe::build`] bit for bit; a
+    /// strict **superset** still yields correct signatures and counts but
+    /// may split profiles finer. A set *missing* a genuinely shared symbol
+    /// is unsound — its equality bits would be lost.
+    fn build_on_shared(
         schema: StreamSchema,
         shared: BitSet,
         chunks: impl Iterator<Item = RowChunk>,
         options: &IngestOptions,
     ) -> (Universe, IngestStats) {
-        let ((r_reps, r_counts), (p_reps, p_counts), stats) = fold_stream(&shared, chunks, options);
-        let r_profiles: Vec<Profile> = r_counts
-            .iter()
-            .enumerate()
-            .map(|(i, &count)| Profile {
-                rep: i as u32,
-                count,
-            })
-            .collect();
-        let p_profiles: Vec<Profile> = p_counts
-            .iter()
-            .enumerate()
-            .map(|(i, &count)| Profile {
-                rep: i as u32,
-                count,
-            })
-            .collect();
+        let ((r_reps, r_weights), (p_reps, p_weights), rows, mut stats) = if options.live {
+            let (r, p, lt, stats) = fold_live(&schema, &shared, chunks, options.byte_ceiling);
+            (r, p, Rows::Live(Arc::new(lt)), stats)
+        } else {
+            let (r, p, stats) = fold_profiles(&shared, chunks, options);
+            (r, p, Rows::Representatives, stats)
+        };
+        stats.distinct_r = r_reps.len();
+        stats.distinct_p = p_reps.len();
+        stats.materialized_row_bytes = stats.rows_r
+            * materialized_bytes(schema.side(Side::R).arity())
+            + stats.rows_p * materialized_bytes(schema.side(Side::P).arity());
+        let profiles = |weights: Vec<u64>| -> Vec<Profile> {
+            (0u32..)
+                .zip(weights)
+                .map(|(rep, count)| Profile { rep, count })
+                .collect()
+        };
+        let (r_profiles, p_profiles) = (profiles(r_weights), profiles(p_weights));
         let instance = schema
             .into_instance(r_reps, p_reps)
             .expect("streamed rows match their declared schemas");
@@ -539,131 +603,8 @@ impl Universe {
             r_profiles,
             p_profiles,
             options.threads.max(1),
+            rows,
         );
-        (universe, stats)
-    }
-
-    /// [`Universe::build_streaming`], but the result is **delta-capable**:
-    /// it carries live row tables and accepts
-    /// [`Universe::apply_delta`](crate::delta) without ever materializing
-    /// the instance.
-    ///
-    /// The memory trade is explicit: where the plain streaming build keeps
-    /// `O(distinct profiles)`, the live build keeps `O(distinct rows)` —
-    /// every distinct full row with its multiplicity (a Z-set), which is
-    /// exactly the state incremental maintenance needs. That is still far
-    /// below `O(rows)` materialization for data with duplicate rows, and
-    /// the embedded instance still holds representatives only.
-    ///
-    /// The row fold is single-threaded (the live tables are one sequential
-    /// arena; `threads` parallelizes the pair-loop assembly). Profile
-    /// enumeration order is first-occurrence, so class ids, signatures,
-    /// counts, and representatives are identical to
-    /// [`Universe::build_streaming`] on the same stream.
-    pub fn build_streaming_live<I>(
-        schema: StreamSchema,
-        source: impl Fn() -> I,
-        threads: usize,
-    ) -> (Universe, IngestStats)
-    where
-        I: Iterator<Item = RowChunk>,
-    {
-        Self::build_streaming_live_with_options(
-            schema,
-            source,
-            &IngestOptions::with_threads(threads),
-        )
-    }
-
-    /// [`Universe::build_streaming_live`] with explicit [`IngestOptions`]
-    /// (`byte_ceiling` is enforced against the live tables' resident
-    /// bytes; `channel_chunks` is unused — the fold is sequential).
-    pub fn build_streaming_live_with_options<I>(
-        schema: StreamSchema,
-        source: impl Fn() -> I,
-        options: &IngestOptions,
-    ) -> (Universe, IngestStats)
-    where
-        I: Iterator<Item = RowChunk>,
-    {
-        let shared = scan_shared_symbols(&schema, source());
-        let mut stats = IngestStats {
-            threads: options.threads.max(1),
-            ..IngestStats::default()
-        };
-        let mut lt = LiveTables::new(
-            schema.side(Side::R).arity(),
-            schema.side(Side::P).arity(),
-            &shared,
-        );
-        let mut syms: Vec<u32> = Vec::new();
-        let mut arity: [u64; 2] = [
-            schema.side(Side::R).arity() as u64,
-            schema.side(Side::P).arity() as u64,
-        ];
-        for chunk in source() {
-            stats.chunks += 1;
-            let side_slot = match chunk.side {
-                Side::R => 0usize,
-                Side::P => 1usize,
-            };
-            for row in &chunk.rows {
-                arity[side_slot] = row.arity() as u64;
-                syms.clear();
-                syms.extend(row.symbols().iter().map(|s| s.0));
-                lt.ingest(chunk.side, &syms, false);
-            }
-            match chunk.side {
-                Side::R => stats.rows_r += chunk.rows.len() as u64,
-                Side::P => stats.rows_p += chunk.rows.len() as u64,
-            }
-            let resident = lt.resident_bytes();
-            stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(resident);
-            if let Some(ceiling) = options.byte_ceiling {
-                assert!(
-                    resident <= ceiling,
-                    "live streaming ingestion exceeded its byte ceiling: \
-                     {resident} resident live-table bytes > {ceiling} — the \
-                     stream's distinct rows are not collapsing"
-                );
-            }
-        }
-        lt.finalize_ingest();
-        stats.materialized_row_bytes = stats.rows_r * materialized_bytes(arity[0] as usize)
-            + stats.rows_p * materialized_bytes(arity[1] as usize);
-
-        let side_profiles = |st: &crate::delta::SideTable| -> (Vec<Tuple>, Vec<Profile>) {
-            let mut reps = Vec::with_capacity(st.prof_count());
-            let mut profiles = Vec::with_capacity(st.prof_count());
-            for p in 0..st.prof_count() as u32 {
-                reps.push(Tuple::new(
-                    st.rep_syms(p)
-                        .iter()
-                        .map(|&s| jqi_relation::Symbol(s))
-                        .collect::<Vec<_>>(),
-                ));
-                profiles.push(Profile {
-                    rep: p,
-                    count: st.prof_weight(p),
-                });
-            }
-            (reps, profiles)
-        };
-        let (r_reps, r_profiles) = side_profiles(&lt.r);
-        let (p_reps, p_profiles) = side_profiles(&lt.p);
-        stats.distinct_r = r_profiles.len();
-        stats.distinct_p = p_profiles.len();
-        let instance = schema
-            .into_instance(r_reps, p_reps)
-            .expect("streamed rows match their declared schemas");
-        let mut universe = Universe::assemble(
-            instance,
-            shared,
-            r_profiles,
-            p_profiles,
-            options.threads.max(1),
-        );
-        universe.live = Some(std::sync::Arc::new(lt));
         (universe, stats)
     }
 }
@@ -672,6 +613,13 @@ impl Universe {
 mod tests {
     use super::*;
     use jqi_relation::Value;
+
+    fn opts(threads: usize, live: bool) -> IngestOptions {
+        IngestOptions {
+            live,
+            ..IngestOptions::with_threads(threads)
+        }
+    }
 
     fn schema() -> StreamSchema {
         StreamSchema::from_names("R", &["A1", "A2"], "P", &["B1"]).unwrap()
@@ -718,7 +666,8 @@ mod tests {
     fn streaming_build_collapses_profiles() {
         let schema = schema();
         let all = chunks(&schema, 2);
-        let (u, stats) = Universe::build_streaming(schema, || all.clone().into_iter(), 1);
+        let (u, stats) =
+            Universe::build_streaming(schema, || all.clone().into_iter(), &opts(1, false));
         assert_eq!(stats.rows_r, 6);
         assert_eq!(stats.rows_p, 4);
         assert_eq!(stats.distinct_r, 2);
@@ -737,12 +686,13 @@ mod tests {
         let schema0 = schema();
         let base_chunks = chunks(&schema0, 2);
         let (reference, _) =
-            Universe::build_streaming(schema0, || base_chunks.clone().into_iter(), 1);
+            Universe::build_streaming(schema0, || base_chunks.clone().into_iter(), &opts(1, false));
         for threads in [2, 4] {
             for chunk_rows in [1, 3, 100] {
                 let s = schema();
                 let all = chunks(&s, chunk_rows);
-                let (u, _) = Universe::build_streaming(s, || all.clone().into_iter(), threads);
+                let (u, _) =
+                    Universe::build_streaming(s, || all.clone().into_iter(), &opts(threads, false));
                 assert_eq!(u.num_classes(), reference.num_classes());
                 assert_eq!(u.counts(), reference.counts());
                 assert_eq!(
@@ -758,10 +708,9 @@ mod tests {
     fn byte_ceiling_fails_fast() {
         let s = schema();
         let all = chunks(&s, 2);
-        let shared = scan_shared_symbols(&s, all.clone().into_iter());
         let options = IngestOptions::with_threads(1).with_byte_ceiling(8);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Universe::build_streaming_with_shared(s, shared, all.into_iter(), &options)
+            Universe::build_streaming(s, || all.clone().into_iter(), &options)
         }));
         assert!(result.is_err(), "ceiling of 8 bytes must trip");
     }
@@ -769,7 +718,8 @@ mod tests {
     #[test]
     fn empty_stream_builds_empty_universe() {
         let s = schema();
-        let (u, stats) = Universe::build_streaming(s, std::iter::empty::<RowChunk>, 2);
+        let (u, stats) =
+            Universe::build_streaming(s, std::iter::empty::<RowChunk>, &opts(2, false));
         assert_eq!(u.num_classes(), 0);
         assert_eq!(u.total_tuples(), 0);
         assert_eq!(stats.rows_r + stats.rows_p, 0);
@@ -779,7 +729,7 @@ mod tests {
     fn live_streaming_matches_plain_streaming_and_accepts_deltas() {
         let s0 = schema();
         let all = chunks(&s0, 2);
-        let (plain, _) = Universe::build_streaming(s0, || all.clone().into_iter(), 1);
+        let (plain, _) = Universe::build_streaming(s0, || all.clone().into_iter(), &opts(1, false));
         let s1 = schema();
         let all1 = chunks(&s1, 3);
         let tuple = s1
@@ -792,6 +742,7 @@ mod tests {
         assert_eq!(stats.distinct_r, 2);
         assert_eq!(stats.distinct_p, 3);
         assert!(stats.peak_tracked_bytes > 0);
+        assert_eq!(stats.threads, 1, "the live fold is sequential");
         assert!(live.is_live());
         assert!(!plain.is_live(), "plain streaming build has no row tables");
         assert!(matches!(
@@ -810,9 +761,9 @@ mod tests {
     fn live_byte_ceiling_fails_fast() {
         let s = schema();
         let all = chunks(&s, 2);
-        let options = IngestOptions::with_threads(1).with_byte_ceiling(8);
+        let options = opts(1, true).with_byte_ceiling(8);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Universe::build_streaming_live_with_options(s, || all.clone().into_iter(), &options)
+            Universe::build_streaming(s, || all.clone().into_iter(), &options)
         }));
         assert!(result.is_err(), "ceiling of 8 bytes must trip");
     }
@@ -825,18 +776,9 @@ mod tests {
         let all = chunks(&s, 2);
         let exact = scan_shared_symbols(&s, all.clone().into_iter());
         let superset = BitSet::full(s.interner().len());
-        let (u_exact, _) = Universe::build_streaming_with_shared(
-            s.clone(),
-            exact,
-            all.clone().into_iter(),
-            &IngestOptions::with_threads(1),
-        );
-        let (u_super, _) = Universe::build_streaming_with_shared(
-            s,
-            superset,
-            all.into_iter(),
-            &IngestOptions::with_threads(1),
-        );
+        let (u_exact, _) =
+            Universe::build_on_shared(s.clone(), exact, all.clone().into_iter(), &opts(1, false));
+        let (u_super, _) = Universe::build_on_shared(s, superset, all.into_iter(), &opts(1, false));
         assert!(u_super.distinct_r_profiles() >= u_exact.distinct_r_profiles());
         let mut a: Vec<(Vec<usize>, u64)> = u_exact
             .iter()

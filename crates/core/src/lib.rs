@@ -76,7 +76,7 @@ pub use certain::CountMode;
 pub use delta::{DeltaError, EditOp, RowEdit, UniverseDelta};
 pub use entropy::Entropy;
 pub use error::{InferenceError, Result};
-pub use ingest::{scan_shared_symbols, IngestOptions, IngestStats};
+pub use ingest::{IngestOptions, IngestStats};
 pub use sample::{Label, Sample};
 pub use session::{Candidate, OwnedSession, Session};
 pub use state::{ClassState, InferenceState};

@@ -503,16 +503,6 @@ impl<'u> InferenceState<'u> {
         &self.open
     }
 
-    /// The negatively labeled classes as the raw class-index mask.
-    ///
-    /// Together with `T(S⁺)` this mask determines the whole derived state,
-    /// which is what makes the pair the key of the universe-level decision
-    /// cache ([`Universe::cached_decision`]).
-    #[inline]
-    pub fn labeled_negative_mask(&self) -> &BitSet {
-        &self.labeled_neg
-    }
-
     /// The exact decision-cache mask keys of the current derived state:
     /// `(T(S⁺) words, negative-label mask words)`, with `T(S⁺)` normalized
     /// to the **empty slice** while it still equals Ω — the whole negative

@@ -17,11 +17,11 @@
 //! [`Universe::build`] never walks the raw `|R| · |P|` product. It first
 //! canonicalizes each row to its *join profile* — the row's symbol tuple
 //! restricted to symbols occurring in the opposite relation (see
-//! [`Instance::r_profile_key`]) — and deduplicates rows into weighted
-//! distinct profiles. Two rows with equal profiles produce identical
-//! signatures against every opposite row, so the pair loop only has to
-//! visit `distinct_R · distinct_P` profile pairs, multiplying the two
-//! profile counts into the class weight. Total cost:
+//! [`jqi_relation::stream::profile_key`]) — and deduplicates rows into
+//! weighted distinct profiles. Two rows with equal profiles produce
+//! identical signatures against every opposite row, so the pair loop only
+//! has to visit `distinct_R · distinct_P` profile pairs, multiplying the
+//! two profile counts into the class weight. Total cost:
 //!
 //! * `O(|R| · n + |P| · m)` hashing to deduplicate rows into profiles,
 //! * `O(distinct_R · distinct_P · n)` symbol-map lookups for the remaining
@@ -42,13 +42,30 @@
 //! [`Universe::build_rowpair_reference`] — an executable specification used
 //! by the equivalence property tests and as the baseline of the `scaling`
 //! benchmark.
+//!
+//! # One builder per source
+//!
+//! * An [`Instance`] in memory: [`Universe::build`] (or
+//!   [`Universe::build_with_parallelism`] to force a worker count).
+//! * A restartable chunk stream: [`Universe::build_streaming`]
+//!   (`crate::ingest`), whose [`IngestOptions::live`](crate::IngestOptions::live)
+//!   decides whether the result keeps live row tables.
+//!
+//! All of them end in one assembly step, so class ids, counts and
+//! representatives agree across sources. Whether a universe accepts
+//! [`Universe::apply_delta`] is decided by one field, which records what it
+//! knows about its rows: every row (the in-memory builds), representatives
+//! only (a plain streaming build), or live tables (a live streaming build
+//! and every post-delta universe).
 
+use crate::delta::LiveTables;
 use jqi_relation::bitset::{hash_words, or_shifted, word_count, WORD_BITS};
+use jqi_relation::stream::profile_key;
 use jqi_relation::{BitSet, Instance, Tuple};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// Identifier of a T-equivalence class (an index into [`Universe`] tables).
 pub type ClassId = usize;
@@ -592,16 +609,26 @@ pub struct Universe {
     /// against the post-delta class ids, and into the decision-cache key so
     /// a cached move can never leak across a delta.
     pub(crate) epoch: u64,
-    /// The live row/profile tables delta maintenance works on. `None` for
-    /// universes built without them ([`Universe::apply_delta`] materializes
-    /// them on demand when `rows_complete`; streaming builds opt in via
-    /// `build_streaming_live`). Behind an `Arc` so cloning a universe stays
-    /// cheap — `apply_delta` deep-clones before mutating.
-    pub(crate) live: Option<std::sync::Arc<crate::delta::LiveTables>>,
-    /// Whether `instance` holds the *complete* row multiset (true for
-    /// [`Universe::build`]) or only profile representatives (streaming and
-    /// post-delta universes). Gates the on-demand live-table rebuild.
-    pub(crate) rows_complete: bool,
+    /// Which rows back this universe, and so whether it takes deltas.
+    pub(crate) rows: Rows,
+}
+
+/// What a universe knows about its rows — the one thing that decides
+/// whether [`Universe::apply_delta`] can run on it.
+#[derive(Debug, Clone)]
+pub(crate) enum Rows {
+    /// `instance` holds every row ([`Universe::build`] and its in-memory
+    /// siblings); the first delta derives live tables from it.
+    Complete,
+    /// `instance` holds one representative row per distinct profile and
+    /// nothing holds the full row multiset, so deltas are refused (a
+    /// streaming build without [`IngestOptions::live`](crate::IngestOptions::live)).
+    Representatives,
+    /// The live row/profile tables delta maintenance works on (a live
+    /// streaming build, or any post-delta universe); `instance` holds
+    /// representatives. Behind an `Arc` so cloning a universe stays cheap —
+    /// `apply_delta` deep-clones before mutating.
+    Live(Arc<LiveTables>),
 }
 
 /// One distinct join profile of a relation side: its first (representative)
@@ -769,40 +796,41 @@ impl Universe {
     /// order of signatures over the (R-profile, P-profile) pair enumeration,
     /// regardless of thread count.
     pub fn build(instance: Instance) -> Self {
-        let shared = instance.shared_symbols();
-        let r_profiles = distinct_profiles(
-            (0..instance.r().len()).map(|ri| instance.r_profile_key(ri, &shared)),
-        );
-        let p_profiles = distinct_profiles(
-            (0..instance.p().len()).map(|pi| instance.p_profile_key(pi, &shared)),
-        );
-        let work = r_profiles.len() as u64 * p_profiles.len() as u64;
-        let threads = if work < PARALLEL_THRESHOLD {
-            1
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        let mut u = Self::assemble(instance, shared, r_profiles, p_profiles, threads);
-        u.rows_complete = true;
-        u
+        Self::build_from_rows(instance, None)
     }
 
     /// [`Universe::build`] with an explicit worker count, exposed so the
     /// equivalence property tests (and benches) can force the parallel
     /// merge path on any machine.
     pub fn build_with_parallelism(instance: Instance, threads: usize) -> Self {
+        Self::build_from_rows(instance, Some(threads))
+    }
+
+    /// The in-memory build: deduplicates both sides into weighted join
+    /// profiles and assembles. `threads: None` picks the worker count from
+    /// the profile-pair work.
+    fn build_from_rows(instance: Instance, threads: Option<usize>) -> Self {
         let shared = instance.shared_symbols();
-        let r_profiles = distinct_profiles(
-            (0..instance.r().len()).map(|ri| instance.r_profile_key(ri, &shared)),
-        );
-        let p_profiles = distinct_profiles(
-            (0..instance.p().len()).map(|pi| instance.p_profile_key(pi, &shared)),
-        );
-        let mut u = Self::assemble(instance, shared, r_profiles, p_profiles, threads);
-        u.rows_complete = true;
-        u
+        let profiles =
+            |rows: &[Tuple]| distinct_profiles(rows.iter().map(|row| profile_key(row, &shared)));
+        let r_profiles = profiles(instance.r().rows());
+        let p_profiles = profiles(instance.p().rows());
+        let threads = threads.unwrap_or_else(|| {
+            let work = r_profiles.len() as u64 * p_profiles.len() as u64;
+            if work < PARALLEL_THRESHOLD {
+                1
+            } else {
+                std::thread::available_parallelism().map_or(1, |n| n.get())
+            }
+        });
+        Self::assemble(
+            instance,
+            shared,
+            r_profiles,
+            p_profiles,
+            threads,
+            Rows::Complete,
+        )
     }
 
     /// The pre-deduplication construction: walk every `(ri, pi)` row pair
@@ -814,9 +842,7 @@ impl Universe {
         let shared = instance.shared_symbols();
         let r_profiles = row_profiles(instance.r().len());
         let p_profiles = row_profiles(instance.p().len());
-        let mut u = Self::assemble(instance, shared, r_profiles, p_profiles, 1);
-        u.rows_complete = true;
-        u
+        Self::assemble(instance, shared, r_profiles, p_profiles, 1, Rows::Complete)
     }
 
     pub(crate) fn assemble(
@@ -825,6 +851,7 @@ impl Universe {
         r_profiles: Vec<Profile>,
         p_profiles: Vec<Profile>,
         threads: usize,
+        rows: Rows,
     ) -> Self {
         let ps = instance.pairs();
         let m = ps.arity_p();
@@ -872,8 +899,7 @@ impl Universe {
             distinct_r: r_profiles.len(),
             distinct_p: p_profiles.len(),
             epoch: 0,
-            live: None,
-            rows_complete: false,
+            rows,
         }
     }
 
@@ -881,16 +907,10 @@ impl Universe {
     /// (`0` disables caching entirely — every probe computes).
     ///
     /// Builder-style so call sites read
-    /// `Universe::build(inst).with_decision_cache_budget(n)`; see also
-    /// [`Universe::build_with_cache_budget`].
+    /// `Universe::build(inst).with_decision_cache_budget(n)`.
     pub fn with_decision_cache_budget(mut self, bytes: usize) -> Self {
         self.decision_cache = DecisionCache::new(bytes);
         self
-    }
-
-    /// [`Universe::build`] with an explicit decision-cache byte budget.
-    pub fn build_with_cache_budget(instance: Instance, bytes: usize) -> Self {
-        Self::build(instance).with_decision_cache_budget(bytes)
     }
 
     /// A statistics snapshot of the decision cache (hits, misses,

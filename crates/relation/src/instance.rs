@@ -252,11 +252,6 @@ impl Instance {
         out
     }
 
-    /// Sentinel in a [join profile](Instance::r_profile_key) marking a
-    /// symbol that occurs in only one of the two relations and therefore
-    /// can never witness an equality.
-    pub const PROFILE_HOLE: u32 = u32::MAX;
-
     /// The symbols occurring in **both** relations — the only values that
     /// can contribute a bit to any signature `T(t)`. Computed by
     /// intersecting the two relations' interned symbol sets; capacity is
@@ -266,27 +261,6 @@ impl Instance {
         let mut set = self.r.symbol_set(cap);
         set.intersect_with(&self.p.symbol_set(cap));
         set
-    }
-
-    /// The *join profile* of R-row `ri`: its symbol tuple with every symbol
-    /// outside `shared` (see [`shared_symbols`](Instance::shared_symbols))
-    /// replaced by [`PROFILE_HOLE`](Instance::PROFILE_HOLE).
-    ///
-    /// Two R-rows with equal join profiles have identical signatures
-    /// `T((r, p))` against *every* P-row `p`: a signature bit `(i, j)` only
-    /// depends on whether `r[i] = p[j]`, and a symbol absent from `P`
-    /// matches no P-cell at all. This is what lets `Universe::build`
-    /// deduplicate rows into weighted profiles before enumerating any
-    /// product pair.
-    pub fn r_profile_key(&self, ri: usize, shared: &BitSet) -> Box<[u32]> {
-        profile_key(&self.r.rows()[ri], shared)
-    }
-
-    /// The join profile of P-row `pi` (see
-    /// [`r_profile_key`](Instance::r_profile_key), with the roles of the
-    /// relations swapped).
-    pub fn p_profile_key(&self, pi: usize, shared: &BitSet) -> Box<[u32]> {
-        profile_key(&self.p.rows()[pi], shared)
     }
 
     /// Appends an already-interned row of raw symbol ids to `side`,
@@ -336,10 +310,6 @@ impl Instance {
         vs
     }
 }
-
-// Row canonicalization is shared with the streaming ingestion path so
-// materialized and streamed builds produce identical profile keys.
-use crate::stream::profile_key;
 
 impl fmt::Display for Instance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -461,6 +431,7 @@ impl InstanceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{profile_key, PROFILE_HOLE};
 
     /// The instance of Example 2.1 of the paper.
     pub(crate) fn example_2_1() -> Instance {
@@ -584,12 +555,11 @@ mod tests {
         // Shared values are {1, 2}; 7 and 9 are R-only.
         assert_eq!(shared.len(), 2);
         // Rows 0 and 1 differ only in an unmatchable symbol → same profile.
-        let k0 = inst.r_profile_key(0, &shared);
-        let k1 = inst.r_profile_key(1, &shared);
-        let k2 = inst.r_profile_key(2, &shared);
+        let key = |ri: usize| profile_key(&inst.r().rows()[ri], &shared);
+        let (k0, k1, k2) = (key(0), key(1), key(2));
         assert_eq!(k0, k1);
         assert_ne!(k0, k2);
-        assert_eq!(k0[1], Instance::PROFILE_HOLE);
+        assert_eq!(k0[1], PROFILE_HOLE);
         // Equal profiles ⇒ equal signatures against every P-row.
         for pi in 0..inst.p().len() {
             assert_eq!(inst.signature(0, pi), inst.signature(1, pi));

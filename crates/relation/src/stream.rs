@@ -33,7 +33,7 @@ use crate::value::Value;
 use std::sync::Arc;
 
 /// Sentinel marking a profile-key position whose symbol cannot witness any
-/// equality (it occurs on only one side). Equals [`Instance::PROFILE_HOLE`].
+/// equality (it occurs on only one side).
 pub const PROFILE_HOLE: u32 = u32::MAX;
 
 /// Which relation of the instance a [`RowChunk`] belongs to.
@@ -213,11 +213,14 @@ impl StreamSchema {
 /// [`PROFILE_HOLE`].
 ///
 /// Two rows with equal keys have identical signatures `T((r, p))` against
-/// every opposite-side row, so a weighted map over keys loses nothing the
-/// universe construction needs (see [`Instance::r_profile_key`] for the
-/// argument). `shared` must be a bitset over symbol indices containing at
-/// least every symbol occurring on **both** sides; symbols beyond its
-/// capacity are treated as non-shared.
+/// every opposite-side row: a signature bit `(i, j)` only depends on
+/// whether `r[i] = p[j]`, and a symbol absent from the other side matches
+/// no cell there. So a weighted map over keys loses nothing the universe
+/// construction needs, and both the materialized and the streaming build
+/// deduplicate rows with this one function. `shared` must be a bitset over
+/// symbol indices containing at least every symbol occurring on **both**
+/// sides (see [`Instance::shared_symbols`]); symbols beyond its capacity
+/// are treated as non-shared.
 pub fn profile_key(row: &Tuple, shared: &BitSet) -> Box<[u32]> {
     row.symbols()
         .iter()

@@ -2274,6 +2274,7 @@ mod tests {
     // Live-data migration: apply_delta / migrate over the session fleet.
     // ------------------------------------------------------------------
 
+    use jqi_core::IngestOptions;
     use jqi_relation::{RowChunk, Side, StreamSchema, Tuple, Value};
 
     /// A delta-capable universe: R(A1,A2) × P(B1), shared symbols {1, 2},
@@ -2439,14 +2440,17 @@ mod tests {
     fn apply_delta_requires_a_live_universe_and_validates_rows() {
         // A plain streaming build keeps representatives only — it cannot
         // accept deltas (unlike `Universe::build`, which retains the full
-        // instance, and `build_streaming_live`, which keeps row tables).
+        // instance, and a live streaming build, which keeps row tables).
         let schema = StreamSchema::from_names("R", &["A1"], "P", &["B1"]).unwrap();
         let chunk = RowChunk {
             side: Side::R,
             rows: vec![schema.intern_row(Side::R, &[Value::int(1)]).unwrap()],
         };
-        let (reps_only, _) =
-            Universe::build_streaming(schema, || std::iter::once(chunk.clone()), 1);
+        let (reps_only, _) = Universe::build_streaming(
+            schema,
+            || std::iter::once(chunk.clone()),
+            &IngestOptions::with_threads(1),
+        );
         let m = SessionManager::new(Arc::new(reps_only), ServerConfig::default());
         let mut d = UniverseDelta::new();
         d.insert(

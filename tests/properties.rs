@@ -804,7 +804,7 @@ proptest! {
     fn cached_moves_match_uncached(inst in small_instance(), m in goal_mask()) {
         let goal = mask_to_theta(inst.pairs().len(), m);
         let cached = Universe::build(inst.clone());
-        let uncached = Universe::build_with_cache_budget(inst, 0);
+        let uncached = Universe::build(inst).with_decision_cache_budget(0);
         assert_cached_moves_match(&cached, &uncached, &goal);
     }
 
@@ -818,8 +818,8 @@ proptest! {
     ) {
         let goal = mask_to_theta(inst.pairs().len(), m);
         // ~1 KiB: a handful of entries, so LRU eviction churns constantly.
-        let cached = Universe::build_with_cache_budget(inst.clone(), 1 << 10);
-        let uncached = Universe::build_with_cache_budget(inst, 0);
+        let cached = Universe::build(inst.clone()).with_decision_cache_budget(1 << 10);
+        let uncached = Universe::build(inst).with_decision_cache_budget(0);
         for config in deterministic_configs() {
             use join_query_inference::core::strategy::Strategy as InferenceStrategy;
             let mut s_cached = config.build();
@@ -852,7 +852,7 @@ proptest! {
 fn cached_moves_match_uncached_beyond_64_classes() {
     let inst = multiword_class_instance();
     let cached = Universe::build(inst.clone());
-    let uncached = Universe::build_with_cache_budget(inst, 0);
+    let uncached = Universe::build(inst).with_decision_cache_budget(0);
     assert!(cached.num_classes() > 64, "want multi-word class masks");
     // Ω itself (all-negative answers, pure negative phase) and a small
     // predicate (positives arrive, θ shrinks below Ω).
@@ -880,7 +880,7 @@ fn cached_moves_match_uncached_on_wide_omega() {
     }
     let inst = b.build().expect("well-formed");
     let cached = Universe::build(inst.clone());
-    let uncached = Universe::build_with_cache_budget(inst, 0);
+    let uncached = Universe::build(inst).with_decision_cache_budget(0);
     assert!(cached.omega_len() > 64, "want multi-word Ω");
     let goal = BitSet::from_iter(cached.omega_len(), [1usize, 67]);
     assert_cached_moves_match(&cached, &uncached, &goal);
@@ -890,6 +890,7 @@ fn cached_moves_match_uncached_on_wide_omega() {
 // Streaming ingestion ≡ materialized build
 // ---------------------------------------------------------------------------
 
+use join_query_inference::core::IngestOptions;
 use join_query_inference::relation::{RowChunk, Side, StreamSchema};
 
 /// The instance's rows re-cut into side-tagged chunks of `chunk_rows`,
@@ -962,18 +963,32 @@ fn assert_universes_equivalent(materialized: &Universe, streamed: &Universe) {
     }
 }
 
-/// Streams `inst` at every (thread count × chunk size) combination the
-/// issue calls out and checks each result against `Universe::build`.
+/// Streaming options for `threads` workers, with or without live tables.
+fn ingest_options(threads: usize, live: bool) -> IngestOptions {
+    IngestOptions {
+        live,
+        ..IngestOptions::with_threads(threads)
+    }
+}
+
+/// Streams `inst` at every (thread count × chunk size × live) combination
+/// and checks each result against `Universe::build`.
 fn assert_streaming_matches_build(inst: Instance) {
     let materialized = Universe::build(inst.clone());
     for threads in [1usize, 2, 8] {
         for chunk_rows in [1usize, 7, 4096] {
-            let (schema, chunks) = chunked(&inst, chunk_rows);
-            let (streamed, stats) =
-                Universe::build_streaming(schema, || chunks.clone().into_iter(), threads);
-            assert_eq!(stats.rows_r as usize, inst.r().len());
-            assert_eq!(stats.rows_p as usize, inst.p().len());
-            assert_universes_equivalent(&materialized, &streamed);
+            for live in [false, true] {
+                let (schema, chunks) = chunked(&inst, chunk_rows);
+                let (streamed, stats) = Universe::build_streaming(
+                    schema,
+                    || chunks.clone().into_iter(),
+                    &ingest_options(threads, live),
+                );
+                assert_eq!(stats.rows_r as usize, inst.r().len());
+                assert_eq!(stats.rows_p as usize, inst.p().len());
+                assert_eq!(streamed.is_live(), live);
+                assert_universes_equivalent(&materialized, &streamed);
+            }
         }
     }
 }
@@ -984,7 +999,8 @@ proptest! {
     /// Tentpole equivalence: `Universe::build_streaming` ≡
     /// `Universe::build` — identical class signatures, ids, counts,
     /// closure masks, and representative tuples — on duplicate-heavy
-    /// instances, for 1/2/8 ingestion threads × chunk sizes {1, 7, 4096}.
+    /// instances, for 1/2/8 ingestion threads × chunk sizes {1, 7, 4096},
+    /// with and without live tables.
     #[test]
     fn streamed_build_matches_materialized(inst in duplicate_heavy_instance()) {
         assert_streaming_matches_build(inst);
@@ -1014,7 +1030,8 @@ fn streamed_build_matches_materialized_on_tpch_small() {
 
 /// End-to-end: the `SfStream` chunk generator (parallel workers, bounded
 /// channels) streamed into `build_streaming` equals materializing the
-/// same stream and running `Universe::build`, for several worker counts.
+/// same stream and running `Universe::build`, for several worker counts,
+/// with and without live tables.
 #[test]
 fn sf_stream_streamed_matches_materialized() {
     use join_query_inference::datagen::stream::{SfConfig, SfJoin, SfStream};
@@ -1023,13 +1040,16 @@ fn sf_stream_streamed_matches_materialized() {
         let stream = SfStream::new(config, join).expect("well-formed stream schema");
         let materialized = Universe::build(stream.materialize().expect("well-formed rows"));
         for (threads, gen_workers) in [(1usize, 1usize), (2, 3), (8, 2)] {
-            let (streamed, stats) = Universe::build_streaming(
-                stream.schema().clone(),
-                || stream.par_chunks(gen_workers, 2),
-                threads,
-            );
-            assert!(stats.rows_r > 0 && stats.rows_p > 0);
-            assert_universes_equivalent(&materialized, &streamed);
+            for live in [false, true] {
+                let (streamed, stats) = Universe::build_streaming(
+                    stream.schema().clone(),
+                    || stream.par_chunks(gen_workers, 2),
+                    &ingest_options(threads, live),
+                );
+                assert!(stats.rows_r > 0 && stats.rows_p > 0);
+                assert_eq!(streamed.is_live(), live);
+                assert_universes_equivalent(&materialized, &streamed);
+            }
         }
     }
 }
@@ -1140,16 +1160,35 @@ proptest! {
     /// script equals `Universe::build` of the edited instance — same
     /// signature multiset, counts, and closure structure — on
     /// duplicate-heavy instances where deletes retire whole profiles and
-    /// inserts mint new ones.
+    /// inserts mint new ones. The same script applied to the live
+    /// streaming build of the instance lands on the same universe.
     #[test]
     fn delta_applied_matches_rebuild_of_edited_instance(
         inst in duplicate_heavy_instance(),
         script in edit_scripts(),
+        chunk_rows in 1usize..9,
     ) {
         let base = Universe::build(inst.clone());
         let (delta, r, p) = concrete_delta(&inst, &script);
         let applied = base.apply_delta(&delta).expect("folded scripts are valid");
         let rebuilt = rebuild_edited(&inst, r, p, 0);
+
+        let (schema, chunks) = chunked(&inst, chunk_rows);
+        let (live_base, _) = Universe::build_streaming(
+            schema,
+            || chunks.clone().into_iter(),
+            &ingest_options(1, true),
+        );
+        let live_applied = live_base.apply_delta(&delta).expect("folded scripts are valid");
+        prop_assert_eq!(
+            class_structure(&live_applied),
+            class_structure(&rebuilt),
+            "live-base class structure diverged from the from-scratch build"
+        );
+        prop_assert_eq!(live_applied.sigs(), applied.sigs());
+        prop_assert_eq!(live_applied.counts(), applied.counts());
+        prop_assert_eq!(live_applied.fingerprint(), applied.fingerprint());
+
         prop_assert_eq!(applied.epoch(), 1);
         prop_assert!(applied.fingerprint() != base.fingerprint());
         prop_assert_eq!(applied.total_tuples(), rebuilt.total_tuples());

@@ -22,14 +22,15 @@ fn ceiling_trip_multithreaded_fails_fast() {
             rows: vec![schema.intern_row(Side::P, &[Value::int(i)]).unwrap()],
         });
     }
-    let mut options = IngestOptions::with_threads(4);
-    options.channel_chunks = 2;
-    options.byte_ceiling = Some(8);
+    let options = IngestOptions::with_threads(4).with_byte_ceiling(8);
+    // The premise: more chunks than the bounded channel holds, so the
+    // feeder blocks on a full channel when the workers die.
+    assert!(options.channel_depth() < chunks.len());
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Universe::build_streaming_with_options(schema, || chunks.clone().into_iter(), &options)
+            Universe::build_streaming(schema, || chunks.clone().into_iter(), &options)
         }));
         done_tx.send(result.is_err()).ok();
     });
