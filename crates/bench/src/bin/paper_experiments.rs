@@ -30,7 +30,11 @@ struct Args {
     json: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: paper_experiments [fig6|fig7|table1|semijoin|opt|all] \
+                     [--runs N] [--goals N] [--seed S] [--json]";
+
+/// `Ok(None)` means `--help` was requested (usage already printed).
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         command: "all".to_string(),
         runs: 5,
@@ -72,16 +76,13 @@ fn parse_args() -> Result<Args, String> {
             }
             "--json" => args.json = true,
             "--help" | "-h" => {
-                return Err(
-                    "usage: paper_experiments [fig6|fig7|table1|semijoin|opt|all] \
-                            [--runs N] [--goals N] [--seed S] [--json]"
-                        .to_string(),
-                )
+                println!("{USAGE}");
+                return Ok(None);
             }
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn fig7_params(args: &Args) -> Fig7Params {
@@ -173,7 +174,8 @@ fn run_optgap(args: &Args) {
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => return ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;

@@ -66,7 +66,7 @@
 //! (so transient negatives during a window are harmless) and are applied
 //! once: class births append, classes whose count reaches zero are
 //! compacted away (ids above them shift down — which is why sessions must
-//! be migrated, see `SessionManager::migrate`).
+//! be migrated, see `SessionManager::apply_delta`).
 //!
 //! The one thing that forces an early settle is a symbol becoming shared
 //! mid-batch: the split changes grouping attribution, so the window is
@@ -126,21 +126,17 @@ impl UniverseDelta {
 
     /// Appends an insert of `row` on `side`.
     pub fn insert(&mut self, side: Side, row: Tuple) -> &mut Self {
-        self.edits.push(RowEdit {
-            side,
-            op: EditOp::Insert,
-            row,
-        });
-        self
+        self.push(side, EditOp::Insert, row)
     }
 
     /// Appends a delete of `row` on `side`.
     pub fn delete(&mut self, side: Side, row: Tuple) -> &mut Self {
-        self.edits.push(RowEdit {
-            side,
-            op: EditOp::Delete,
-            row,
-        });
+        self.push(side, EditOp::Delete, row)
+    }
+
+    /// Appends one edit of `row` on `side`.
+    pub fn push(&mut self, side: Side, op: EditOp, row: Tuple) -> &mut Self {
+        self.edits.push(RowEdit { side, op, row });
         self
     }
 

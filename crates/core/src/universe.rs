@@ -1096,10 +1096,11 @@ impl Universe {
     /// The [`Universe::epoch`] is folded in on top of the class-structure
     /// hash ([`Universe::content_fingerprint`]): even a delta that happens
     /// to restore the exact pre-delta class structure yields a fresh
-    /// fingerprint, so durable state stamped before the delta always fails
-    /// its restore check instead of replaying against reshuffled ids.
+    /// fingerprint, so a snapshot taken before the delta always fails its
+    /// restore check instead of replaying against reshuffled ids, and a
+    /// logged delta names exactly the universe it produced.
     pub fn fingerprint(&self) -> u64 {
-        Self::fingerprint_at_epoch(self.content_fingerprint(), self.epoch)
+        hash_words(&[self.content_fingerprint(), self.epoch])
     }
 
     /// The epoch-independent part of [`Universe::fingerprint`]: a hash of
@@ -1114,14 +1115,6 @@ impl Universe {
             acc.push(count);
         }
         hash_words(&acc)
-    }
-
-    /// Folds an epoch into a content fingerprint — exactly what
-    /// [`Universe::fingerprint`] computes. Exposed so recovery code can
-    /// probe whether a stamped fingerprint belongs to an *earlier epoch* of
-    /// the serving universe and say so in its error message.
-    pub fn fingerprint_at_epoch(content: u64, epoch: u64) -> u64 {
-        hash_words(&[content, epoch])
     }
 
     /// The universe's edit generation: 0 at construction, bumped by one on

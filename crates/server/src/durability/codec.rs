@@ -35,7 +35,8 @@
 //!   cannot produce this (appends are sequential), so it means bit rot or
 //!   truncation in the middle of history — recovery fails loudly.
 
-use jqi_core::{ClassId, Label, StrategyConfig};
+use jqi_core::{ClassId, EditOp, Label, StrategyConfig};
+use jqi_relation::{Side, Value};
 
 /// First 8 bytes of a WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"JQIWAL1\n";
@@ -219,12 +220,13 @@ const TAG_QUESTION: u8 = 4;
 const TAG_HIBERNATE: u8 = 5;
 const TAG_SPILL: u8 = 6;
 const TAG_REMOVE: u8 = 7;
+const TAG_DELTA: u8 = 8;
 
 /// One logical WAL entry. Every mutation of the session table appends
 /// exactly one (plus `Question` when a strategy step selects a *new*
 /// candidate — pending questions are part of session state, so recovery
 /// must reproduce them; idempotent re-delivery of an outstanding question
-/// appends nothing).
+/// appends nothing), and every live-data delta appends one `Delta`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// `create_session(strategy)` handed out `id`.
@@ -284,6 +286,17 @@ pub enum WalRecord {
         /// The removed session.
         id: u64,
     },
+    /// `apply_delta` changed the served universe. Every later record's
+    /// class ids belong to the post-delta universe.
+    Delta {
+        /// The row edits in application order, by value rather than by
+        /// symbol id: a restarted process interns values in its own
+        /// order.
+        edits: Vec<(Side, EditOp, Vec<Value>)>,
+        /// The post-delta [`jqi_core::Universe::fingerprint`]; recovery
+        /// refuses a re-applied delta that lands anywhere else.
+        fingerprint: u64,
+    },
 }
 
 /// Appends `value`'s display form as a `u16`-length-prefixed string,
@@ -339,21 +352,6 @@ fn put_session(
     put_history(out, history);
 }
 
-/// Appends the payload of a [`WalRecord::Restore`] from borrowed parts:
-/// byte for byte what `WalRecord::Restore { .. }.encode()` produces,
-/// without building the owned record. The migration checkpoint re-logs a
-/// whole fleet through this.
-pub(crate) fn encode_restore(
-    out: &mut Vec<u8>,
-    id: u64,
-    strategy: &StrategyConfig,
-    history: &[(ClassId, Label)],
-    pending: Option<ClassId>,
-) {
-    out.push(TAG_RESTORE);
-    put_session(out, id, strategy, history, pending);
-}
-
 /// A strict little-endian reader over a record payload.
 struct Reader<'a> {
     bytes: &'a [u8],
@@ -407,13 +405,45 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn history(&mut self) -> Result<Vec<(ClassId, Label)>, String> {
+    /// An element count, bounded by the payload length the frame already
+    /// checksummed, so a hostile count cannot over-allocate.
+    fn count(&mut self) -> Result<usize, String> {
         let n = self.u32()? as usize;
-        // Bounded by the payload length the frame already checksummed, so
-        // a hostile count cannot over-allocate.
         if n > self.bytes.len() {
-            return Err(format!("history count {n} exceeds record size"));
+            return Err(format!("count {n} exceeds record size"));
         }
+        Ok(n)
+    }
+
+    /// An edit's side and op, packed as `2·is_p + is_delete`.
+    fn edit_kind(&mut self) -> Result<(Side, EditOp), String> {
+        let kind = self.u8()? as usize;
+        if kind > 3 {
+            return Err(format!("bad edit kind byte {kind}"));
+        }
+        Ok((
+            [Side::R, Side::P][kind / 2],
+            [EditOp::Insert, EditOp::Delete][kind % 2],
+        ))
+    }
+
+    fn values(&mut self) -> Result<Vec<Value>, String> {
+        (0..self.count()?)
+            .map(|_| match self.u8()? {
+                0 => Ok(Value::Int(self.u64()? as i64)),
+                1 => {
+                    let len = self.u32()? as usize;
+                    std::str::from_utf8(self.take(len)?)
+                        .map(Value::str)
+                        .map_err(|e| format!("bad UTF-8 value: {e}"))
+                }
+                other => Err(format!("bad value tag {other}")),
+            })
+            .collect()
+    }
+
+    fn history(&mut self) -> Result<Vec<(ClassId, Label)>, String> {
+        let n = self.count()?;
         let mut history = Vec::with_capacity(n);
         for _ in 0..n {
             let class = self.u32()? as ClassId;
@@ -464,7 +494,10 @@ impl WalRecord {
                 strategy,
                 history,
                 pending,
-            } => encode_restore(out, *id, strategy, history, *pending),
+            } => {
+                out.push(TAG_RESTORE);
+                put_session(out, *id, strategy, history, *pending);
+            }
             WalRecord::Answers { id, answers } => {
                 out.push(TAG_ANSWERS);
                 out.extend_from_slice(&id.to_le_bytes());
@@ -494,6 +527,28 @@ impl WalRecord {
             WalRecord::Remove { id } => {
                 out.push(TAG_REMOVE);
                 out.extend_from_slice(&id.to_le_bytes());
+            }
+            WalRecord::Delta { edits, fingerprint } => {
+                out.push(TAG_DELTA);
+                out.extend_from_slice(&fingerprint.to_le_bytes());
+                out.extend_from_slice(&(edits.len() as u32).to_le_bytes());
+                for (side, op, values) in edits {
+                    out.push(2 * (*side == Side::P) as u8 + (*op == EditOp::Delete) as u8);
+                    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+                    for value in values {
+                        match value {
+                            Value::Int(i) => {
+                                out.push(0);
+                                out.extend_from_slice(&i.to_le_bytes());
+                            }
+                            Value::Str(s) => {
+                                out.push(1);
+                                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                                out.extend_from_slice(s.as_bytes());
+                            }
+                        }
+                    }
+                }
             }
         }
     }
@@ -529,6 +584,16 @@ impl WalRecord {
                 len: r.u32()?,
             },
             TAG_REMOVE => WalRecord::Remove { id: r.u64()? },
+            TAG_DELTA => {
+                let fingerprint = r.u64()?;
+                let edits = (0..r.count()?)
+                    .map(|_| {
+                        let (side, op) = r.edit_kind()?;
+                        Ok((side, op, r.values()?))
+                    })
+                    .collect::<Result<_, String>>()?;
+                WalRecord::Delta { edits, fingerprint }
+            }
             other => return Err(format!("unknown record tag {other}")),
         };
         r.finish()?;
@@ -682,41 +747,23 @@ mod tests {
                 len: 77,
             },
             WalRecord::Remove { id: 4 },
+            WalRecord::Delta {
+                edits: vec![
+                    (
+                        Side::R,
+                        EditOp::Insert,
+                        vec![Value::int(-3), Value::str("é,x")],
+                    ),
+                    (Side::R, EditOp::Delete, vec![Value::int(i64::MIN)]),
+                    (Side::P, EditOp::Insert, vec![Value::str("")]),
+                    (Side::P, EditOp::Delete, vec![]),
+                ],
+                fingerprint: 0xFEED_FACE_CAFE_BEEF,
+            },
         ];
         for record in records {
             let bytes = record.encode();
             assert_eq!(WalRecord::decode(&bytes).unwrap(), record, "{record:?}");
-        }
-    }
-
-    #[test]
-    fn borrowed_restore_encoder_matches_the_owned_record() {
-        let cases = [
-            (0, StrategyConfig::Bu, vec![], None),
-            (
-                u64::MAX,
-                StrategyConfig::Lks { depth: 2 },
-                vec![(3, Label::Positive), (0, Label::Negative)],
-                Some(12),
-            ),
-            (
-                9,
-                StrategyConfig::Rnd { seed: 7 },
-                vec![(1, Label::Negative)],
-                None,
-            ),
-        ];
-        for (id, strategy, history, pending) in cases {
-            let mut out = vec![0xAA];
-            encode_restore(&mut out, id, &strategy, &history, pending);
-            let owned = WalRecord::Restore {
-                id,
-                strategy,
-                history,
-                pending,
-            };
-            assert_eq!(out[0], 0xAA, "appends, never overwrites");
-            assert_eq!(&out[1..], owned.encode().as_slice(), "{owned:?}");
         }
     }
 
@@ -770,6 +817,14 @@ mod tests {
         let n = answers.len();
         answers[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(WalRecord::decode(&answers).is_err());
+        // A delta edit whose side/op byte is out of range.
+        let mut delta = WalRecord::Delta {
+            edits: vec![(Side::R, EditOp::Insert, vec![])],
+            fingerprint: 0,
+        }
+        .encode();
+        delta[1 + 8 + 4] = 4;
+        assert!(WalRecord::decode(&delta).is_err());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! replay path a hibernated session wakes through. Three pieces:
 //!
 //! * [`codec`] — CRC32, length-prefixed checksummed frames, record
-//!   payloads, and the 16-byte file header stamping the **universe
-//!   fingerprint** ([`jqi_core::Universe::fingerprint`]) into every WAL
-//!   and segment file.
+//!   payloads, and the 16-byte file header stamping the **base universe's
+//!   fingerprint** ([`jqi_core::Universe::fingerprint`] of the universe
+//!   the directory was created with) into every WAL and segment file.
 //! * [`wal`] / [`segment`] — the injectable storage traits
 //!   ([`WalStorage`], [`SegmentStore`]) with real-file implementations
 //!   ([`FileWal`], [`DirSegments`]) and deterministic in-memory
@@ -20,8 +20,9 @@
 //!   rotating [`SpillStore`].
 //! * [`recover`] — the WAL replay state machine: truncate the torn tail,
 //!   fail loudly on mid-log corruption or impossible sequences, resolve
-//!   `Spill` records against checksummed segment entries, refuse any
-//!   fingerprint mismatch.
+//!   `Spill` records against checksummed segment entries, re-apply
+//!   `Delta` records to the base universe, refuse any fingerprint
+//!   mismatch.
 //!
 //! The manager integration lives in [`crate::manager`]: pass a
 //! [`DurabilityConfig`] via [`crate::SessionManager::recover`] (a fresh
@@ -45,9 +46,10 @@ pub struct DurabilityConfig {
     /// Group commit: write and fsync the WAL every this many records.
     /// `1` fsyncs every record (safest, slowest). Outside the quota the
     /// batch is committed only by `SessionManager::flush_wal`, a sweep
-    /// (`sweep` / `hibernate_idle`), a migration, or dropping the
-    /// manager — `answer_batch` itself does not commit, and neither does
-    /// the HTTP gateway's answers handler. So with a value above `1` up
+    /// (`sweep` / `hibernate_idle`), `SessionManager::apply_delta` (which
+    /// commits its `Delta` record, and with it the batch, before it
+    /// answers), or dropping the manager — `answer_batch` itself does
+    /// not commit, and neither does the HTTP gateway's answers handler. So with a value above `1` up
     /// to `group_commit_every - 1` *acknowledged* records can live only
     /// in process memory until the next of those; a serving loop that
     /// needs every acknowledged round durable calls `flush_wal` after
@@ -85,28 +87,16 @@ pub enum DurabilityError {
         /// What failed to parse.
         detail: String,
     },
-    /// Durable state was written by a different universe.
+    /// Durable state was written by a different universe: the header
+    /// stamp is not the fingerprint of the universe recovery started
+    /// from, which must be the one the directory was created with.
     FingerprintMismatch {
         /// Which header carried the offending stamp.
         source: &'static str,
-        /// The serving universe's fingerprint.
+        /// The fingerprint of the universe recovery started from.
         expected: u64,
         /// The stamped fingerprint.
         found: u64,
-    },
-    /// Durable state stamped by an **earlier epoch** of the same universe
-    /// content: the log predates one or more live-data deltas
-    /// ([`jqi_core::Universe::apply_delta`]) applied since, so its class
-    /// ids cannot be replayed against the serving universe. Re-point the
-    /// manager at a fresh durability directory (a migration resets the
-    /// log) instead of recovering from this one.
-    StaleEpoch {
-        /// Which header carried the stale stamp.
-        source: &'static str,
-        /// The epoch the log was stamped at.
-        found_epoch: u64,
-        /// The serving universe's epoch.
-        serving_epoch: u64,
     },
     /// A checksum failure in the middle of the WAL (a torn *tail* is
     /// truncated instead — see [`recover`]).
@@ -155,17 +145,7 @@ impl std::fmt::Display for DurabilityError {
             } => write!(
                 f,
                 "universe fingerprint mismatch in {source}: \
-                 stamped {found:016x}, serving universe is {expected:016x}"
-            ),
-            DurabilityError::StaleEpoch {
-                source,
-                found_epoch,
-                serving_epoch,
-            } => write!(
-                f,
-                "universe epoch mismatch in {source}: stamped at epoch \
-                 {found_epoch}, serving universe is the same content at \
-                 epoch {serving_epoch} — the log predates an applied delta"
+                 stamped {found:016x}, base universe is {expected:016x}"
             ),
             DurabilityError::CorruptWal { offset, detail } => {
                 write!(f, "corrupt WAL at byte {offset}: {detail}")

@@ -4,9 +4,13 @@
 //! Recovery is *replay*: the WAL carries exactly what `jqi-session/1`
 //! snapshots carry — strategy configs, label suffixes, pending questions,
 //! spill locators — so rebuilding a session is the same deterministic
-//! `apply_batch` replay the hibernation tier already uses. This module
-//! only reconstructs the *descriptions*; [`crate::SessionManager::recover`]
-//! materializes and validates each one.
+//! `apply_batch` replay the hibernation tier already uses. So is the
+//! universe: from the one the directory was created with, each `Delta`
+//! record is re-applied in log order ([`Universe::apply_delta`]), and one
+//! that changes the class structure remaps the histories read so far by
+//! signature ([`remap_replay_parts`]), as the live migration did. This
+//! module only reconstructs the *descriptions*;
+//! [`crate::SessionManager::recover`] materializes and validates each one.
 //!
 //! # Failure semantics
 //!
@@ -24,12 +28,18 @@
 //!   of which hold only a slot `Arc` — may still be finishing against the
 //!   removed session and append behind it, the documented remove
 //!   semantics.
-//! * Every fingerprint (WAL header, each referenced segment header) must
-//!   match the serving universe's, else [`DurabilityError::FingerprintMismatch`].
+//! * Every file header (the WAL's, each referenced segment's) must carry
+//!   the base universe's fingerprint, else
+//!   [`DurabilityError::FingerprintMismatch`]; a re-applied delta that
+//!   fails, or lands on another fingerprint than the one it logged, is a
+//!   [`DurabilityError::BadLog`].
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use jqi_core::{ClassId, Label, StrategyConfig};
+use jqi_core::session::remap_replay_parts;
+use jqi_core::{ClassId, Label, StrategyConfig, Universe, UniverseDelta};
+use jqi_relation::Tuple;
 
 use super::codec::{
     next_frame, parse_file_header, FrameStep, SpillPayload, WalRecord, FILE_HEADER_LEN, SEG_MAGIC,
@@ -87,12 +97,16 @@ pub struct RecoveredFleet {
 }
 
 /// Replays `wal_bytes` (a whole WAL file, header included) against
-/// `segments`, checking every fingerprint against `fingerprint`.
+/// `segments`, starting from `universe` — the one the directory was
+/// created with, whose fingerprint every file header must carry. Returns
+/// the fleet and the universe the log ends on (every logged delta
+/// re-applied), which every recovered history's class ids belong to.
 pub fn recover_fleet(
     wal_bytes: &[u8],
     segments: &mut dyn SegmentStore,
-    fingerprint: u64,
-) -> Result<RecoveredFleet, DurabilityError> {
+    mut universe: Arc<Universe>,
+) -> Result<(RecoveredFleet, Arc<Universe>), DurabilityError> {
+    let fingerprint = universe.fingerprint();
     let mut fleet = RecoveredFleet::default();
     for seg in segments
         .list()
@@ -109,7 +123,7 @@ pub fn recover_fleet(
     {
         None => {
             fleet.wal_torn_bytes = wal_bytes.len() as u64;
-            return Ok(fleet);
+            return Ok((fleet, universe));
         }
         Some(found) if found != fingerprint => {
             return Err(DurabilityError::FingerprintMismatch {
@@ -148,6 +162,7 @@ pub fn recover_fleet(
                     .map_err(|detail| DurabilityError::CorruptWal { offset, detail })?;
                 apply_record(
                     &mut fleet,
+                    &mut universe,
                     record,
                     offset,
                     segments,
@@ -159,7 +174,7 @@ pub fn recover_fleet(
             }
         }
     }
-    Ok(fleet)
+    Ok((fleet, universe))
 }
 
 fn bad_log(offset: u64, detail: impl Into<String>) -> DurabilityError {
@@ -171,6 +186,7 @@ fn bad_log(offset: u64, detail: impl Into<String>) -> DurabilityError {
 
 fn apply_record(
     fleet: &mut RecoveredFleet,
+    universe: &mut Arc<Universe>,
     record: WalRecord,
     offset: u64,
     segments: &mut dyn SegmentStore,
@@ -283,6 +299,34 @@ fn apply_record(
                 return Err(bad_log(offset, format!("remove of unknown session {id}")));
             }
         }
+        WalRecord::Delta { edits, fingerprint } => {
+            let old = &*universe;
+            let mut delta = UniverseDelta::new();
+            for (side, op, values) in &edits {
+                delta.push(*side, *op, Tuple::intern(old.instance().interner(), values));
+            }
+            let next = old
+                .apply_delta(&delta)
+                .map_err(|e| bad_log(offset, format!("logged delta does not apply: {e}")))?;
+            let reached = next.fingerprint();
+            if reached != fingerprint {
+                let detail = format!("delta reaches {reached:016x}, logged {fingerprint:016x}");
+                return Err(bad_log(offset, detail));
+            }
+            // The live migration's rule: only a changed class structure
+            // moves class ids, and a spilled session it moves comes back
+            // parked (its segment payload holds the old ids).
+            if !old.same_classes(&next) {
+                for s in fleet.sessions.values_mut() {
+                    let history = std::mem::take(&mut s.history);
+                    (s.history, s.pending, _) = remap_replay_parts(old, &next, history, s.pending);
+                    if let RecoveredTier::Spilled(_) = s.tier {
+                        s.tier = RecoveredTier::Hibernated;
+                    }
+                }
+            }
+            *universe = Arc::new(next);
+        }
     }
     Ok(())
 }
@@ -338,6 +382,13 @@ mod tests {
     use super::super::segment::{MemSegments, SpillStore};
     use super::*;
 
+    /// The base universe and its fingerprint, which every header stamps.
+    fn base() -> (Arc<Universe>, u64) {
+        let u = Arc::new(Universe::build(jqi_core::paper::flight_hotel()));
+        let fp = u.fingerprint();
+        (u, fp)
+    }
+
     fn wal_image(records: &[WalRecord], fingerprint: u64) -> Vec<u8> {
         let mut bytes = file_header(WAL_MAGIC, fingerprint).to_vec();
         for r in records {
@@ -348,6 +399,7 @@ mod tests {
 
     #[test]
     fn replays_creates_answers_and_removes() {
+        let (u, fp) = base();
         let mut segs = MemSegments::new();
         let records = [
             WalRecord::Create {
@@ -366,7 +418,7 @@ mod tests {
             WalRecord::Hibernate { id: 0 },
             WalRecord::Remove { id: 1 },
         ];
-        let fleet = recover_fleet(&wal_image(&records, 5), &mut segs, 5).unwrap();
+        let (fleet, _) = recover_fleet(&wal_image(&records, fp), &mut segs, u.clone()).unwrap();
         assert_eq!(fleet.sessions.len(), 1);
         assert_eq!(fleet.next_id, 2);
         assert_eq!(fleet.wal_records, 6);
@@ -382,17 +434,18 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_counted() {
+        let (u, fp) = base();
         let mut bytes = wal_image(
             &[WalRecord::Create {
                 id: 0,
                 strategy: StrategyConfig::Bu,
             }],
-            1,
+            fp,
         );
         let keep = bytes.len() as u64;
         let torn = frame(&WalRecord::Remove { id: 0 }.encode());
         bytes.extend_from_slice(&torn[..torn.len() - 3]);
-        let fleet = recover_fleet(&bytes, &mut MemSegments::new(), 1).unwrap();
+        let (fleet, _) = recover_fleet(&bytes, &mut MemSegments::new(), u.clone()).unwrap();
         assert_eq!(fleet.sessions.len(), 1);
         assert_eq!(fleet.wal_keep_len, keep);
         assert_eq!(fleet.wal_torn_bytes, (torn.len() - 3) as u64);
@@ -400,6 +453,7 @@ mod tests {
 
     #[test]
     fn mid_log_corruption_is_loud() {
+        let (u, fp) = base();
         let mut bytes = wal_image(
             &[
                 WalRecord::Create {
@@ -408,18 +462,19 @@ mod tests {
                 },
                 WalRecord::Hibernate { id: 0 },
             ],
-            1,
+            fp,
         );
         // Flip a bit inside the FIRST record's payload (mid-log).
         bytes[FILE_HEADER_LEN + 14] ^= 0x20;
         assert!(matches!(
-            recover_fleet(&bytes, &mut MemSegments::new(), 1),
+            recover_fleet(&bytes, &mut MemSegments::new(), u.clone()),
             Err(DurabilityError::CorruptWal { .. })
         ));
     }
 
     #[test]
     fn impossible_sequences_are_loud() {
+        let (u, fp) = base();
         let dup = wal_image(
             &[
                 WalRecord::Create {
@@ -431,21 +486,22 @@ mod tests {
                     strategy: StrategyConfig::Td,
                 },
             ],
-            1,
+            fp,
         );
         assert!(matches!(
-            recover_fleet(&dup, &mut MemSegments::new(), 1),
+            recover_fleet(&dup, &mut MemSegments::new(), u.clone()),
             Err(DurabilityError::BadLog { .. })
         ));
-        let ghost_remove = wal_image(&[WalRecord::Remove { id: 4 }], 1);
+        let ghost_remove = wal_image(&[WalRecord::Remove { id: 4 }], fp);
         assert!(matches!(
-            recover_fleet(&ghost_remove, &mut MemSegments::new(), 1),
+            recover_fleet(&ghost_remove, &mut MemSegments::new(), u.clone()),
             Err(DurabilityError::BadLog { .. })
         ));
     }
 
     #[test]
     fn detached_answers_after_remove_are_tolerated() {
+        let (u, fp) = base();
         let records = [
             WalRecord::Create {
                 id: 0,
@@ -457,19 +513,22 @@ mod tests {
                 answers: vec![(1, Label::Negative)],
             },
         ];
-        let fleet = recover_fleet(&wal_image(&records, 1), &mut MemSegments::new(), 1).unwrap();
+        let (fleet, _) =
+            recover_fleet(&wal_image(&records, fp), &mut MemSegments::new(), u.clone()).unwrap();
+
         assert_eq!(fleet.sessions.len(), 0);
         assert_eq!(fleet.ignored_records, 1);
     }
 
     #[test]
     fn detached_spills_after_remove_are_tolerated() {
+        let (u, fp) = base();
         // sweep() spills from slot Arcs collected outside the shard lock,
         // so a concurrent remove() can commit its Remove record before the
         // sweep's Spill lands — a legitimate log a clean shutdown can
         // leave behind, not corruption.
         let segs = MemSegments::new();
-        let mut spill = SpillStore::new(Box::new(segs.clone()), 3, 0, 1 << 20).unwrap();
+        let mut spill = SpillStore::new(Box::new(segs.clone()), fp, 0, 1 << 20).unwrap();
         let loc = spill
             .append(&SpillPayload {
                 id: 0,
@@ -493,7 +552,7 @@ mod tests {
             },
         ];
         let mut store = segs.clone();
-        let fleet = recover_fleet(&wal_image(&records, 3), &mut store, 3).unwrap();
+        let (fleet, _) = recover_fleet(&wal_image(&records, fp), &mut store, u.clone()).unwrap();
         assert_eq!(fleet.sessions.len(), 0);
         assert_eq!(fleet.ignored_records, 1);
         // The orphaned entry's segment still counts: live appends resume
@@ -503,27 +562,30 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_is_loud() {
+        let (u, _) = base();
         let bytes = wal_image(&[], 111);
         assert!(matches!(
-            recover_fleet(&bytes, &mut MemSegments::new(), 222),
+            recover_fleet(&bytes, &mut MemSegments::new(), u.clone()),
             Err(DurabilityError::FingerprintMismatch { found: 111, .. })
         ));
     }
 
     #[test]
     fn short_or_missing_wal_is_a_fresh_start() {
-        let fleet = recover_fleet(&[], &mut MemSegments::new(), 1).unwrap();
+        let (u, _) = base();
+        let (fleet, _) = recover_fleet(&[], &mut MemSegments::new(), u.clone()).unwrap();
         assert_eq!(fleet.sessions.len(), 0);
         assert_eq!(fleet.wal_keep_len, 0);
         let torn_header = &file_header(WAL_MAGIC, 1)[..9];
-        let fleet = recover_fleet(torn_header, &mut MemSegments::new(), 1).unwrap();
+        let (fleet, _) = recover_fleet(torn_header, &mut MemSegments::new(), u.clone()).unwrap();
         assert_eq!(fleet.wal_torn_bytes, 9);
     }
 
     #[test]
     fn spill_records_swap_in_the_segment_payload() {
+        let (u, fp) = base();
         let segs = MemSegments::new();
-        let mut spill = SpillStore::new(Box::new(segs.clone()), 7, 0, 1 << 20).unwrap();
+        let mut spill = SpillStore::new(Box::new(segs.clone()), fp, 0, 1 << 20).unwrap();
         let payload = SpillPayload {
             id: 0,
             strategy: StrategyConfig::Bu,
@@ -555,7 +617,7 @@ mod tests {
             },
         ];
         let mut store = segs.clone();
-        let fleet = recover_fleet(&wal_image(&records, 7), &mut store, 7).unwrap();
+        let (fleet, _) = recover_fleet(&wal_image(&records, fp), &mut store, u.clone()).unwrap();
         let s = &fleet.sessions[&0];
         assert_eq!(
             s.history,
@@ -570,13 +632,13 @@ mod tests {
 
         // Same log against a store stamped with the wrong fingerprint.
         let other = MemSegments::new();
-        let mut wrong = SpillStore::new(Box::new(other.clone()), 8, 0, 1 << 20).unwrap();
+        let mut wrong = SpillStore::new(Box::new(other.clone()), fp ^ 1, 0, 1 << 20).unwrap();
         let loc2 = wrong.append(&payload).unwrap();
         assert_eq!((loc2.segment, loc2.offset), (loc.segment, loc.offset));
         let mut store = other.clone();
         assert!(matches!(
-            recover_fleet(&wal_image(&records, 7), &mut store, 7),
-            Err(DurabilityError::FingerprintMismatch { found: 8, .. })
+            recover_fleet(&wal_image(&records, fp), &mut store, u.clone()),
+            Err(DurabilityError::FingerprintMismatch { found, .. }) if found == fp ^ 1
         ));
     }
 }

@@ -5,7 +5,8 @@
 //! CRC-framed, capped at [`crate::durability::DurabilityConfig::segment_max_bytes`]
 //! and rotated by number (`segment-000000.seg`, `segment-000001.seg`, …).
 //! Each file opens with the [`super::codec::SEG_MAGIC`] header and the
-//! universe fingerprint; each entry is one framed
+//! fingerprint of the universe the directory was created with (live-data
+//! deltas leave it as it is); each entry is one framed
 //! [`super::codec::SpillPayload`]. The index is *in the WAL*: every spill
 //! appends a `Spill { id, segment, offset, len }` record, so waking a
 //! spilled session is a single positioned read + checksum + replay, and
@@ -280,18 +281,6 @@ impl SpillStore {
             offset,
             len: framed.len() as u32,
         })
-    }
-
-    /// Rotates to a fresh segment stamped with `fingerprint` — the
-    /// universe-migration path. Old segments are left behind untouched:
-    /// after the accompanying [`super::Wal::reset`] nothing references
-    /// them, and recovery never reads a segment the log does not point
-    /// into.
-    pub fn restamp(&mut self, fingerprint: u64) -> std::io::Result<()> {
-        self.sync()?;
-        self.fingerprint = fingerprint;
-        self.current += 1;
-        self.open_current()
     }
 
     /// fsyncs the current segment if it has unsynced appends.

@@ -23,8 +23,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use super::codec::{encode_restore, frame_into, WalRecord};
-use jqi_core::{ClassId, Label, StrategyConfig};
+use super::codec::{frame_into, WalRecord};
 
 /// An append-only, truncatable byte log the WAL writes through.
 ///
@@ -265,7 +264,7 @@ pub struct WalStats {
 
 /// The record-level WAL writer: frames records into an in-memory batch
 /// and, every `group_every` records (or on an explicit [`Wal::commit`] —
-/// the manager issues one on `flush_wal`, per sweep and per migration),
+/// the manager issues one on `flush_wal`, per sweep and per delta),
 /// writes the batch to the storage and fsyncs once. Group commit
 /// therefore amortizes the write syscall *and* the fsync over the whole
 /// batch; an uncommitted batch is lost on `kill -9`, which recovery
@@ -314,32 +313,28 @@ impl Wal {
     /// successful commit must not durably log an operation the caller was
     /// told failed — recovery would resurrect a phantom.
     pub fn append(&mut self, record: &WalRecord) -> std::io::Result<()> {
-        self.append_with(|out| record.encode_into(out))
+        self.push(record, false)
     }
 
-    /// Appends a `Restore` record from borrowed parts — the same bytes
-    /// and commit cadence as [`Self::append`] of the owned
-    /// [`WalRecord::Restore`], without copying the history or the
-    /// strategy. The migration checkpoint re-logs the fleet through this.
-    pub(crate) fn append_restore(
-        &mut self,
-        id: u64,
-        strategy: &StrategyConfig,
-        history: &[(ClassId, Label)],
-        pending: Option<ClassId>,
-    ) -> std::io::Result<()> {
-        self.append_with(|out| encode_restore(out, id, strategy, history, pending))
+    /// [`Self::append`], then commits the batch whatever the group-commit
+    /// quota says. On failure the record is stripped back out exactly as
+    /// an auto-commit failure strips it, so the caller can refuse the
+    /// transition it describes — the path of a live-data delta, which is
+    /// applied only once its record is durable.
+    pub fn append_committed(&mut self, record: &WalRecord) -> std::io::Result<()> {
+        self.push(record, true)
     }
 
-    /// Frames the payload `encode` writes straight into the batch, then
-    /// applies the group-commit quota (the body of every append).
-    fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+    /// Frames `record` straight into the batch, then commits if `commit`
+    /// is set or the group-commit quota is reached (the body of every
+    /// append).
+    fn push(&mut self, record: &WalRecord, commit: bool) -> std::io::Result<()> {
         let mark = self.batch.len();
-        let framed = frame_into(&mut self.batch, encode) as u64;
+        let framed = frame_into(&mut self.batch, |out| record.encode_into(out)) as u64;
         self.stats.records += 1;
         self.stats.appended_bytes += framed;
         self.dirty += 1;
-        if self.dirty >= self.group_every {
+        if commit || self.dirty >= self.group_every {
             if let Err(e) = self.commit() {
                 // A non-empty batch means the storage append itself failed
                 // (commit clears the batch before syncing); the record
@@ -355,22 +350,6 @@ impl Wal {
                 return Err(e);
             }
         }
-        Ok(())
-    }
-
-    /// Resets the log to an empty file stamped with `fingerprint`,
-    /// discarding any unflushed batch — the universe-migration path. The
-    /// caller immediately re-logs the whole fleet as `Restore` records (a
-    /// checkpoint), so everything the discarded records described is
-    /// captured by what follows the fresh header.
-    pub fn reset(&mut self, fingerprint: u64) -> std::io::Result<()> {
-        self.batch.clear();
-        self.dirty = 0;
-        self.storage.truncate(0)?;
-        let header = super::codec::file_header(super::codec::WAL_MAGIC, fingerprint);
-        self.storage.append(&header)?;
-        self.storage.sync()?;
-        self.stats.syncs += 1;
         Ok(())
     }
 
@@ -492,29 +471,20 @@ mod tests {
             vec![WalRecord::Hibernate { id: 1 }],
             "the unwound Remove must not resurface in the log"
         );
-    }
 
-    #[test]
-    fn borrowed_restore_appends_the_owned_records_bytes_and_cadence() {
-        let history = [(4, Label::Positive), (1, Label::Negative)];
-        let strategy = StrategyConfig::Lks { depth: 1 };
-        let owned = MemWal::new();
-        let borrowed = MemWal::new();
-        let mut a = Wal::create(Box::new(owned.clone()), 3, 2).unwrap();
-        let mut b = Wal::create(Box::new(borrowed.clone()), 3, 2).unwrap();
-        for id in 0..5 {
-            let pending = (id % 2 == 0).then_some(id as ClassId);
-            a.append(&WalRecord::Restore {
-                id,
-                strategy: strategy.clone(),
-                history: history.to_vec(),
-                pending,
-            })
-            .unwrap();
-            b.append_restore(id, &strategy, &history, pending).unwrap();
-            assert_eq!(owned.durable_image(), borrowed.durable_image());
-        }
-        assert_eq!(a.stats(), b.stats());
+        // A forced commit strips its record the same way, below the quota
+        // too, and leaves the records batched before it in place.
+        let mem = MemWal::new();
+        let mut wal = Wal::create(Box::new(mem.clone()), 1, 64).unwrap();
+        wal.append(&WalRecord::Hibernate { id: 1 }).unwrap();
+        mem.set_io_failing(true);
+        assert!(wal.append_committed(&WalRecord::Remove { id: 7 }).is_err());
+        mem.set_io_failing(false);
+        wal.commit().unwrap();
+        assert_eq!(
+            read_records(&mem.durable_image()),
+            vec![WalRecord::Hibernate { id: 1 }]
+        );
     }
 
     #[test]

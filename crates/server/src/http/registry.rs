@@ -109,12 +109,15 @@ impl UniverseRegistry {
     /// Opens (or recovers) a **durable** universe under `uid`, with its
     /// WAL and spill segments rooted at `dir`.
     ///
-    /// On a fresh directory this creates an empty durable fleet; on an
-    /// existing one it replays the WAL. Either way the storage headers
-    /// are checked against `universe.fingerprint()` — a directory written
-    /// by a *different* universe makes recovery fail, and the failure is
-    /// **registered**: the uid resolves to [`UniverseEntry::Failed`] and
-    /// every request against it answers `503` carrying this error.
+    /// Pass the universe the directory was **created with**: on a fresh
+    /// directory this creates an empty durable fleet on it; on an
+    /// existing one it replays the WAL from it, re-applying every logged
+    /// delta (see [`SessionManager::recover`]). Either way the storage
+    /// headers are checked against `universe.fingerprint()` — a
+    /// directory created by a *different* universe makes recovery fail,
+    /// and the failure is **registered**: the uid resolves to
+    /// [`UniverseEntry::Failed`] and every request against it answers
+    /// `503` carrying this error.
     pub fn open_durable(
         &self,
         uid: &str,

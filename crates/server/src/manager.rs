@@ -561,17 +561,15 @@ type Shard = RwLock<HashMap<SessionId, Arc<Mutex<Slot>>, BuildHasherDefault<Sess
 /// The universe currently being served, plus its cached fingerprint.
 ///
 /// Swapped atomically (under the write half of the serving lock) by
-/// [`SessionManager::migrate`] / [`SessionManager::apply_delta`]; every
-/// public operation holds the read half for its whole duration, so a
-/// migration observes a quiesced fleet and no operation ever straddles
-/// two universes.
+/// [`SessionManager::apply_delta`]; every public operation holds the read
+/// half for its whole duration, so a migration observes a quiesced fleet
+/// and no operation ever straddles two universes.
 struct Serving {
     universe: Arc<Universe>,
     fingerprint: u64,
 }
 
-/// What one [`SessionManager::migrate`] / [`SessionManager::apply_delta`]
-/// did to the session fleet.
+/// What one [`SessionManager::apply_delta`] did to the session fleet.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MigrationReport {
     /// Live sessions examined (every tier).
@@ -646,9 +644,9 @@ pub struct SessionOutcome {
 /// thread of a server.
 pub struct SessionManager {
     /// The served universe and its [`Universe::fingerprint`] — stamped
-    /// into snapshots and all durable state, checked on restore/recover,
-    /// and swapped wholesale by [`Self::migrate`]. Lock order: serving →
-    /// shard → session mutex → spill → WAL.
+    /// into snapshots, checked on restore, and swapped wholesale by
+    /// [`Self::apply_delta`]. Lock order: serving → shard → session
+    /// mutex → spill → WAL.
     serving: RwLock<Serving>,
     config: ServerConfig,
     shards: Box<[Shard]>,
@@ -691,15 +689,19 @@ impl SessionManager {
     /// Opens (or creates) a **durable** manager rooted at `dir`: the WAL
     /// at `dir/wal.log`, spill segments under `dir/segments/`.
     ///
-    /// A fresh directory starts an empty durable fleet. An existing one
-    /// is *recovered*: spill references are resolved against the
-    /// checksummed segments, the WAL is replayed (its torn tail — the
-    /// remnant of an interrupted append — is truncated away; any mid-log
-    /// corruption or fingerprint mismatch fails loudly), and every
-    /// restored session is validated by a full deterministic replay
-    /// against `universe` before it is served, then re-parked
-    /// (hibernated, or left spilled) so recovery memory stays
-    /// proportional to histories, not derived state.
+    /// Pass the universe the directory was **created with** — every
+    /// later [`Self::apply_delta`] is in the log and is re-applied to it.
+    /// A fresh directory starts an empty durable fleet on `universe`. An
+    /// existing one is *recovered*: the WAL is replayed from `universe`
+    /// (its torn tail — the remnant of an interrupted append — is
+    /// truncated away; mid-log corruption, a header fingerprint other
+    /// than `universe`'s, or a logged delta that does not re-apply to the
+    /// fingerprint it logged fails loudly), spill references are resolved
+    /// against the checksummed segments, and every restored session is
+    /// validated by a full deterministic replay against the universe the
+    /// log ends on before it is served, then re-parked (hibernated, or
+    /// left spilled) so recovery memory stays proportional to histories,
+    /// not derived state.
     pub fn recover(
         universe: Arc<Universe>,
         config: ServerConfig,
@@ -731,8 +733,9 @@ impl SessionManager {
     ) -> std::result::Result<(Self, RecoveryReport), DurabilityError> {
         let fingerprint = universe.fingerprint();
         let wal_bytes = wal_storage.read_all()?;
-        let fleet = recover_fleet(&wal_bytes, segments.as_mut(), fingerprint)
-            .map_err(|e| Self::name_stale_epoch(&universe, e))?;
+        // Served from the universe the log ends on; the files keep the
+        // base stamp.
+        let (fleet, universe) = recover_fleet(&wal_bytes, segments.as_mut(), universe)?;
         if fleet.wal_keep_len < wal_bytes.len() as u64 {
             wal_storage.truncate(fleet.wal_keep_len)?;
         }
@@ -807,47 +810,16 @@ impl SessionManager {
         &self.config
     }
 
-    /// Rewrites a wal-header fingerprint mismatch whose stamp matches an
-    /// *earlier epoch* of the very same universe content into the
-    /// explicit stale-epoch error — "same data, older version" deserves a
-    /// better message than a bare hash mismatch.
-    fn name_stale_epoch(universe: &Universe, e: DurabilityError) -> DurabilityError {
-        let DurabilityError::FingerprintMismatch {
-            source,
-            expected,
-            found,
-        } = e
-        else {
-            return e;
-        };
-        let content = universe.content_fingerprint();
-        let stale = (0..universe.epoch())
-            .find(|&epoch| Universe::fingerprint_at_epoch(content, epoch) == found);
-        match stale {
-            Some(found_epoch) => DurabilityError::StaleEpoch {
-                source,
-                found_epoch,
-                serving_epoch: universe.epoch(),
-            },
-            None => DurabilityError::FingerprintMismatch {
-                source,
-                expected,
-                found,
-            },
-        }
-    }
-
     /// The serving universe's fingerprint ([`Universe::fingerprint`]),
-    /// stamped into snapshots and durable state. Changes on every
-    /// [`Self::migrate`] / [`Self::apply_delta`] (the fingerprint folds
-    /// the universe's epoch).
+    /// stamped into snapshots. Changes on every [`Self::apply_delta`]
+    /// (the fingerprint folds the universe's epoch).
     pub fn universe_fingerprint(&self) -> u64 {
         self.serving.read().fingerprint
     }
 
     /// The universe all sessions currently run over, by value: the handle
-    /// stays valid across a concurrent [`Self::migrate`], it just keeps
-    /// the pre-migration universe alive until dropped.
+    /// stays valid across a concurrent [`Self::apply_delta`], it just
+    /// keeps the pre-delta universe alive until dropped.
     pub fn universe(&self) -> Arc<Universe> {
         Arc::clone(&self.serving.read().universe)
     }
@@ -1486,8 +1458,7 @@ impl SessionManager {
     }
 
     /// [`Self::flush_wal`] without the serving guard — the shared body,
-    /// also called from paths that already hold the serving lock (the
-    /// sweeps, and `migrate` under the write half).
+    /// also called from the sweeps, which already hold the serving lock.
     fn commit_wal(&self) -> Result<()> {
         if let Some(state) = &self.durability {
             state.wal.lock().commit()?;
@@ -1496,26 +1467,19 @@ impl SessionManager {
     }
 
     /// Applies a live-data edit script to the serving universe and
-    /// migrates the whole fleet onto the result.
+    /// migrates the whole fleet onto the result — the one way a manager's
+    /// universe changes, atomically with respect to all other operations
+    /// (the serving lock's write half quiesces the fleet first).
     ///
     /// The new universe is derived by [`Universe::apply_delta`] —
-    /// incremental maintenance in O(Δ), not a rebuild — so this is the
-    /// cheap path for row-level churn; see [`Self::migrate`] for what
-    /// happens to the sessions. Requires a universe built with live
-    /// tables ([`jqi_core::Universe::build_streaming_live`] or a prior
-    /// delta), else [`ServerError::Delta`].
-    pub fn apply_delta(&self, delta: &UniverseDelta) -> Result<MigrationReport> {
-        let mut serving = self.serving.write();
-        let next = serving
-            .universe
-            .apply_delta(delta)
-            .map_err(ServerError::Delta)?;
-        self.migrate_locked(&mut serving, Arc::new(next))
-    }
-
-    /// Swaps the serving universe and carries every open session over to
-    /// it, atomically with respect to all other operations (the serving
-    /// lock's write half quiesces the fleet first).
+    /// incremental maintenance in O(Δ), not a rebuild. Requires a
+    /// delta-capable universe ([`Universe::is_live`]), else
+    /// [`ServerError::Delta`]. A durable manager then logs the edits (by
+    /// value) with the post-delta fingerprint as one `Delta` record and
+    /// commits it **before** anything changes: if that fails, the
+    /// serving universe, its epoch and the fleet stay as they were, and
+    /// once it succeeds the delta survives a crash — recovery re-applies
+    /// it to the base universe.
     ///
     /// Whether the class structure is unchanged
     /// ([`Universe::same_classes`] — a count-only delta) is decided once
@@ -1524,38 +1488,32 @@ impl SessionManager {
     /// * **Unchanged** — consistency and certainty read signatures only,
     ///   so no history can have become invalid. A resident session
     ///   rebinds through [`OwnedSession::rebind`], its masks carried
-    ///   verbatim in O(masks); a parked session is left exactly as it is
-    ///   (a spilled one is only lifted back into RAM, see below). The
-    ///   fleet walk replays nothing: one visit per slot plus O(masks)
-    ///   per resident session.
+    ///   verbatim in O(masks); a parked or spilled session is left exactly
+    ///   as it is. The fleet walk replays nothing and reads no segment.
     /// * **Changed** — every session, whatever its tier, is remapped by
     ///   class signature ([`remap_replay_parts`]), re-validated by a full
     ///   replay on the new universe, and put back into its own tier
     ///   (resident stays resident, parked stays parked; a spilled one
     ///   comes back parked). Labels whose class vanished are dropped
     ///   (consistency only widens); a session whose remapped history no
-    ///   longer replays is removed and reported in
+    ///   longer replays (or whose spilled payload cannot be read) is
+    ///   removed, logged as a `Remove`, and reported in
     ///   [`MigrationReport::invalidated`] — loudly, never served wrong.
-    ///
-    /// On a durable manager the WAL is **reset** to the new universe's
-    /// fingerprint and the surviving fleet is re-logged as one `Restore`
-    /// checkpoint; pre-migration durable state (including spill segments)
-    /// is abandoned, and recovering from a pre-migration log fails with
-    /// an explicit epoch/fingerprint mismatch. If the reset itself fails
-    /// the in-RAM fleet is already consistent on the new universe, but
-    /// the log must be considered unusable until the next successful
-    /// migration or a fresh durability directory.
-    pub fn migrate(&self, universe: Arc<Universe>) -> Result<MigrationReport> {
+    pub fn apply_delta(&self, delta: &UniverseDelta) -> Result<MigrationReport> {
         let mut serving = self.serving.write();
-        self.migrate_locked(&mut serving, universe)
-    }
-
-    fn migrate_locked(
-        &self,
-        serving: &mut Serving,
-        universe: Arc<Universe>,
-    ) -> Result<MigrationReport> {
         let old = Arc::clone(&serving.universe);
+        let universe = Arc::new(old.apply_delta(delta).map_err(ServerError::Delta)?);
+        if let Some(state) = &self.durability {
+            let interner = old.instance().interner();
+            state.wal.lock().append_committed(&WalRecord::Delta {
+                edits: delta
+                    .edits()
+                    .iter()
+                    .map(|e| (e.side, e.op, e.row.resolve(interner)))
+                    .collect(),
+                fingerprint: universe.fingerprint(),
+            })?;
+        }
         let mut report = MigrationReport {
             from_epoch: old.epoch(),
             to_epoch: universe.epoch(),
@@ -1577,9 +1535,6 @@ impl SessionManager {
                 let mut guard = self.lock(slot);
                 let slot: &mut Slot = &mut guard;
                 report.sessions += 1;
-                // Lift a spilled slot into RAM first: its segment home is
-                // abandoned by the log reset below.
-                self.lift(slot)?;
                 let carried = same_classes
                     && match &mut slot.tier {
                         Tier::Resident(resident) => {
@@ -1594,16 +1549,19 @@ impl SessionManager {
                 // The class structure changed: remap the replay log by
                 // signature, replay it, and return the session to its tier.
                 let resident = matches!(slot.tier, Tier::Resident(_));
-                let (history, pending) = slot.take_replay_parts();
-                let (history, pending, dropped) =
-                    remap_replay_parts(&old, &universe, history, pending);
-                slot.tier = Tier::Hibernated { history, pending };
-                if slot.wake(&universe).is_err() {
+                let dropped = self.lift(slot).ok().and_then(|()| {
+                    let (history, pending) = slot.take_replay_parts();
+                    let (history, pending, dropped) =
+                        remap_replay_parts(&old, &universe, history, pending);
+                    slot.tier = Tier::Hibernated { history, pending };
+                    slot.wake(&universe).ok().map(|_| dropped)
+                });
+                let Some(dropped) = dropped else {
                     // Leaves the gauges with this visit; unlinked below.
                     slot.counted = false;
                     doomed.push(id);
                     continue;
-                }
+                };
                 if !resident {
                     slot.hibernate();
                 }
@@ -1614,33 +1572,18 @@ impl SessionManager {
         for &id in &doomed {
             self.shard(id).write().remove(&id);
         }
-        report.invalidated = doomed;
-        // The fleet is consistent on the new universe; serve it before
-        // the durable reset so an I/O failure below cannot leave RAM and
-        // the serving pointer disagreeing.
         serving.universe = universe;
         serving.fingerprint = report.to_fingerprint;
+        // Logged after the swap, so a failure here leaves RAM consistent
+        // on the new universe; recovery would then refuse the unlogged
+        // session loudly instead of serving it.
         if let Some(state) = &self.durability {
-            state.spill.lock().restamp(serving.fingerprint)?;
-            // Locking slots while holding the WAL mutex inverts the usual
-            // order, but the serving write lock has quiesced every path
-            // that takes them the other way around.
-            let mut wal = state.wal.lock();
-            wal.reset(serving.fingerprint)?;
-            for shard in self.shards.iter() {
-                for (&id, slot) in shard.read().iter() {
-                    // Read-only, and every slot was re-counted above.
-                    let guard = slot.lock();
-                    let (history, pending) = match &guard.tier {
-                        Tier::Resident(r) => (r.session.history(), r.session.pending_class()),
-                        Tier::Hibernated { history, pending } => (history.as_slice(), *pending),
-                        Tier::Spilled { .. } => unreachable!("lifted above"),
-                    };
-                    wal.append_restore(id, &guard.config, history, pending)?;
-                }
+            for &id in &doomed {
+                state.log(&WalRecord::Remove { id })?;
             }
-            wal.commit()?;
         }
+        self.commit_wal()?;
+        report.invalidated = doomed;
         Ok(report)
     }
 
@@ -2271,7 +2214,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Live-data migration: apply_delta / migrate over the session fleet.
+    // Live-data migration: apply_delta over the session fleet.
     // ------------------------------------------------------------------
 
     use jqi_core::IngestOptions;
@@ -2437,6 +2380,46 @@ mod tests {
     }
 
     #[test]
+    fn a_structural_delta_invalidates_a_spilled_session_it_cannot_read() {
+        let u = live_universe();
+        let wal = MemWal::new();
+        let segments = MemSegments::new();
+        let durability = DurabilityConfig {
+            resident_watermark_bytes: Some(0),
+            ..DurabilityConfig::default()
+        };
+        let (m, _) = durable_pair(&u, wal.clone(), segments.clone(), durability);
+        let ids: Vec<SessionId> = (0..2)
+            .map(|_| {
+                let id = m.create_session(StrategyConfig::Td).unwrap();
+                let q = m.next_question(id).unwrap().unwrap();
+                m.answer(id, q.class, Label::Negative).unwrap();
+                m.hibernate(id).unwrap();
+                id
+            })
+            .collect();
+        assert_eq!(m.sweep().unwrap().spilled, 2);
+        // Rot the last payload byte of the segment: the second spill.
+        let mut bytes = segments.segment_bytes(0).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x40;
+        segments.set_segment_bytes(0, bytes);
+
+        let mut d = UniverseDelta::new();
+        d.insert(Side::R, row(&u, &[1, 1]));
+        let report = m.apply_delta(&d).unwrap();
+        assert_eq!(report.invalidated, vec![ids[1]]);
+        assert_eq!(report.replayed, 1);
+        assert_eq!(m.session_count(), 1);
+        assert_eq!(m.stats(), m.stats_by_walk());
+        assert_eq!(m.interactions(ids[0]).unwrap(), 1);
+        // The removal is logged right behind the delta.
+        let image = wal.durable_image();
+        assert!(image.ends_with(&crate::durability::codec::frame(
+            &WalRecord::Remove { id: ids[1] }.encode()
+        )));
+    }
+
+    #[test]
     fn apply_delta_requires_a_live_universe_and_validates_rows() {
         // A plain streaming build keeps representatives only — it cannot
         // accept deltas (unlike `Universe::build`, which retains the full
@@ -2475,27 +2458,7 @@ mod tests {
     }
 
     #[test]
-    fn migrate_swaps_an_unrelated_universe_and_keeps_serving() {
-        let u = live_universe();
-        let m = SessionManager::new(Arc::clone(&u), ServerConfig::default());
-        let id = m.create_session(StrategyConfig::Bu).unwrap();
-        let q = m.next_question(id).unwrap().unwrap();
-        m.answer(id, q.class, Label::Negative).unwrap();
-
-        let next = Arc::new(Universe::build(flight_hotel()));
-        let report = m.migrate(Arc::clone(&next)).unwrap();
-        assert_eq!(report.sessions, 1);
-        assert!(report.invalidated.is_empty());
-        assert_eq!(m.universe_fingerprint(), next.fingerprint());
-        // The session is served on the new universe; any label whose
-        // class has no signature-equal counterpart was dropped, not
-        // silently misapplied.
-        assert!(m.interactions(id).unwrap() + report.dropped_labels <= 1);
-        let _ = m.next_question(id).unwrap();
-    }
-
-    #[test]
-    fn durable_migration_resets_the_log_and_recovers_on_the_new_universe() {
+    fn durable_delta_is_logged_and_recovers_from_the_base_universe() {
         let u = live_universe();
         let wal = MemWal::new();
         let segments = MemSegments::new();
@@ -2512,29 +2475,39 @@ mod tests {
             m.answer(id, q.class, Label::Negative).unwrap();
         }
         assert!(m.hibernate(b).unwrap());
+        // A net-zero delta (same content, next epoch), then a structural
+        // one: both are in the log, committed before the calls return.
+        let dup = row(&u, &[1, 100]);
+        let mut net_zero = UniverseDelta::new();
+        net_zero.insert(Side::R, dup.clone()).delete(Side::R, dup);
+        m.apply_delta(&net_zero).unwrap();
         let mut d = UniverseDelta::new();
         d.insert(Side::R, row(&u, &[1, 1]));
-        let report = m.apply_delta(&d).unwrap();
-        assert_eq!(report.sessions, 2);
+        assert_eq!(m.apply_delta(&d).unwrap().sessions, 2);
         let migrated = m.universe();
-        m.flush_wal().unwrap();
+        let live = [m.snapshot(a).unwrap(), m.snapshot(b).unwrap()];
+        assert_eq!(wal.durable_image(), wal.pristine_image());
         drop(m);
 
-        // Recovery against the migrated universe finds the checkpointed
-        // fleet…
+        // Recovery from the base universe re-applies both deltas and lands
+        // on the live epoch, fingerprint and fleet…
         let (r, rec) = durable_pair(
-            &migrated,
+            &u,
             MemWal::from_bytes(wal.durable_image()),
             segments.clone(),
             DurabilityConfig::default(),
         );
         assert_eq!(rec.sessions, 2);
-        assert_eq!(r.interactions(a).unwrap(), 1);
-        assert_eq!(r.interactions(b).unwrap(), 1);
+        assert_eq!(r.universe().epoch(), 2);
+        assert_eq!(r.universe_fingerprint(), migrated.fingerprint());
+        for snap in &live {
+            assert_eq!(&r.snapshot(snap.session).unwrap(), snap);
+        }
         drop(r);
-        // …and the pre-delta universe is refused loudly.
+        // …while the files keep the base stamp: the post-delta universe is
+        // not the one the directory was created with.
         let err = SessionManager::recover_with_storage(
-            Arc::clone(&u),
+            migrated,
             ServerConfig::default(),
             DurabilityConfig::default(),
             Box::new(MemWal::from_bytes(wal.durable_image())),
@@ -2546,49 +2519,6 @@ mod tests {
             DurabilityError::FingerprintMismatch {
                 source: "wal header",
                 ..
-            }
-        ));
-    }
-
-    #[test]
-    fn recovery_names_a_stale_epoch_explicitly() {
-        let u0 = live_universe();
-        let wal = MemWal::new();
-        let (m, _) = durable_pair(
-            &u0,
-            wal.clone(),
-            MemSegments::new(),
-            DurabilityConfig::default(),
-        );
-        m.create_session(StrategyConfig::Bu).unwrap();
-        m.flush_wal().unwrap();
-        drop(m);
-
-        // A net-zero delta: same content, bumped epoch — the fingerprint
-        // changes but the data does not, which is exactly the confusing
-        // case the explicit error exists for.
-        let mut d = UniverseDelta::new();
-        let dup = row(&u0, &[1, 100]);
-        d.insert(Side::R, dup.clone());
-        d.delete(Side::R, dup);
-        let u1 = Arc::new(u0.apply_delta(&d).unwrap());
-        assert_eq!(u1.content_fingerprint(), u0.content_fingerprint());
-        assert_ne!(u1.fingerprint(), u0.fingerprint());
-
-        let err = SessionManager::recover_with_storage(
-            Arc::clone(&u1),
-            ServerConfig::default(),
-            DurabilityConfig::default(),
-            Box::new(MemWal::from_bytes(wal.durable_image())),
-            Box::new(MemSegments::new()),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            DurabilityError::StaleEpoch {
-                source: "wal header",
-                found_epoch: 0,
-                serving_epoch: 1,
             }
         ));
     }

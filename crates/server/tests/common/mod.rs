@@ -35,6 +35,7 @@ const P_ARITY: usize = 2;
 const DOMAIN: i64 = 3;
 
 /// The live rows of both sides, with multiplicity (one entry per copy).
+#[derive(Clone)]
 pub struct Rows {
     r: Vec<Vec<i64>>,
     p: Vec<Vec<i64>>,

@@ -9,8 +9,9 @@
 //! `OwnedSession::replay` on the new universe of the session's pre-delta
 //! identity (strategy, history, pending question) remapped by signature:
 //! same history, pending class, interaction count, θ bounds and next
-//! question. And the durable checkpoint the migration writes must recover
-//! to that same fleet.
+//! question. And after every delta, recovering the durable log from the
+//! base universe (re-applying each logged delta) must give that same
+//! fleet.
 //!
 //! Fleets mix the three tiers (resident, hibernated, spilled) on a
 //! durable manager over in-memory storage, and the delta schedule mixes
@@ -64,15 +65,15 @@ fn shuffle_tiers(rng: &mut Rng, m: &SessionManager, ids: &[u64]) {
     }
 }
 
-fn recover(universe: &Arc<Universe>, wal: &MemWal, segments: &MemSegments) -> SessionManager {
+fn recover(base: &Arc<Universe>, wal: &MemWal, segments: &MemSegments) -> SessionManager {
     SessionManager::recover_with_storage(
-        Arc::clone(universe),
+        Arc::clone(base),
         ServerConfig::default(),
         durability(),
         Box::new(MemWal::from_bytes(wal.durable_image())),
         Box::new(segments.clone()),
     )
-    .expect("the migration checkpoint recovers on the new universe")
+    .expect("the log recovers from the base universe")
     .0
 }
 
@@ -169,6 +170,7 @@ proptest! {
         let mut rng = Rng(seed);
         let mut rows = Rows::random(&mut rng);
         let mut universe = live_universe(&rows);
+        let base = Arc::clone(&universe);
         let wal = MemWal::new();
         let segments = MemSegments::new();
         let (m, _) = SessionManager::recover_with_storage(
@@ -208,13 +210,15 @@ proptest! {
             if count_only {
                 prop_assert!(universe.same_classes(&post), "duplicate edits keep every class");
                 prop_assert_eq!(report.carried, ids.len());
-                // Parked sessions stay parked; spilled ones are lifted
-                // into RAM (their segments are abandoned by the reset).
+                // Every session stays in its tier, and no spilled payload
+                // is read.
                 let stats = m.stats();
                 prop_assert_eq!(stats.resident_sessions, stats_before.resident_sessions);
+                prop_assert_eq!(stats.hibernated_sessions, stats_before.hibernated_sessions);
+                prop_assert_eq!(stats.spilled_sessions, stats_before.spilled_sessions);
                 prop_assert_eq!(
-                    stats.hibernated_sessions,
-                    stats_before.hibernated_sessions + stats_before.spilled_sessions
+                    stats.durability.map(|d| d.spill_reads),
+                    stats_before.durability.map(|d| d.spill_reads)
                 );
             }
             let mut expected = BTreeMap::new();
@@ -223,15 +227,17 @@ proptest! {
                 goals.remove(id);
             }
 
-            // The checkpoint written by the migration recovers to the
-            // same fleet.
-            let r = recover(&post, &wal, &segments);
+            // The log, replayed from the base universe, recovers the same
+            // universe and the same fleet.
+            let r = recover(&base, &wal, &segments);
+            prop_assert_eq!(r.universe_fingerprint(), post.fingerprint());
             prop_assert_eq!(r.session_count(), expected.len());
             for &id in expected.keys() {
-                let (live, recovered) = (m.snapshot(id).expect("live"), r.snapshot(id).expect("recovered"));
+                prop_assert_eq!(m.snapshot(id).expect("live"), r.snapshot(id).expect("recovered"));
+                prop_assert_eq!(m.interactions(id).expect("live"), r.interactions(id).expect("recovered"));
                 prop_assert_eq!(
-                    (&live.strategy, &live.history, live.pending),
-                    (&recovered.strategy, &recovered.history, recovered.pending)
+                    m.inferred_predicate(id).expect("live"),
+                    r.inferred_predicate(id).expect("recovered")
                 );
             }
             drop(r);

@@ -31,12 +31,17 @@ const STEPS: usize = 80;
 /// One durable fleet under test and what the test knows about it.
 struct Fleet {
     manager: SessionManager,
+    /// The universe the durable directory was created with.
+    base: Arc<Universe>,
     /// The storage the manager appends to (clones share the image).
     wal: MemWal,
     segments: MemSegments,
     config: ServerConfig,
     durability: DurabilityConfig,
     rows: Rows,
+    /// The rows at each epoch so far, so a recovery that ends on an
+    /// earlier epoch (a lost tail) resumes the edits from there.
+    rows_at: Vec<Rows>,
     /// Every id ever handed out, with the goal its answers follow — live
     /// or not, so operations also land on removed sessions.
     goals: BTreeMap<u64, BitSet>,
@@ -98,14 +103,16 @@ impl Fleet {
         let delta = random_delta(rng, &universe, &mut self.rows, count_only);
         let report = self.manager.apply_delta(&delta).expect("valid delta");
         assert!(report.invalidated.is_empty(), "remapping keeps signatures");
+        self.rows_at.push(self.rows.clone());
     }
 
-    /// Restarts from the durable image alone; the recovered manager takes
-    /// over a fresh copy of that image.
+    /// Restarts from the durable image alone, re-applying its logged
+    /// deltas to the base universe; the recovered manager takes over a
+    /// fresh copy of that image.
     fn recover(&mut self) {
         self.wal = MemWal::from_bytes(self.wal.durable_image());
         self.manager = SessionManager::recover_with_storage(
-            self.manager.universe(),
+            Arc::clone(&self.base),
             self.config.clone(),
             self.durability.clone(),
             Box::new(self.wal.clone()),
@@ -113,6 +120,9 @@ impl Fleet {
         )
         .expect("a lost tail recovers to a clean prefix")
         .0;
+        let epoch = self.manager.universe().epoch() as usize;
+        self.rows_at.truncate(epoch + 1);
+        self.rows = self.rows_at[epoch].clone();
     }
 
     /// One mutation whose WAL append fails: a create or restore is
@@ -254,10 +264,12 @@ proptest! {
         .expect("fresh durable fleet");
         let mut fleet = Fleet {
             manager,
+            base: universe,
             wal,
             segments,
             config,
             durability,
+            rows_at: vec![rows.clone()],
             rows,
             goals: BTreeMap::new(),
             snapshots: Vec::new(),
