@@ -16,12 +16,18 @@
 //! * `LiveTables` (private) — the maintained state: per side, the weighted
 //!   *distinct full rows* (a Z-set: multiplicities, never duplicates) and
 //!   the *distinct join profiles* grouping them, plus per-symbol
-//!   occurrence units used to detect symbols becoming shared.
-//! * [`Universe::apply_delta`] — produces the post-edit universe by
-//!   adjusting profile weights, retiring/creating profiles, patching class
-//!   counts/representatives/buckets, and patching the `ClassClosure` only
-//!   for affected classes. The result's [`Universe::epoch`] is bumped and
-//!   its decision cache starts empty.
+//!   occurrence units used to detect symbols becoming shared. Every
+//!   column, and the bucket heads of the row and profile hash indexes,
+//!   is stored in copy-on-write chunks (`crate::chunked`).
+//! * [`Universe::apply_delta`] — clones the universe once and edits the
+//!   clone: adjusting profile weights, retiring/creating profiles,
+//!   patching class counts/representatives/buckets, and patching the
+//!   `ClassClosure` only for affected classes. The clone shares the live
+//!   tables' chunks and the instance's relations with the receiver, and
+//!   the edits copy only the chunks (and the relation side) they write,
+//!   so a single-row delta costs O(Δ + chunks touched), not O(live rows).
+//!   The result's [`Universe::epoch`] is bumped and its decision cache
+//!   starts empty.
 //!
 //! # Why profile-level deltas are sound: the superset grouping
 //!
@@ -73,16 +79,13 @@
 //! scored under the pre-split grouping first. Both orderings describe the
 //! same product; the settle points just keep the bookkeeping exact.
 
+use crate::chunked::{ChainIndex, Chunked, NONE_U32};
 use crate::universe::{ClassClosure, Rows, Universe};
 use jqi_relation::bitset::{hash_words, BitSet};
 use jqi_relation::stream::{Side, PROFILE_HOLE};
 use jqi_relation::{Instance, Tuple};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
-
-/// Sentinel marking "no profile / no row" in the live-table link arrays.
-const NONE_U32: u32 = u32::MAX;
 
 /// An edit operation on one relation side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,55 +285,50 @@ fn hash_syms(syms: &[u32]) -> u64 {
 /// profile ids stay stable across edits, deleted content is retained so
 /// signatures of retired profiles remain computable while a batch settles,
 /// and a re-inserted row or re-materialized profile key revives its slot.
+/// Every column is [`Chunked`], so a clone shares its chunks with the
+/// original until one of them writes.
 #[derive(Debug, Clone)]
 pub(crate) struct SideTable {
-    arity: usize,
-    /// Distinct full rows, flat with stride `arity`.
-    rows: Vec<u32>,
+    /// Distinct full rows, one record (the side's arity wide) each.
+    rows: Chunked<u32>,
     /// Multiplicity of each distinct row (0 = tombstone).
-    weight: Vec<u64>,
+    weight: Chunked<u64>,
     /// Row → owning profile id.
-    prof_of: Vec<u32>,
-    /// Row hash-chain links (`row_index` heads, [`NONE_U32`] ends).
-    row_next: Vec<u32>,
-    /// Row content hash → chain head.
-    row_index: HashMap<u64, u32>,
-    /// Distinct profile keys (holed under `ever_shared`), stride `arity`.
-    prof_keys: Vec<u32>,
+    prof_of: Chunked<u32>,
+    /// Row content hash → row id.
+    row_index: ChainIndex,
+    /// Distinct profile keys (holed under `ever_shared`), one record each.
+    prof_keys: Chunked<u32>,
     /// Total weight of each profile's rows (0 = retired).
-    prof_weight: Vec<u64>,
+    prof_weight: Chunked<u64>,
     /// Profile → current representative row id.
-    prof_rep: Vec<u32>,
+    prof_rep: Chunked<u32>,
     /// Profile → the instance row materializing its representative.
-    pub(crate) prof_instance: Vec<u32>,
-    /// Profile hash-chain links.
-    prof_next: Vec<u32>,
-    /// Profile key hash → chain head.
-    prof_index: HashMap<u64, u32>,
+    prof_instance: Chunked<u32>,
+    /// Profile key hash → profile id.
+    prof_index: ChainIndex,
     /// Instance row → live row id currently materialized there.
-    pub(crate) inst_rows: Vec<u32>,
-    /// Symbol → Σ over live rows of `weight × occurrences`. Drives the
+    inst_rows: Chunked<u32>,
+    /// Symbol id → Σ over live rows of `weight × occurrences` (interner
+    /// ids are dense; symbols past the end count 0). Drives the
     /// newly-shared transition detection and `live_shared_symbols`.
-    sym_units: HashMap<u32, u64>,
+    sym_units: Chunked<u64>,
 }
 
 impl SideTable {
     fn new(arity: usize) -> SideTable {
         SideTable {
-            arity,
-            rows: Vec::new(),
-            weight: Vec::new(),
-            prof_of: Vec::new(),
-            row_next: Vec::new(),
-            row_index: HashMap::new(),
-            prof_keys: Vec::new(),
-            prof_weight: Vec::new(),
-            prof_rep: Vec::new(),
-            prof_instance: Vec::new(),
-            prof_next: Vec::new(),
-            prof_index: HashMap::new(),
-            inst_rows: Vec::new(),
-            sym_units: HashMap::new(),
+            rows: Chunked::new(arity),
+            weight: Chunked::new(1),
+            prof_of: Chunked::new(1),
+            row_index: ChainIndex::new(),
+            prof_keys: Chunked::new(arity),
+            prof_weight: Chunked::new(1),
+            prof_rep: Chunked::new(1),
+            prof_instance: Chunked::new(1),
+            prof_index: ChainIndex::new(),
+            inst_rows: Chunked::new(1),
+            sym_units: Chunked::new(1),
         }
     }
 
@@ -346,29 +344,59 @@ impl SideTable {
 
     #[inline]
     pub(crate) fn row_syms(&self, row: u32) -> &[u32] {
-        let base = row as usize * self.arity;
-        &self.rows[base..base + self.arity]
+        self.rows.record(row as usize)
     }
 
     #[inline]
     fn prof_key(&self, p: u32) -> &[u32] {
-        let base = p as usize * self.arity;
-        &self.prof_keys[base..base + self.arity]
+        self.prof_keys.record(p as usize)
     }
 
     #[inline]
     pub(crate) fn rep_syms(&self, p: u32) -> &[u32] {
-        self.row_syms(self.prof_rep[p as usize])
+        self.row_syms(self.prof_rep.get(p as usize))
     }
 
     #[inline]
     pub(crate) fn prof_weight(&self, p: u32) -> u64 {
-        self.prof_weight[p as usize]
+        self.prof_weight.get(p as usize)
+    }
+
+    #[inline]
+    fn prof_instance(&self, p: u32) -> u32 {
+        self.prof_instance.get(p as usize)
+    }
+
+    #[inline]
+    fn weight(&self, row: u32) -> u64 {
+        self.weight.get(row as usize)
+    }
+
+    #[inline]
+    fn prof_of(&self, row: u32) -> u32 {
+        self.prof_of.get(row as usize)
+    }
+
+    /// Moves row `row`'s multiplicity by `delta`; returns the new one.
+    #[inline]
+    fn add_weight(&mut self, row: u32, delta: i64) -> u64 {
+        let w = &mut self.weight.record_mut(row as usize)[0];
+        *w = w.checked_add_signed(delta).expect("row weight underflow");
+        *w
+    }
+
+    /// Moves profile `p`'s weight by `delta`.
+    #[inline]
+    fn add_prof_weight(&mut self, p: u32, delta: i64) {
+        let w = &mut self.prof_weight.record_mut(p as usize)[0];
+        *w = w
+            .checked_add_signed(delta)
+            .expect("profile weight underflow");
     }
 
     /// Live (weight > 0) profile count.
     pub(crate) fn alive_profiles(&self) -> usize {
-        self.prof_weight.iter().filter(|&&w| w > 0).count()
+        self.prof_weight.iter().filter(|&w| w > 0).count()
     }
 
     /// Total row multiplicity (|R| of the current data).
@@ -378,91 +406,86 @@ impl SideTable {
 
     #[inline]
     fn units(&self, s: u32) -> u64 {
-        self.sym_units.get(&s).copied().unwrap_or(0)
+        let s = s as usize;
+        if s < self.sym_units.len() {
+            self.sym_units.get(s)
+        } else {
+            0
+        }
     }
 
     fn bump_units(&mut self, syms: &[u32], delta: i64) {
         for &s in syms {
-            let e = self.sym_units.entry(s).or_insert(0);
-            *e = e
+            while self.sym_units.len() <= s as usize {
+                self.sym_units.push(&[0]);
+            }
+            let u = &mut self.sym_units.record_mut(s as usize)[0];
+            *u = u
                 .checked_add_signed(delta)
                 .expect("symbol unit counter underflow");
         }
     }
 
     fn find_row(&self, syms: &[u32]) -> Option<u32> {
-        let mut cur = *self.row_index.get(&hash_syms(syms))?;
-        while cur != NONE_U32 {
-            if self.row_syms(cur) == syms {
-                return Some(cur);
-            }
-            cur = self.row_next[cur as usize];
-        }
-        None
+        self.row_index
+            .find(hash_syms(syms), |row| self.row_syms(row) == syms)
     }
 
     /// Appends a tombstoned row (weight 0, no profile) and links it into
     /// the hash index.
     fn add_row(&mut self, syms: &[u32]) -> u32 {
-        debug_assert_eq!(syms.len(), self.arity);
         let id = self.row_count() as u32;
-        self.rows.extend_from_slice(syms);
-        self.weight.push(0);
-        self.prof_of.push(NONE_U32);
-        let head = self.row_index.entry(hash_syms(syms)).or_insert(NONE_U32);
-        self.row_next.push(*head);
-        *head = id;
+        self.rows.push(syms);
+        self.weight.push(&[0]);
+        self.prof_of.push(&[NONE_U32]);
+        let rows = &self.rows;
+        self.row_index
+            .link(hash_syms(syms), |row| hash_syms(rows.record(row as usize)));
         id
     }
 
     fn find_prof(&self, key: &[u32]) -> Option<u32> {
-        let mut cur = *self.prof_index.get(&hash_syms(key))?;
-        while cur != NONE_U32 {
-            if self.prof_key(cur) == key {
-                return Some(cur);
-            }
-            cur = self.prof_next[cur as usize];
-        }
-        None
+        self.prof_index
+            .find(hash_syms(key), |p| self.prof_key(p) == key)
     }
 
     /// Appends a profile with weight 0 (the caller adds weight) whose
     /// representative is `rep_row`, materialized at `instance_row`.
     fn add_prof(&mut self, key: &[u32], rep_row: u32, instance_row: u32) -> u32 {
-        debug_assert_eq!(key.len(), self.arity);
         let id = self.prof_count() as u32;
-        self.prof_keys.extend_from_slice(key);
-        self.prof_weight.push(0);
-        self.prof_rep.push(rep_row);
-        self.prof_instance.push(instance_row);
-        let head = self.prof_index.entry(hash_syms(key)).or_insert(NONE_U32);
-        self.prof_next.push(*head);
-        *head = id;
+        self.prof_keys.push(key);
+        self.prof_weight.push(&[0]);
+        self.prof_rep.push(&[rep_row]);
+        self.prof_instance.push(&[instance_row]);
+        let keys = &self.prof_keys;
+        self.prof_index
+            .link(hash_syms(key), |p| hash_syms(keys.record(p as usize)));
         id
     }
 
     /// Scans for a surviving row of profile `p` to become its
     /// representative. O(rows) — only runs when a representative dies.
     fn any_live_row_of(&self, p: u32) -> Option<u32> {
-        (0..self.row_count() as u32)
-            .find(|&row| self.weight[row as usize] > 0 && self.prof_of[row as usize] == p)
+        self.weight
+            .iter()
+            .zip(self.prof_of.iter())
+            .position(|(w, q)| w > 0 && q == p)
+            .map(|row| row as u32)
     }
 
     /// Approximate resident heap bytes (arenas + indexes).
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.rows.len() * 4
-            + self.weight.len() * 8
-            + self.prof_of.len() * 4
-            + self.row_next.len() * 4
-            + self.row_index.len() * 16
-            + self.prof_keys.len() * 4
-            + self.prof_weight.len() * 8
-            + self.prof_rep.len() * 4
-            + self.prof_instance.len() * 4
-            + self.prof_next.len() * 4
-            + self.prof_index.len() * 16
-            + self.inst_rows.len() * 4
-            + self.sym_units.len() * 16
+        self.rows.heap_bytes()
+            + self.weight.heap_bytes()
+            + self.prof_of.heap_bytes()
+            + self.row_index.heap_bytes()
+            + self.prof_keys.heap_bytes()
+            + self.prof_weight.heap_bytes()
+            + self.prof_rep.heap_bytes()
+            + self.prof_instance.heap_bytes()
+            + self.prof_index.heap_bytes()
+            + self.inst_rows.heap_bytes()
+            + self.sym_units.heap_bytes()
     }
 }
 
@@ -531,11 +554,11 @@ impl LiveTables {
             None => st.add_row(syms),
         };
         if instance_backed {
-            st.inst_rows.push(row);
+            st.inst_rows.push(&[row]);
         }
-        st.weight[row as usize] += 1;
+        let weight = st.add_weight(row, 1);
         st.bump_units(syms, 1);
-        if st.weight[row as usize] == 1 {
+        if weight == 1 {
             // First occurrence: group under the holing mask.
             let key: Vec<u32> = syms
                 .iter()
@@ -558,10 +581,9 @@ impl LiveTables {
                     st.add_prof(&key, row, instance_row)
                 }
             };
-            st.prof_of[row as usize] = p;
+            st.prof_of.set(row as usize, p);
         }
-        let p = st.prof_of[row as usize];
-        st.prof_weight[p as usize] += 1;
+        st.add_prof_weight(st.prof_of(row), 1);
     }
 
     /// Completes a streaming (`instance_backed = false`) ingest: instance
@@ -576,9 +598,9 @@ impl LiveTables {
     /// the grow-only grouping superset.
     pub(crate) fn shared_symbols(&self, cap: usize) -> BitSet {
         let mut out = BitSet::empty(cap);
-        for (&s, &u) in &self.r.sym_units {
-            if u > 0 && self.p.units(s) > 0 {
-                out.insert(s as usize);
+        for (s, u) in self.r.sym_units.iter().enumerate() {
+            if u > 0 && self.p.units(s as u32) > 0 {
+                out.insert(s);
             }
         }
         out
@@ -682,10 +704,7 @@ impl PairAcc {
                     continue;
                 }
                 pairs.signature_of_into(r_syms, lt.p.rep_syms(pp), &mut self.scratch);
-                let rep = (
-                    lt.r.prof_instance[pr as usize],
-                    lt.p.prof_instance[pp as usize],
-                );
+                let rep = (lt.r.prof_instance(pr), lt.p.prof_instance(pp));
                 self.bump(u, dr * wp_old as i64, rep);
             }
         }
@@ -703,10 +722,7 @@ impl PairAcc {
                     continue;
                 }
                 pairs.signature_of_into(lt.r.rep_syms(pr), p_syms, &mut self.scratch);
-                let rep = (
-                    lt.r.prof_instance[pr as usize],
-                    lt.p.prof_instance[pp as usize],
-                );
+                let rep = (lt.r.prof_instance(pr), lt.p.prof_instance(pp));
                 self.bump(u, wr_new as i64 * dp, rep);
             }
         }
@@ -747,8 +763,10 @@ impl Universe {
     /// maintenance — `O(|delta| · opposite-side distinct profiles)`
     /// signature work instead of re-walking the product.
     ///
-    /// The receiver is untouched (open sessions keep serving it); the
-    /// result is a fresh universe with:
+    /// The receiver is untouched (open sessions keep serving it): the
+    /// result starts as a clone sharing the receiver's copy-on-write
+    /// storage, and every write copies what it changes first. The result
+    /// is a universe with:
     ///
     /// * class counts adjusted, classes born for never-seen signatures and
     ///   compacted away when their count reaches zero (class ids are only
@@ -803,17 +821,20 @@ impl Universe {
             }
         }
 
-        let mut lt: LiveTables = match &self.rows {
-            Rows::Live(lt) => LiveTables::clone(lt),
-            Rows::Complete => LiveTables::from_instance(&self.instance),
-            Rows::Representatives => return Err(DeltaError::NotLive),
-        };
-
-        let mut u = self.clone(); // decision cache clones to empty-same-budget
+        if !self.is_live() {
+            return Err(DeltaError::NotLive);
+        }
+        // The one copy: the live tables and the instance relations share
+        // their storage with `self` and copy only what the edits write.
+        // The decision cache clones to empty with the same budget.
+        let mut u = self.clone();
         u.epoch = self.epoch + 1;
-        // Drop the shared handle on the old tables; `finalize` attaches
-        // the edited ones.
-        u.rows = Rows::Representatives;
+        // `finalize` attaches the edited tables.
+        let mut lt = match std::mem::replace(&mut u.rows, Rows::Representatives) {
+            Rows::Live(lt) => *lt,
+            Rows::Complete => LiveTables::from_instance(&self.instance),
+            Rows::Representatives => unreachable!("checked live above"),
+        };
 
         let nbits = u.instance.pairs().len();
         let mut acc = PairAcc::new(u.sigs.len(), nbits);
@@ -877,10 +898,10 @@ fn split_on_shared(lt: &mut LiveTables, side: Side, s: u32, instance: &mut Insta
     let mut key: Vec<u32> = Vec::new();
     let mut touched: Vec<u32> = Vec::new();
     for row in 0..st.row_count() as u32 {
-        if st.weight[row as usize] == 0 || !st.row_syms(row).contains(&s) {
+        if st.weight(row) == 0 || !st.row_syms(row).contains(&s) {
             continue;
         }
-        let old_p = st.prof_of[row as usize];
+        let old_p = st.prof_of(row);
         key.clear();
         key.extend(st.row_syms(row).iter().map(|&v| {
             if ever_shared.contains(v) {
@@ -892,12 +913,12 @@ fn split_on_shared(lt: &mut LiveTables, side: Side, s: u32, instance: &mut Insta
         if st.prof_key(old_p) == key.as_slice() {
             continue;
         }
-        let w = st.weight[row as usize];
-        st.prof_weight[old_p as usize] -= w;
+        let w = st.weight(row) as i64;
+        st.add_prof_weight(old_p, -w);
         touched.push(old_p);
         let new_p = match st.find_prof(&key) {
             Some(np) => {
-                if st.prof_weight[np as usize] == 0 {
+                if st.prof_weight(np) == 0 {
                     // Revive a retired key: repoint its representative.
                     set_rep(st, side, np, row, instance);
                 }
@@ -907,22 +928,22 @@ fn split_on_shared(lt: &mut LiveTables, side: Side, s: u32, instance: &mut Insta
                 let inst = instance
                     .push_symbol_row(side, st.row_syms(row).to_vec().as_slice())
                     .expect("profile representative row matches its schema arity");
-                st.inst_rows.push(row);
+                st.inst_rows.push(&[row]);
                 st.add_prof(&key, row, inst as u32)
             }
         };
-        st.prof_weight[new_p as usize] += w;
-        st.prof_of[row as usize] = new_p;
+        st.add_prof_weight(new_p, w);
+        st.prof_of.set(row as usize, new_p);
     }
     // Groups whose representative moved away need a surviving one.
     touched.sort_unstable();
     touched.dedup();
     for old_p in touched {
-        if st.prof_weight[old_p as usize] == 0 {
+        if st.prof_weight(old_p) == 0 {
             continue; // retired; repair happens class-side at finalize
         }
-        let rep = st.prof_rep[old_p as usize];
-        if st.prof_of[rep as usize] != old_p || st.weight[rep as usize] == 0 {
+        let rep = st.prof_rep.get(old_p as usize);
+        if st.prof_of(rep) != old_p || st.weight(rep) == 0 {
             let new_rep = st
                 .any_live_row_of(old_p)
                 .expect("profile with weight has a live row");
@@ -935,12 +956,12 @@ fn split_on_shared(lt: &mut LiveTables, side: Side, s: u32, instance: &mut Insta
 /// instance row in place (signature-preserving: `row` belongs to the same
 /// group, see the module docs).
 fn set_rep(st: &mut SideTable, side: Side, p: u32, row: u32, instance: &mut Instance) {
-    st.prof_rep[p as usize] = row;
-    let inst = st.prof_instance[p as usize] as usize;
+    st.prof_rep.set(p as usize, row);
+    let inst = st.prof_instance(p) as usize;
     instance
-        .overwrite_symbol_row(side, inst, st.row_syms(row).to_vec().as_slice())
+        .overwrite_symbol_row(side, inst, st.row_syms(row))
         .expect("representative rows match their schema arity");
-    st.inst_rows[inst] = row;
+    st.inst_rows.set(inst, row);
 }
 
 /// Structural insert: +1 multiplicity, profile assignment/revival, window
@@ -964,9 +985,9 @@ fn apply_insert(
         Some(row) => row,
         None => st.add_row(syms),
     };
-    st.weight[row as usize] += 1;
+    let weight = st.add_weight(row, 1);
     st.bump_units(syms, 1);
-    if st.weight[row as usize] == 1 {
+    if weight == 1 {
         // Fresh or resurrected: (re)compute the group under the *current*
         // holing mask (a tombstoned row's stored profile may predate
         // `ever_shared` growth).
@@ -980,7 +1001,7 @@ fn apply_insert(
         }));
         let prof = match st.find_prof(key) {
             Some(pr) => {
-                if st.prof_weight[pr as usize] == 0 {
+                if st.prof_weight(pr) == 0 {
                     set_rep(st, side, pr, row, instance);
                 }
                 pr
@@ -989,15 +1010,15 @@ fn apply_insert(
                 let inst = instance
                     .push_symbol_row(side, syms)
                     .expect("validated arity");
-                st.inst_rows.push(row);
+                st.inst_rows.push(&[row]);
                 st.add_prof(key, row, inst as u32)
             }
         };
-        st.prof_of[row as usize] = prof;
+        st.prof_of.set(row as usize, prof);
     }
-    let prof = st.prof_of[row as usize];
-    acc.touch(side, prof, st.prof_weight[prof as usize]);
-    st.prof_weight[prof as usize] += 1;
+    let prof = st.prof_of(row);
+    acc.touch(side, prof, st.prof_weight(prof));
+    st.add_prof_weight(prof, 1);
 }
 
 /// Structural delete: −1 multiplicity, representative replacement when the
@@ -1016,17 +1037,14 @@ fn apply_delete(
     };
     let row = st
         .find_row(syms)
-        .filter(|&row| st.weight[row as usize] > 0)
+        .filter(|&row| st.weight(row) > 0)
         .ok_or(())?;
-    st.weight[row as usize] -= 1;
+    let weight = st.add_weight(row, -1);
     st.bump_units(syms, -1);
-    let prof = st.prof_of[row as usize];
-    acc.touch(side, prof, st.prof_weight[prof as usize]);
-    st.prof_weight[prof as usize] -= 1;
-    if st.weight[row as usize] == 0
-        && st.prof_rep[prof as usize] == row
-        && st.prof_weight[prof as usize] > 0
-    {
+    let prof = st.prof_of(row);
+    acc.touch(side, prof, st.prof_weight(prof));
+    st.add_prof_weight(prof, -1);
+    if weight == 0 && st.prof_rep.get(prof as usize) == row && st.prof_weight(prof) > 0 {
         let new_rep = st
             .any_live_row_of(prof)
             .expect("profile with weight has a live row");
@@ -1107,18 +1125,15 @@ fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
     let mut need: Vec<usize> = Vec::new();
     for c in 0..u.sigs.len() {
         let (ri, pi) = u.reps[c];
-        let rrow = lt.r.inst_rows[ri as usize];
-        let prow = lt.p.inst_rows[pi as usize];
-        if lt.r.weight[rrow as usize] > 0 && lt.p.weight[prow as usize] > 0 {
+        let rrow = lt.r.inst_rows.get(ri as usize);
+        let prow = lt.p.inst_rows.get(pi as usize);
+        if lt.r.weight(rrow) > 0 && lt.p.weight(prow) > 0 {
             continue;
         }
-        let pr = lt.r.prof_of[rrow as usize];
-        let pp = lt.p.prof_of[prow as usize];
+        let pr = lt.r.prof_of(rrow);
+        let pp = lt.p.prof_of(prow);
         if lt.r.prof_weight(pr) > 0 && lt.p.prof_weight(pp) > 0 {
-            u.reps[c] = (
-                lt.r.prof_instance[pr as usize],
-                lt.p.prof_instance[pp as usize],
-            );
+            u.reps[c] = (lt.r.prof_instance(pr), lt.p.prof_instance(pp));
         } else {
             need.push(c);
         }
@@ -1138,10 +1153,7 @@ fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
                 pairs.signature_of_into(r_syms, lt.p.rep_syms(pp), &mut scratch);
                 if let Some(c) = u.class_for_signature(&scratch) {
                     if let Some(k) = need.iter().position(|&n| n == c) {
-                        u.reps[c] = (
-                            lt.r.prof_instance[pr as usize],
-                            lt.p.prof_instance[pp as usize],
-                        );
+                        u.reps[c] = (lt.r.prof_instance(pr), lt.p.prof_instance(pp));
                         need.swap_remove(k);
                         if need.is_empty() {
                             break 'scan;
@@ -1158,7 +1170,7 @@ fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
 
     u.distinct_r = lt.r.alive_profiles();
     u.distinct_p = lt.p.alive_profiles();
-    u.rows = Rows::Live(Arc::new(lt));
+    u.rows = Rows::Live(Box::new(lt));
 }
 
 #[cfg(test)]
@@ -1166,6 +1178,7 @@ mod tests {
     use super::*;
     use jqi_relation::{Interner, Relation, Schema, Value};
     use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::Arc;
 
     /// A mutable row-list model of an instance, for rebuilding edited data
     /// from scratch next to the incremental path.

@@ -60,7 +60,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
 
 /// Options for a streaming ingestion run.
 #[derive(Debug, Clone, Copy)]
@@ -577,7 +576,7 @@ impl Universe {
     ) -> (Universe, IngestStats) {
         let ((r_reps, r_weights), (p_reps, p_weights), rows, mut stats) = if options.live {
             let (r, p, lt, stats) = fold_live(&schema, &shared, chunks, options.byte_ceiling);
-            (r, p, Rows::Live(Arc::new(lt)), stats)
+            (r, p, Rows::Live(Box::new(lt)), stats)
         } else {
             let (r, p, stats) = fold_profiles(&shared, chunks, options);
             (r, p, Rows::Representatives, stats)

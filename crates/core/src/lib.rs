@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 
 pub mod certain;
+mod chunked;
 pub mod delta;
 pub mod engine;
 pub mod entropy;

@@ -65,7 +65,7 @@ use jqi_relation::{BitSet, Instance, Tuple};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
 /// Identifier of a T-equivalence class (an index into [`Universe`] tables).
 pub type ClassId = usize;
@@ -626,9 +626,11 @@ pub(crate) enum Rows {
     Representatives,
     /// The live row/profile tables delta maintenance works on (a live
     /// streaming build, or any post-delta universe); `instance` holds
-    /// representatives. Behind an `Arc` so cloning a universe stays cheap —
-    /// `apply_delta` deep-clones before mutating.
-    Live(Arc<LiveTables>),
+    /// representatives. The tables are copy-on-write chunks, so cloning
+    /// a universe copies chunk handles, not rows, and `apply_delta`
+    /// copies only the chunks its edits write. (Boxed only to keep the
+    /// enum small.)
+    Live(Box<LiveTables>),
 }
 
 /// One distinct join profile of a relation side: its first (representative)

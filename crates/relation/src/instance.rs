@@ -101,11 +101,15 @@ impl PairSpace {
 }
 
 /// A database instance `I = (Rᴵ, Pᴵ)` with a shared interner.
+///
+/// Each relation sits behind its own [`Arc`]: cloning an instance shares
+/// both, and a write ([`Instance::push_symbol_row`],
+/// [`Instance::overwrite_symbol_row`]) copies only the side it changes.
 #[derive(Debug, Clone)]
 pub struct Instance {
     interner: Arc<Interner>,
-    r: Relation,
-    p: Relation,
+    r: Arc<Relation>,
+    p: Arc<Relation>,
     pairs: PairSpace,
 }
 
@@ -124,8 +128,8 @@ impl Instance {
         let pairs = PairSpace::new(r.schema().arity(), p.schema().arity());
         Ok(Instance {
             interner,
-            r,
-            p,
+            r: Arc::new(r),
+            p: Arc::new(p),
             pairs,
         })
     }
@@ -270,10 +274,10 @@ impl Instance {
     /// newly-created join profile here, so class representatives always
     /// point at materialized instance rows.
     pub fn push_symbol_row(&mut self, side: crate::stream::Side, syms: &[u32]) -> Result<usize> {
-        let rel = match side {
+        let rel = Arc::make_mut(match side {
             crate::stream::Side::R => &mut self.r,
             crate::stream::Side::P => &mut self.p,
-        };
+        });
         let tuple = Tuple::new(syms.iter().map(|&s| Symbol(s)).collect::<Vec<_>>());
         rel.push_tuple(tuple)?;
         Ok(rel.len() - 1)
@@ -291,10 +295,11 @@ impl Instance {
         syms: &[u32],
     ) -> Result<()> {
         let tuple = Tuple::new(syms.iter().map(|&s| Symbol(s)).collect::<Vec<_>>());
-        match side {
-            crate::stream::Side::R => self.r.overwrite_row(index, tuple),
-            crate::stream::Side::P => self.p.overwrite_row(index, tuple),
-        }
+        let rel = match side {
+            crate::stream::Side::R => &mut self.r,
+            crate::stream::Side::P => &mut self.p,
+        };
+        Arc::make_mut(rel).overwrite_row(index, tuple)
     }
 
     /// Iterates over all product tuples as `(ri, pi)` pairs.

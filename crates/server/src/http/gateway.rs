@@ -513,29 +513,34 @@ fn parse_row(
 
 fn apply_delta(manager: &SessionManager, request: &Request) -> Result<Response, Response> {
     let doc = parse_body(request)?;
-    let universe = manager.universe();
-    let interner = universe.instance().interner();
     let mut delta = UniverseDelta::new();
-    for (key, side, is_delete) in [
-        ("insert_r", Side::R, false),
-        ("delete_r", Side::R, true),
-        ("insert_p", Side::P, false),
-        ("delete_p", Side::P, true),
-    ] {
-        let Some(block) = doc.get(key) else { continue };
-        let rows = block.as_arr().ok_or_else(|| {
-            error(
-                400,
-                "bad_request",
-                &format!("{key} must be an array of rows"),
-            )
-        })?;
-        for (index, row) in rows.iter().enumerate() {
-            let tuple = parse_row(interner, key, index, row)?;
-            if is_delete {
-                delta.delete(side, tuple);
-            } else {
-                delta.insert(side, tuple);
+    {
+        // The rows are interned through the serving universe, whose
+        // handle is dropped with the parse: held any longer, it would keep
+        // the pre-delta universe alive past `SessionManager::apply_delta`.
+        let universe = manager.universe();
+        let interner = universe.instance().interner();
+        for (key, side, is_delete) in [
+            ("insert_r", Side::R, false),
+            ("delete_r", Side::R, true),
+            ("insert_p", Side::P, false),
+            ("delete_p", Side::P, true),
+        ] {
+            let Some(block) = doc.get(key) else { continue };
+            let rows = block.as_arr().ok_or_else(|| {
+                error(
+                    400,
+                    "bad_request",
+                    &format!("{key} must be an array of rows"),
+                )
+            })?;
+            for (index, row) in rows.iter().enumerate() {
+                let tuple = parse_row(interner, key, index, row)?;
+                if is_delete {
+                    delta.delete(side, tuple);
+                } else {
+                    delta.insert(side, tuple);
+                }
             }
         }
     }

@@ -42,7 +42,7 @@ use jqi_core::{
 };
 use jqi_relation::{BitSet, Value};
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -259,6 +259,11 @@ impl Footprint {
     fn spilled(locator: &SpillLocator) -> Footprint {
         Footprint([1, 0, 0, 1, 0, 0, 0, 0, locator.len as usize])
     }
+
+    /// Whether this footprint counts a resident session.
+    fn is_resident(&self) -> bool {
+        self.0[1] != 0
+    }
 }
 
 /// The tier gauges behind [`SessionManager::stats`]: one counter per
@@ -298,15 +303,25 @@ impl Gauges {
     }
 }
 
+/// The ids of the slots whose counted footprint is resident, kept by
+/// [`SlotGuard`] beside the gauges, so the paths that concern resident
+/// sessions only — a count-only migration, the TTL park — visit
+/// O(resident) slots instead of walking the table. Its lock is a leaf:
+/// taken under a session mutex, never held while one is taken.
+type ResidentIndex = Mutex<HashSet<SessionId, BuildHasherDefault<SessionIdHasher>>>;
+
 /// A locked slot that re-counts itself into the tier gauges when it is
 /// released — every session-mutex acquisition of the manager that can
 /// change a slot goes through one ([`SessionManager::lock`]), so whatever
 /// the holder did to the slot (answer, park, wake, spill, lift, replay,
 /// detach) lands in the gauges as the difference between the footprint
-/// counted at acquisition and the one re-counted at release.
+/// counted at acquisition and the one re-counted at release, and in the
+/// resident index when that difference enters or leaves the resident
+/// tier.
 struct SlotGuard<'a> {
     slot: MutexGuard<'a, Slot>,
     gauges: &'a Gauges,
+    resident: &'a ResidentIndex,
     before: Footprint,
 }
 
@@ -328,14 +343,25 @@ impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
         let after = self.slot.recount();
         self.gauges.apply(self.before, after);
+        match (self.before.is_resident(), after.is_resident()) {
+            (false, true) => {
+                self.resident.lock().insert(self.slot.id);
+            }
+            (true, false) => {
+                self.resident.lock().remove(&self.slot.id);
+            }
+            _ => {}
+        }
     }
 }
 
-/// One session table slot: the strategy config (needed to snapshot and to
-/// re-materialize), the idle clock, the tiered session itself, and
-/// whether its footprint is in the tier gauges — from the insert that
-/// publishes it until the removal that detaches it.
+/// One session table slot: its table key (stamped by the insert), the
+/// strategy config (needed to snapshot and to re-materialize), the idle
+/// clock, the tiered session itself, and whether its footprint is in the
+/// tier gauges — from the insert that publishes it until the removal that
+/// detaches it.
 struct Slot {
+    id: SessionId,
     config: StrategyConfig,
     last_touch: Instant,
     tier: Tier,
@@ -345,6 +371,7 @@ struct Slot {
 impl Slot {
     fn new(config: StrategyConfig, tier: Tier) -> Slot {
         Slot {
+            id: 0,
             config,
             last_touch: Instant::now(),
             tier,
@@ -572,13 +599,15 @@ struct Serving {
 /// What one [`SessionManager::apply_delta`] did to the session fleet.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MigrationReport {
-    /// Live sessions examined (every tier).
+    /// Live sessions at the migration, every tier (read off the tier
+    /// gauges, which the serving write lock makes exact).
     pub sessions: usize,
     /// Sessions carried over without replay because the class structure
     /// was unchanged (a count-only delta, [`Universe::same_classes`]): a
     /// resident session's masks transfer verbatim in O(masks), and a
-    /// parked session's replay log is kept as it is — its class ids mean
-    /// the same signatures on the new universe.
+    /// parked or spilled session is not visited at all — its replay log
+    /// is kept as it is, its class ids meaning the same signatures on the
+    /// new universe. `sessions - replayed - invalidated`.
     pub carried: usize,
     /// Sessions re-validated by signature-remapped replay against the new
     /// universe — every session of a structural delta, resident or
@@ -653,6 +682,8 @@ pub struct SessionManager {
     /// Per-tier session counts and byte totals, moved only by
     /// [`SlotGuard`] — what [`Self::stats`] reads instead of the table.
     gauges: Gauges,
+    /// The resident slots' ids, also kept only by [`SlotGuard`].
+    resident: ResidentIndex,
     next_id: AtomicU64,
     durability: Option<DurabilityState>,
 }
@@ -680,6 +711,7 @@ impl SessionManager {
                 .map(|_| RwLock::new(HashMap::default()))
                 .collect(),
             gauges: Gauges::default(),
+            resident: ResidentIndex::default(),
             next_id: AtomicU64::new(0),
             config,
             durability: None,
@@ -861,6 +893,39 @@ impl SessionManager {
         }
     }
 
+    /// The ids in the resident index, sorted: what a count-only
+    /// migration and the TTL park visit. Equal to
+    /// [`Self::resident_ids_by_walk`] whenever the fleet is quiescent.
+    #[doc(hidden)]
+    pub fn resident_ids(&self) -> Vec<SessionId> {
+        let mut ids: Vec<SessionId> = self.resident.lock().iter().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The ids of the resident sessions, sorted, found by walking the
+    /// whole table and locking every session: the oracle the resident
+    /// index is tested against.
+    #[doc(hidden)]
+    pub fn resident_ids_by_walk(&self) -> Vec<SessionId> {
+        let _serving = self.serving.read();
+        let mut ids = Vec::new();
+        for shard in self.shards.iter() {
+            let slots: Vec<(SessionId, Arc<Mutex<Slot>>)> = shard
+                .read()
+                .iter()
+                .map(|(&id, slot)| (id, Arc::clone(slot)))
+                .collect();
+            for (id, slot) in slots {
+                if let Tier::Resident(_) = slot.lock().tier {
+                    ids.push(id);
+                }
+            }
+        }
+        ids.sort_unstable();
+        ids
+    }
+
     /// [`Self::stats`] recomputed by walking the whole table, locking
     /// every session: the oracle the gauges are tested against, equal to
     /// `stats()` whenever the fleet is quiescent.
@@ -924,8 +989,20 @@ impl SessionManager {
         SlotGuard {
             slot,
             gauges: &self.gauges,
+            resident: &self.resident,
             before,
         }
+    }
+
+    /// Handles on the slots of the resident index. The ids are copied out
+    /// first, since the index lock is a leaf; a slot parked or removed
+    /// since is still returned (or skipped, if already unlinked), so
+    /// callers re-check its tier under its lock.
+    fn resident_slots(&self) -> Vec<Arc<Mutex<Slot>>> {
+        let ids: Vec<SessionId> = self.resident.lock().iter().copied().collect();
+        ids.into_iter()
+            .filter_map(|id| self.slot(id).ok())
+            .collect()
     }
 
     fn shard(&self, id: SessionId) -> &Shard {
@@ -992,7 +1069,10 @@ impl SessionManager {
                     state.log(record)?;
                 }
                 // Unpublished, so this lock is uncontended.
-                self.lock(&slot).counted = true;
+                let mut guard = self.lock(&slot);
+                guard.id = id;
+                guard.counted = true;
+                drop(guard);
                 e.insert(slot);
                 Ok(())
             }
@@ -1299,25 +1379,19 @@ impl SessionManager {
         Ok(report)
     }
 
+    /// The TTL park: visits the resident slots only, O(resident).
     fn park_idle(&self, ttl: Duration, report: &mut SweepReport) -> Result<()> {
-        for shard in self.shards.iter() {
-            let slots: Vec<(SessionId, Arc<Mutex<Slot>>)> = shard
-                .read()
-                .iter()
-                .map(|(&id, slot)| (id, Arc::clone(slot)))
-                .collect();
-            for (id, slot) in slots {
-                let mut guard = self.lock(&slot);
-                if guard.last_touch.elapsed() < ttl {
-                    continue;
-                }
-                if let Some((freed, added)) = guard.hibernate() {
-                    report.parked += 1;
-                    report.resident_bytes_freed += freed;
-                    report.hibernated_bytes_added += added;
-                    if let Some(state) = &self.durability {
-                        state.log(&WalRecord::Hibernate { id })?;
-                    }
+        for slot in self.resident_slots() {
+            let mut guard = self.lock(&slot);
+            if guard.last_touch.elapsed() < ttl {
+                continue;
+            }
+            if let Some((freed, added)) = guard.hibernate() {
+                report.parked += 1;
+                report.resident_bytes_freed += freed;
+                report.hibernated_bytes_added += added;
+                if let Some(state) = &self.durability {
+                    state.log(&WalRecord::Hibernate { id: guard.id })?;
                 }
             }
         }
@@ -1489,7 +1563,9 @@ impl SessionManager {
     ///   so no history can have become invalid. A resident session
     ///   rebinds through [`OwnedSession::rebind`], its masks carried
     ///   verbatim in O(masks); a parked or spilled session is left exactly
-    ///   as it is. The fleet walk replays nothing and reads no segment.
+    ///   as it is. Only the resident slots are visited (found through the
+    ///   resident index, not a table walk), so the migration costs
+    ///   O(resident sessions), replays nothing and reads no segment.
     /// * **Changed** — every session, whatever its tier, is remapped by
     ///   class signature ([`remap_replay_parts`]), re-validated by a full
     ///   replay on the new universe, and put back into its own tier
@@ -1522,53 +1598,59 @@ impl SessionManager {
         };
         // Decided once for the whole fleet: with every signature in place
         // a parked replay log already means the same thing on the new
-        // universe, and replaying it would hand it back unchanged.
+        // universe, and replaying it would hand it back unchanged — so a
+        // count-only delta visits the resident slots alone, and a
+        // structural one every slot. The serving write lock has quiesced
+        // the fleet, so the gauges are exact and the visits block nobody.
         let same_classes = old.same_classes(&universe);
+        report.sessions = self.gauges.load().sessions;
+        let slots: Vec<Arc<Mutex<Slot>>> = if same_classes {
+            self.resident_slots()
+        } else {
+            self.shards
+                .iter()
+                .flat_map(|shard| shard.read().values().cloned().collect::<Vec<_>>())
+                .collect()
+        };
         let mut doomed: Vec<SessionId> = Vec::new();
-        // The serving write lock has quiesced the fleet, so walking each
-        // shard under its read lock (shard → session mutex, the usual
-        // order) blocks nobody.
-        for shard in self.shards.iter() {
-            for (&id, slot) in shard.read().iter() {
-                // The guard re-counts the slot in this same visit, so the
-                // gauges follow the migration without a walk of their own.
-                let mut guard = self.lock(slot);
-                let slot: &mut Slot = &mut guard;
-                report.sessions += 1;
-                let carried = same_classes
-                    && match &mut slot.tier {
-                        Tier::Resident(resident) => {
-                            resident.session.rebind(Arc::clone(&universe), &slot.config)
-                        }
-                        _ => true,
-                    };
-                if carried {
-                    report.carried += 1;
-                    continue;
-                }
-                // The class structure changed: remap the replay log by
-                // signature, replay it, and return the session to its tier.
-                let resident = matches!(slot.tier, Tier::Resident(_));
-                let dropped = self.lift(slot).ok().and_then(|()| {
-                    let (history, pending) = slot.take_replay_parts();
-                    let (history, pending, dropped) =
-                        remap_replay_parts(&old, &universe, history, pending);
-                    slot.tier = Tier::Hibernated { history, pending };
-                    slot.wake(&universe).ok().map(|_| dropped)
-                });
-                let Some(dropped) = dropped else {
-                    // Leaves the gauges with this visit; unlinked below.
-                    slot.counted = false;
-                    doomed.push(id);
-                    continue;
+        for slot in &slots {
+            // The guard re-counts the slot in this same visit, so the
+            // gauges follow the migration without a walk of their own.
+            let mut guard = self.lock(slot);
+            let slot: &mut Slot = &mut guard;
+            let carried = same_classes
+                && match &mut slot.tier {
+                    Tier::Resident(resident) => {
+                        resident.session.rebind(Arc::clone(&universe), &slot.config)
+                    }
+                    _ => true,
                 };
-                if !resident {
-                    slot.hibernate();
-                }
-                report.replayed += 1;
-                report.dropped_labels += dropped;
+            if carried {
+                continue;
             }
+            // The class structure changed: remap the replay log by
+            // signature, replay it, and return the session to its tier.
+            let resident = matches!(slot.tier, Tier::Resident(_));
+            let dropped = self.lift(slot).ok().and_then(|()| {
+                let (history, pending) = slot.take_replay_parts();
+                let (history, pending, dropped) =
+                    remap_replay_parts(&old, &universe, history, pending);
+                slot.tier = Tier::Hibernated { history, pending };
+                slot.wake(&universe).ok().map(|_| dropped)
+            });
+            let Some(dropped) = dropped else {
+                // Leaves the gauges with this visit; unlinked below.
+                slot.counted = false;
+                doomed.push(slot.id);
+                continue;
+            };
+            if !resident {
+                slot.hibernate();
+            }
+            report.replayed += 1;
+            report.dropped_labels += dropped;
         }
+        report.carried = report.sessions - report.replayed - doomed.len();
         for &id in &doomed {
             self.shard(id).write().remove(&id);
         }

@@ -1,14 +1,18 @@
-//! Property test: the O(1) tier gauges equal a walk of the session table.
+//! Property test: the O(1) tier gauges and the resident index equal a
+//! walk of the session table.
 //!
 //! `SessionManager::stats` reads per-tier session counts and byte totals
 //! that every slot transition moves as it happens; `stats_by_walk`
-//! recomputes them by locking every session. Seeded random operation
+//! recomputes them by locking every session. Likewise `resident_ids`
+//! reads the index a count-only migration and the TTL park visit, and
+//! `resident_ids_by_walk` finds the resident sessions by locking every
+//! slot. Seeded random operation
 //! sequences drive a durable manager over in-memory storage through every
 //! transition — create, question, answers, park, sweep with a spill
 //! watermark, wake of spilled sessions, snapshot, restore, delete,
 //! count-only and structural deltas, recovery (from a WAL that a scripted
 //! crash may have cut short), and appends that fail under a create,
-//! restore, delete, answer or park — and after every operation the two
+//! restore, delete, answer or park — and after every operation each pair
 //! must agree. (No delta invalidates a session here: remapping keeps
 //! every signature and consistency reads signatures only; the manager's
 //! unit tests plant an unreplayable history to reach that path.)
@@ -280,6 +284,13 @@ proptest! {
                 fleet.manager.stats(),
                 fleet.manager.stats_by_walk(),
                 "after {} (step {})",
+                op,
+                step
+            );
+            prop_assert_eq!(
+                fleet.manager.resident_ids(),
+                fleet.manager.resident_ids_by_walk(),
+                "resident index after {} (step {})",
                 op,
                 step
             );

@@ -1058,7 +1058,7 @@ fn sf_stream_streamed_matches_materialized() {
 // Incremental universe maintenance ≡ rebuild of the edited instance
 // ---------------------------------------------------------------------------
 
-use join_query_inference::core::{ClassId, UniverseDelta};
+use join_query_inference::core::{ClassId, DeltaError, UniverseDelta};
 use join_query_inference::relation::{Relation, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1083,9 +1083,19 @@ fn concrete_delta(
     inst: &Instance,
     script: &[AbstractEdit],
 ) -> (UniverseDelta, Vec<Tuple>, Vec<Tuple>) {
+    let (r, p) = (inst.r().rows().to_vec(), inst.p().rows().to_vec());
+    fold_script(inst, r, p, script)
+}
+
+/// [`concrete_delta`] against the rows `r` and `p` (interned through
+/// `inst`'s interner) instead of `inst`'s own.
+fn fold_script(
+    inst: &Instance,
+    mut r: Vec<Tuple>,
+    mut p: Vec<Tuple>,
+    script: &[AbstractEdit],
+) -> (UniverseDelta, Vec<Tuple>, Vec<Tuple>) {
     let mut delta = UniverseDelta::new();
-    let mut r: Vec<Tuple> = inst.r().rows().to_vec();
-    let mut p: Vec<Tuple> = inst.p().rows().to_vec();
     for &(on_r, insert, vals, pick) in script {
         let (side, rows) = if on_r == 1 {
             (Side::R, &mut r)
@@ -1208,6 +1218,124 @@ proptest! {
             let (ri, pi) = applied.representative(c as ClassId);
             prop_assert_eq!(applied.class_of(ri, pi), Some(c as ClassId));
         }
+    }
+}
+
+/// `inst` with `filler` extra R rows of fresh, pairwise distinct values,
+/// so the live tables span several copy-on-write chunks (a chunk holds
+/// 4096 records).
+fn with_filler(inst: &Instance, filler: usize) -> Instance {
+    let mut r = Relation::new(inst.r().schema().clone());
+    for t in inst.r().rows() {
+        r.push_tuple(t.clone()).expect("same schema");
+    }
+    for k in 0..filler as i64 {
+        let values = [Value::int(1000 + 2 * k), Value::int(1001 + 2 * k)];
+        r.push_tuple(Tuple::intern(inst.interner(), &values))
+            .expect("arity 2");
+    }
+    Instance::new(inst.interner_handle(), r, inst.p().clone()).expect("schemas are disjoint")
+}
+
+/// Everything a delta may change about a live universe, by value.
+#[allow(clippy::type_complexity)]
+fn live_view(
+    u: &Universe,
+) -> (
+    Option<(u64, u64)>,
+    Vec<usize>,
+    u64,
+    u64,
+    Vec<BitSet>,
+    Vec<u64>,
+) {
+    (
+        u.live_row_counts(),
+        // By member: the capacity follows the shared interner, which the
+        // scripts grow.
+        u.live_shared_symbols()
+            .map(|s| s.iter().collect())
+            .unwrap_or_default(),
+        u.content_fingerprint(),
+        u.epoch(),
+        u.sigs().to_vec(),
+        u.counts().to_vec(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Copy-on-write isolation: a delta result and a plain clone share
+    /// their live tables' chunks with the universe they came from, and no
+    /// write through either ever shows in it. Two lineages diverge from
+    /// one live universe `U` by further deltas; `U` keeps its row counts,
+    /// shared symbols, content fingerprint and epoch throughout, and
+    /// re-applying the first script to `U` afterwards lands on the same
+    /// universe as before. A script that fails with `MissingRow` on its
+    /// last edit, after its earlier edits have written chunks, leaves `U`
+    /// and every clone as they were.
+    #[test]
+    fn delta_clones_share_chunks_but_never_writes(
+        inst in duplicate_heavy_instance(),
+        filler in 0usize..9000,
+        script in edit_scripts(),
+        left in edit_scripts(),
+        right in edit_scripts(),
+    ) {
+        let inst = with_filler(&inst, filler);
+        let (schema, chunks) = chunked(&inst, 64);
+        let (u, _) = Universe::build_streaming(
+            schema,
+            || chunks.clone().into_iter(),
+            &ingest_options(1, true),
+        );
+        let base = live_view(&u);
+
+        let (delta, r, p) = concrete_delta(&inst, &script);
+        let applied = u.apply_delta(&delta).expect("folded scripts are valid");
+        let first = live_view(&applied);
+        prop_assert_eq!(&live_view(&u), &base);
+
+        // Left lineage: onward from the delta result. Right lineage: the
+        // same script from a plain clone of `U`, then other edits.
+        let (d_left, _, _) = fold_script(&inst, r.clone(), p.clone(), &left);
+        let left_next = applied.apply_delta(&d_left).expect("folded scripts are valid");
+        let clone = u.clone();
+        let again = clone.apply_delta(&delta).expect("folded scripts are valid");
+        prop_assert_eq!(&live_view(&again), &first);
+        let (d_right, _, _) = fold_script(&inst, r, p, &right);
+        let right_next = again.apply_delta(&d_right).expect("folded scripts are valid");
+        prop_assert_eq!(live_view(&u), base.clone());
+        prop_assert_eq!(live_view(&clone), base.clone());
+        prop_assert_eq!(live_view(&applied), first.clone());
+        prop_assert_eq!(live_view(&again), first.clone());
+        prop_assert_eq!(left_next.epoch(), 2);
+        prop_assert_eq!(right_next.epoch(), 2);
+
+        // Re-applying the first script from `U` after all that.
+        let replayed = u.apply_delta(&delta).expect("folded scripts are valid");
+        prop_assert_eq!(replayed.fingerprint(), applied.fingerprint());
+        prop_assert_eq!(live_view(&replayed), first.clone());
+
+        // A rejected script: valid edits, then a delete of a row that was
+        // never there.
+        let absent = Tuple::intern(inst.interner(), &[Value::int(-1), Value::int(-1)]);
+        for (from, valid) in [(&u, &delta), (&clone, &delta), (&applied, &d_left)] {
+            let mut rejected = valid.clone();
+            rejected.delete(Side::R, absent.clone());
+            let last = rejected.len() - 1;
+            let before = live_view(from);
+            let err = from.apply_delta(&rejected).expect_err("the last delete misses");
+            prop_assert!(
+                matches!(err, DeltaError::MissingRow { index, .. } if index == last),
+                "{:?}",
+                err
+            );
+            prop_assert_eq!(live_view(from), before);
+        }
+        prop_assert_eq!(live_view(&u), base);
+        prop_assert_eq!(live_view(&applied), first);
     }
 }
 
