@@ -9,25 +9,12 @@
 //! * **Lemma 3.4** — `t ∈ Cert⁻(S)` iff `∃ t′ ∈ S⁻ : T(S⁺) ∩ T(t) ⊆ T(t′)`.
 //!
 //! Together these give Theorem 3.5: testing informativeness is in PTIME.
-//! This module also provides the *weighted uninformative-tuple count* that
+//! This module also provides the *uninformative-tuple count* (each class
+//! weighted by its multiplicity, as Figure 5 counts tuples of `R × P`) that
 //! the lookahead strategies' entropy computation (§4.4) is built on.
 
 use crate::sample::{Label, Sample};
 use crate::universe::{ClassId, Universe};
-
-/// How entropy counts tuples that become uninformative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CountMode {
-    /// Count individual product tuples (each class weighted by its
-    /// multiplicity). This matches Figure 5 of the paper, where `u⁺`/`u⁻`
-    /// count tuples of the Cartesian product.
-    #[default]
-    Tuples,
-    /// Count T-equivalence classes once each — an ablation showing that the
-    /// strategies' decisions rarely change, since same-signature tuples are
-    /// interchangeable.
-    Classes,
-}
 
 /// Lemma 3.3: class `c` is certainly selected by every consistent predicate.
 #[inline]
@@ -78,7 +65,9 @@ pub fn any_informative(universe: &Universe, sample: &Sample) -> bool {
     (0..universe.num_classes()).any(|c| is_informative(universe, sample, c))
 }
 
-/// Weighted count of uninformative tuples under `mode`.
+/// Weighted count of uninformative tuples: each class counts with its
+/// multiplicity, as in Figure 5 of the paper, where `u⁺`/`u⁻` count tuples
+/// of the Cartesian product.
 ///
 /// For a labeled class, the labeled representative itself is *not* counted
 /// (it is part of `S`, not of `Uninf(S)` as used by Figure 5), but the
@@ -88,13 +77,10 @@ pub fn any_informative(universe: &Universe, sample: &Sample) -> bool {
 /// The entropy quantities `u^α_{t,S} = |Uninf(S ∪ {(t,α)}) \ Uninf(S)|`
 /// are computed as differences of this function, which is valid because
 /// uninformativeness is monotone in `S` for consistent samples.
-pub fn uninformative_count(universe: &Universe, sample: &Sample, mode: CountMode) -> u64 {
+pub fn uninformative_count(universe: &Universe, sample: &Sample) -> u64 {
     let mut total = 0u64;
     for c in 0..universe.num_classes() {
-        let weight = match mode {
-            CountMode::Tuples => universe.count(c),
-            CountMode::Classes => 1,
-        };
+        let weight = universe.count(c);
         if sample.label(c).is_some() {
             // The labeled tuple itself is an example, not an uninformative
             // tuple; its classmates are uninformative.
@@ -148,7 +134,7 @@ mod tests {
         // Example 2.1 has no tuple with T = Ω, so all 12 classes are informative.
         assert_eq!(informative_classes(&u, &s).len(), 12);
         assert!(any_informative(&u, &s));
-        assert_eq!(uninformative_count(&u, &s, CountMode::Tuples), 0);
+        assert_eq!(uninformative_count(&u, &s), 0);
     }
 
     #[test]
@@ -232,10 +218,8 @@ mod tests {
         let mut s = crate::Sample::new(&u);
         let c_match = (0..2).find(|&c| !u.sig(c).is_empty()).unwrap();
         s.add(&u, c_match, Label::Positive).unwrap();
-        // Tuples mode: the classmate of the labeled tuple is uninformative
-        // (1), and the ∅-class is NOT certain (T(S⁺)={A=B} ⊄ ∅, no negatives).
-        assert_eq!(uninformative_count(&u, &s, CountMode::Tuples), 1);
-        // Classes mode: labeled class contributes 0 (weight 1 − 1).
-        assert_eq!(uninformative_count(&u, &s, CountMode::Classes), 0);
+        // The classmate of the labeled tuple is uninformative (1), and the
+        // ∅-class is NOT certain (T(S⁺)={A=B} ⊄ ∅, no negatives).
+        assert_eq!(uninformative_count(&u, &s), 1);
     }
 }

@@ -11,7 +11,7 @@
 //! `(∞,∞)` value encodes "labeling `t` with this label ends the inference".
 //! [`entropy_k`] generalizes the construction to arbitrary depth.
 
-use crate::certain::{informative_classes, uninformative_count, CountMode};
+use crate::certain::{informative_classes, uninformative_count};
 use crate::sample::{Label, Sample};
 use crate::universe::{ClassId, Universe};
 
@@ -89,55 +89,38 @@ pub fn select_best(entropies: &[(ClassId, Entropy)]) -> Option<(ClassId, Entropy
 
 /// `u^α_{t,S}`: how many tuples become uninformative if class `c` is labeled
 /// `α` (relative to a precomputed `base = uninformative_count(S)`).
-fn gain(
-    universe: &Universe,
-    sample: &Sample,
-    base: u64,
-    c: ClassId,
-    alpha: Label,
-    mode: CountMode,
-) -> u64 {
+fn gain(universe: &Universe, sample: &Sample, base: u64, c: ClassId, alpha: Label) -> u64 {
     let mut s = sample.clone();
     s.add(universe, c, alpha).expect("class must be unlabeled");
-    uninformative_count(universe, &s, mode).saturating_sub(base)
+    uninformative_count(universe, &s).saturating_sub(base)
 }
 
 /// The one-step entropy of informative class `c` w.r.t. `sample`.
-pub fn entropy(universe: &Universe, sample: &Sample, c: ClassId, mode: CountMode) -> Entropy {
-    let base = uninformative_count(universe, sample, mode);
-    entropy_with_base(universe, sample, base, c, mode)
+pub fn entropy(universe: &Universe, sample: &Sample, c: ClassId) -> Entropy {
+    let base = uninformative_count(universe, sample);
+    entropy_with_base(universe, sample, base, c)
 }
 
 /// Like [`entropy`] with the base count supplied by the caller (so that
 /// computing all entropies shares one base computation).
-pub fn entropy_with_base(
-    universe: &Universe,
-    sample: &Sample,
-    base: u64,
-    c: ClassId,
-    mode: CountMode,
-) -> Entropy {
-    let u_pos = gain(universe, sample, base, c, Label::Positive, mode);
-    let u_neg = gain(universe, sample, base, c, Label::Negative, mode);
+pub fn entropy_with_base(universe: &Universe, sample: &Sample, base: u64, c: ClassId) -> Entropy {
+    let u_pos = gain(universe, sample, base, c, Label::Positive);
+    let u_neg = gain(universe, sample, base, c, Label::Negative);
     Entropy::of(u_pos, u_neg)
 }
 
 /// Entropies of all informative classes.
-pub fn all_entropies(
-    universe: &Universe,
-    sample: &Sample,
-    mode: CountMode,
-) -> Vec<(ClassId, Entropy)> {
-    let base = uninformative_count(universe, sample, mode);
+pub fn all_entropies(universe: &Universe, sample: &Sample) -> Vec<(ClassId, Entropy)> {
+    let base = uninformative_count(universe, sample);
     informative_classes(universe, sample)
         .into_iter()
-        .map(|c| (c, entropy_with_base(universe, sample, base, c, mode)))
+        .map(|c| (c, entropy_with_base(universe, sample, base, c)))
         .collect()
 }
 
 /// Algorithm 5: the two-step entropy of informative class `c`.
-pub fn entropy2(universe: &Universe, sample: &Sample, c: ClassId, mode: CountMode) -> Entropy {
-    entropy_k(universe, sample, c, 2, mode)
+pub fn entropy2(universe: &Universe, sample: &Sample, c: ClassId) -> Entropy {
+    entropy_k(universe, sample, c, 2)
 }
 
 /// The k-step generalization of Algorithm 5 (`entropyᵏ`); `k = 1` is the
@@ -147,32 +130,19 @@ pub fn entropy2(universe: &Universe, sample: &Sample, c: ClassId, mode: CountMod
 /// Complexity is `O(|classes|^(k−1))` entropy evaluations; the paper uses
 /// `k = 2` as "a good trade-off between keeping a relatively low computation
 /// time and minimizing the number of interactions".
-pub fn entropy_k(
-    universe: &Universe,
-    sample: &Sample,
-    c: ClassId,
-    k: usize,
-    mode: CountMode,
-) -> Entropy {
+pub fn entropy_k(universe: &Universe, sample: &Sample, c: ClassId, k: usize) -> Entropy {
     assert!(k >= 1, "lookahead depth must be at least 1");
-    let base = uninformative_count(universe, sample, mode);
-    entropy_rel(universe, sample, base, c, k, mode)
+    let base = uninformative_count(universe, sample);
+    entropy_rel(universe, sample, base, c, k)
 }
 
 /// Recursive worker: depth-`k` entropy of `c` w.r.t. the *current* sample,
 /// with uninformative counts measured against `base` (the original sample's
 /// count, per Algorithm 5 lines 8–9).
-fn entropy_rel(
-    universe: &Universe,
-    current: &Sample,
-    base: u64,
-    c: ClassId,
-    k: usize,
-    mode: CountMode,
-) -> Entropy {
+fn entropy_rel(universe: &Universe, current: &Sample, base: u64, c: ClassId, k: usize) -> Entropy {
     if k == 1 {
-        let u_pos = gain(universe, current, base, c, Label::Positive, mode);
-        let u_neg = gain(universe, current, base, c, Label::Negative, mode);
+        let u_pos = gain(universe, current, base, c, Label::Positive);
+        let u_neg = gain(universe, current, base, c, Label::Negative);
         return Entropy::of(u_pos, u_neg);
     }
     let mut per_label: [Entropy; 2] = [ENTROPY_INF; 2];
@@ -187,7 +157,7 @@ fn entropy_rel(
         }
         let entries: Vec<(ClassId, Entropy)> = informative
             .into_iter()
-            .map(|t2| (t2, entropy_rel(universe, &s1, base, t2, k - 1, mode)))
+            .map(|t2| (t2, entropy_rel(universe, &s1, base, t2, k - 1)))
             .collect();
         // Lines 11–12: skyline element with min(e) = max of mins.
         per_label[idx] = select_best(&entries).expect("entries nonempty").1;
@@ -250,7 +220,7 @@ mod tests {
         ];
         for ((ri, pi), (lo, hi)) in expected {
             let c = class_of(&u, ri, pi);
-            let e = entropy(&u, &s, c, CountMode::Tuples);
+            let e = entropy(&u, &s, c);
             assert_eq!(
                 (e.lo, e.hi),
                 (lo, hi),
@@ -268,10 +238,7 @@ mod tests {
     fn figure_5_skyline() {
         let u = Universe::build(example_2_1());
         let s = crate::Sample::new(&u);
-        let es: Vec<Entropy> = all_entropies(&u, &s, CountMode::Tuples)
-            .into_iter()
-            .map(|(_, e)| e)
-            .collect();
+        let es: Vec<Entropy> = all_entropies(&u, &s).into_iter().map(|(_, e)| e).collect();
         let mut sky = skyline(&es);
         sky.sort_by_key(|e| (e.lo, e.hi));
         assert_eq!(
@@ -288,7 +255,7 @@ mod tests {
     fn l1s_choice_on_empty_sample() {
         let u = Universe::build(example_2_1());
         let s = crate::Sample::new(&u);
-        let entries = all_entropies(&u, &s, CountMode::Tuples);
+        let entries = all_entropies(&u, &s);
         let (c, e) = select_best(&entries).unwrap();
         assert_eq!(e, Entropy { lo: 1, hi: 4 });
         let (ri, pi) = u.representative(c);
@@ -323,7 +290,7 @@ mod tests {
             },
             expected
         );
-        let e2 = entropy2(&u, &s, class_of(&u, 1, 0), CountMode::Tuples);
+        let e2 = entropy2(&u, &s, class_of(&u, 1, 0));
         assert_eq!(e2, Entropy { lo: 3, hi: 3 });
     }
 
@@ -332,10 +299,7 @@ mod tests {
         let u = Universe::build(example_2_1());
         let s = crate::Sample::new(&u);
         for c in 0..u.num_classes() {
-            assert_eq!(
-                entropy(&u, &s, c, CountMode::Tuples),
-                entropy_k(&u, &s, c, 1, CountMode::Tuples)
-            );
+            assert_eq!(entropy(&u, &s, c), entropy_k(&u, &s, c, 1));
         }
     }
 

@@ -73,7 +73,6 @@ pub mod state;
 pub mod strategy;
 pub mod universe;
 
-pub use certain::CountMode;
 pub use delta::{DeltaError, EditOp, RowEdit, UniverseDelta};
 pub use entropy::Entropy;
 pub use error::{InferenceError, Result};

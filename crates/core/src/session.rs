@@ -457,15 +457,10 @@ mod tests {
             session.pending_class(),
         )
         .unwrap();
-        for mode in [
-            crate::certain::CountMode::Tuples,
-            crate::certain::CountMode::Classes,
-        ] {
-            assert_eq!(
-                session.state().uninformative_count(mode),
-                replayed.state().uninformative_count(mode)
-            );
-        }
+        assert_eq!(
+            session.state().uninformative_count(),
+            replayed.state().uninformative_count()
+        );
         assert_eq!(
             session.state().informative().collect::<Vec<_>>(),
             replayed.state().informative().collect::<Vec<_>>()

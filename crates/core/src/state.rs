@@ -52,12 +52,11 @@
 //! true, and a label moves classes *out of* the informative mask but never
 //! back in.
 
-use crate::certain::CountMode;
 use crate::entropy::Entropy;
 use crate::error::{InferenceError, Result};
 use crate::sample::{Label, Sample};
 use crate::universe::{ClassClosure, ClassId, Universe};
-use jqi_relation::bitset::{count_and, nth_set_bit, word_count, WORD_BITS};
+use jqi_relation::bitset::{nth_set_bit, word_count, WORD_BITS};
 use jqi_relation::BitSet;
 use std::cell::RefCell;
 use std::ops::Deref;
@@ -253,10 +252,9 @@ pub struct InferenceState<'u> {
     theta_certain: RefCell<(u64, BitSet)>,
     /// Popcount of `open`, maintained across updates.
     open_count: u32,
-    /// Weighted uninformative counts (see
-    /// [`crate::certain::uninformative_count`]), one per [`CountMode`].
+    /// The uninformative-tuple count (see
+    /// [`crate::certain::uninformative_count`]).
     uninf_tuples: u64,
-    uninf_classes: u64,
     consistent: bool,
     /// Bumped on every applied label; stamps the θ_certain cache.
     version: u64,
@@ -290,12 +288,10 @@ impl<'u> InferenceState<'u> {
         let mut cert_pos = BitSet::empty(classes);
         let mut open_count = 0u32;
         let mut uninf_tuples = 0u64;
-        let mut uninf_classes = 0u64;
         for c in 0..classes {
             if universe.sig_size(c) == omega_len {
                 cert_pos.insert(c);
                 uninf_tuples += universe.count(c);
-                uninf_classes += 1;
             } else {
                 open.insert(c);
                 open_count += 1;
@@ -322,7 +318,6 @@ impl<'u> InferenceState<'u> {
             theta_is_omega: true,
             open_count,
             uninf_tuples,
-            uninf_classes,
             consistent: true,
             version: 1,
         }
@@ -541,14 +536,11 @@ impl<'u> InferenceState<'u> {
         self.open_count > 0
     }
 
-    /// The weighted count of uninformative tuples under `mode`, matching
+    /// The weighted count of uninformative tuples, matching
     /// [`crate::certain::uninformative_count`]. `O(1)`.
     #[inline]
-    pub fn uninformative_count(&self, mode: CountMode) -> u64 {
-        match mode {
-            CountMode::Tuples => self.uninf_tuples,
-            CountMode::Classes => self.uninf_classes,
-        }
+    pub fn uninformative_count(&self) -> u64 {
+        self.uninf_tuples
     }
 
     /// Resident heap bytes of the derived session state: the five partition
@@ -634,13 +626,10 @@ impl<'u> InferenceState<'u> {
             self.open.remove(c);
             self.open_count -= 1;
             self.uninf_tuples += self.universe.count(c).saturating_sub(1);
-            // Classes-mode weight is 1, and the labeled representative is
-            // excluded, so the class contributes 0.
         } else {
             self.cert_pos.remove(c);
             self.cert_neg.remove(c);
             self.uninf_tuples = self.uninf_tuples.saturating_sub(1);
-            self.uninf_classes = self.uninf_classes.saturating_sub(1);
         }
         match label {
             Label::Positive => self.labeled_pos.insert(c),
@@ -702,7 +691,6 @@ impl<'u> InferenceState<'u> {
                     );
                     self.open_count -= dc as u32;
                     self.uninf_tuples += dt;
-                    self.uninf_classes += dc;
                 }
             }
         }
@@ -741,16 +729,6 @@ impl<'u> InferenceState<'u> {
         }
         self.open_count -= dc as u32;
         self.uninf_tuples += dt;
-        self.uninf_classes += dc;
-    }
-
-    /// The per-class weight `mode` assigns.
-    #[inline]
-    fn weight_of_and(&self, mask: &[u64], mode: CountMode) -> u64 {
-        match mode {
-            CountMode::Tuples => weight_and(mask, self.open.words(), self.universe.counts()),
-            CountMode::Classes => count_and(mask, self.open.words()) as u64,
-        }
     }
 
     /// `u^α_{t,S}`: the weighted number of tuples that would become
@@ -761,12 +739,13 @@ impl<'u> InferenceState<'u> {
     /// informative mask — the `θ = Ω` fast path is a single word-AND per
     /// mask word; below Ω the exact projected masks cost `O(|θ_possible|)`
     /// word-ORs (per negative example for `α = +`). No allocation.
-    pub fn gain(&self, c: ClassId, alpha: Label, mode: CountMode) -> u64 {
+    pub fn gain(&self, c: ClassId, alpha: Label) -> u64 {
         debug_assert!(
             self.is_informative(c),
             "gain is defined for informative classes"
         );
         let closure = self.universe.closure();
+        let (open, counts) = (self.open.words(), self.universe.counts());
         let mut scratch = self.scratch.borrow_mut();
         let MaskScratch { a, b, tp } = &mut *scratch;
         let sum = match alpha {
@@ -774,7 +753,7 @@ impl<'u> InferenceState<'u> {
                 // Classes whose projection lands inside T(c).
                 if self.theta_is_omega {
                     if let Some(down) = closure.down(c) {
-                        return self.weight_of_and(down, mode) - 1;
+                        return weight_and(down, open, counts) - 1;
                     }
                 }
                 Self::down_under_into(
@@ -783,7 +762,7 @@ impl<'u> InferenceState<'u> {
                     self.universe.sig(c).words(),
                     a,
                 );
-                self.weight_of_and(a, mode)
+                weight_and(a, open, counts)
             }
             Label::Positive => {
                 // T(S⁺) would shrink to tp = θ ∩ T(c): certain-positives are
@@ -800,7 +779,7 @@ impl<'u> InferenceState<'u> {
                 };
                 if self.theta_is_omega && self.neg.is_empty() {
                     if let Some(up) = closure.up(c) {
-                        return self.weight_of_and(up, mode) - 1;
+                        return weight_and(up, open, counts) - 1;
                     }
                 }
                 Self::supersets_into(closure, tp, a);
@@ -808,7 +787,7 @@ impl<'u> InferenceState<'u> {
                     Self::down_under_into(closure, tp, self.universe.sig(g).words(), b);
                     a.iter_mut().zip(b.iter()).for_each(|(x, &y)| *x |= y);
                 }
-                self.weight_of_and(a, mode)
+                weight_and(a, open, counts)
             }
         };
         // `c` itself is always in the mask (tp ⊆ T(c) on both branches) and
@@ -828,21 +807,18 @@ impl<'u> InferenceState<'u> {
     /// fewer open classes than `|θ_possible|` bits. Above the threshold the
     /// closure-mask path takes over. Both paths are exact; a unit test
     /// pins them to each other on both sides of the threshold.
-    pub fn gain_pair(&self, c: ClassId, mode: CountMode) -> (u64, u64) {
+    pub fn gain_pair(&self, c: ClassId) -> (u64, u64) {
         if self.open_count <= DIRECT_SCAN_OPEN_CAP {
-            self.gain_pair_direct(c, mode)
+            self.gain_pair_direct(c)
         } else {
-            (
-                self.gain(c, Label::Positive, mode),
-                self.gain(c, Label::Negative, mode),
-            )
+            (self.gain(c, Label::Positive), self.gain(c, Label::Negative))
         }
     }
 
     /// The fused small-open gain pair: a single pass over the informative
     /// mask, testing each open class once against `c`'s hypothetical labels
     /// with allocation-free word loops.
-    fn gain_pair_direct(&self, c: ClassId, mode: CountMode) -> (u64, u64) {
+    fn gain_pair_direct(&self, c: ClassId) -> (u64, u64) {
         debug_assert!(
             self.is_informative(c),
             "gain is defined for informative classes"
@@ -852,10 +828,7 @@ impl<'u> InferenceState<'u> {
         let sig_c = universe.sig(c).words();
         let (mut u_pos, mut u_neg) = (0u64, 0u64);
         for x in self.open.iter() {
-            let weight = match mode {
-                CountMode::Tuples => universe.count(x),
-                CountMode::Classes => 1,
-            };
+            let weight = universe.count(x);
             let sig_x = universe.sig(x).words();
             // Negative on c: x retires iff θ ∩ T(x) ⊆ T(c)  (Lemma 3.4
             // with witness T(c)).
@@ -885,16 +858,14 @@ impl<'u> InferenceState<'u> {
     }
 
     /// The one-step entropy of informative class `c` (§4.4).
-    pub fn entropy(&self, c: ClassId, mode: CountMode) -> Entropy {
-        let (u_pos, u_neg) = self.gain_pair(c, mode);
+    pub fn entropy(&self, c: ClassId) -> Entropy {
+        let (u_pos, u_neg) = self.gain_pair(c);
         Entropy::of(u_pos, u_neg)
     }
 
     /// One-step entropies of all informative classes, ascending by class.
-    pub fn entropies(&self, mode: CountMode) -> Vec<(ClassId, Entropy)> {
-        self.informative()
-            .map(|c| (c, self.entropy(c, mode)))
-            .collect()
+    pub fn entropies(&self) -> Vec<(ClassId, Entropy)> {
+        self.informative().map(|c| (c, self.entropy(c))).collect()
     }
 
     /// A hypothetical successor state: `self` with `(c, label)` applied.
@@ -946,7 +917,6 @@ impl<'u> InferenceState<'u> {
         }
         out.open_count = self.open_count;
         out.uninf_tuples = self.uninf_tuples;
-        out.uninf_classes = self.uninf_classes;
         out.consistent = self.consistent;
         out.version = self.version;
         out.apply(c, label)
@@ -1046,7 +1016,7 @@ impl<'u> InferenceState<'u> {
     /// built over — when both have the *identical* signature sequence
     /// ([`Universe::same_classes`], a count-only delta). Every mask
     /// transfers verbatim (certainty is a function of signatures alone);
-    /// only the weighted uninformative counters are re-derived from the new
+    /// only the uninformative-tuple count is re-derived from the new
     /// class counts. `O(masks)` words, no replay.
     ///
     /// Returns `None` when the class structure changed (or the state is
@@ -1074,7 +1044,6 @@ impl<'u> InferenceState<'u> {
             theta_certain: RefCell::new((0, BitSet::empty(omega_len))),
             open_count: self.open_count,
             uninf_tuples: 0,
-            uninf_classes: 0,
             consistent: true,
             version: self.version,
             scratch: RefCell::new(MaskScratch {
@@ -1087,30 +1056,27 @@ impl<'u> InferenceState<'u> {
         Some(next)
     }
 
-    /// Re-derives the weighted uninformative counters from the current
-    /// masks and the universe's class counts: a certain unlabeled class
-    /// contributes its full count, a labeled class its count minus the
-    /// labeled representative.
+    /// Re-derives the uninformative-tuple count from the current masks and
+    /// the universe's class counts: a certain unlabeled class contributes
+    /// its full count, a labeled class its count minus the labeled
+    /// representative.
     fn recount_uninformative(&mut self) {
         let counts = self.universe.counts();
         let mut tuples = 0u64;
-        let mut classes = 0u64;
         for c in self.cert_pos.iter().chain(self.cert_neg.iter()) {
             tuples += counts[c];
-            classes += 1;
         }
         for c in self.labeled_pos.iter().chain(self.labeled_neg.iter()) {
             tuples += counts[c] - 1;
         }
         self.uninf_tuples = tuples;
-        self.uninf_classes = classes;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certain::{self, informative_classes, uninformative_count, CountMode};
+    use crate::certain::{self, informative_classes, uninformative_count};
     use crate::paper::example_2_1;
     use crate::universe::Universe;
 
@@ -1136,13 +1102,11 @@ mod tests {
             state.informative_len(),
             informative_classes(u, sample).len()
         );
-        for mode in [CountMode::Tuples, CountMode::Classes] {
-            assert_eq!(
-                state.uninformative_count(mode),
-                uninformative_count(u, sample, mode),
-                "uninformative count diverges for {mode:?}"
-            );
-        }
+        assert_eq!(
+            state.uninformative_count(),
+            uninformative_count(u, sample),
+            "uninformative count diverges"
+        );
         for c in 0..u.num_classes() {
             assert_eq!(state.label(c), sample.label(c));
             if sample.label(c).is_none() {
@@ -1179,14 +1143,12 @@ mod tests {
         let u = Universe::build(example_2_1());
         let mut state = InferenceState::new(&u);
         let mut sample = Sample::new(&u);
-        for mode in [CountMode::Tuples, CountMode::Classes] {
-            for c in state.informative() {
-                assert_eq!(
-                    state.entropy(c, mode),
-                    crate::entropy::entropy(&u, &sample, c, mode),
-                    "entropy diverges for class {c} under {mode:?}"
-                );
-            }
+        for c in state.informative() {
+            assert_eq!(
+                state.entropy(c),
+                crate::entropy::entropy(&u, &sample, c),
+                "entropy diverges for class {c}"
+            );
         }
         // And again mid-session, where T(S⁺) sits below Ω and the masks
         // must take the exact projected path.
@@ -1194,10 +1156,7 @@ mod tests {
         state.apply(c, Label::Positive).unwrap();
         sample.add(&u, c, Label::Positive).unwrap();
         for t in state.informative().collect::<Vec<_>>() {
-            assert_eq!(
-                state.entropy(t, CountMode::Tuples),
-                crate::entropy::entropy(&u, &sample, t, CountMode::Tuples),
-            );
+            assert_eq!(state.entropy(t), crate::entropy::entropy(&u, &sample, t),);
         }
     }
 
@@ -1250,10 +1209,7 @@ mod tests {
                 direct.informative().collect::<Vec<_>>()
             );
             assert_eq!(spec.t_pos(), direct.t_pos());
-            assert_eq!(
-                spec.uninformative_count(CountMode::Tuples),
-                direct.uninformative_count(CountMode::Tuples)
-            );
+            assert_eq!(spec.uninformative_count(), direct.uninformative_count());
         }
     }
 
@@ -1276,17 +1232,12 @@ mod tests {
                 assert_eq!(fresh.t_pos(), buffer.t_pos());
                 assert_eq!(fresh.history(), buffer.history());
                 assert_eq!(fresh.is_consistent(), buffer.is_consistent());
-                for mode in [CountMode::Tuples, CountMode::Classes] {
-                    assert_eq!(
-                        fresh.uninformative_count(mode),
-                        buffer.uninformative_count(mode)
-                    );
-                }
+                assert_eq!(fresh.uninformative_count(), buffer.uninformative_count());
                 assert_eq!(fresh.theta_certain(), buffer.theta_certain());
                 for t in fresh.informative().collect::<Vec<_>>() {
                     assert_eq!(
-                        fresh.entropy(t, CountMode::Tuples),
-                        buffer.entropy(t, CountMode::Tuples),
+                        fresh.entropy(t),
+                        buffer.entropy(t),
                         "entropy diverges for class {t}"
                     );
                 }
@@ -1301,14 +1252,14 @@ mod tests {
         state.apply(class_of(&u, 0, 2), Label::Positive).unwrap();
         state.apply(class_of(&u, 2, 0), Label::Negative).unwrap();
         let sample = state.as_sample();
-        let base = uninformative_count(&u, &sample, CountMode::Tuples);
+        let base = uninformative_count(&u, &sample);
         for c in state.informative().collect::<Vec<_>>() {
             for alpha in Label::BOTH {
                 let mut s = sample.clone();
                 s.add(&u, c, alpha).unwrap();
-                let scratch = uninformative_count(&u, &s, CountMode::Tuples).saturating_sub(base);
+                let scratch = uninformative_count(&u, &s).saturating_sub(base);
                 assert_eq!(
-                    state.gain(c, alpha, CountMode::Tuples),
+                    state.gain(c, alpha),
                     scratch,
                     "gain diverges for class {c} labeled {alpha}"
                 );
@@ -1430,7 +1381,7 @@ mod tests {
         let state = InferenceState::new(&u);
         assert_eq!(state.class_state(0), ClassState::CertainPositive);
         assert!(!state.any_informative());
-        assert_eq!(state.uninformative_count(CountMode::Tuples), 1);
+        assert_eq!(state.uninformative_count(), 1);
     }
 
     #[test]
@@ -1468,14 +1419,12 @@ mod tests {
         let mut state = InferenceState::new(&u);
         for step in 0..3 {
             for c in state.informative().collect::<Vec<_>>() {
-                for mode in [CountMode::Tuples, CountMode::Classes] {
-                    let direct = state.gain_pair_direct(c, mode);
-                    let masked = (
-                        state.gain(c, Label::Positive, mode),
-                        state.gain(c, Label::Negative, mode),
-                    );
-                    assert_eq!(direct, masked, "paths diverge for {c} at step {step}");
-                }
+                let direct = state.gain_pair_direct(c);
+                let masked = (
+                    state.gain(c, Label::Positive),
+                    state.gain(c, Label::Negative),
+                );
+                assert_eq!(direct, masked, "paths diverge for {c} at step {step}");
             }
             let c = state.nth_informative(0).unwrap();
             let label = if step == 0 {

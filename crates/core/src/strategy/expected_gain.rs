@@ -28,7 +28,6 @@
 //! The gains `u⁺`/`u⁻` come from the state's incremental entropy
 //! computation (shared with L1S through the same version-stamped cache).
 
-use crate::certain::CountMode;
 use crate::error::Result;
 use crate::state::InferenceState;
 use crate::strategy::{cached_move, Strategy, CACHE_KEY_EG};
@@ -128,7 +127,7 @@ impl ExpectedGain {
         let prior = sorted_negatives_and_total(state);
         let mut best: Option<(f64, ClassId)> = None;
         for c in state.informative() {
-            let (u_pos, u_neg) = state.gain_pair(c, CountMode::Tuples);
+            let (u_pos, u_neg) = state.gain_pair(c);
             let p = match &prior {
                 Some((negs, total)) => selecting_probability(state, c, negs, *total),
                 None => 0.5,

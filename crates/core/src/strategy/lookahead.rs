@@ -1,6 +1,5 @@
 //! Lookahead skyline strategies (L1S, L2S, LkS — Algorithms 4–6).
 
-use crate::certain::CountMode;
 use crate::entropy::{Entropy, ENTROPY_INF};
 use crate::error::Result;
 use crate::sample::Label;
@@ -40,27 +39,17 @@ use crate::universe::ClassId;
 #[derive(Debug, Clone)]
 pub struct Lookahead {
     depth: usize,
-    mode: CountMode,
     name: String,
 }
 
 impl Lookahead {
     /// A k-step lookahead strategy counting uninformative tuples.
     pub fn new(depth: usize) -> Self {
-        Self::with_mode(depth, CountMode::Tuples)
-    }
-
-    /// A k-step lookahead with an explicit [`CountMode`] (the class-level
-    /// mode is an ablation; the paper counts tuples).
-    pub fn with_mode(depth: usize, mode: CountMode) -> Self {
         assert!(depth >= 1, "lookahead depth must be at least 1");
-        let name = match (depth, mode) {
-            (1, CountMode::Tuples) => "L1S".to_string(),
-            (2, CountMode::Tuples) => "L2S".to_string(),
-            (k, CountMode::Tuples) => format!("L{k}S"),
-            (k, CountMode::Classes) => format!("L{k}S/classes"),
-        };
-        Lookahead { depth, mode, name }
+        Lookahead {
+            depth,
+            name: format!("L{depth}S"),
+        }
     }
 
     /// The one-step lookahead skyline strategy (Algorithm 4).
@@ -85,25 +74,16 @@ impl Lookahead {
             // sweeping the informative mask, no entry vector.
             let mut best: Option<(ClassId, Entropy)> = None;
             for t in state.informative() {
-                update_best(&mut best, t, state.entropy(t, self.mode));
+                update_best(&mut best, t, state.entropy(t));
             }
             return best.map(|(c, _)| c);
         }
         // Deep lookahead selects through the same bounded scan the inner
         // nodes use — pruned candidates are exactly those select_best over
         // the exhaustive entropies would have rejected.
-        let base = state.uninformative_count(self.mode);
+        let base = state.uninformative_count();
         let mut scratch = Scratch::new(self.depth);
-        best_successor(
-            state,
-            base,
-            self.depth,
-            self.mode,
-            0,
-            u64::MAX,
-            &mut scratch,
-        )
-        .map(|(c, _)| c)
+        best_successor(state, base, self.depth, 0, u64::MAX, &mut scratch).map(|(c, _)| c)
     }
 
     /// Entropies of all informative classes at the configured depth.
@@ -113,19 +93,19 @@ impl Lookahead {
     /// defeat is already decided.
     pub fn entropies(&self, state: &InferenceState<'_>) -> Vec<(ClassId, Entropy)> {
         if self.depth == 1 {
-            state.entropies(self.mode)
+            state.entropies()
         } else {
-            let base = state.uninformative_count(self.mode);
+            let base = state.uninformative_count();
             let mut scratch = Scratch::new(self.depth);
             state
                 .informative()
                 .collect::<Vec<_>>()
                 .into_iter()
                 .map(|c| {
-                    let pair = state.gain_pair(c, self.mode);
+                    let pair = state.gain_pair(c);
                     (
                         c,
-                        entropy_rel(state, base, c, pair, self.depth, self.mode, 0, &mut scratch),
+                        entropy_rel(state, base, c, pair, self.depth, 0, &mut scratch),
                     )
                 })
                 .collect()
@@ -191,7 +171,6 @@ fn best_successor<'u>(
     s: &InferenceState<'u>,
     base: u64,
     k: usize,
-    mode: CountMode,
     alpha: u64,
     beta: u64,
     scratch: &mut Scratch<'u>,
@@ -203,10 +182,10 @@ fn best_successor<'u>(
         // Leaf level: the one-step entropies *are* the depth-1 values
         // relative to the original sample, shifted by the uninformative
         // tuples accumulated since — popcount folds over the closure masks.
-        let shift = s.uninformative_count(mode).saturating_sub(base);
+        let shift = s.uninformative_count().saturating_sub(base);
         let mut best: Option<(ClassId, Entropy)> = None;
         for t in s.informative() {
-            let e1 = s.entropy(t, mode);
+            let e1 = s.entropy(t);
             let e = Entropy {
                 lo: e1.lo + shift,
                 hi: e1.hi + shift,
@@ -222,7 +201,7 @@ fn best_successor<'u>(
     // establish a high incumbent early, so weaker subtrees prune sooner.
     let mut order = scratch.orders[k].take().unwrap_or_default();
     order.clear();
-    order.extend(s.informative().map(|t| (t, s.gain_pair(t, mode))));
+    order.extend(s.informative().map(|t| (t, s.gain_pair(t))));
     order.sort_by(|(ca, pa), (cb, pb)| {
         let (ea, eb) = (Entropy::of(pa.0, pa.1), Entropy::of(pb.0, pb.1));
         eb.lo.cmp(&ea.lo).then(eb.hi.cmp(&ea.hi)).then(ca.cmp(cb))
@@ -233,7 +212,7 @@ fn best_successor<'u>(
     let mut below_alpha: Option<(ClassId, Entropy)> = None;
     for &(t, pair) in order.iter() {
         let cutoff = best.map_or(alpha, |(_, e)| e.lo);
-        let e = entropy_rel(s, base, t, pair, k, mode, cutoff, scratch);
+        let e = entropy_rel(s, base, t, pair, k, cutoff, scratch);
         if e.lo < cutoff {
             // Pruned, or exactly evaluated and strictly worse.
             update_best(&mut below_alpha, t, e);
@@ -258,14 +237,12 @@ fn best_successor<'u>(
 /// back below `cutoff` the node is abandoned and an upper bound of the true
 /// value (still `< cutoff`) is returned — the caller discards it. Pass `0`
 /// to force the exact value.
-#[allow(clippy::too_many_arguments)]
 fn entropy_rel<'u>(
     current: &InferenceState<'u>,
     base: u64,
     c: ClassId,
     pair: (u64, u64),
     k: usize,
-    mode: CountMode,
     cutoff: u64,
     scratch: &mut Scratch<'u>,
 ) -> Entropy {
@@ -273,7 +250,7 @@ fn entropy_rel<'u>(
     if k == 1 {
         // u^α relative to the ORIGINAL sample: the current absolute count
         // plus the incremental gain of this labeling, minus the base.
-        let here = current.uninformative_count(mode);
+        let here = current.uninformative_count();
         return Entropy::of(
             (here + g_pos).saturating_sub(base),
             (here + g_neg).saturating_sub(base),
@@ -303,7 +280,7 @@ fn entropy_rel<'u>(
         // The first branch inherits the caller's floor; the second also
         // gets the first's value as a ceiling — once it provably exceeds
         // it, this node's minimum is the first branch regardless.
-        per_label[idx] = match best_successor(s1, base, k - 1, mode, cutoff, first_lo, scratch) {
+        per_label[idx] = match best_successor(s1, base, k - 1, cutoff, first_lo, scratch) {
             // Lines 11–12: skyline element with min(e) = max of mins.
             Some((_, e)) => e,
             // Line 4: e_α = (∞, ∞) — labeling ends the inference.
@@ -337,13 +314,8 @@ impl Strategy for Lookahead {
         // universe pays each full-candidate-set lookahead — the most
         // expensive question of a session — exactly once per distinct
         // `(T(S⁺), negative mask)` state, not once per session. The key
-        // folds depth and count mode into distinct fingerprints.
-        let key = CACHE_KEY_LKS
-            | (self.depth as u64) << 32
-            | match self.mode {
-                CountMode::Tuples => 0,
-                CountMode::Classes => 1,
-            };
+        // folds the depth in, so each depth has its own fingerprints.
+        let key = CACHE_KEY_LKS | (self.depth as u64) << 32;
         Ok(cached_move(key, state, || self.select(state)))
     }
 }
@@ -385,7 +357,7 @@ mod tests {
             for (c, e) in strategy.entropies(&state) {
                 assert_eq!(
                     e,
-                    crate::entropy::entropy_k(&u, &sample, c, k, CountMode::Tuples),
+                    crate::entropy::entropy_k(&u, &sample, c, k),
                     "depth-{k} entropy diverges for class {c}"
                 );
             }
@@ -409,7 +381,7 @@ mod tests {
             for &(c, e) in &entries {
                 assert_eq!(
                     e,
-                    crate::entropy::entropy_k(&u, &sample, c, k, CountMode::Tuples),
+                    crate::entropy::entropy_k(&u, &sample, c, k),
                     "depth-{k} entropy diverges for class {c}"
                 );
             }
@@ -448,10 +420,6 @@ mod tests {
         assert_eq!(Lookahead::l1s().name(), "L1S");
         assert_eq!(Lookahead::l2s().name(), "L2S");
         assert_eq!(Lookahead::new(3).name(), "L3S");
-        assert_eq!(
-            Lookahead::with_mode(2, CountMode::Classes).name(),
-            "L2S/classes"
-        );
     }
 
     #[test]

@@ -217,7 +217,8 @@ const TAG_CREATE: u8 = 1;
 const TAG_RESTORE: u8 = 2;
 const TAG_ANSWERS: u8 = 3;
 const TAG_QUESTION: u8 = 4;
-const TAG_HIBERNATE: u8 = 5;
+// Tag 5 stays unassigned: older logs may hold it (a park record), and such a
+// log must fail recovery as an unknown tag rather than be misread.
 const TAG_SPILL: u8 = 6;
 const TAG_REMOVE: u8 = 7;
 const TAG_DELTA: u8 = 8;
@@ -226,7 +227,9 @@ const TAG_DELTA: u8 = 8;
 /// exactly one (plus `Question` when a strategy step selects a *new*
 /// candidate — pending questions are part of session state, so recovery
 /// must reproduce them; idempotent re-delivery of an outstanding question
-/// appends nothing), and every live-data delta appends one `Delta`.
+/// appends nothing), and every live-data delta appends one `Delta`. Parks
+/// append none: a park changes no session input, and recovery re-parks
+/// every session that is not spilled anyway.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// `create_session(strategy)` handed out `id`.
@@ -262,11 +265,6 @@ pub enum WalRecord {
         id: u64,
         /// The selected class.
         class: ClassId,
-    },
-    /// The session parked into the hibernation tier.
-    Hibernate {
-        /// The parked session.
-        id: u64,
     },
     /// The session's parked payload was spilled to a segment; the WAL
     /// entry is just the locator — the payload lives in the segment,
@@ -508,10 +506,6 @@ impl WalRecord {
                 out.extend_from_slice(&id.to_le_bytes());
                 put_class(out, *class);
             }
-            WalRecord::Hibernate { id } => {
-                out.push(TAG_HIBERNATE);
-                out.extend_from_slice(&id.to_le_bytes());
-            }
             WalRecord::Spill {
                 id,
                 segment,
@@ -576,7 +570,6 @@ impl WalRecord {
                 id: r.u64()?,
                 class: r.u32()? as ClassId,
             },
-            TAG_HIBERNATE => WalRecord::Hibernate { id: r.u64()? },
             TAG_SPILL => WalRecord::Spill {
                 id: r.u64()?,
                 segment: r.u32()?,
@@ -739,7 +732,6 @@ mod tests {
                 answers: vec![(5, Label::Negative)],
             },
             WalRecord::Question { id: 1, class: 9 },
-            WalRecord::Hibernate { id: 2 },
             WalRecord::Spill {
                 id: 3,
                 segment: 4,
@@ -802,6 +794,10 @@ mod tests {
     fn decode_rejects_malformed_payloads() {
         assert!(WalRecord::decode(&[]).is_err());
         assert!(WalRecord::decode(&[99]).is_err());
+        // The unassigned tag 5 is unknown, whatever follows it.
+        let mut retired = vec![5];
+        retired.extend_from_slice(&1u64.to_le_bytes());
+        assert!(WalRecord::decode(&retired).is_err());
         // Truncated Create.
         assert!(WalRecord::decode(&[TAG_CREATE, 1, 2]).is_err());
         // Trailing garbage.

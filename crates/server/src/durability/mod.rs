@@ -36,7 +36,7 @@ pub mod segment;
 pub mod wal;
 
 pub use codec::{SpillPayload, WalRecord};
-pub use recover::{RecoveredFleet, RecoveredSession, RecoveredTier};
+pub use recover::{RecoveredFleet, RecoveredSession};
 pub use segment::{DirSegments, MemSegments, SegmentStore, SpillLocator, SpillStats, SpillStore};
 pub use wal::{CrashScript, Damage, FileWal, MemWal, Wal, WalStats, WalStorage};
 

@@ -48,19 +48,6 @@ use super::codec::{
 use super::segment::{read_payload_frame, SegmentStore, SpillLocator};
 use super::DurabilityError;
 
-/// Which tier a recovered session re-enters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveredTier {
-    /// Was resident at the crash: recovery re-parks it anyway (hibernated)
-    /// — the first touch re-materializes it, keeping recovery memory
-    /// proportional to histories, not derived state.
-    Resident,
-    /// Was parked in RAM.
-    Hibernated,
-    /// Was spilled to a segment; the locator still points at its payload.
-    Spilled(SpillLocator),
-}
-
 /// One session as the log describes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveredSession {
@@ -70,8 +57,11 @@ pub struct RecoveredSession {
     pub history: Vec<(ClassId, Label)>,
     /// Outstanding question.
     pub pending: Option<ClassId>,
-    /// Tier to re-enter.
-    pub tier: RecoveredTier,
+    /// Where the session's payload sits if its last `Spill` record is still
+    /// its whole replay state; recovery leaves it spilled there. `None`
+    /// re-parks it in RAM — the first touch re-materializes it, keeping
+    /// recovery memory proportional to histories, not derived state.
+    pub spilled: Option<SpillLocator>,
 }
 
 /// The decoded fleet plus bookkeeping the manager needs to resume.
@@ -202,7 +192,7 @@ fn apply_record(
                     strategy,
                     history: Vec::new(),
                     pending: None,
-                    tier: RecoveredTier::Resident,
+                    spilled: None,
                 },
             );
             if prior.is_some() {
@@ -222,7 +212,7 @@ fn apply_record(
                     strategy,
                     history,
                     pending,
-                    tier: RecoveredTier::Resident,
+                    spilled: None,
                 },
             );
             if prior.is_some() {
@@ -233,19 +223,15 @@ fn apply_record(
             Some(s) => {
                 s.history.extend_from_slice(&answers);
                 // Answering implies the session was materialized.
-                s.tier = RecoveredTier::Resident;
+                s.spilled = None;
             }
             None => fleet.ignored_records += 1,
         },
         WalRecord::Question { id, class } => match fleet.sessions.get_mut(&id) {
             Some(s) => {
                 s.pending = Some(class);
-                s.tier = RecoveredTier::Resident;
+                s.spilled = None;
             }
-            None => fleet.ignored_records += 1,
-        },
-        WalRecord::Hibernate { id } => match fleet.sessions.get_mut(&id) {
-            Some(s) => s.tier = RecoveredTier::Hibernated,
             None => fleet.ignored_records += 1,
         },
         WalRecord::Spill {
@@ -292,7 +278,7 @@ fn apply_record(
             }
             s.history = payload.history;
             s.pending = payload.pending;
-            s.tier = RecoveredTier::Spilled(locator);
+            s.spilled = Some(locator);
         }
         WalRecord::Remove { id } => {
             if fleet.sessions.remove(&id).is_none() {
@@ -320,9 +306,7 @@ fn apply_record(
                 for s in fleet.sessions.values_mut() {
                     let history = std::mem::take(&mut s.history);
                     (s.history, s.pending, _) = remap_replay_parts(old, &next, history, s.pending);
-                    if let RecoveredTier::Spilled(_) = s.tier {
-                        s.tier = RecoveredTier::Hibernated;
-                    }
+                    s.spilled = None;
                 }
             }
             *universe = Arc::new(next);
@@ -415,7 +399,7 @@ mod tests {
                 id: 1,
                 strategy: StrategyConfig::Td,
             },
-            WalRecord::Hibernate { id: 0 },
+            WalRecord::Question { id: 1, class: 4 },
             WalRecord::Remove { id: 1 },
         ];
         let (fleet, _) = recover_fleet(&wal_image(&records, fp), &mut segs, u.clone()).unwrap();
@@ -425,11 +409,11 @@ mod tests {
         assert_eq!(fleet.wal_torn_bytes, 0);
         let s = &fleet.sessions[&0];
         assert_eq!(s.history, vec![(3, Label::Negative)]);
-        // The question was answered, then the session parked; the last
-        // Question record precedes the answer so pending stays recorded —
-        // replay's informativeness filter drops it at wake if moot.
+        // The question was answered; the last Question record precedes
+        // the answer so pending stays recorded — replay's informativeness
+        // filter drops it at wake if moot.
         assert_eq!(s.pending, Some(3));
-        assert_eq!(s.tier, RecoveredTier::Hibernated);
+        assert_eq!(s.spilled, None);
     }
 
     #[test]
@@ -460,7 +444,7 @@ mod tests {
                     id: 0,
                     strategy: StrategyConfig::Bu,
                 },
-                WalRecord::Hibernate { id: 0 },
+                WalRecord::Question { id: 0, class: 1 },
             ],
             fp,
         );
@@ -603,7 +587,6 @@ mod tests {
                 id: 0,
                 answers: vec![(2, Label::Positive), (5, Label::Negative)],
             },
-            WalRecord::Hibernate { id: 0 },
             WalRecord::Spill {
                 id: 0,
                 segment: loc.segment,
@@ -627,7 +610,7 @@ mod tests {
                 (7, Label::Negative)
             ]
         );
-        assert_eq!(s.tier, RecoveredTier::Resident, "post-spill answer woke it");
+        assert_eq!(s.spilled, None, "post-spill answer woke it");
         assert_eq!(fleet.max_segment, Some(0));
 
         // Same log against a store stamped with the wrong fingerprint.

@@ -75,19 +75,16 @@ impl DirSegments {
     }
 
     fn file(&mut self, seg: u32) -> std::io::Result<&mut File> {
-        use std::collections::hash_map::Entry;
-        match self.open.entry(seg) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(e) => {
-                let file = OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .create(true)
-                    .truncate(false)
-                    .open(self.dir.join(format!("segment-{seg:06}.seg")))?;
-                Ok(e.insert(file))
-            }
+        if !self.open.contains_key(&seg) {
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(self.path(seg))?;
+            self.open.insert(seg, file);
         }
+        Ok(self.open.get_mut(&seg).expect("opened above"))
     }
 }
 

@@ -408,7 +408,7 @@ mod tests {
         let mem = MemWal::new();
         let mut wal = Wal::create(Box::new(mem.clone()), 1, 4).unwrap();
         for id in 0..10 {
-            wal.append(&WalRecord::Hibernate { id }).unwrap();
+            wal.append(&WalRecord::Remove { id }).unwrap();
         }
         assert_eq!(wal.stats().records, 10);
         assert_eq!(wal.stats().syncs, 2, "10 records / group of 4");
@@ -464,11 +464,12 @@ mod tests {
         // the batch a later commit would flush.
         assert_eq!(wal.stats().records, 0);
         mem.set_io_failing(false);
-        wal.append(&WalRecord::Hibernate { id: 1 }).unwrap();
+        wal.append(&WalRecord::Question { id: 1, class: 3 })
+            .unwrap();
         wal.commit().unwrap();
         assert_eq!(
             read_records(&mem.durable_image()),
-            vec![WalRecord::Hibernate { id: 1 }],
+            vec![WalRecord::Question { id: 1, class: 3 }],
             "the unwound Remove must not resurface in the log"
         );
 
@@ -476,14 +477,15 @@ mod tests {
         // too, and leaves the records batched before it in place.
         let mem = MemWal::new();
         let mut wal = Wal::create(Box::new(mem.clone()), 1, 64).unwrap();
-        wal.append(&WalRecord::Hibernate { id: 1 }).unwrap();
+        wal.append(&WalRecord::Question { id: 1, class: 3 })
+            .unwrap();
         mem.set_io_failing(true);
         assert!(wal.append_committed(&WalRecord::Remove { id: 7 }).is_err());
         mem.set_io_failing(false);
         wal.commit().unwrap();
         assert_eq!(
             read_records(&mem.durable_image()),
-            vec![WalRecord::Hibernate { id: 1 }]
+            vec![WalRecord::Question { id: 1, class: 3 }]
         );
     }
 

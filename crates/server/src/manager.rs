@@ -29,7 +29,7 @@
 //! `Slot::wake`. Sessions move between tiers through one park (`Slot::park`)
 //! and one lift back from disk (`SessionManager::lift`).
 
-use crate::durability::recover::{recover_fleet, RecoveredTier};
+use crate::durability::recover::recover_fleet;
 use crate::durability::{
     DirSegments, DurabilityConfig, DurabilityError, DurabilityStats, FileWal, RecoveryReport,
     SegmentStore, SpillLocator, SpillPayload, SpillStore, Wal, WalRecord, WalStorage,
@@ -819,7 +819,7 @@ impl SessionManager {
             slot.wake(&universe)
                 .map_err(|error| DurabilityError::Replay { session: id, error })?;
             let (history, pending) = slot.take_replay_parts();
-            if let RecoveredTier::Spilled(locator) = recovered.tier {
+            if let Some(locator) = recovered.spilled {
                 report.spilled += 1;
                 slot.tier = Tier::Spilled {
                     locator,
@@ -1369,18 +1369,19 @@ impl SessionManager {
     /// re-materializes them lazily, and [`Self::snapshot`] serves them
     /// without waking. Sessions busy under another thread's operation are
     /// still swept afterwards — the sweep takes each session mutex in
-    /// turn. Durable managers log one `Hibernate` record per park and
-    /// share one fsync across the whole pass.
+    /// turn. A park writes nothing to the WAL (it changes no session
+    /// input; recovery re-parks every session that is not spilled); a
+    /// durable manager still commits the log's pending group once.
     pub fn hibernate_idle(&self, ttl: Duration) -> Result<SweepReport> {
         let _serving = self.serving.read();
         let mut report = SweepReport::default();
-        self.park_idle(ttl, &mut report)?;
+        self.park_idle(ttl, &mut report);
         self.commit_wal()?;
         Ok(report)
     }
 
     /// The TTL park: visits the resident slots only, O(resident).
-    fn park_idle(&self, ttl: Duration, report: &mut SweepReport) -> Result<()> {
+    fn park_idle(&self, ttl: Duration, report: &mut SweepReport) {
         for slot in self.resident_slots() {
             let mut guard = self.lock(&slot);
             if guard.last_touch.elapsed() < ttl {
@@ -1390,26 +1391,16 @@ impl SessionManager {
                 report.parked += 1;
                 report.resident_bytes_freed += freed;
                 report.hibernated_bytes_added += added;
-                if let Some(state) = &self.durability {
-                    state.log(&WalRecord::Hibernate { id: guard.id })?;
-                }
             }
         }
-        Ok(())
     }
 
     /// Force-parks one session regardless of idle time; returns whether it
-    /// was resident. Not a touch.
+    /// was resident. Not a touch, and not logged.
     pub fn hibernate(&self, id: SessionId) -> Result<bool> {
         let _serving = self.serving.read();
         let slot = self.slot(id)?;
-        let mut guard = self.lock(&slot);
-        let parked = guard.hibernate().is_some();
-        if parked {
-            if let Some(state) = &self.durability {
-                state.log(&WalRecord::Hibernate { id })?;
-            }
-        }
+        let parked = self.lock(&slot).hibernate().is_some();
         Ok(parked)
     }
 
@@ -1429,7 +1420,7 @@ impl SessionManager {
         let _serving = self.serving.read();
         let mut report = SweepReport::default();
         if let Some(ttl) = self.config.hibernate_ttl {
-            self.park_idle(ttl, &mut report)?;
+            self.park_idle(ttl, &mut report);
         }
         self.spill_to_watermark(&mut report)?;
         self.commit_wal()?;
@@ -2235,6 +2226,93 @@ mod tests {
             drive(&r, id, &goal);
             assert!(r.is_done(id).unwrap());
         }
+    }
+
+    #[test]
+    fn a_durable_park_writes_nothing_to_the_log() {
+        let universe = Arc::new(Universe::build(flight_hotel()));
+        let wal = MemWal::new();
+        let segments = MemSegments::new();
+        let (m, _) = durable_pair(
+            &universe,
+            wal.clone(),
+            segments.clone(),
+            DurabilityConfig::default(),
+        );
+        // Sessions with 0, 1 and 2 answers, each with a question pending.
+        let ids: Vec<SessionId> = (0..3)
+            .map(|answers| {
+                let id = m.create_session(StrategyConfig::Bu).unwrap();
+                for _ in 0..answers {
+                    let q = m.next_question(id).unwrap().unwrap();
+                    m.answer(id, q.class, Label::Negative).unwrap();
+                }
+                m.next_question(id).unwrap().unwrap();
+                id
+            })
+            .collect();
+        let records = || m.stats().durability.unwrap().wal_records;
+        let before = records();
+        assert!(m.hibernate(ids[0]).unwrap());
+        assert_eq!(records(), before, "a forced park appends nothing");
+        assert_eq!(m.hibernate_idle(Duration::ZERO).unwrap().parked, 2);
+        assert_eq!(records(), before, "a TTL park appends nothing");
+        let live: Vec<(SessionSnapshot, usize)> = ids
+            .iter()
+            .map(|&id| (m.snapshot(id).unwrap(), m.interactions(id).unwrap()))
+            .collect();
+        m.flush_wal().unwrap();
+        drop(m);
+
+        // Every session comes back parked, exactly as it was.
+        let (r, report) = durable_pair(
+            &universe,
+            MemWal::from_bytes(wal.durable_image()),
+            segments,
+            DurabilityConfig::default(),
+        );
+        assert_eq!((report.hibernated, report.spilled), (ids.len(), 0));
+        assert_eq!(r.stats().hibernated_sessions, ids.len());
+        for (&id, (snap, interactions)) in ids.iter().zip(&live) {
+            assert_eq!(&r.snapshot(id).unwrap(), snap);
+            assert_eq!(r.interactions(id).unwrap(), *interactions);
+        }
+    }
+
+    #[test]
+    fn a_spill_woken_without_a_record_recovers_spilled_at_its_locator() {
+        let universe = Arc::new(Universe::build(flight_hotel()));
+        let wal = MemWal::new();
+        let segments = MemSegments::new();
+        let durability = DurabilityConfig {
+            resident_watermark_bytes: Some(0),
+            ..DurabilityConfig::default()
+        };
+        let (m, _) = durable_pair(&universe, wal.clone(), segments.clone(), durability.clone());
+        let id = m.create_session(StrategyConfig::Bu).unwrap();
+        let q = m.next_question(id).unwrap().unwrap();
+        m.hibernate(id).unwrap();
+        assert_eq!(m.sweep().unwrap().spilled, 1);
+        // Re-delivering the pending question wakes the session but logs
+        // nothing, so its spill locator still holds its whole state.
+        let records = m.stats().durability.unwrap().wal_records;
+        assert_eq!(m.next_question(id).unwrap().unwrap().class, q.class);
+        assert_eq!(m.stats().spilled_sessions, 0);
+        assert!(m.hibernate(id).unwrap());
+        assert_eq!(m.stats().durability.unwrap().wal_records, records);
+        let snap = m.snapshot(id).unwrap();
+        m.flush_wal().unwrap();
+        drop(m);
+
+        let (r, report) = durable_pair(
+            &universe,
+            MemWal::from_bytes(wal.durable_image()),
+            segments,
+            durability,
+        );
+        assert_eq!((report.spilled, report.hibernated), (1, 0));
+        assert_eq!(r.snapshot(id).unwrap(), snap);
+        assert_eq!(r.next_question(id).unwrap().unwrap().class, q.class);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use join_query_inference::core::certain::{certain_label, informative_classes};
 use join_query_inference::core::entropy::{entropy, entropy2, Entropy};
 use join_query_inference::core::lattice::{join_ratio, LatticeStats};
 use join_query_inference::core::paper::{example_2_1, example_3_3, flight_hotel, pair};
-use join_query_inference::core::CountMode;
 use join_query_inference::prelude::*;
 
 fn class(u: &Universe, figure_3_pair: (usize, usize)) -> usize {
@@ -190,12 +189,7 @@ fn section_4_4_entropy2_walkthrough() {
         .unwrap();
     let informative = informative_classes(&universe, &s);
     assert_eq!(informative.len(), 5);
-    let e2 = entropy2(
-        &universe,
-        &s,
-        class(&universe, pair(2, 1)),
-        CountMode::Tuples,
-    );
+    let e2 = entropy2(&universe, &s, class(&universe, pair(2, 1)));
     assert_eq!(e2, Entropy { lo: 3, hi: 3 });
 }
 
@@ -206,7 +200,7 @@ fn section_4_4_entropy2_walkthrough() {
 fn figure_5_spot_checks() {
     let universe = Universe::build(example_2_1());
     let s = Sample::new(&universe);
-    let e = |p: (usize, usize)| entropy(&universe, &s, class(&universe, p), CountMode::Tuples);
+    let e = |p: (usize, usize)| entropy(&universe, &s, class(&universe, p));
     assert_eq!(e(pair(3, 1)), Entropy { lo: 0, hi: 11 }); // the ∅ tuple
     assert_eq!(e(pair(2, 2)), Entropy { lo: 1, hi: 1 });
     assert_eq!(e(pair(2, 3)), Entropy { lo: 0, hi: 4 });

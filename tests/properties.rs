@@ -1,6 +1,5 @@
 //! Property-based tests (proptest) on the core invariants of the paper.
 
-use join_query_inference::core::CountMode;
 use join_query_inference::prelude::*;
 use join_query_inference::semijoin::consistency::{
     exists_consistent_brute_force, find_consistent_semijoin,
@@ -89,13 +88,11 @@ fn assert_state_matches_scratch(state: &InferenceState<'_>, sample: &Sample) {
         state.any_informative(),
         certain::any_informative(universe, sample)
     );
-    for mode in [CountMode::Tuples, CountMode::Classes] {
-        assert_eq!(
-            state.uninformative_count(mode),
-            certain::uninformative_count(universe, sample, mode),
-            "uninformative counts diverge under {mode:?}"
-        );
-    }
+    assert_eq!(
+        state.uninformative_count(),
+        certain::uninformative_count(universe, sample),
+        "uninformative counts diverge"
+    );
     for c in 0..universe.num_classes() {
         assert_eq!(
             state.label(c),
@@ -112,13 +109,11 @@ fn assert_state_matches_scratch(state: &InferenceState<'_>, sample: &Sample) {
     }
     // One-step entropies of the informative classes.
     for c in state.informative() {
-        for mode in [CountMode::Tuples, CountMode::Classes] {
-            assert_eq!(
-                state.entropy(c, mode),
-                join_query_inference::core::entropy::entropy(universe, sample, c, mode),
-                "one-step entropy diverges for class {c} under {mode:?}"
-            );
-        }
+        assert_eq!(
+            state.entropy(c),
+            join_query_inference::core::entropy::entropy(universe, sample, c),
+            "one-step entropy diverges for class {c}"
+        );
     }
     // Spot-check the depth-2 lookahead recursion over speculated states
     // against Algorithm 5's reference implementation (bounded: it is
@@ -128,13 +123,7 @@ fn assert_state_matches_scratch(state: &InferenceState<'_>, sample: &Sample) {
         for (c, e) in l2s.entropies(state).into_iter().take(3) {
             assert_eq!(
                 e,
-                join_query_inference::core::entropy::entropy_k(
-                    universe,
-                    sample,
-                    c,
-                    2,
-                    CountMode::Tuples
-                ),
+                join_query_inference::core::entropy::entropy_k(universe, sample, c, 2),
                 "two-step entropy diverges for class {c}"
             );
         }
@@ -398,13 +387,7 @@ proptest! {
             for &(c, e) in &entries {
                 prop_assert_eq!(
                     e,
-                    join_query_inference::core::entropy::entropy_k(
-                        &universe,
-                        &sample,
-                        c,
-                        k,
-                        CountMode::Tuples,
-                    ),
+                    join_query_inference::core::entropy::entropy_k(&universe, &sample, c, k),
                     "depth-{} entropy diverges for class {}", k, c
                 );
             }
