@@ -11,9 +11,10 @@
 //!   response writing, a typed [`wire::HttpError`] taxonomy mapping every
 //!   client mistake to a status code, and hard
 //!   [`wire::Limits`] enforced *while* bytes arrive.
-//! - [`server`] — the runtime: an accept thread, a Linux `epoll`
-//!   one-shot event loop (see [`sys`], the crate's only `unsafe`
-//!   module), and a bounded worker pool. Idle keep-alive connections
+//! - [`server`] — the runtime: an accept thread and a bounded worker
+//!   pool whose workers wait on a shared Linux `epoll` fd with one-shot
+//!   arming themselves (see [`sys`], the crate's only `unsafe` module),
+//!   so one wake-up serves one request. Idle keep-alive connections
 //!   are parked in a table instead of holding threads, which is what
 //!   lets a handful of workers serve ≥ 1024 concurrent sessions in the
 //!   transport benchmark. A portable thread-per-connection fallback

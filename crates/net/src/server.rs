@@ -1,24 +1,32 @@
-//! The listener, the epoll event loop, and the bounded worker pool.
+//! The listener and the bounded worker pool that waits in epoll itself.
 //!
 //! ```text
 //!  accept thread ──registers──▶ epoll (one-shot readable)
-//!                                  │ readiness tokens
+//!                                  │ one wake-up per ready connection
 //!                                  ▼
-//!                          event-loop thread ──▶ ready queue ──▶ N workers
-//!                                                                  │
-//!                    parked connection table ◀──re-arm/keep-alive──┘
+//!                     N workers in epoll_wait ◀──▶ ready queue (backlog)
+//!                                  │
+//!  parked connection table ◀──re-arm/keep-alive──┘
 //! ```
 //!
 //! A connection is **parked** (owned by the table, armed one-shot in
 //! epoll) whenever no request is in flight, so ten thousand idle
 //! keep-alive connections cost a file descriptor and a table entry each —
-//! no thread. When epoll reports bytes, the event loop pushes the token
-//! onto the ready queue and exactly one worker takes the connection out
-//! of the table, reads one full request (with the socket's read timeout
-//! as the slow-client bound), calls the [`Handler`], writes the response,
-//! and either re-parks + re-arms the connection or closes it. Pipelined
+//! no thread. The workers wait on the shared epoll fd themselves. A
+//! one-shot fd reports to exactly one waiter, so when bytes arrive the
+//! kernel wakes one worker, and that worker takes the connection out of
+//! the table, reads one full request (with the socket's read timeout as
+//! the slow-client bound), calls the [`Handler`], writes the response,
+//! and either re-parks + re-arms the connection or closes it. On an idle
+//! pool the thread epoll wakes is the thread that serves. Pipelined
 //! requests already in the connection's buffer are served before parking
 //! — re-arming would never fire for bytes this process has already read.
+//!
+//! A worker that is the only idle one takes every ready event, serves
+//! the first and queues the rest; every worker drains that queue before
+//! it waits in epoll again. So a backlog behind busy workers is counted
+//! in [`Pressure::queue_depth`], while an idle worker never leaves a
+//! connection queued behind a request in progress.
 //!
 //! Protocol errors are answered with the status mapped by
 //! [`HttpError::status`] (or a silent close for idle timeouts) and the
@@ -37,7 +45,6 @@ use crate::wire::{
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -45,9 +52,10 @@ use std::time::Duration;
 /// so the application can decide to shed before any work is done.
 #[derive(Debug, Clone, Copy)]
 pub struct Pressure {
-    /// Wake-ups dispatched to the worker pool and not yet fully served —
-    /// the aggregate per-worker queue depth, *including* the request
-    /// being admitted.
+    /// Readiness taken from epoll and not yet fully served — requests in
+    /// flight plus the backlog queued behind busy workers, *including*
+    /// the request being admitted. It can exceed `workers`. (The portable
+    /// fallback counts in-flight requests only.)
     pub queue_depth: usize,
     /// Connections currently open (parked or in flight).
     pub open_connections: usize,
@@ -151,12 +159,13 @@ pub struct NetStats {
     /// arrival at a worker, or while the body was still being read.
     /// Answered `504`; never counted as a protocol error.
     pub deadlines_exceeded: u64,
-    /// Wake-ups dispatched to the worker pool and not yet fully served
-    /// (the live aggregate per-worker queue depth).
+    /// Readiness taken from epoll and not yet fully served: requests in
+    /// flight plus the backlog queued behind busy workers (the live
+    /// [`Pressure::queue_depth`]).
     pub queue_depth: usize,
 }
 
-/// Shared across the accept thread, event loop, and workers.
+/// Shared across the accept thread and the workers.
 struct Shared {
     handler: Arc<dyn Handler>,
     config: NetConfig,
@@ -165,6 +174,8 @@ struct Shared {
     parked: Mutex<HashMap<u64, Conn>>,
     #[cfg(target_os = "linux")]
     epoll: crate::sys::Epoll,
+    #[cfg(target_os = "linux")]
+    ready: Mutex<Ready>,
     accepted: AtomicU64,
     rejected: AtomicU64,
     open: AtomicUsize,
@@ -247,8 +258,8 @@ impl Shared {
 
     /// Reads + handles exactly one request on `conn`. The caller owns the
     /// connection for the duration. `track_depth` is set by the portable
-    /// fallback, where no event loop counts dispatched wake-ups: the
-    /// depth is then held here, per in-flight request.
+    /// fallback, where no epoll wake-up is counted: the depth is then
+    /// held here, per in-flight request.
     fn serve_one(&self, conn: &mut Conn, track_depth: bool) -> Served {
         let head = match read_request_head(&mut conn.stream, &mut conn.buf, &self.config.limits) {
             Ok(head) => head,
@@ -355,6 +366,113 @@ impl Shared {
     }
 }
 
+/// Readiness handed between Linux workers: tokens a worker took from
+/// epoll beyond the one it serves, and how many workers are waiting in
+/// (or about to enter) `epoll_wait`. One lock guards both, so a token is
+/// queued only while no worker sleeps in epoll unable to see it.
+#[cfg(target_os = "linux")]
+#[derive(Default)]
+struct Ready {
+    tokens: std::collections::VecDeque<u64>,
+    idle: usize,
+}
+
+#[cfg(target_os = "linux")]
+impl Shared {
+    /// The next parked connection for this worker to serve: a token
+    /// another worker queued, else one from `epoll_wait` (`None` when the
+    /// wait times out). Every token returned is already in `depth`.
+    ///
+    /// The only idle worker takes every ready event, serves the first and
+    /// queues the rest, so a backlog behind busy workers shows in
+    /// `depth`. With other workers idle it takes one, leaving the rest in
+    /// epoll to wake them — nothing waits behind a request in progress.
+    fn next_ready(&self, events: &mut Vec<crate::sys::EpollEvent>) -> std::io::Result<Option<u64>> {
+        let only_idle = {
+            let mut ready = self.ready.lock().expect("not poisoned");
+            if let Some(token) = ready.tokens.pop_front() {
+                return Ok(Some(token));
+            }
+            ready.idle += 1;
+            ready.idle == 1
+        };
+        let max = if only_idle { events.capacity() } else { 1 };
+        let waited = self.epoll.wait(events, max, 100);
+        let mut ready = self.ready.lock().expect("not poisoned");
+        ready.idle -= 1;
+        waited?;
+        let Some((first, rest)) = events.split_first() else {
+            return Ok(None);
+        };
+        self.depth.fetch_add(1 + rest.len(), Ordering::Relaxed);
+        if ready.idle == 0 {
+            ready.tokens.extend(rest.iter().map(|event| event.data));
+        } else {
+            // Other workers are idle: hand the surplus back to epoll,
+            // which wakes them for it.
+            drop(ready);
+            for event in rest {
+                self.hand_back(event.data);
+            }
+        }
+        Ok(Some(first.data))
+    }
+
+    /// Re-arms a connection taken from epoll but not served here, and
+    /// releases the unit of `depth` it carried.
+    fn hand_back(&self, token: u64) {
+        use std::os::fd::AsRawFd;
+        self.depth.fetch_sub(1, Ordering::Relaxed);
+        let mut parked = self.parked.lock().expect("not poisoned");
+        let Some(fd) = parked.get(&token).map(|conn| conn.stream.as_raw_fd()) else {
+            return;
+        };
+        if self.epoll.rearm(fd, token).is_err() {
+            parked.remove(&token);
+            self.close_conn();
+        }
+    }
+
+    /// Claims the parked connection `token`, serves the request that woke
+    /// it (and any pipelined behind it), then re-parks + re-arms it or
+    /// closes it. Releases the unit of `depth` the token carried.
+    fn serve_parked(&self, token: u64) {
+        use std::os::fd::AsRawFd;
+        // A token may outlive its connection (closed by a racing error
+        // path); missing entries are stale.
+        let conn = self.parked.lock().expect("not poisoned").remove(&token);
+        let Some(mut conn) = conn else {
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            return;
+        };
+        let served = loop {
+            match self.serve_one(&mut conn, false) {
+                // Pipelined: the next request is already in userspace,
+                // epoll would never fire.
+                Served::KeepAlive if !conn.buf.is_empty() => continue,
+                served => break served,
+            }
+        };
+        // Served: release the depth before the connection can wake a
+        // worker again, so one connection never counts twice.
+        self.depth.fetch_sub(1, Ordering::Relaxed);
+        match served {
+            Served::Close => self.close_conn(),
+            Served::KeepAlive => {
+                let fd = conn.stream.as_raw_fd();
+                self.parked
+                    .lock()
+                    .expect("not poisoned")
+                    .insert(token, conn);
+                if self.epoll.rearm(fd, token).is_err() {
+                    self.parked.lock().expect("not poisoned").remove(&token);
+                    self.close_conn();
+                }
+            }
+        }
+    }
+}
+
 /// A cloneable handle onto a running server's live [`NetStats`], for
 /// consumers that are not the owner of the [`Server`] — e.g. the gateway
 /// surfacing transport counters on `GET /v1/stats`.
@@ -387,8 +505,8 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (`"127.0.0.1:0"` picks a free loopback port) and
-    /// starts the accept thread, the event loop, and `config.workers`
-    /// workers. The server runs until [`Server::shutdown`] (or drop).
+    /// starts the accept thread and `config.workers` workers. The server
+    /// runs until [`Server::shutdown`] (or drop).
     pub fn bind(
         addr: impl ToSocketAddrs,
         handler: Arc<dyn Handler>,
@@ -404,6 +522,8 @@ impl Server {
             parked: Mutex::new(HashMap::new()),
             #[cfg(target_os = "linux")]
             epoll: crate::sys::Epoll::new()?,
+            #[cfg(target_os = "linux")]
+            ready: Mutex::default(),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             open: AtomicUsize::new(0),
@@ -466,9 +586,7 @@ impl Server {
     ) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
         use std::os::fd::AsRawFd;
 
-        let (ready_tx, ready_rx) = mpsc::channel::<u64>();
-        let ready_rx = Arc::new(Mutex::new(ready_rx));
-        let mut threads = Vec::with_capacity(workers + 2);
+        let mut threads = Vec::with_capacity(workers + 1);
 
         // Accept thread: park + arm each connection.
         {
@@ -520,90 +638,22 @@ impl Server {
             );
         }
 
-        // Event loop: translate epoll readiness into ready-queue tokens.
-        {
-            let shared = Arc::clone(shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("jqi-net-events".into())
-                    .spawn(move || {
-                        let mut events = Vec::with_capacity(256);
-                        loop {
-                            if shared.shutdown.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            match shared.epoll.wait(&mut events, 100) {
-                                Ok(0) => continue,
-                                Ok(n) => {
-                                    for event in events.iter().take(n) {
-                                        // Copy out of the (possibly packed)
-                                        // event before use.
-                                        let token = { event.data };
-                                        shared.depth.fetch_add(1, Ordering::Relaxed);
-                                        if ready_tx.send(token).is_err() {
-                                            shared.depth.fetch_sub(1, Ordering::Relaxed);
-                                            return;
-                                        }
-                                    }
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                        // ready_tx drops here; workers drain and exit.
-                    })?,
-            );
-        }
-
-        // Workers: one request per wake-up, then re-park + re-arm.
+        // Workers: each waits in epoll itself, serves one connection per
+        // wake-up, then re-parks + re-arms it.
         for w in 0..workers {
             let shared = Arc::clone(shared);
-            let ready_rx = Arc::clone(&ready_rx);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("jqi-net-worker-{w}"))
-                    .spawn(move || loop {
-                        let token = {
-                            let rx = ready_rx.lock().expect("not poisoned");
-                            match rx.recv() {
-                                Ok(token) => token,
+                    .spawn(move || {
+                        let mut events = Vec::with_capacity(256);
+                        while !shared.shutdown.load(Ordering::SeqCst) {
+                            match shared.next_ready(&mut events) {
+                                Ok(Some(token)) => shared.serve_parked(token),
+                                Ok(None) => {}
                                 Err(_) => return,
                             }
-                        };
-                        // A token may outlive its connection (closed by a
-                        // racing error path); missing entries are stale.
-                        let conn = shared.parked.lock().expect("not poisoned").remove(&token);
-                        let Some(mut conn) = conn else {
-                            shared.depth.fetch_sub(1, Ordering::Relaxed);
-                            continue;
-                        };
-                        loop {
-                            match shared.serve_one(&mut conn, false) {
-                                Served::Close => {
-                                    shared.close_conn();
-                                    break;
-                                }
-                                Served::KeepAlive if !conn.buf.is_empty() => {
-                                    // Pipelined: the next request is already
-                                    // in userspace, epoll would never fire.
-                                    continue;
-                                }
-                                Served::KeepAlive => {
-                                    use std::os::fd::AsRawFd;
-                                    let fd = conn.stream.as_raw_fd();
-                                    shared
-                                        .parked
-                                        .lock()
-                                        .expect("not poisoned")
-                                        .insert(token, conn);
-                                    if shared.epoll.rearm(fd, token).is_err() {
-                                        shared.parked.lock().expect("not poisoned").remove(&token);
-                                        shared.close_conn();
-                                    }
-                                    break;
-                                }
-                            }
                         }
-                        shared.depth.fetch_sub(1, Ordering::Relaxed);
                     })?,
             );
         }
@@ -618,6 +668,8 @@ impl Server {
         listener: TcpListener,
         workers: usize,
     ) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
+        use std::sync::mpsc;
+
         let (conn_tx, conn_rx) = mpsc::channel::<Conn>();
         let conn_rx = Arc::new(Mutex::new(conn_rx));
         let mut threads = Vec::with_capacity(workers + 1);
@@ -932,6 +984,141 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.deadlines_exceeded, 1);
         assert_eq!(stats.requests, 0);
+        server.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_workers_wait_in_epoll_themselves() {
+        let handler: Arc<dyn Handler> = Arc::new(|_req: &Request| Response::json(200, "{}".into()));
+        let config = NetConfig {
+            workers: 3,
+            ..NetConfig::default()
+        };
+        let mut server = Server::bind("127.0.0.1:0", handler, config).unwrap();
+        assert_eq!(
+            server.threads.len(),
+            3 + 1,
+            "the workers plus the accept thread"
+        );
+        server.shutdown();
+    }
+
+    // Linux only: the portable fallback counts in-flight requests alone.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_backlog_behind_busy_workers_shows_as_queue_depth() {
+        /// Holds every request in the handler until the test hands out a
+        /// permit, recording the deepest queue any admit saw.
+        #[derive(Default)]
+        struct Gated {
+            permits: Mutex<usize>,
+            released: std::sync::Condvar,
+            entered: AtomicUsize,
+            max_depth: AtomicUsize,
+        }
+        impl Gated {
+            fn release(&self, permits: usize) {
+                *self.permits.lock().unwrap() += permits;
+                self.released.notify_all();
+            }
+        }
+        impl Handler for Gated {
+            fn handle(&self, _: &Request) -> Response {
+                self.entered.fetch_add(1, Ordering::SeqCst);
+                let mut permits = self.permits.lock().unwrap();
+                while *permits == 0 {
+                    permits = self.released.wait(permits).unwrap();
+                }
+                *permits -= 1;
+                Response::json(200, "{}".into())
+            }
+            fn admit(&self, _: &RequestHead, pressure: Pressure) -> Admission {
+                self.max_depth
+                    .fetch_max(pressure.queue_depth, Ordering::SeqCst);
+                Admission::Accept
+            }
+        }
+        let wait_for = |done: &dyn Fn() -> bool| {
+            let started = std::time::Instant::now();
+            while !done() {
+                assert!(started.elapsed() < Duration::from_secs(10), "timed out");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let gate = Arc::new(Gated::default());
+        let workers = 2;
+        let config = NetConfig {
+            workers,
+            ..NetConfig::default()
+        };
+        let mut server = Server::bind("127.0.0.1:0", gate.clone(), config).unwrap();
+        let addr = server.local_addr();
+        let clients: Vec<_> = (0..6)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    client.get(&format!("/r{i}")).unwrap().status
+                })
+            })
+            .collect();
+        // Both workers held, the other four requests waiting in epoll.
+        wait_for(&|| gate.entered.load(Ordering::SeqCst) == workers);
+        wait_for(&|| server.stats().open_connections == 6);
+        std::thread::sleep(Duration::from_millis(100));
+        // Free one worker: the only idle one, it takes the whole backlog.
+        gate.release(1);
+        wait_for(&|| gate.entered.load(Ordering::SeqCst) == workers + 1);
+        gate.release(usize::MAX / 2);
+        for client in clients {
+            assert_eq!(client.join().unwrap(), 200);
+        }
+        let max_depth = gate.max_depth.load(Ordering::SeqCst);
+        assert!(
+            max_depth > workers,
+            "a backlog of four behind two busy workers read as depth {max_depth}"
+        );
+        // Every wake-up taken from epoll is released once served.
+        wait_for(&|| server.stats().queue_depth == 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_idle_worker_never_waits_behind_a_slow_request() {
+        use std::io::{Read, Write};
+        let handler: Arc<dyn Handler> = Arc::new(|request: &Request| {
+            if request.path == "/slow" {
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            Response::json(200, "{}".into())
+        });
+        let config = NetConfig {
+            workers: 2,
+            ..NetConfig::default()
+        };
+        let mut server = Server::bind("127.0.0.1:0", handler, config).unwrap();
+        for round in 0..5 {
+            let mut slow = TcpStream::connect(server.local_addr()).unwrap();
+            let mut fast = TcpStream::connect(server.local_addr()).unwrap();
+            // Back to back, so one worker may take both readiness events
+            // from a single epoll wait.
+            slow.write_all(b"GET /slow HTTP/1.1\r\nconnection: close\r\n\r\n")
+                .unwrap();
+            let started = std::time::Instant::now();
+            fast.write_all(b"GET /fast HTTP/1.1\r\nconnection: close\r\n\r\n")
+                .unwrap();
+            let mut response = String::new();
+            fast.read_to_string(&mut response).unwrap();
+            let elapsed = started.elapsed();
+            assert!(response.starts_with("HTTP/1.1 200"), "got {response:?}");
+            assert!(
+                elapsed < Duration::from_millis(50),
+                "round {round}: the fast request waited {elapsed:?} behind the slow one"
+            );
+            response.clear();
+            slow.read_to_string(&mut response).unwrap();
+            assert!(response.starts_with("HTTP/1.1 200"), "got {response:?}");
+        }
         server.shutdown();
     }
 

@@ -18,8 +18,8 @@ use std::os::raw::c_int;
 /// Readable readiness.
 pub const EPOLLIN: u32 = 0x001;
 /// One-shot arming: the fd reports at most one event until re-armed with
-/// [`Epoll::rearm`] — the hand-off discipline between the event loop and
-/// the worker pool.
+/// [`Epoll::rearm`], and wakes exactly one of the workers waiting on the
+/// shared epoll fd.
 pub const EPOLLONESHOT: u32 = 1 << 30;
 /// Peer hang-up.
 pub const EPOLLHUP: u32 = 0x010;
@@ -132,12 +132,21 @@ impl Epoll {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Waits up to `timeout_ms` for events, filling `events` up to its
-    /// capacity; returns how many fired. `EINTR` retries internally.
-    pub fn wait(&self, events: &mut Vec<EpollEvent>, timeout_ms: i32) -> io::Result<usize> {
-        let capacity = events.capacity().max(1) as c_int;
+    /// Waits up to `timeout_ms` for events, filling `events` with at most
+    /// `max` of them (capped by its capacity); returns how many fired.
+    /// `EINTR` retries internally.
+    pub fn wait(
+        &self,
+        events: &mut Vec<EpollEvent>,
+        max: usize,
+        timeout_ms: i32,
+    ) -> io::Result<usize> {
         events.clear();
+        events.reserve(1);
+        let capacity = max.clamp(1, events.capacity()) as c_int;
         loop {
+            // SAFETY: `capacity` is at most `events.capacity()`, so the
+            // kernel writes only inside the Vec's buffer.
             let rc = unsafe { epoll_wait(self.fd, events.as_mut_ptr(), capacity, timeout_ms) };
             if rc >= 0 {
                 // epoll_wait wrote `rc` events into the buffer.
@@ -179,19 +188,19 @@ mod tests {
 
         let mut events = Vec::with_capacity(8);
         // Nothing readable yet.
-        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
+        assert_eq!(epoll.wait(&mut events, 8, 0).unwrap(), 0);
 
         client.write_all(b"ping").unwrap();
-        assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1);
+        assert_eq!(epoll.wait(&mut events, 8, 1000).unwrap(), 1);
         let fired = events[0];
         assert_eq!({ fired.data }, 42);
         assert_ne!({ fired.events } & EPOLLIN, 0);
 
         // One-shot: without a rearm the fd stays silent even though the
         // bytes were never read.
-        assert_eq!(epoll.wait(&mut events, 50).unwrap(), 0);
+        assert_eq!(epoll.wait(&mut events, 8, 50).unwrap(), 0);
         epoll.rearm(server_side.as_raw_fd(), 42).unwrap();
-        assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1);
+        assert_eq!(epoll.wait(&mut events, 8, 1000).unwrap(), 1);
 
         epoll.del(server_side.as_raw_fd()).unwrap();
     }

@@ -529,7 +529,9 @@ pub fn read_request_body(
     })
 }
 
-/// Writes `response` (status line, headers, framed body) to `stream`.
+/// Writes `response` (status line, headers, framed body) to `stream` as
+/// one buffer: one `write` call, so one segment under `TCP_NODELAY`,
+/// unless the socket takes it in parts.
 pub fn write_response(stream: &mut impl Write, response: &Response) -> std::io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-length: {}\r\n",
@@ -547,8 +549,9 @@ pub fn write_response(stream: &mut impl Write, response: &Response) -> std::io::
         head.push_str("connection: close\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    let mut message = head.into_bytes();
+    message.extend_from_slice(&response.body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -792,6 +795,42 @@ mod tests {
         assert_eq!(parsed.status, 201);
         assert_eq!(parsed.body, b"{\"ok\": true}");
         assert!(!parsed.close);
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        /// Accepts every byte, counting the `write` calls.
+        #[derive(Default)]
+        struct CountingWrite {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWrite {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut shed = Response::json(503, "{\"error\": {}}".into()).closing();
+        shed.headers.push(("retry-after".into(), "1".into()));
+        for response in [Response::json(200, "{\"ok\": true}".into()), shed] {
+            let mut wire = CountingWrite::default();
+            write_response(&mut wire, &response).unwrap();
+            assert_eq!(wire.writes, 1, "head and body go out together");
+            let parsed = read_client_response(
+                &mut Cursor::new(wire.bytes),
+                &mut Vec::new(),
+                &Limits::default(),
+            )
+            .unwrap();
+            assert_eq!(parsed.status, response.status);
+            assert_eq!(parsed.body, response.body);
+            assert_eq!(parsed.close, response.close);
+        }
     }
 
     #[test]

@@ -247,7 +247,7 @@ fn a_drip_fed_request_never_wedges_workers_past_the_budget() {
             stream
         })
         .collect();
-    // Give the event loop a moment to hand both to workers.
+    // Give the workers a moment to take both from epoll.
     std::thread::sleep(Duration::from_millis(50));
     // Both workers are now blocked reading — but only until the 300 ms
     // budget (+ the 1 s socket timeout at worst) lapses.
