@@ -51,8 +51,8 @@ pub(crate) const CACHE_KEY_LKS: u64 = 0x4c6b_5300;
 /// derived state.
 ///
 /// `base_key` must fingerprint the strategy and every parameter its choice
-/// depends on besides the state (depth, count mode, …); the current
-/// phase — whether any positive example exists — is folded in here because
+/// depends on besides the state (lookahead depth, …); the current phase
+/// — whether any positive example exists — is folded in here because
 /// strategies may branch on it even when `T(S⁺)` still equals Ω (a
 /// positive whose signature is all of Ω). Inconsistent states bypass the
 /// cache: the derived partition stops being maintained there, so the
@@ -83,10 +83,6 @@ pub trait Strategy {
     /// The next informative class to present, or `None` when the halt
     /// condition Γ holds (no informative tuple remains).
     fn next(&mut self, state: &InferenceState<'_>) -> Result<Option<ClassId>>;
-
-    /// Clears any per-run internal state (memo tables, RNG position).
-    /// The default does nothing; stateful strategies override it.
-    fn reset(&mut self) {}
 }
 
 impl<S: Strategy + ?Sized> Strategy for Box<S> {
@@ -96,10 +92,6 @@ impl<S: Strategy + ?Sized> Strategy for Box<S> {
 
     fn next(&mut self, state: &InferenceState<'_>) -> Result<Option<ClassId>> {
         (**self).next(state)
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
     }
 }
 

@@ -167,11 +167,6 @@ impl Strategy for Optimal {
         let (_, class) = minimax(state, &mut self.memo);
         Ok(class)
     }
-
-    fn reset(&mut self) {
-        // The memo only depends on the universe; keep it across runs on the
-        // same universe. Clearing would also be correct, just slower.
-    }
 }
 
 #[cfg(test)]

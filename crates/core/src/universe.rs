@@ -1015,7 +1015,7 @@ impl Universe {
     /// may branch on whether any positive exists at all (TD's phase
     /// switch), which `θ` does not capture when a positive's signature is
     /// all of Ω. Callers must fold that phase bit (and everything else the
-    /// choice depends on: strategy identity, lookahead depth, count mode)
+    /// choice depends on: strategy identity, lookahead depth)
     /// into `strategy_key`. `pos_mask` must be the exact `θ` words,
     /// normalized to the **empty slice** while `θ = Ω`; `neg_mask` the
     /// exact negative-label class mask. Strategies whose choice depends on

@@ -246,12 +246,8 @@ impl Shared {
             }
         }
         if let Some(status) = error.status() {
-            let body = format!(
-                "{{\"error\": {{\"code\": \"{}\", \"message\": \"{}\"}}}}",
-                error.code(),
-                error.to_string().replace('"', "'")
-            );
-            let _ = write_response(&mut conn.stream, &Response::json(status, body).closing());
+            let response = Response::error(status, error.code(), &error.to_string()).closing();
+            let _ = write_response(&mut conn.stream, &response);
         }
         Served::Close
     }
@@ -284,12 +280,8 @@ impl Shared {
             if body_buffered {
                 conn.buf.drain(..head.content_length);
             }
-            let mut response = Response::json(
-                503,
-                "{\"error\": {\"code\": \"overloaded\", \
-                 \"message\": \"server is shedding load; retry later\"}}"
-                    .into(),
-            );
+            let mut response =
+                Response::error(503, "overloaded", "server is shedding load; retry later");
             response
                 .headers
                 .push(("retry-after".into(), retry_after_s.to_string()));
@@ -308,11 +300,10 @@ impl Shared {
         // and must never reach a durable append it would orphan.
         if request.expired() {
             self.deadlines_exceeded.fetch_add(1, Ordering::Relaxed);
-            let mut response = Response::json(
+            let mut response = Response::error(
                 504,
-                "{\"error\": {\"code\": \"deadline_exceeded\", \
-                 \"message\": \"request deadline lapsed before the work ran\"}}"
-                    .into(),
+                "deadline_exceeded",
+                "request deadline lapsed before the work ran",
             );
             response.close = request.close;
             if write_response(&mut conn.stream, &response).is_err() || response.close {
@@ -329,12 +320,7 @@ impl Shared {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler.handle(&request)))
                 .unwrap_or_else(|_| {
                     self.handler_panics.fetch_add(1, Ordering::Relaxed);
-                    Response::json(
-                        500,
-                        "{\"error\": {\"code\": \"internal\", \"message\": \"handler panicked\"}}"
-                            .into(),
-                    )
-                    .closing()
+                    Response::error(500, "internal", "handler panicked").closing()
                 });
         if request.close {
             response.close = true;
@@ -606,13 +592,9 @@ impl Server {
                             {
                                 shared.rejected.fetch_add(1, Ordering::Relaxed);
                                 let mut stream = stream;
-                                let mut refusal = Response::json(
-                                    503,
-                                    "{\"error\": {\"code\": \"overloaded\", \
-                                     \"message\": \"connection limit reached\"}}"
-                                        .into(),
-                                )
-                                .closing();
+                                let mut refusal =
+                                    Response::error(503, "overloaded", "connection limit reached")
+                                        .closing();
                                 refusal.headers.push(("retry-after".into(), "1".into()));
                                 let _ = write_response(&mut stream, &refusal);
                                 continue;

@@ -175,11 +175,40 @@ impl Response {
         }
     }
 
+    /// The transport's error shape, `{"error": {"code": …, "message": …}}`,
+    /// with both strings escaped per RFC 8259 so any message (a quoted
+    /// request line, control bytes) stays valid JSON.
+    pub fn error(status: u16, code: &str, message: &str) -> Response {
+        let mut body = String::from("{\"error\": {\"code\": ");
+        push_json_string(&mut body, code);
+        body.push_str(", \"message\": ");
+        push_json_string(&mut body, message);
+        body.push_str("}}");
+        Response::json(status, body)
+    }
+
     /// Marks the response as connection-closing and returns it.
     pub fn closing(mut self) -> Response {
         self.close = true;
         self
     }
+}
+
+/// Appends `text` as a JSON string literal (RFC 8259 §7).
+fn push_json_string(out: &mut String, text: &str) {
+    out.push('"');
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// The canonical reason phrase for the status codes this stack emits.
@@ -815,7 +844,7 @@ mod tests {
                 Ok(())
             }
         }
-        let mut shed = Response::json(503, "{\"error\": {}}".into()).closing();
+        let mut shed = Response::error(503, "overloaded", "retry later").closing();
         shed.headers.push(("retry-after".into(), "1".into()));
         for response in [Response::json(200, "{\"ok\": true}".into()), shed] {
             let mut wire = CountingWrite::default();
@@ -830,6 +859,65 @@ mod tests {
             assert_eq!(parsed.status, response.status);
             assert_eq!(parsed.body, response.body);
             assert_eq!(parsed.close, response.close);
+        }
+    }
+
+    #[test]
+    fn error_bodies_escape_every_message_per_rfc_8259() {
+        let body = |message: &str| {
+            let response = Response::error(400, "malformed_request", message);
+            String::from_utf8(response.body).unwrap()
+        };
+        assert_eq!(
+            body("plain"),
+            r#"{"error": {"code": "malformed_request", "message": "plain"}}"#
+        );
+        let quoted = HttpError::Malformed(format!("bad header line {:?}", "X\"Y")).to_string();
+        assert_eq!(quoted, r#"malformed request: bad header line "X\"Y""#);
+        assert!(body(&quoted).ends_with(r#""malformed request: bad header line \"X\\\"Y\""}}"#));
+        assert!(body("a\\b\n\r\t").contains(r#""a\\b\n\r\t""#));
+        assert!(body("\u{0}\u{1}\u{1f}é").contains(r#""\u0000\u0001\u001fé""#));
+    }
+
+    #[test]
+    fn every_answered_read_error_is_in_the_api_error_table() {
+        let all = [
+            HttpError::Closed,
+            HttpError::IdleTimeout,
+            HttpError::Timeout,
+            HttpError::DeadlineLapsed,
+            HttpError::Truncated,
+            HttpError::Malformed(String::new()),
+            HttpError::HeadTooLarge,
+            HttpError::BodyTooLarge,
+            HttpError::Unsupported(String::new()),
+            HttpError::Reset,
+            HttpError::Io(String::new()),
+        ];
+        // Exhaustive on purpose: a new variant stops this compiling until
+        // it is listed above.
+        for error in &all {
+            match error {
+                HttpError::Closed
+                | HttpError::IdleTimeout
+                | HttpError::Timeout
+                | HttpError::DeadlineLapsed
+                | HttpError::Truncated
+                | HttpError::Malformed(_)
+                | HttpError::HeadTooLarge
+                | HttpError::BodyTooLarge
+                | HttpError::Unsupported(_)
+                | HttpError::Reset
+                | HttpError::Io(_) => {}
+            }
+        }
+        let api = include_str!("../../../docs/API.md");
+        for error in &all {
+            let Some(status) = error.status() else {
+                continue;
+            };
+            let row = format!("| {status} | `{}` |", error.code());
+            assert!(api.contains(&row), "docs/API.md lacks the row {row:?}");
         }
     }
 

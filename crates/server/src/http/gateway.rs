@@ -2,7 +2,8 @@
 //!
 //! The gateway is a [`jqi_net::Handler`]: pure request → response, no
 //! sockets, no threads — the transport crate owns those. Routing is a
-//! match over path segments; bodies are parsed with the same vendored
+//! match over the endpoint the request line decodes to in the endpoint
+//! table (`endpoint.rs`); bodies are parsed with the same vendored
 //! [`crate::json`] reader the snapshot format uses. Every failure mode
 //! maps to one JSON error shape,
 //!
@@ -15,8 +16,9 @@
 //! durability tier insists on, surfaced over the wire. The full
 //! endpoint-by-endpoint contract lives in `docs/API.md`.
 
+use crate::http::endpoint::{Endpoint, Route, Unrouted};
 use crate::http::metrics::{GatewayMetrics, LatencyHistogram};
-use crate::http::overload::OverloadConfig;
+use crate::http::overload::{EndpointClass, OverloadConfig};
 use crate::http::registry::{valid_universe_id, UniverseEntry, UniverseRegistry};
 use crate::json::Json;
 use crate::manager::{
@@ -54,7 +56,7 @@ impl Gateway {
     pub fn with_overload(registry: Arc<UniverseRegistry>, overload: OverloadConfig) -> Gateway {
         Gateway {
             registry,
-            metrics: Arc::new(GatewayMetrics::new()),
+            metrics: Arc::default(),
             overload,
             transport: OnceLock::new(),
         }
@@ -77,90 +79,30 @@ impl Gateway {
         let _ = self.transport.set(handle);
     }
 
-    /// The histogram whose rolling estimate stands for this request in
-    /// admission control, by the same leaf rules the router uses.
-    fn histogram_for(&self, method: &str, path: &str) -> &LatencyHistogram {
-        let leaf = path.rsplit('/').next().unwrap_or_default();
-        match (method, leaf) {
-            (_, "question") => &self.metrics.question,
-            (_, "answers") => &self.metrics.answers,
-            (_, "snapshot") => &self.metrics.snapshot,
-            ("POST", "sessions") => &self.metrics.create_session,
-            ("POST", "restore") => &self.metrics.restore,
-            ("POST", "delta") => &self.metrics.delta,
-            (_, "stats") | (_, "universes") => &self.metrics.stats,
-            _ => &self.metrics.session,
-        }
-    }
-
+    /// Dispatches on the endpoint the request line decodes to.
     fn route(&self, request: &Request) -> Response {
-        let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-        let method = request.method.as_str();
-        match segments.as_slice() {
-            ["v1", "stats"] => match method {
-                "GET" => self.timed(&self.metrics.stats, || self.stats()),
-                _ => method_not_allowed("GET"),
-            },
-            ["v1", "universes"] => match method {
-                "GET" => self.timed(&self.metrics.stats, || self.list_universes()),
-                _ => method_not_allowed("GET"),
-            },
-            ["v1", "universes", uid, "sessions"] => match method {
-                "POST" => self.with_universe(uid, &self.metrics.create_session, |m| {
-                    create_session(m, request)
-                }),
-                _ => method_not_allowed("POST"),
-            },
-            ["v1", "universes", uid, "restore"] => match method {
-                "POST" => self.with_universe(uid, &self.metrics.restore, |m| restore(m, request)),
-                _ => method_not_allowed("POST"),
-            },
-            ["v1", "universes", uid, "delta"] => match method {
-                "POST" => self.with_universe(uid, &self.metrics.delta, |m| apply_delta(m, request)),
-                _ => method_not_allowed("POST"),
-            },
-            ["v1", "universes", uid, "sessions", sid] => {
-                let Some(sid) = parse_session_id(sid) else {
-                    return error(404, "unknown_session", "session ids are integers");
-                };
-                match method {
-                    "GET" => {
-                        self.with_universe(uid, &self.metrics.session, |m| session_status(m, sid))
-                    }
-                    "DELETE" => self.with_universe(uid, &self.metrics.session, |m| {
-                        m.remove(sid).map_err(server_error)?;
-                        Ok(Response {
-                            status: 204,
-                            headers: vec![],
-                            body: vec![],
-                            close: false,
-                        })
-                    }),
-                    _ => method_not_allowed("GET, DELETE"),
-                }
-            }
-            ["v1", "universes", uid, "sessions", sid, leaf] => {
-                let Some(sid) = parse_session_id(sid) else {
-                    return error(404, "unknown_session", "session ids are integers");
-                };
-                match (*leaf, method) {
-                    ("question", "GET") => {
-                        self.with_universe(uid, &self.metrics.question, |m| question(m, sid))
-                    }
-                    ("question", _) => method_not_allowed("GET"),
-                    ("answers", "POST") => {
-                        self.with_universe(uid, &self.metrics.answers, |m| answers(m, sid, request))
-                    }
-                    ("answers", _) => method_not_allowed("POST"),
-                    ("snapshot", "GET") => self.with_universe(uid, &self.metrics.snapshot, |m| {
-                        let snap = m.snapshot(sid).map_err(server_error)?;
-                        Ok(Response::json(200, snap.to_json_string()))
-                    }),
-                    ("snapshot", _) => method_not_allowed("GET"),
-                    _ => unknown_route(&request.path),
-                }
-            }
-            _ => unknown_route(&request.path),
+        let Route { endpoint, uid, sid } = match Endpoint::decode(&request.method, &request.path) {
+            Ok(route) => route,
+            Err(unrouted) => return unrouted_response(unrouted, &request.path),
+        };
+        let histogram = self.metrics.get(endpoint.metric());
+        let serve = |f: &dyn Fn(&SessionManager) -> Result<Response, Response>| {
+            self.with_universe(uid, histogram, f)
+        };
+        match endpoint {
+            Endpoint::Stats => timed(histogram, || self.stats()),
+            Endpoint::ListUniverses => timed(histogram, || self.list_universes()),
+            Endpoint::CreateSession => serve(&|m| create_session(m, request)),
+            Endpoint::Restore => serve(&|m| restore(m, request)),
+            Endpoint::Delta => serve(&|m| apply_delta(m, request)),
+            Endpoint::SessionStatus => serve(&|m| session_status(m, sid)),
+            Endpoint::DeleteSession => serve(&|m| delete_session(m, sid, request)),
+            Endpoint::Question => serve(&|m| question(m, sid)),
+            Endpoint::Answers => serve(&|m| answers(m, sid, request)),
+            Endpoint::Snapshot => serve(&|m| {
+                let snap = m.snapshot(sid).map_err(server_error)?;
+                Ok(Response::json(200, snap.to_json_string()))
+            }),
         }
     }
 
@@ -171,7 +113,7 @@ impl Gateway {
     fn with_universe(
         &self,
         uid: &str,
-        histogram: &crate::http::metrics::LatencyHistogram,
+        histogram: &LatencyHistogram,
         f: impl FnOnce(&SessionManager) -> Result<Response, Response>,
     ) -> Response {
         if !valid_universe_id(uid) {
@@ -182,27 +124,13 @@ impl Gateway {
             Some(UniverseEntry::Failed { error: cause }) => {
                 // Recovery may be re-attempted by an operator at any
                 // time; tell well-behaved clients when to look again.
-                let mut response = error(
-                    503,
-                    "universe_failed",
-                    &format!("universe {uid:?} failed recovery: {cause}"),
-                );
+                let message = format!("universe {uid:?} failed recovery: {cause}");
+                let mut response = error(503, "universe_failed", &message);
                 response.headers.push(("retry-after".into(), "5".into()));
                 response
             }
-            Some(UniverseEntry::Serving(manager)) => self.timed(histogram, || f(&manager)),
+            Some(UniverseEntry::Serving(manager)) => timed(histogram, || f(&manager)),
         }
-    }
-
-    fn timed(
-        &self,
-        histogram: &crate::http::metrics::LatencyHistogram,
-        f: impl FnOnce() -> Result<Response, Response>,
-    ) -> Response {
-        let start = Instant::now();
-        let response = f().unwrap_or_else(|e| e);
-        histogram.record(start.elapsed());
-        response
     }
 
     fn list_universes(&self) -> Result<Response, Response> {
@@ -222,14 +150,14 @@ impl Gateway {
             .filter_map(|uid| self.registry.lookup(&uid).map(|e| (uid, e)))
             .map(|(uid, entry)| {
                 let value = match entry {
-                    UniverseEntry::Serving(m) => Json::Obj(vec![
-                        ("status".into(), Json::str("serving")),
-                        (
-                            "fingerprint".into(),
-                            Json::str(format!("{:016x}", m.universe_fingerprint())),
-                        ),
-                        detail(&m),
-                    ]),
+                    UniverseEntry::Serving(m) => {
+                        let fingerprint = format!("{:016x}", m.universe_fingerprint());
+                        Json::Obj(vec![
+                            ("status".into(), Json::str("serving")),
+                            ("fingerprint".into(), Json::str(fingerprint)),
+                            detail(&m),
+                        ])
+                    }
                     UniverseEntry::Failed { error } => Json::Obj(vec![
                         ("status".into(), Json::str("failed")),
                         ("error".into(), Json::str(error)),
@@ -247,34 +175,19 @@ impl Gateway {
         let Some(handle) = self.transport.get() else {
             return Json::Null;
         };
-        let stats: NetStats = handle.snapshot();
+        let s: NetStats = handle.snapshot();
         Json::Obj(vec![
-            ("accepted".into(), Json::num(stats.accepted as f64)),
-            ("rejected".into(), Json::num(stats.rejected as f64)),
-            (
-                "open_connections".into(),
-                Json::num(stats.open_connections as f64),
-            ),
-            ("requests".into(), Json::num(stats.requests as f64)),
-            (
-                "protocol_errors".into(),
-                Json::num(stats.protocol_errors as f64),
-            ),
-            (
-                "handler_panics".into(),
-                Json::num(stats.handler_panics as f64),
-            ),
-            (
-                "idle_timeouts".into(),
-                Json::num(stats.idle_timeouts as f64),
-            ),
-            ("peer_resets".into(), Json::num(stats.peer_resets as f64)),
-            ("shed".into(), Json::num(stats.shed as f64)),
-            (
-                "deadlines_exceeded".into(),
-                Json::num(stats.deadlines_exceeded as f64),
-            ),
-            ("queue_depth".into(), Json::num(stats.queue_depth as f64)),
+            count("accepted", s.accepted as f64),
+            count("rejected", s.rejected as f64),
+            count("open_connections", s.open_connections as f64),
+            count("requests", s.requests as f64),
+            count("protocol_errors", s.protocol_errors as f64),
+            count("handler_panics", s.handler_panics as f64),
+            count("idle_timeouts", s.idle_timeouts as f64),
+            count("peer_resets", s.peer_resets as f64),
+            count("shed", s.shed as f64),
+            count("deadlines_exceeded", s.deadlines_exceeded as f64),
+            count("queue_depth", s.queue_depth as f64),
         ])
     }
 
@@ -294,16 +207,20 @@ impl jqi_net::Handler for Gateway {
     }
 
     /// Admission control: the transport asks on the framed request head,
-    /// before any routing or body transfer happens. Policy lives in
-    /// [`OverloadConfig::admit`]; the rolling latency estimate comes
-    /// from the endpoint's own histogram.
+    /// before the body transfer happens. Policy lives in
+    /// [`OverloadConfig::admit`]; the tier and the rolling latency
+    /// estimate come from the endpoint the head decodes to. A head that
+    /// decodes to no endpoint sheds as a read: it only earns a 404/405.
     fn admit(
         &self,
         head: &jqi_net::RequestHead,
         pressure: jqi_net::Pressure,
     ) -> jqi_net::Admission {
-        let ewma_us = self.histogram_for(&head.method, &head.path).ewma_us();
-        self.overload.admit(head, pressure, ewma_us)
+        let (tier, ewma_us) = match Endpoint::decode(&head.method, &head.path) {
+            Ok(Route { endpoint: e, .. }) => (e.tier(), self.metrics.get(e.metric()).ewma_us()),
+            Err(_) => (EndpointClass::ReadOnly, 0),
+        };
+        self.overload.admit(tier, pressure, ewma_us)
     }
 }
 
@@ -338,9 +255,7 @@ fn create_session(manager: &SessionManager, request: &Request) -> Result<Respons
         .get("strategy")
         .and_then(Json::as_str)
         .ok_or_else(|| {
-            error(
-                400,
-                "bad_request",
+            bad_request(
                 "body must be {\"strategy\": \"LKS:2\" | \"BU\" | \"TD\" | \"EG\" | \"OPT\" | \"RND:<seed>\"}",
             )
         })?
@@ -350,21 +265,34 @@ fn create_session(manager: &SessionManager, request: &Request) -> Result<Respons
     let (id, fingerprint) = manager
         .create_session_stamped(strategy.clone())
         .map_err(server_error)?;
-    Ok(ok_with(
-        201,
-        Json::Obj(vec![
-            ("session".into(), Json::num(id as f64)),
-            ("strategy".into(), Json::str(strategy.to_string())),
-            ("universe".into(), Json::str(format!("{fingerprint:016x}"))),
-        ]),
-    ))
+    let fields = vec![
+        count("session", id as f64),
+        ("strategy".into(), Json::str(strategy.to_string())),
+        ("universe".into(), Json::str(format!("{fingerprint:016x}"))),
+    ];
+    Ok(ok_with(201, Json::Obj(fields)))
+}
+
+fn delete_session(
+    manager: &SessionManager,
+    sid: SessionId,
+    request: &Request,
+) -> Result<Response, Response> {
+    deadline_guard(request)?;
+    manager.remove(sid).map_err(server_error)?;
+    Ok(Response {
+        status: 204,
+        headers: vec![],
+        body: vec![],
+        close: false,
+    })
 }
 
 fn question(manager: &SessionManager, sid: SessionId) -> Result<Response, Response> {
     let outcome = manager
         .serve(sid, SessionOp::Question)
         .map_err(server_error)?;
-    let mut fields = vec![("session".into(), Json::num(sid as f64))];
+    let mut fields = vec![count("session", sid as f64)];
     match &outcome.question {
         Some((candidate, values)) => {
             fields.push(("question".into(), candidate_json(candidate, values)));
@@ -376,10 +304,7 @@ fn question(manager: &SessionManager, sid: SessionId) -> Result<Response, Respon
             fields.push(("predicate".into(), predicate_json(&outcome)));
         }
     }
-    fields.push((
-        "interactions".into(),
-        Json::num(outcome.interactions as f64),
-    ));
+    fields.push(count("interactions", outcome.interactions as f64));
     Ok(ok(Json::Obj(fields)))
 }
 
@@ -390,37 +315,26 @@ fn answers(
 ) -> Result<Response, Response> {
     let doc = parse_body(request)?;
     let items = doc.get("answers").and_then(Json::as_arr).ok_or_else(|| {
-        error(
-            400,
-            "bad_request",
-            "body must be {\"answers\": [{\"class\": <id>, \"label\": \"+\" | \"-\"}, …]}",
-        )
+        bad_request("body must be {\"answers\": [{\"class\": <id>, \"label\": \"+\" | \"-\"}, …]}")
     })?;
-    if items.len() > MAX_ANSWER_BATCH {
-        return Err(error(
-            413,
-            "batch_too_large",
-            &format!(
-                "batch of {} answers exceeds the limit of {MAX_ANSWER_BATCH}",
-                items.len()
-            ),
-        ));
+    let n = items.len();
+    if n > MAX_ANSWER_BATCH {
+        let message = format!("batch of {n} answers exceeds the limit of {MAX_ANSWER_BATCH}");
+        return Err(error(413, "batch_too_large", &message));
     }
-    let mut batch: Vec<(ClassId, Label)> = Vec::with_capacity(items.len());
+    let mut batch: Vec<(ClassId, Label)> = Vec::with_capacity(n);
     for item in items {
         let class = item
             .get("class")
             .and_then(Json::as_num)
             .filter(|n| n.fract() == 0.0 && (0.0..=9e15).contains(n))
-            .ok_or_else(|| error(400, "bad_request", "each answer needs an integer \"class\""))?
+            .ok_or_else(|| bad_request("each answer needs an integer \"class\""))?
             as ClassId;
         let label = match item.get("label").and_then(Json::as_str) {
             Some("+") => Label::Positive,
             Some("-") => Label::Negative,
             _ => {
-                return Err(error(
-                    400,
-                    "bad_request",
+                return Err(bad_request(
                     "each answer needs a \"label\" of \"+\" or \"-\"",
                 ))
             }
@@ -432,12 +346,9 @@ fn answers(
         .serve(sid, SessionOp::Answers(&batch))
         .map_err(server_error)?;
     Ok(ok(Json::Obj(vec![
-        ("session".into(), Json::num(sid as f64)),
-        ("applied".into(), Json::num(outcome.applied as f64)),
-        (
-            "interactions".into(),
-            Json::num(outcome.interactions as f64),
-        ),
+        count("session", sid as f64),
+        count("applied", outcome.applied as f64),
+        count("interactions", outcome.interactions as f64),
         ("done".into(), Json::Bool(outcome.done)),
     ])))
 }
@@ -447,11 +358,8 @@ fn session_status(manager: &SessionManager, sid: SessionId) -> Result<Response, 
         .serve(sid, SessionOp::Status)
         .map_err(server_error)?;
     Ok(ok(Json::Obj(vec![
-        ("session".into(), Json::num(sid as f64)),
-        (
-            "interactions".into(),
-            Json::num(outcome.interactions as f64),
-        ),
+        count("session", sid as f64),
+        count("interactions", outcome.interactions as f64),
         ("done".into(), Json::Bool(outcome.done)),
         ("predicate".into(), predicate_json(&outcome)),
     ])))
@@ -459,21 +367,17 @@ fn session_status(manager: &SessionManager, sid: SessionId) -> Result<Response, 
 
 fn restore(manager: &SessionManager, request: &Request) -> Result<Response, Response> {
     let body = std::str::from_utf8(&request.body)
-        .map_err(|_| error(400, "bad_request", "snapshot body is not UTF-8"))?;
+        .map_err(|_| bad_request("snapshot body is not UTF-8"))?;
     let snapshot =
         SessionSnapshot::from_json(body).map_err(|e| error(400, "bad_snapshot", &e.to_string()))?;
     deadline_guard(request)?;
     let id = manager.restore(&snapshot).map_err(server_error)?;
-    Ok(ok_with(
-        201,
-        Json::Obj(vec![
-            ("session".into(), Json::num(id as f64)),
-            (
-                "interactions".into(),
-                Json::num(snapshot.history.len() as f64),
-            ),
-        ]),
-    ))
+    let interactions = snapshot.history.len() as f64;
+    let fields = vec![
+        count("session", id as f64),
+        count("interactions", interactions),
+    ];
+    Ok(ok_with(201, Json::Obj(fields)))
 }
 
 /// Parses one JSON row — an array of ints and strings — into a [`Tuple`]
@@ -487,24 +391,17 @@ fn parse_row(
     index: usize,
     row: &Json,
 ) -> Result<Tuple, Response> {
-    let cells = row.as_arr().ok_or_else(|| {
-        error(
-            400,
-            "bad_request",
-            &format!("{key}[{index}] must be an array of row values"),
-        )
-    })?;
+    let cells = row
+        .as_arr()
+        .ok_or_else(|| bad_request(&format!("{key}[{index}] must be an array of row values")))?;
     let mut values = Vec::with_capacity(cells.len());
     for cell in cells {
         values.push(match cell {
             Json::Num(n) if n.fract() == 0.0 && n.abs() <= 9e15 => Value::int(*n as i64),
             Json::Str(s) => Value::str(s.as_str()),
             _ => {
-                return Err(error(
-                    400,
-                    "bad_request",
-                    &format!("{key}[{index}] values must be integers or strings"),
-                ))
+                let message = format!("{key}[{index}] values must be integers or strings");
+                return Err(bad_request(&message));
             }
         });
     }
@@ -527,13 +424,9 @@ fn apply_delta(manager: &SessionManager, request: &Request) -> Result<Response, 
             ("delete_p", Side::P, true),
         ] {
             let Some(block) = doc.get(key) else { continue };
-            let rows = block.as_arr().ok_or_else(|| {
-                error(
-                    400,
-                    "bad_request",
-                    &format!("{key} must be an array of rows"),
-                )
-            })?;
+            let rows = block
+                .as_arr()
+                .ok_or_else(|| bad_request(&format!("{key} must be an array of rows")))?;
             for (index, row) in rows.iter().enumerate() {
                 let tuple = parse_row(interner, key, index, row)?;
                 if is_delete {
@@ -545,9 +438,7 @@ fn apply_delta(manager: &SessionManager, request: &Request) -> Result<Response, 
         }
     }
     if delta.is_empty() {
-        return Err(error(
-            400,
-            "bad_request",
+        return Err(bad_request(
             "delta has no edits; provide at least one of \
              insert_r, delete_r, insert_p, delete_p",
         ));
@@ -556,49 +447,30 @@ fn apply_delta(manager: &SessionManager, request: &Request) -> Result<Response, 
     // Built from the report alone: a second delta may already have
     // replaced the universe this one produced.
     let report = manager.apply_delta(&delta).map_err(server_error)?;
+    let universe = Json::str(format!("{:016x}", report.to_fingerprint));
+    let invalidated = report.invalidated.iter().map(|&id| Json::num(id as f64));
     Ok(ok(Json::Obj(vec![
-        ("epoch".into(), Json::num(report.to_epoch as f64)),
-        (
-            "universe".into(),
-            Json::str(format!("{:016x}", report.to_fingerprint)),
-        ),
-        ("edits".into(), Json::num(delta.len() as f64)),
-        ("sessions".into(), Json::num(report.sessions as f64)),
-        ("carried".into(), Json::num(report.carried as f64)),
-        ("replayed".into(), Json::num(report.replayed as f64)),
-        (
-            "dropped_labels".into(),
-            Json::num(report.dropped_labels as f64),
-        ),
-        (
-            "invalidated".into(),
-            Json::Arr(
-                report
-                    .invalidated
-                    .iter()
-                    .map(|&id| Json::num(id as f64))
-                    .collect(),
-            ),
-        ),
+        count("epoch", report.to_epoch as f64),
+        ("universe".into(), universe),
+        count("edits", delta.len() as f64),
+        count("sessions", report.sessions as f64),
+        count("carried", report.carried as f64),
+        count("replayed", report.replayed as f64),
+        count("dropped_labels", report.dropped_labels as f64),
+        ("invalidated".into(), Json::Arr(invalidated.collect())),
     ])))
 }
 
 // ── shared plumbing ────────────────────────────────────────────────────
 
 fn candidate_json(candidate: &Candidate, values: &[Value]) -> Json {
+    let (r, p) = candidate.tuple;
+    let tuple = Json::Arr(vec![Json::num(r as f64), Json::num(p as f64)]);
+    let values = Json::Arr(values.iter().map(|v| Json::str(v.to_string())).collect());
     Json::Obj(vec![
-        ("class".into(), Json::num(candidate.class as f64)),
-        (
-            "tuple".into(),
-            Json::Arr(vec![
-                Json::num(candidate.tuple.0 as f64),
-                Json::num(candidate.tuple.1 as f64),
-            ]),
-        ),
-        (
-            "values".into(),
-            Json::Arr(values.iter().map(|v| Json::str(v.to_string())).collect()),
-        ),
+        count("class", candidate.class as f64),
+        ("tuple".into(), tuple),
+        ("values".into(), values),
     ])
 }
 
@@ -607,17 +479,20 @@ fn predicate_json(outcome: &SessionOutcome) -> Json {
     outcome.predicate.clone().map_or(Json::Null, Json::Str)
 }
 
-fn parse_session_id(segment: &str) -> Option<SessionId> {
-    segment.parse::<SessionId>().ok()
-}
-
 fn parse_body(request: &Request) -> Result<Json, Response> {
-    let text = std::str::from_utf8(&request.body)
-        .map_err(|_| error(400, "bad_request", "body is not UTF-8"))?;
+    let text = std::str::from_utf8(&request.body).map_err(|_| bad_request("body is not UTF-8"))?;
     if text.trim().is_empty() {
-        return Err(error(400, "bad_request", "a JSON body is required"));
+        return Err(bad_request("a JSON body is required"));
     }
     Json::parse(text).map_err(|e| error(400, "bad_json", &e.to_string()))
+}
+
+/// Runs a handler under `histogram`, answering its error as its response.
+fn timed(histogram: &LatencyHistogram, f: impl FnOnce() -> Result<Response, Response>) -> Response {
+    let start = Instant::now();
+    let response = f().unwrap_or_else(|e| e);
+    histogram.record(start.elapsed());
+    response
 }
 
 fn ok(body: Json) -> Response {
@@ -646,18 +521,23 @@ fn error(status: u16, code: &str, message: &str) -> Response {
     error_with(status, code, message, vec![])
 }
 
-fn method_not_allowed(allow: &str) -> Response {
-    let mut response = error(
-        405,
-        "method_not_allowed",
-        &format!("this route accepts: {allow}"),
-    );
-    response.headers.push(("allow".into(), allow.to_string()));
-    response
+fn bad_request(message: &str) -> Response {
+    error(400, "bad_request", message)
 }
 
-fn unknown_route(path: &str) -> Response {
-    error(404, "unknown_route", &format!("no route for {path:?}"))
+/// The `404`/`405` for a request line that names no endpoint.
+fn unrouted_response(unrouted: Unrouted, path: &str) -> Response {
+    match unrouted {
+        Unrouted::UnknownRoute => error(404, "unknown_route", &format!("no route for {path:?}")),
+        Unrouted::BadSessionId => error(404, "unknown_session", "session ids are integers"),
+        Unrouted::WrongMethod(endpoint) => {
+            let allow = endpoint.allow();
+            let message = format!("this route accepts: {allow}");
+            let mut response = error(405, "method_not_allowed", &message);
+            response.headers.push(("allow".into(), allow));
+            response
+        }
+    }
 }
 
 /// Maps [`ServerError`] onto the HTTP error contract (see `docs/API.md`).
@@ -680,72 +560,168 @@ fn server_error(e: ServerError) -> Response {
     }
 }
 
+/// A named number as a JSON object field.
+fn count(name: &str, n: f64) -> (String, Json) {
+    (name.to_string(), Json::Num(n))
+}
+
 /// Serializes [`ManagerStats`] (plus its nested decision-cache and
 /// durability blocks) for `GET /v1/stats`.
 pub fn manager_stats_json(stats: &ManagerStats) -> Json {
-    let cache = &stats.decision_cache;
-    let mut fields = vec![
-        ("sessions".into(), Json::num(stats.sessions as f64)),
-        (
-            "resident_sessions".into(),
-            Json::num(stats.resident_sessions as f64),
-        ),
-        (
-            "hibernated_sessions".into(),
-            Json::num(stats.hibernated_sessions as f64),
-        ),
-        (
-            "spilled_sessions".into(),
-            Json::num(stats.spilled_sessions as f64),
-        ),
-        ("state_bytes".into(), Json::num(stats.state_bytes as f64)),
-        (
-            "resident_bytes".into(),
-            Json::num(stats.resident_bytes as f64),
-        ),
-        (
-            "history_bytes".into(),
-            Json::num(stats.history_bytes as f64),
-        ),
-        (
-            "hibernated_bytes".into(),
-            Json::num(stats.hibernated_bytes as f64),
-        ),
-        (
-            "spilled_bytes".into(),
-            Json::num(stats.spilled_bytes as f64),
-        ),
-        (
-            "decision_cache".into(),
-            Json::Obj(vec![
-                ("hits".into(), Json::num(cache.hits as f64)),
-                ("misses".into(), Json::num(cache.misses as f64)),
-                ("evictions".into(), Json::num(cache.evictions as f64)),
-                ("entries".into(), Json::num(cache.entries as f64)),
-                ("bytes".into(), Json::num(cache.bytes as f64)),
-                ("budget_bytes".into(), Json::num(cache.budget_bytes as f64)),
-            ]),
-        ),
-    ];
-    fields.push((
-        "durability".into(),
-        match &stats.durability {
-            None => Json::Null,
-            Some(d) => Json::Obj(vec![
-                ("wal_records".into(), Json::num(d.wal_records as f64)),
-                ("wal_syncs".into(), Json::num(d.wal_syncs as f64)),
-                (
-                    "wal_appended_bytes".into(),
-                    Json::num(d.wal_appended_bytes as f64),
-                ),
-                ("spill_entries".into(), Json::num(d.spill_entries as f64)),
-                (
-                    "spill_bytes_written".into(),
-                    Json::num(d.spill_bytes_written as f64),
-                ),
-                ("spill_reads".into(), Json::num(d.spill_reads as f64)),
-            ]),
-        },
-    ));
-    Json::Obj(fields)
+    let c = &stats.decision_cache;
+    let cache = Json::Obj(vec![
+        count("hits", c.hits as f64),
+        count("misses", c.misses as f64),
+        count("evictions", c.evictions as f64),
+        count("entries", c.entries as f64),
+        count("bytes", c.bytes as f64),
+        count("budget_bytes", c.budget_bytes as f64),
+    ]);
+    let durability = stats.durability.as_ref().map_or(Json::Null, |d| {
+        Json::Obj(vec![
+            count("wal_records", d.wal_records as f64),
+            count("wal_syncs", d.wal_syncs as f64),
+            count("wal_appended_bytes", d.wal_appended_bytes as f64),
+            count("spill_entries", d.spill_entries as f64),
+            count("spill_bytes_written", d.spill_bytes_written as f64),
+            count("spill_reads", d.spill_reads as f64),
+        ])
+    });
+    Json::Obj(vec![
+        count("sessions", stats.sessions as f64),
+        count("resident_sessions", stats.resident_sessions as f64),
+        count("hibernated_sessions", stats.hibernated_sessions as f64),
+        count("spilled_sessions", stats.spilled_sessions as f64),
+        count("state_bytes", stats.state_bytes as f64),
+        count("resident_bytes", stats.resident_bytes as f64),
+        count("history_bytes", stats.history_bytes as f64),
+        count("hibernated_bytes", stats.hibernated_bytes as f64),
+        count("spilled_bytes", stats.spilled_bytes as f64),
+        ("decision_cache".into(), cache),
+        ("durability".into(), durability),
+    ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::metrics::MetricKey;
+    use crate::ServerConfig;
+    use jqi_core::{paper::flight_hotel, Universe};
+    use jqi_net::{Admission, Handler, Pressure, RequestHead};
+    use std::time::Duration;
+
+    /// A gateway over universe `demo` (flight/hotel, in memory).
+    fn demo() -> (Gateway, Arc<SessionManager>) {
+        let universe = Arc::new(Universe::build(flight_hotel()));
+        let manager = Arc::new(SessionManager::new(universe, ServerConfig::default()));
+        let registry = Arc::new(UniverseRegistry::new());
+        registry.register("demo", Arc::clone(&manager)).unwrap();
+        (Gateway::new(registry), manager)
+    }
+
+    fn request(method: &str, path: &str, body: &str) -> Request {
+        Request {
+            method: method.into(),
+            path: path.into(),
+            headers: vec![],
+            body: body.as_bytes().to_vec(),
+            close: false,
+            deadline: None,
+        }
+    }
+
+    #[test]
+    fn stats_is_admitted_and_served_under_every_spelling() {
+        let (gateway, _) = demo();
+        // Far past both hard thresholds: depth and the stats EWMA.
+        let drowning = Pressure {
+            queue_depth: 1_000,
+            open_connections: 1_000,
+            workers: 8,
+        };
+        gateway
+            .metrics
+            .get(MetricKey::Stats)
+            .record(Duration::from_secs(10));
+        for path in ["/v1/stats", "/v1/stats/", "//v1/stats", "/v1//stats"] {
+            let head = RequestHead::synthetic("GET", path);
+            assert_eq!(gateway.admit(&head, drowning), Admission::Accept, "{path}");
+            assert_eq!(
+                gateway.handle(&request("GET", path, "")).status,
+                200,
+                "{path}"
+            );
+        }
+        // The read tier does shed there, so the pressure is real.
+        let listing = RequestHead::synthetic("GET", "/v1/universes");
+        assert_ne!(gateway.admit(&listing, drowning), Admission::Accept);
+    }
+
+    #[test]
+    fn unroutable_requests_shed_at_the_read_only_tier() {
+        let (gateway, _) = demo();
+        let config = OverloadConfig::default();
+        let depth = |queue_depth| Pressure {
+            queue_depth,
+            open_connections: 1,
+            workers: 8,
+        };
+        let past_soft = depth(config.queue_soft + 1);
+        for (method, path) in [
+            ("GET", "/v2/whatever"),
+            ("POST", "/v1/universes/demo/sessions/abc/answers"),
+            ("PUT", "/v1/universes/demo/sessions/1/answers"),
+        ] {
+            let head = RequestHead::synthetic(method, path);
+            assert_eq!(gateway.admit(&head, depth(1)), Admission::Accept);
+            assert_ne!(gateway.admit(&head, past_soft), Admission::Accept, "{path}");
+            assert_eq!(gateway.handle(&request(method, path, "")).status / 100, 4);
+        }
+        // A well-formed write at the same depth is still admitted.
+        let answers = RequestHead::synthetic("POST", "/v1/universes/demo/sessions/1/answers");
+        assert_eq!(gateway.admit(&answers, past_soft), Admission::Accept);
+    }
+
+    #[test]
+    fn a_lapsed_deadline_is_504_and_changes_nothing_on_every_mutating_endpoint() {
+        let (gateway, manager) = demo();
+        let sid = manager.create_session(StrategyConfig::Bu).unwrap();
+        let outcome = manager.serve(sid, SessionOp::Question).unwrap();
+        let class = outcome.question.expect("a fresh session asks").0.class;
+        // A restorable document: the snapshot of a session since dropped.
+        let dropped = manager.create_session(StrategyConfig::Bu).unwrap();
+        let snapshot = manager.snapshot(dropped).unwrap().to_json_string();
+        manager.remove(dropped).unwrap();
+
+        let status_path = format!("/v1/universes/demo/sessions/{sid}");
+        let fleet = || {
+            let body = |path: &str| gateway.handle(&request("GET", path, "")).body;
+            (body("/v1/universes"), body(&status_path))
+        };
+        let before = fleet();
+        let mutating = Endpoint::all().filter(|e| e.tier() == EndpointClass::Mutating);
+        for endpoint in mutating {
+            let body = match endpoint {
+                Endpoint::CreateSession => r#"{"strategy": "BU"}"#.to_string(),
+                Endpoint::Restore => snapshot.clone(),
+                Endpoint::Delta => r#"{"insert_r": [["Paris", "Lille", "AF"]]}"#.to_string(),
+                Endpoint::DeleteSession => String::new(),
+                Endpoint::Answers => {
+                    format!(r#"{{"answers": [{{"class": {class}, "label": "+"}}]}}"#)
+                }
+                other => panic!("no lapsed-deadline request for {other:?}"),
+            };
+            let path = endpoint
+                .template()
+                .replace("{uid}", "demo")
+                .replace("{sid}", &sid.to_string());
+            let mut lapsed = request(endpoint.method(), &path, &body);
+            lapsed.deadline = Some(Instant::now());
+            let response = gateway.handle(&lapsed);
+            assert_eq!(response.status, 504, "{endpoint:?}: {:?}", response.body);
+            assert_eq!(fleet(), before, "{endpoint:?} changed the fleet");
+        }
+        assert_eq!(manager.session_count(), 1);
+    }
 }

@@ -175,56 +175,50 @@ impl LatencyHistogram {
     }
 }
 
+/// Names one of the gateway's histograms: each endpoint-table row
+/// carries the key of the histogram that times it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MetricKey {
+    CreateSession,
+    Question,
+    Answers,
+    Snapshot,
+    Restore,
+    Delta,
+    Session,
+    Stats,
+}
+
+/// The `"endpoints"` keys of `GET /v1/stats`, indexed by [`MetricKey`].
+const KEY_NAMES: [&str; 8] = [
+    "create_session",
+    "question",
+    "answers",
+    "snapshot",
+    "restore",
+    "delta",
+    "session",
+    "stats",
+];
+
 /// One histogram per gateway operation, named as they appear under
 /// `"endpoints"` in the `GET /v1/stats` response.
 #[derive(Debug, Default)]
 pub struct GatewayMetrics {
-    /// `POST /v1/universes/{uid}/sessions`.
-    pub create_session: LatencyHistogram,
-    /// `GET …/sessions/{sid}/question`.
-    pub question: LatencyHistogram,
-    /// `POST …/sessions/{sid}/answers`.
-    pub answers: LatencyHistogram,
-    /// `GET …/sessions/{sid}/snapshot`.
-    pub snapshot: LatencyHistogram,
-    /// `POST /v1/universes/{uid}/restore`.
-    pub restore: LatencyHistogram,
-    /// `POST /v1/universes/{uid}/delta`.
-    pub delta: LatencyHistogram,
-    /// `GET …/sessions/{sid}` and `DELETE …/sessions/{sid}`.
-    pub session: LatencyHistogram,
-    /// `GET /v1/stats` and `GET /v1/universes`.
-    pub stats: LatencyHistogram,
+    histograms: [LatencyHistogram; KEY_NAMES.len()],
 }
 
 impl GatewayMetrics {
-    /// Creates a zeroed metrics table.
-    pub fn new() -> GatewayMetrics {
-        GatewayMetrics::default()
-    }
-
-    /// `(name, histogram)` pairs in stats-report order.
-    pub fn all(&self) -> [(&'static str, &LatencyHistogram); 8] {
-        [
-            ("create_session", &self.create_session),
-            ("question", &self.question),
-            ("answers", &self.answers),
-            ("snapshot", &self.snapshot),
-            ("restore", &self.restore),
-            ("delta", &self.delta),
-            ("session", &self.session),
-            ("stats", &self.stats),
-        ]
+    /// The histogram under `key`.
+    pub(crate) fn get(&self, key: MetricKey) -> &LatencyHistogram {
+        &self.histograms[key as usize]
     }
 
     /// The `"endpoints"` object for `GET /v1/stats`.
     pub fn to_json(&self) -> Json {
-        Json::Obj(
-            self.all()
-                .into_iter()
-                .map(|(name, histogram)| (name.to_string(), histogram.summary_json()))
-                .collect(),
-        )
+        let named = KEY_NAMES.iter().zip(&self.histograms);
+        let fields = named.map(|(name, h)| (name.to_string(), h.summary_json()));
+        Json::Obj(fields.collect())
     }
 }
 
@@ -312,9 +306,13 @@ mod tests {
 
     #[test]
     fn metrics_table_lists_every_endpoint() {
-        let m = GatewayMetrics::new();
-        m.answers.record(Duration::from_micros(3));
+        let m = GatewayMetrics::default();
+        m.get(MetricKey::Answers).record(Duration::from_micros(3));
         let json = m.to_json();
+        let Json::Obj(fields) = &json else { panic!() };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, KEY_NAMES);
+        assert_eq!(KEY_NAMES[MetricKey::Stats as usize], "stats");
         assert_eq!(json.get("create_session"), Some(&Json::Null));
         assert!(json.get("answers").unwrap().get("count").is_some());
     }

@@ -13,12 +13,15 @@
 //!   of replaying garbage.
 //! * [`Gateway`] — the [`jqi_net::Handler`] mapping routes under
 //!   `/v1/universes/{uid}/…` to session calls, with one JSON error shape
-//!   and per-endpoint live latency histograms ([`GatewayMetrics`]).
+//!   and per-endpoint live latency histograms ([`GatewayMetrics`]). One
+//!   endpoint table (`endpoint.rs`) decodes each request line; routing,
+//!   the `405` `Allow` list, the histograms and the shed tier all read it.
 //! * [`serve`] — one call to bind the whole stack to a socket address.
 //!
 //! The endpoint contract (schemas, curl examples, error codes) is
 //! documented in `docs/API.md`; the layering in `docs/ARCHITECTURE.md`.
 
+mod endpoint;
 pub mod gateway;
 pub mod metrics;
 pub mod overload;
@@ -26,7 +29,7 @@ pub mod registry;
 
 pub use gateway::{manager_stats_json, Gateway, MAX_ANSWER_BATCH};
 pub use metrics::{GatewayMetrics, LatencyHistogram};
-pub use overload::{classify, EndpointClass, OverloadConfig};
+pub use overload::{EndpointClass, OverloadConfig};
 pub use registry::{valid_universe_id, RegistryError, UniverseEntry, UniverseRegistry};
 
 use std::net::ToSocketAddrs;

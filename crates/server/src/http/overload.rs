@@ -2,12 +2,12 @@
 //!
 //! The transport ([`jqi_net`]) owns the *mechanism* — a fast `503
 //! overloaded` with `Retry-After`, decided on the framed request head
-//! before any routing, body transfer, or body parsing happens — and
-//! consults the gateway for the *policy* through
-//! [`jqi_net::Handler::admit`]. This module is that policy: endpoint
-//! priority tiers plus thresholds over the two live pressure signals,
-//! the transport's aggregate worker queue depth and the per-endpoint
-//! rolling latency estimate
+//! before any body transfer or body parsing happens — and consults the
+//! gateway for the *policy* through [`jqi_net::Handler::admit`]. This
+//! module is that policy: endpoint priority tiers (each row of the
+//! gateway's endpoint table names its own) plus thresholds over the two
+//! live pressure signals, the transport's aggregate worker queue depth
+//! and the per-endpoint rolling latency estimate
 //! ([`crate::http::metrics::LatencyHistogram::ewma_us`]).
 //!
 //! Latency-based shedding cannot latch: the rolling estimate only gains
@@ -21,12 +21,14 @@
 //! The shed order is deliberate for an interactive inference service:
 //! read-only traffic (`question`, `snapshot`, listings, status) is cheap
 //! for the *client* to retry and goes first; mutating traffic
-//! (`answers`, session creation, `restore`) carries crowd work that is
-//! expensive to re-collect and sheds only past the hard thresholds; and
-//! `GET /v1/stats` never sheds — blinding the operators during the
-//! incident is how an overload becomes an outage.
+//! (`answers`, session creation, `restore`, `delta`, delete) carries
+//! crowd work that is expensive to re-collect and sheds only past the
+//! hard thresholds; and `GET /v1/stats` never sheds, under any spelling
+//! that routes to it — blinding the operators during the incident is how
+//! an overload becomes an outage. A request that names no endpoint sheds
+//! as a read: all it can earn is a 404 or 405.
 
-use jqi_net::{Admission, Pressure, RequestHead};
+use jqi_net::{Admission, Pressure};
 
 /// The priority tier a request belongs to, lowest-priority first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,22 +39,6 @@ pub enum EndpointClass {
     Mutating,
     /// Observability (`GET /v1/stats`): never shed.
     Control,
-}
-
-/// Classifies a request into its shed tier without routing it.
-pub fn classify(method: &str, path: &str) -> EndpointClass {
-    if path == "/v1/stats" {
-        return EndpointClass::Control;
-    }
-    // The read/write split tracks the HTTP method exactly: every
-    // read-only endpoint (question, snapshot, session status, listings)
-    // is a GET; every mutating one (create, answers, restore, delete)
-    // is not.
-    if method == "GET" {
-        EndpointClass::ReadOnly
-    } else {
-        EndpointClass::Mutating
-    }
 }
 
 /// Shedding thresholds. A request sheds when its tier's queue-depth
@@ -87,27 +73,22 @@ impl Default for OverloadConfig {
 }
 
 impl OverloadConfig {
-    /// The admission decision for one request, given its framed head,
-    /// the transport pressure, and the endpoint's rolling latency
+    /// The admission decision for one request, given its endpoint's
+    /// tier, the transport pressure, and the endpoint's rolling latency
     /// estimate (already time-decayed by the histogram, so a shed
     /// endpoint's estimate self-recovers — see the module docs).
-    pub fn admit(&self, head: &RequestHead, pressure: Pressure, ewma_us: u64) -> Admission {
-        let shed = Admission::Shed {
-            retry_after_s: self.retry_after_s,
+    pub fn admit(&self, tier: EndpointClass, pressure: Pressure, ewma_us: u64) -> Admission {
+        let (queue, latency_us) = match tier {
+            EndpointClass::Control => return Admission::Accept,
+            EndpointClass::ReadOnly => (self.queue_soft, self.latency_soft_us),
+            EndpointClass::Mutating => (self.queue_hard, self.latency_hard_us),
         };
-        match classify(&head.method, &head.path) {
-            EndpointClass::Control => Admission::Accept,
-            EndpointClass::ReadOnly
-                if pressure.queue_depth > self.queue_soft || ewma_us > self.latency_soft_us =>
-            {
-                shed
+        if pressure.queue_depth > queue || ewma_us > latency_us {
+            Admission::Shed {
+                retry_after_s: self.retry_after_s,
             }
-            EndpointClass::Mutating
-                if pressure.queue_depth > self.queue_hard || ewma_us > self.latency_hard_us =>
-            {
-                shed
-            }
-            _ => Admission::Accept,
+        } else {
+            Admission::Accept
         }
     }
 }
@@ -115,10 +96,7 @@ impl OverloadConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn request(method: &str, path: &str) -> RequestHead {
-        RequestHead::synthetic(method, path)
-    }
+    use EndpointClass::{Control, Mutating, ReadOnly};
 
     fn pressure(queue_depth: usize) -> Pressure {
         Pressure {
@@ -129,81 +107,48 @@ mod tests {
     }
 
     #[test]
-    fn tiers_follow_the_documented_shed_order() {
-        assert_eq!(classify("GET", "/v1/stats"), EndpointClass::Control);
-        assert_eq!(
-            classify("GET", "/v1/universes/u/sessions/1/question"),
-            EndpointClass::ReadOnly
-        );
-        assert_eq!(
-            classify("GET", "/v1/universes/u/sessions/1/snapshot"),
-            EndpointClass::ReadOnly
-        );
-        assert_eq!(classify("GET", "/v1/universes"), EndpointClass::ReadOnly);
-        assert_eq!(
-            classify("POST", "/v1/universes/u/sessions/1/answers"),
-            EndpointClass::Mutating
-        );
-        assert_eq!(
-            classify("POST", "/v1/universes/u/sessions"),
-            EndpointClass::Mutating
-        );
-        assert_eq!(
-            classify("POST", "/v1/universes/u/restore"),
-            EndpointClass::Mutating
-        );
-        assert_eq!(
-            classify("DELETE", "/v1/universes/u/sessions/1"),
-            EndpointClass::Mutating
-        );
-    }
-
-    #[test]
     fn read_only_sheds_before_mutating_and_stats_never_does() {
         let config = OverloadConfig {
             queue_soft: 4,
             queue_hard: 16,
             ..OverloadConfig::default()
         };
-        let question = request("GET", "/v1/universes/u/sessions/1/question");
-        let answers = request("POST", "/v1/universes/u/sessions/1/answers");
-        let stats = request("GET", "/v1/stats");
-
         // Calm: everyone admitted.
-        for r in [&question, &answers, &stats] {
-            assert_eq!(config.admit(r, pressure(2), 0), Admission::Accept);
+        for tier in [ReadOnly, Mutating, Control] {
+            assert_eq!(config.admit(tier, pressure(2), 0), Admission::Accept);
         }
         // Past soft: reads shed, writes and stats do not.
         assert!(matches!(
-            config.admit(&question, pressure(8), 0),
+            config.admit(ReadOnly, pressure(8), 0),
             Admission::Shed { retry_after_s: 1 }
         ));
-        assert_eq!(config.admit(&answers, pressure(8), 0), Admission::Accept);
-        assert_eq!(config.admit(&stats, pressure(8), 0), Admission::Accept);
+        assert_eq!(config.admit(Mutating, pressure(8), 0), Admission::Accept);
+        assert_eq!(config.admit(Control, pressure(8), 0), Admission::Accept);
         // Past hard: writes shed too; stats still answers.
         assert!(matches!(
-            config.admit(&answers, pressure(20), 0),
+            config.admit(Mutating, pressure(20), 0),
             Admission::Shed { .. }
         ));
-        assert_eq!(config.admit(&stats, pressure(20), 0), Admission::Accept);
+        assert_eq!(
+            config.admit(Control, pressure(20), u64::MAX),
+            Admission::Accept
+        );
     }
 
     #[test]
     fn rolling_latency_sheds_even_at_low_queue_depth() {
         let config = OverloadConfig::default();
-        let question = request("GET", "/v1/universes/u/sessions/1/question");
-        let answers = request("POST", "/v1/universes/u/sessions/1/answers");
         // A slow endpoint sheds its own readers first.
         assert!(matches!(
-            config.admit(&question, pressure(1), 300_000),
+            config.admit(ReadOnly, pressure(1), 300_000),
             Admission::Shed { .. }
         ));
         assert_eq!(
-            config.admit(&answers, pressure(1), 300_000),
+            config.admit(Mutating, pressure(1), 300_000),
             Admission::Accept
         );
         assert!(matches!(
-            config.admit(&answers, pressure(1), 1_500_000),
+            config.admit(Mutating, pressure(1), 1_500_000),
             Admission::Shed { .. }
         ));
     }

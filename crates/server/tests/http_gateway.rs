@@ -558,40 +558,57 @@ fn malformed_request_matrix_gets_clean_4xx_never_a_panic() {
     assert_eq!(error_code(&response), "batch_too_large");
 
     // Wire-level abuse on raw sockets (each one burns its connection).
-    // Truncated body: promised 100 bytes, sent 5, hung up.
-    let mut raw = std::net::TcpStream::connect(addr).unwrap();
-    raw.write_all(b"POST /v1/universes/demo/sessions HTTP/1.1\r\ncontent-length: 100\r\n\r\nhello")
-        .unwrap();
-    raw.shutdown(std::net::Shutdown::Write).unwrap();
-    let mut text = String::new();
-    raw.read_to_string(&mut text).unwrap();
-    assert!(text.starts_with("HTTP/1.1 400"), "truncated body: {text:?}");
-    assert!(text.contains("truncated_request"));
-
-    // Oversized declared body: refused from the header alone.
-    let mut raw = std::net::TcpStream::connect(addr).unwrap();
-    raw.write_all(b"POST /v1/universes/demo/sessions HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n")
-        .unwrap();
-    let mut text = String::new();
-    raw.read_to_string(&mut text).unwrap();
-    assert!(text.starts_with("HTTP/1.1 413"), "oversized body: {text:?}");
-
-    // Chunked transfer coding: deliberately unimplemented.
-    let mut raw = std::net::TcpStream::connect(addr).unwrap();
-    raw.write_all(
-        b"POST /v1/universes/demo/sessions HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
-    )
-    .unwrap();
-    let mut text = String::new();
-    raw.read_to_string(&mut text).unwrap();
-    assert!(text.starts_with("HTTP/1.1 501"), "chunked: {text:?}");
-
-    // Garbage request line.
-    let mut raw = std::net::TcpStream::connect(addr).unwrap();
-    raw.write_all(b"\x00\x01\x02 garbage\r\n\r\n").unwrap();
-    let mut text = String::new();
-    raw.read_to_string(&mut text).unwrap();
-    assert!(text.starts_with("HTTP/1.1 400"), "garbage: {text:?}");
+    // Every answer carries its status and the one JSON error shape, so
+    // each body must parse, whatever bytes the message quotes.
+    let raw_cases: [(&str, &[u8], u16, &str); 5] = [
+        (
+            "truncated body: promised 100 bytes, sent 5, hung up",
+            b"POST /v1/universes/demo/sessions HTTP/1.1\r\ncontent-length: 100\r\n\r\nhello",
+            400,
+            "truncated_request",
+        ),
+        (
+            "oversized declared body: refused from the header alone",
+            b"POST /v1/universes/demo/sessions HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n",
+            413,
+            "body_too_large",
+        ),
+        (
+            "chunked transfer coding: deliberately unimplemented",
+            b"POST /v1/universes/demo/sessions HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
+            501,
+            "not_implemented",
+        ),
+        (
+            "garbage request line",
+            b"\x00\x01\x02 garbage\r\n\r\n",
+            400,
+            "malformed_request",
+        ),
+        (
+            "a header line with a quote and no colon",
+            b"GET /v1/stats HTTP/1.1\r\nX\"Y\r\n\r\n",
+            400,
+            "malformed_request",
+        ),
+    ];
+    for (case, bytes, want_status, want_code) in raw_cases {
+        let mut raw = std::net::TcpStream::connect(addr).unwrap();
+        raw.write_all(bytes).unwrap();
+        raw.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut text = String::new();
+        raw.read_to_string(&mut text).unwrap();
+        let status_line = format!("HTTP/1.1 {want_status} ");
+        assert!(text.starts_with(&status_line), "{case}: {text:?}");
+        let (_, body) = text.split_once("\r\n\r\n").expect("a head and a body");
+        let doc = Json::parse(body).unwrap_or_else(|e| panic!("{case}: {e} in {body:?}"));
+        let code = doc.get("error").and_then(|e| e.get("code"));
+        assert_eq!(
+            code.and_then(Json::as_str),
+            Some(want_code),
+            "{case}: {body:?}"
+        );
+    }
 
     // After all of that, the server still serves normal traffic on a
     // fresh connection — nothing panicked, nothing wedged.
