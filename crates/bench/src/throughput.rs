@@ -67,9 +67,13 @@ use crate::json::{self, Json, ToJson};
 use jqi_core::paper::flight_hotel;
 use jqi_core::{ClassId, DecisionCacheStats, Label, StrategyConfig, Universe};
 use jqi_relation::BitSet;
-use jqi_server::{DurabilityConfig, ManagerStats, ServerConfig, SessionManager, SessionSnapshot};
+use jqi_server::{
+    DurabilityConfig, ManagerStats, RecoveryReport, ServerConfig, SessionId, SessionManager,
+    SessionSnapshot,
+};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -161,7 +165,8 @@ impl ToJson for LatencySummary {
 /// One measured phase.
 #[derive(Debug, Clone)]
 pub struct PhaseReport {
-    /// `"interactive"`, `"batch"`, or `"snapshot"`.
+    /// `"interactive"`, `"batch"`, `"snapshot"` or `"restore"`; the
+    /// durability phase's runs are `"wal_group"` and `"wal_sync"`.
     pub name: &'static str,
     /// Wall-clock for the whole phase, in seconds.
     pub elapsed_s: f64,
@@ -171,6 +176,19 @@ pub struct PhaseReport {
     pub ops_per_sec: f64,
     /// Latency of one operation.
     pub latency: LatencySummary,
+}
+
+impl PhaseReport {
+    /// A phase of `samples.len()` operations over `elapsed` wall clock.
+    fn of(name: &'static str, elapsed: Duration, samples: Vec<u64>) -> PhaseReport {
+        let elapsed_s = elapsed.as_secs_f64();
+        PhaseReport {
+            name,
+            elapsed_s,
+            ops_per_sec: samples.len() as f64 / elapsed_s,
+            latency: LatencySummary::of(samples),
+        }
+    }
 }
 
 impl ToJson for PhaseReport {
@@ -799,180 +817,162 @@ fn oracle_label(universe: &Universe, goal: &BitSet, class: ClassId) -> Label {
     }
 }
 
-/// Runs the three phases and assembles the report.
+/// Runs `work` on one scoped thread per `per_thread`-sized chunk of
+/// `items` — the thread layout of every in-process phase — passing each
+/// chunk with the index of its first item; returns the results in chunk
+/// order.
+fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    per_thread: usize,
+    work: impl Fn(usize, &[T]) -> R + Sync,
+) -> Vec<R> {
+    let per_thread = per_thread.max(1);
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = items
+            .chunks(per_thread)
+            .enumerate()
+            .map(|(c, chunk)| scope.spawn(move || work(c * per_thread, chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("no panics"))
+            .collect()
+    })
+}
+
+/// The paper's Algorithm 1 for one session: ask, let the goal oracle
+/// label, answer, until nothing is left to ask. One sample in `lat` is
+/// one full service cycle: question selection (strategy work under the
+/// session lock) plus the answer's incremental state update.
+fn drive_session(
+    manager: &SessionManager,
+    universe: &Universe,
+    id: SessionId,
+    goal: &BitSet,
+    lat: &mut Vec<u64>,
+) {
+    loop {
+        let t0 = Instant::now();
+        let Some(q) = manager.next_question(id).expect("live session") else {
+            break;
+        };
+        let label = oracle_label(universe, goal, q.class);
+        manager.answer(id, q.class, label).expect("consistent");
+        lat.push(t0.elapsed().as_nanos() as u64);
+    }
+}
+
+/// The one builder of the managers that serve the run's fleet: the run's
+/// shard count, every other setting default. In memory, or — given a
+/// directory and a group-commit quota — durable there, recovering
+/// whatever the directory holds.
+fn fleet_manager(
+    params: &ThroughputParams,
+    universe: &Arc<Universe>,
+    durable: Option<(&Path, usize)>,
+) -> (SessionManager, RecoveryReport) {
+    let universe = Arc::clone(universe);
+    let config = ServerConfig {
+        shards: params.shards,
+        ..ServerConfig::default()
+    };
+    match durable {
+        None => (
+            SessionManager::new(universe, config),
+            RecoveryReport::default(),
+        ),
+        Some((dir, group_commit_every)) => {
+            SessionManager::recover(universe, config, durability_config(group_commit_every), dir)
+                .expect("durable directory opens")
+        }
+    }
+}
+
+/// Runs the in-process phases, then the fleet, hibernate, durability,
+/// transport and overload phases, and assembles the report.
 pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
     let params = if tiny {
         ThroughputParams::tiny()
     } else {
         params
     };
+    let per_thread = params.sessions_per_thread;
     let universe = Arc::new(Universe::build(flight_hotel()));
-    let total_sessions = params.threads * params.sessions_per_thread;
+    let total_sessions = params.threads * per_thread;
     let plans = plans(&universe, total_sessions, params.seed);
-    let manager = Arc::new(SessionManager::new(
-        Arc::clone(&universe),
-        ServerConfig {
-            shards: params.shards,
-            ..ServerConfig::default()
-        },
-    ));
+    let (manager, _) = fleet_manager(&params, &universe, None);
 
     // All sessions exist before any is driven: the interactive phase
     // exercises `total_sessions` *concurrent* sessions, not a trickle.
-    let ids: Vec<u64> = plans
+    let ids: Vec<SessionId> = plans
         .iter()
         .map(|p| manager.create_session(p.config.clone()).expect("in-memory"))
         .collect();
     assert_eq!(manager.session_count(), total_sessions);
 
-    // Phase 1: interactive question/answer loops, one slice per thread.
+    // Phase 1: interactive question/answer loops, one chunk per thread;
+    // each finished session's history is recorded inside the phase.
     let phase_start = Instant::now();
-    let mut latencies: Vec<Vec<u64>> = Vec::with_capacity(params.threads);
-    let mut histories: Vec<Vec<RecordedHistory>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..params.threads)
-            .map(|t| {
-                let manager = Arc::clone(&manager);
-                let universe = Arc::clone(&universe);
-                let plans = &plans;
-                let ids = &ids;
-                scope.spawn(move || {
-                    let lo = t * params.sessions_per_thread;
-                    let hi = lo + params.sessions_per_thread;
-                    let mut lat = Vec::new();
-                    let mut recorded = Vec::new();
-                    for i in lo..hi {
-                        let id = ids[i];
-                        loop {
-                            // One timed sample = the full service cycle:
-                            // question selection (strategy work under the
-                            // session lock) plus the answer's incremental
-                            // state update.
-                            let t0 = Instant::now();
-                            let q = match manager.next_question(id).expect("live session") {
-                                Some(q) => q,
-                                None => break,
-                            };
-                            let label = oracle_label(&universe, &plans[i].goal, q.class);
-                            manager.answer(id, q.class, label).expect("consistent");
-                            lat.push(t0.elapsed().as_nanos() as u64);
-                        }
-                        let snap = manager.snapshot(id).expect("live session");
-                        recorded.push((i, snap.history));
-                    }
-                    (lat, recorded)
-                })
+    let driven = fan_out(&ids, per_thread, |lo, chunk| {
+        let mut lat = Vec::new();
+        let recorded: Vec<RecordedHistory> = (lo..)
+            .zip(chunk)
+            .map(|(i, &id)| {
+                drive_session(&manager, &universe, id, &plans[i].goal, &mut lat);
+                (i, manager.snapshot(id).expect("live session").history)
             })
             .collect();
-        for handle in handles {
-            let (lat, recorded) = handle.join().expect("no panics");
-            latencies.push(lat);
-            histories.push(recorded);
-        }
+        (lat, recorded)
     });
-    let interactive_elapsed = phase_start.elapsed().as_secs_f64();
-    let all: Vec<u64> = latencies.into_iter().flatten().collect();
-    let total_answers = all.len();
-    let interactive = PhaseReport {
-        name: "interactive",
-        elapsed_s: interactive_elapsed,
-        ops_per_sec: total_answers as f64 / interactive_elapsed,
-        latency: LatencySummary::of(all),
-    };
+    let elapsed = phase_start.elapsed();
+    let (latencies, histories): (Vec<_>, Vec<_>) = driven.into_iter().unzip();
+    let interactive = PhaseReport::of("interactive", elapsed, latencies.concat());
+    let total_answers = interactive.latency.count;
     // Resident footprint while every session is live and fully answered.
     let session_memory = manager.stats();
 
     // Phase 2: the same answer streams folded in as one batch per fresh
     // session (the crowdsourcing arrival shape).
-    let flat_histories: Vec<RecordedHistory> = histories.into_iter().flatten().collect();
-    let batch_manager = Arc::new(SessionManager::new(
-        Arc::clone(&universe),
-        ServerConfig {
-            shards: params.shards,
-            ..ServerConfig::default()
-        },
-    ));
+    let histories: Vec<RecordedHistory> = histories.into_iter().flatten().collect();
+    let (batch_manager, _) = fleet_manager(&params, &universe, None);
     let phase_start = Instant::now();
-    let mut batch_lat: Vec<u64> = Vec::new();
-    std::thread::scope(|scope| {
-        let chunks = flat_histories.chunks(params.sessions_per_thread.max(1));
-        let handles: Vec<_> = chunks
-            .map(|chunk| {
-                let manager = Arc::clone(&batch_manager);
-                let plans = &plans;
-                scope.spawn(move || {
-                    let mut lat = Vec::new();
-                    for (i, history) in chunk {
-                        let id = manager
-                            .create_session(plans[*i].config.clone())
-                            .expect("in-memory");
-                        let t0 = Instant::now();
-                        let applied = manager.answer_batch(id, history).expect("consistent");
-                        lat.push(t0.elapsed().as_nanos() as u64);
-                        assert_eq!(applied, history.len());
-                    }
-                    lat
-                })
-            })
-            .collect();
-        for handle in handles {
-            batch_lat.extend(handle.join().expect("no panics"));
+    let lat = fan_out(&histories, per_thread, |_, chunk| {
+        let mut lat = Vec::new();
+        for (i, history) in chunk {
+            let id = batch_manager
+                .create_session(plans[*i].config.clone())
+                .expect("in-memory");
+            let t0 = Instant::now();
+            let applied = batch_manager.answer_batch(id, history).expect("consistent");
+            lat.push(t0.elapsed().as_nanos() as u64);
+            assert_eq!(applied, history.len());
         }
+        lat
     });
-    let batch_elapsed = phase_start.elapsed().as_secs_f64();
-    let batch = PhaseReport {
-        name: "batch",
-        elapsed_s: batch_elapsed,
-        ops_per_sec: batch_lat.len() as f64 / batch_elapsed,
-        latency: LatencySummary::of(batch_lat),
-    };
+    let batch = PhaseReport::of("batch", phase_start.elapsed(), lat.concat());
 
     // Phase 3: snapshot → JSON → restore round-trips into a fresh manager,
     // verified against the original predicate.
-    let restore_manager = Arc::new(SessionManager::new(
-        Arc::clone(&universe),
-        ServerConfig {
-            shards: params.shards,
-            ..ServerConfig::default()
-        },
-    ));
+    let (restore_manager, _) = fleet_manager(&params, &universe, None);
     let phase_start = Instant::now();
-    let mut snap_lat: Vec<u64> = Vec::new();
-    std::thread::scope(|scope| {
-        let chunks = ids.chunks(params.sessions_per_thread.max(1));
-        let handles: Vec<_> = chunks
-            .map(|chunk| {
-                let manager = Arc::clone(&manager);
-                let restore_manager = Arc::clone(&restore_manager);
-                scope.spawn(move || {
-                    let mut lat = Vec::new();
-                    for &id in chunk {
-                        let t0 = Instant::now();
-                        let json = manager.snapshot(id).expect("live").to_json_string();
-                        let snap = SessionSnapshot::from_json(&json).expect("well-formed");
-                        let restored = restore_manager.restore(&snap).expect("replays");
-                        lat.push(t0.elapsed().as_nanos() as u64);
-                        assert_eq!(
-                            restore_manager.inferred_predicate(restored).expect("live"),
-                            manager.inferred_predicate(id).expect("live"),
-                            "restored session diverged"
-                        );
-                    }
-                    lat
-                })
-            })
-            .collect();
-        for handle in handles {
-            snap_lat.extend(handle.join().expect("no panics"));
+    let lat = fan_out(&ids, per_thread, |_, chunk| {
+        let mut lat = Vec::new();
+        for &id in chunk {
+            let t0 = Instant::now();
+            let json = manager.snapshot(id).expect("live").to_json_string();
+            let snap = SessionSnapshot::from_json(&json).expect("well-formed");
+            let restored = restore_manager.restore(&snap).expect("replays");
+            lat.push(t0.elapsed().as_nanos() as u64);
+            assert_eq!(
+                restore_manager.inferred_predicate(restored).expect("live"),
+                manager.inferred_predicate(id).expect("live"),
+                "restored session diverged"
+            );
         }
+        lat
     });
-    let snap_elapsed = phase_start.elapsed().as_secs_f64();
-    let snapshot = PhaseReport {
-        name: "snapshot",
-        elapsed_s: snap_elapsed,
-        ops_per_sec: snap_lat.len() as f64 / snap_elapsed,
-        latency: LatencySummary::of(snap_lat),
-    };
+    let snapshot = PhaseReport::of("snapshot", phase_start.elapsed(), lat.concat());
 
     // Phase 4: the restore half alone — deterministic replay folded through
     // `apply_batch` mask ops, no JSON on the path — bucketed by history
@@ -981,39 +981,22 @@ pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
         .iter()
         .map(|&id| manager.snapshot(id).expect("live session"))
         .collect();
-    let replay_manager = Arc::new(SessionManager::new(
-        Arc::clone(&universe),
-        ServerConfig {
-            shards: params.shards,
-            ..ServerConfig::default()
-        },
-    ));
+    let (replay_manager, _) = fleet_manager(&params, &universe, None);
     let phase_start = Instant::now();
-    let mut restore_lat: Vec<(usize, u64)> = Vec::with_capacity(snapshots.len());
-    std::thread::scope(|scope| {
-        let chunks = snapshots.chunks(params.sessions_per_thread.max(1));
-        let handles: Vec<_> = chunks
-            .map(|chunk| {
-                let manager = Arc::clone(&replay_manager);
-                scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(chunk.len());
-                    for snap in chunk {
-                        let t0 = Instant::now();
-                        manager.restore(snap).expect("replays");
-                        lat.push((snap.history.len(), t0.elapsed().as_nanos() as u64));
-                    }
-                    lat
-                })
-            })
-            .collect();
-        for handle in handles {
-            restore_lat.extend(handle.join().expect("no panics"));
+    let lat = fan_out(&snapshots, per_thread, |_, chunk| {
+        let mut lat = Vec::with_capacity(chunk.len());
+        for snap in chunk {
+            let t0 = Instant::now();
+            replay_manager.restore(snap).expect("replays");
+            lat.push(t0.elapsed().as_nanos() as u64);
         }
+        lat
     });
-    let restore_elapsed = phase_start.elapsed().as_secs_f64();
+    let elapsed = phase_start.elapsed();
+    let lat = lat.concat();
     let mut buckets: BTreeMap<usize, (usize, u64)> = BTreeMap::new();
-    for &(len, ns) in &restore_lat {
-        let e = buckets.entry(len).or_insert((0, 0));
+    for (snap, &ns) in snapshots.iter().zip(&lat) {
+        let e = buckets.entry(snap.history.len()).or_insert((0, 0));
         e.0 += 1;
         e.1 += ns;
     }
@@ -1025,12 +1008,7 @@ pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
             mean_us: total_ns as f64 / count as f64 / 1000.0,
         })
         .collect();
-    let restore = PhaseReport {
-        name: "restore",
-        elapsed_s: restore_elapsed,
-        ops_per_sec: restore_lat.len() as f64 / restore_elapsed,
-        latency: LatencySummary::of(restore_lat.into_iter().map(|(_, ns)| ns).collect()),
-    };
+    let restore = PhaseReport::of("restore", elapsed, lat);
 
     // Phase 5: the decision cache under an LkS fleet on TPC-H — cold
     // (cache disabled, every session pays the full first-question
@@ -1092,6 +1070,19 @@ pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
         transport,
         overload,
     }
+}
+
+/// The path that creates a session on the HTTP phases' `bench` tenant.
+const CREATE_PATH: &str = "/v1/universes/bench/sessions";
+
+/// The session id in a `201` create response's body.
+fn created_sid(resp: &jqi_net::ClientResponse) -> Option<u64> {
+    use jqi_server::json::Json as Wire;
+    resp.body_str()
+        .ok()
+        .and_then(|t| Wire::parse(t).ok())
+        .and_then(|doc| doc.get("session").and_then(Wire::as_num))
+        .map(|n| n as u64)
 }
 
 /// Drives the overload phase (see [`OverloadReport`]).
@@ -1200,15 +1191,6 @@ fn overload_phase(tiny: bool, seed: u64) -> OverloadReport {
         }
     }
 
-    // Pulls the session id out of a 201 create response.
-    fn created_sid(resp: &jqi_net::ClientResponse) -> Option<u64> {
-        resp.body_str()
-            .ok()
-            .and_then(|t| Wire::parse(t).ok())
-            .and_then(|doc| doc.get("session").and_then(Wire::as_num))
-            .map(|n| n as u64)
-    }
-
     // Uncontended baseline: one client, same wire path and request mix,
     // no competition. Each GET is a fresh session's first question, so
     // with the decision cache off every one pays the full lookahead.
@@ -1218,7 +1200,7 @@ fn overload_phase(tiny: bool, seed: u64) -> OverloadReport {
     for r in 0..uncontended_n {
         let t0 = Instant::now();
         let resp = if r % 2 == 0 {
-            base.post("/v1/universes/bench/sessions", strategy_body)
+            base.post(CREATE_PATH, strategy_body)
         } else {
             base.get(&format!("/v1/universes/bench/sessions/{base_sid}/question"))
         }
@@ -1244,7 +1226,7 @@ fn overload_phase(tiny: bool, seed: u64) -> OverloadReport {
         .map(|_| {
             let mut client = Client::connect(addr).expect("metered connect");
             let created = client
-                .post("/v1/universes/bench/sessions", strategy_body)
+                .post(CREATE_PATH, strategy_body)
                 .expect("metered create");
             assert_eq!(created.status, 201, "{:?}", created.body_str());
             let sid = created_sid(&created).expect("session id");
@@ -1301,7 +1283,7 @@ fn overload_phase(tiny: bool, seed: u64) -> OverloadReport {
                         // on the session it made — the expensive read
                         // the soft tier sheds first.
                         let outcome = if r % 2 == 0 {
-                            client.post("/v1/universes/bench/sessions", strategy_body)
+                            client.post(CREATE_PATH, strategy_body)
                         } else {
                             client.get(&format!("/v1/universes/bench/sessions/{sid}/question"))
                         };
@@ -1403,29 +1385,13 @@ fn transport_phase(
     use std::sync::Barrier;
 
     let sessions = params.threads * params.sessions_per_thread;
-    let server_config = ServerConfig {
-        shards: params.shards,
-        ..ServerConfig::default()
-    };
     let registry = Arc::new(UniverseRegistry::new());
-    registry
-        .register(
-            "bench",
-            Arc::new(SessionManager::new(
-                Arc::clone(universe),
-                server_config.clone(),
-            )),
-        )
-        .expect("fresh registry");
-    registry
-        .register(
-            "twin",
-            Arc::new(SessionManager::new(
-                Arc::clone(universe),
-                server_config.clone(),
-            )),
-        )
-        .expect("fresh registry");
+    for tenant in ["bench", "twin"] {
+        let (manager, _) = fleet_manager(params, universe, None);
+        registry
+            .register(tenant, Arc::new(manager))
+            .expect("fresh registry");
+    }
     let net = NetConfig {
         max_connections: sessions + 64,
         ..NetConfig::default()
@@ -1463,15 +1429,10 @@ fn transport_phase(
                     for (k, client) in clients.iter_mut().enumerate() {
                         let body = format!("{{\"strategy\": \"{}\"}}", plans[lo + k].config);
                         let t0 = Instant::now();
-                        let resp = client
-                            .post("/v1/universes/bench/sessions", &body)
-                            .expect("create over http");
+                        let resp = client.post(CREATE_PATH, &body).expect("create over http");
                         lat.push(t0.elapsed().as_nanos() as u64);
                         assert_eq!(resp.status, 201, "{}", text(&resp));
-                        let doc = Wire::parse(text(&resp)).expect("json body");
-                        sids.push(
-                            doc.get("session").and_then(Wire::as_num).expect("session") as u64
-                        );
+                        sids.push(created_sid(&resp).expect("session id"));
                     }
 
                     // Drive sessions round-robin (one question per visit)
@@ -1584,29 +1545,19 @@ fn durability_config(group_commit_every: usize) -> DurabilityConfig {
 }
 
 /// The interactive workload on a durable manager rooted at `dir`: same
-/// fleet shape and thread layout as the in-memory interactive phase, so
-/// the per-answer means are directly comparable. Returns the phase
-/// report and the (still live) manager.
+/// fleet shape, thread layout and question/answer loop as the in-memory
+/// interactive phase, so the per-answer means are directly comparable.
+/// Returns the phase report and the (still live) manager.
 fn durable_drive(
     name: &'static str,
     params: &ThroughputParams,
     universe: &Arc<Universe>,
     plans: &[SessionPlan],
-    dir: &std::path::Path,
+    dir: &Path,
     group_commit_every: usize,
 ) -> (PhaseReport, SessionManager) {
-    let (manager, _) = SessionManager::recover(
-        Arc::clone(universe),
-        ServerConfig {
-            shards: params.shards,
-            ..ServerConfig::default()
-        },
-        durability_config(group_commit_every),
-        dir,
-    )
-    .expect("fresh durable fleet");
-    let manager = Arc::new(manager);
-    let ids: Vec<u64> = plans
+    let (manager, _) = fleet_manager(params, universe, Some((dir, group_commit_every)));
+    let ids: Vec<SessionId> = plans
         .iter()
         .map(|p| {
             manager
@@ -1615,51 +1566,18 @@ fn durable_drive(
         })
         .collect();
     let phase_start = Instant::now();
-    let mut latencies: Vec<Vec<u64>> = Vec::with_capacity(params.threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..params.threads)
-            .map(|t| {
-                let manager = Arc::clone(&manager);
-                let universe = Arc::clone(universe);
-                let ids = &ids;
-                scope.spawn(move || {
-                    let lo = t * params.sessions_per_thread;
-                    let hi = lo + params.sessions_per_thread;
-                    let mut lat = Vec::new();
-                    for i in lo..hi {
-                        let id = ids[i];
-                        loop {
-                            let t0 = Instant::now();
-                            let q = match manager.next_question(id).expect("live session") {
-                                Some(q) => q,
-                                None => break,
-                            };
-                            let label = oracle_label(&universe, &plans[i].goal, q.class);
-                            manager.answer(id, q.class, label).expect("consistent");
-                            lat.push(t0.elapsed().as_nanos() as u64);
-                        }
-                    }
-                    lat
-                })
-            })
-            .collect();
-        for handle in handles {
-            latencies.push(handle.join().expect("no panics"));
+    let latencies = fan_out(&ids, params.sessions_per_thread, |lo, chunk| {
+        let mut lat = Vec::new();
+        for (i, &id) in (lo..).zip(chunk) {
+            drive_session(&manager, universe, id, &plans[i].goal, &mut lat);
         }
+        lat
     });
     // The batch the group-commit quota had not yet synced is part of the
     // workload's durability cost: flush inside the timed region so ops/s
     // stays honest.
     manager.flush_wal().expect("wal flush");
-    let elapsed = phase_start.elapsed().as_secs_f64();
-    let all: Vec<u64> = latencies.into_iter().flatten().collect();
-    let report = PhaseReport {
-        name,
-        elapsed_s: elapsed,
-        ops_per_sec: all.len() as f64 / elapsed,
-        latency: LatencySummary::of(all),
-    };
-    let manager = Arc::into_inner(manager).expect("worker threads joined");
+    let report = PhaseReport::of(name, phase_start.elapsed(), latencies.concat());
     (report, manager)
 }
 
@@ -1698,16 +1616,8 @@ fn durability_phase(
     drop(manager);
 
     let recover_start = Instant::now();
-    let (recovered, recovery_report) = SessionManager::recover(
-        Arc::clone(universe),
-        ServerConfig {
-            shards: params.shards,
-            ..ServerConfig::default()
-        },
-        durability_config(GROUP_EVERY),
-        &group_dir,
-    )
-    .expect("recovery of a cleanly synced fleet");
+    let (recovered, recovery_report) =
+        fleet_manager(params, universe, Some((&group_dir, GROUP_EVERY)));
     let elapsed_ms = recover_start.elapsed().as_secs_f64() * 1000.0;
     assert_eq!(recovery_report.sessions, plans.len());
     drop(recovered);
@@ -1783,6 +1693,32 @@ fn fleet_phase(tiny: bool, seed: u64) -> FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// Every leaf key path of `value` under `path`, array indices
+    /// collapsed to `[]`.
+    fn leaf_paths(value: &Json, path: &str, out: &mut BTreeSet<String>) {
+        match value {
+            Json::Obj(fields) => {
+                for (key, field) in fields {
+                    let path = if path.is_empty() {
+                        key.clone()
+                    } else {
+                        format!("{path}.{key}")
+                    };
+                    leaf_paths(field, &path, out);
+                }
+            }
+            Json::Arr(items) => {
+                for item in items {
+                    leaf_paths(item, &format!("{path}[]"), out);
+                }
+            }
+            _ => {
+                out.insert(path.to_string());
+            }
+        }
+    }
 
     #[test]
     fn tiny_run_reports_all_phases() {
@@ -1924,5 +1860,23 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in report");
         }
+        // The report's schema is the committed baseline's, key for key:
+        // `bench_guard` reads the fresh report by the baseline's keys.
+        let baseline = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../ci/bench_baseline_server.json"
+        ))
+        .expect("committed baseline");
+        let baseline = Json::parse(&baseline).expect("baseline parses");
+        let (mut fresh_paths, mut baseline_paths) = (BTreeSet::new(), BTreeSet::new());
+        leaf_paths(&report.to_json(), "", &mut fresh_paths);
+        leaf_paths(&baseline, "", &mut baseline_paths);
+        assert_eq!(
+            fresh_paths
+                .symmetric_difference(&baseline_paths)
+                .collect::<Vec<_>>(),
+            Vec::<&String>::new(),
+            "report schema differs from ci/bench_baseline_server.json"
+        );
     }
 }

@@ -85,6 +85,40 @@ const STATIC_MASK_BITS_CAP: u64 = 1 << 26;
 /// single-threaded.
 const CLOSURE_PARALLEL_THRESHOLD: u64 = 1 << 18;
 
+/// Fills one class's static `up`/`down` strides (each `mask_words` long,
+/// `down_c` zeroed) from the per-Ω-bit member masks, for a closure over
+/// `classes` classes: the per-class step of [`ClassClosure::build`] and of
+/// a class birth in [`ClassClosure::push_class`].
+fn fill_static_masks(
+    sig: &BitSet,
+    members: &[u64],
+    omega_len: usize,
+    classes: usize,
+    up_c: &mut [u64],
+    down_c: &mut [u64],
+) {
+    let mask_words = up_c.len();
+    // up(c) = ⋂_{b ∈ sig(c)} members(b); the empty signature is
+    // contained in everything, so start from all-ones.
+    up_c.iter_mut().for_each(|w| *w = !0);
+    for b in sig.iter() {
+        let m = &members[b * mask_words..(b + 1) * mask_words];
+        up_c.iter_mut().zip(m).for_each(|(w, &v)| *w &= v);
+    }
+    // down(c) = ¬⋃_{b ∈ Ω∖sig(c)} members(b), clamped to the live classes
+    // so iteration never sees phantom bits.
+    for b in 0..omega_len {
+        if sig.contains(b) {
+            continue;
+        }
+        let m = &members[b * mask_words..(b + 1) * mask_words];
+        down_c.iter_mut().zip(m).for_each(|(w, &v)| *w |= v);
+    }
+    down_c.iter_mut().for_each(|w| *w = !*w);
+    clamp_mask(down_c, classes);
+    clamp_mask(up_c, classes);
+}
+
 /// The containment order among T-equivalence classes, precomputed once per
 /// [`Universe`] and shared read-only by every session.
 ///
@@ -146,25 +180,7 @@ impl ClassClosure {
             let mut up = vec![0u64; classes * mask_words];
             let mut down = vec![0u64; classes * mask_words];
             let fill = |c: ClassId, up_c: &mut [u64], down_c: &mut [u64]| {
-                // up(c) = ⋂_{b ∈ sig(c)} members(b); the empty signature is
-                // contained in everything, so start from all-ones.
-                up_c.iter_mut().for_each(|w| *w = !0);
-                for b in sigs[c].iter() {
-                    let m = &members[b * mask_words..(b + 1) * mask_words];
-                    up_c.iter_mut().zip(m).for_each(|(w, &v)| *w &= v);
-                }
-                // down(c) = ¬⋃_{b ∈ Ω∖sig(c)} members(b), clamped to the
-                // live classes so iteration never sees phantom bits.
-                for b in 0..omega_len {
-                    if sigs[c].contains(b) {
-                        continue;
-                    }
-                    let m = &members[b * mask_words..(b + 1) * mask_words];
-                    down_c.iter_mut().zip(m).for_each(|(w, &v)| *w |= v);
-                }
-                down_c.iter_mut().for_each(|w| *w = !*w);
-                clamp_mask(down_c, classes);
-                clamp_mask(up_c, classes);
+                fill_static_masks(&sigs[c], &members, omega_len, classes, up_c, down_c);
             };
             let work = classes as u64 * (omega_len as u64).max(1) * mask_words as u64;
             let threads = if work < CLOSURE_PARALLEL_THRESHOLD {
@@ -245,27 +261,14 @@ impl ClassClosure {
         if let (Some(up), Some(down)) = (self.up.as_mut(), self.down.as_mut()) {
             up.resize((c + 1) * mw, 0);
             down.resize((c + 1) * mw, 0);
-            {
-                let up_c = &mut up[c * mw..(c + 1) * mw];
-                up_c.iter_mut().for_each(|w| *w = !0);
-                for b in sig.iter() {
-                    let m = &self.members[b * mw..(b + 1) * mw];
-                    up_c.iter_mut().zip(m).for_each(|(w, &v)| *w &= v);
-                }
-                clamp_mask(up_c, c + 1);
-            }
-            {
-                let down_c = &mut down[c * mw..(c + 1) * mw];
-                for b in 0..omega_len {
-                    if sig.contains(b) {
-                        continue;
-                    }
-                    let m = &self.members[b * mw..(b + 1) * mw];
-                    down_c.iter_mut().zip(m).for_each(|(w, &v)| *w |= v);
-                }
-                down_c.iter_mut().for_each(|w| *w = !*w);
-                clamp_mask(down_c, c + 1);
-            }
+            fill_static_masks(
+                sig,
+                &self.members,
+                omega_len,
+                c + 1,
+                &mut up[c * mw..(c + 1) * mw],
+                &mut down[c * mw..(c + 1) * mw],
+            );
             for (t, sig_t) in sigs.iter().enumerate().take(c) {
                 if sig_t.is_subset(sig) {
                     up[t * mw + wi] |= bit;

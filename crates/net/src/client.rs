@@ -20,10 +20,7 @@
 //! return in lockstep and re-create the overload it hinted them away
 //! from.
 
-use crate::wire::{
-    format_request, format_request_with, read_client_response, ClientResponse, HttpError, Limits,
-    DEADLINE_HEADER,
-};
+use crate::wire::{format_request_with, read_client_response, ClientResponse, HttpError, Limits};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -68,12 +65,7 @@ impl Client {
         path: &str,
         body: Option<&[u8]>,
     ) -> Result<ClientResponse, HttpError> {
-        use std::io::Write;
-        let bytes = format_request(method, path, body, false);
-        self.stream
-            .write_all(&bytes)
-            .map_err(|e| HttpError::Io(e.to_string()))?;
-        read_client_response(&mut self.stream, &mut self.buf, &self.limits)
+        self.request_with(method, path, body, &[])
     }
 
     /// Sends one request with extra headers and reads the response.
@@ -149,15 +141,13 @@ pub struct RetryStats {
 
 /// A [`Client`] wrapper that reconnects, backs off, and retries.
 ///
-/// See the module docs for the retry rules. The per-request deadline
-/// (when set) rides on every request as the [`DEADLINE_HEADER`].
+/// See the module docs for the retry rules.
 #[derive(Debug)]
 pub struct RetryingClient {
     addr: SocketAddr,
     conn: Option<Client>,
     policy: RetryPolicy,
     read_timeout: Duration,
-    deadline_ms: Option<u64>,
     rng: u64,
     connected_once: bool,
     stats: RetryStats,
@@ -172,7 +162,6 @@ impl RetryingClient {
             conn: None,
             policy,
             read_timeout: Duration::from_secs(10),
-            deadline_ms: None,
             rng: policy.seed | 1,
             connected_once: false,
             stats: RetryStats::default(),
@@ -182,12 +171,6 @@ impl RetryingClient {
     /// Sets the per-read socket timeout used for (re)connects.
     pub fn set_read_timeout(&mut self, read_timeout: Duration) {
         self.read_timeout = read_timeout;
-    }
-
-    /// Attaches (or clears) a deadline sent with every request as the
-    /// [`DEADLINE_HEADER`], in milliseconds.
-    pub fn set_deadline_ms(&mut self, deadline_ms: Option<u64>) {
-        self.deadline_ms = deadline_ms;
     }
 
     /// The retry counters so far.
@@ -225,17 +208,13 @@ impl RetryingClient {
         body: Option<&[u8]>,
         idempotent: bool,
     ) -> Result<ClientResponse, HttpError> {
-        let extra: Vec<(String, String)> = self
-            .deadline_ms
-            .map(|ms| vec![(DEADLINE_HEADER.to_string(), ms.to_string())])
-            .unwrap_or_default();
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             let last = attempt >= self.policy.max_attempts.max(1);
             let outcome = self
                 .ensure_conn()
-                .and_then(|conn| conn.request_with(method, path, body, &extra));
+                .and_then(|conn| conn.request(method, path, body));
             match outcome {
                 Ok(response) if response.status == 503 => {
                     let hinted = retry_after(&response);

@@ -424,13 +424,10 @@ impl Slot {
     }
 
     /// The one park: keeps only the replay log (shrunk to its length, so a
-    /// parked session holds exactly its log) and the pending question;
-    /// returns the parked bytes.
-    fn park(&mut self, mut history: Vec<(ClassId, Label)>, pending: Option<ClassId>) -> usize {
+    /// parked session holds exactly its log) and the pending question.
+    fn park(&mut self, mut history: Vec<(ClassId, Label)>, pending: Option<ClassId>) {
         history.shrink_to_fit();
-        let bytes = Slot::hibernated_bytes(&history);
         self.tier = Tier::Hibernated { history, pending };
-        bytes
     }
 
     /// Moves the replay log out of an in-RAM slot (resident or parked),
@@ -448,16 +445,15 @@ impl Slot {
     }
 
     /// Parks a resident session, dropping its derived masks and strategy
-    /// object; returns `(resident_bytes_freed, hibernated_bytes_added)`
-    /// when a transition happened, `None` otherwise (already parked or
-    /// spilled).
-    fn hibernate(&mut self) -> Option<(usize, usize)> {
-        let Tier::Resident(resident) = &self.tier else {
-            return None;
-        };
-        let freed = resident.session.resident_bytes();
+    /// object; returns whether a transition happened (`false` when the
+    /// slot was already parked or spilled).
+    fn hibernate(&mut self) -> bool {
+        if !matches!(self.tier, Tier::Resident(_)) {
+            return false;
+        }
         let (history, pending) = self.take_replay_parts();
-        Some((freed, self.park(history, pending)))
+        self.park(history, pending);
+        true
     }
 
     /// Resident bytes of a parked session: the replay log (by allocation
@@ -542,24 +538,15 @@ impl ManagerStats {
     }
 }
 
-/// What one [`SessionManager::sweep`] / [`SessionManager::hibernate_idle`]
-/// pass did, with per-tier byte deltas so a watermark controller (and the
-/// benches) observe exactly the accounting [`SessionManager::stats`]
-/// reports.
+/// How many sessions one [`SessionManager::sweep`] /
+/// [`SessionManager::hibernate_idle`] pass moved between tiers. The bytes
+/// they moved show in the tier gauges of [`SessionManager::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepReport {
     /// Sessions parked resident → hibernated this pass.
     pub parked: usize,
     /// Sessions spilled hibernated → segment this pass.
     pub spilled: usize,
-    /// Resident-tier bytes released by parking (full session footprints).
-    pub resident_bytes_freed: usize,
-    /// Hibernated-tier bytes those parks added (bare replay payloads).
-    pub hibernated_bytes_added: usize,
-    /// Hibernated-tier bytes released by spilling.
-    pub hibernated_bytes_freed: usize,
-    /// Segment bytes written by this pass's spills (frames included).
-    pub spilled_bytes_written: usize,
 }
 
 /// The live durability tier of one manager: the group-committing WAL and
@@ -910,16 +897,9 @@ impl SessionManager {
     pub fn resident_ids_by_walk(&self) -> Vec<SessionId> {
         let _serving = self.serving.read();
         let mut ids = Vec::new();
-        for shard in self.shards.iter() {
-            let slots: Vec<(SessionId, Arc<Mutex<Slot>>)> = shard
-                .read()
-                .iter()
-                .map(|(&id, slot)| (id, Arc::clone(slot)))
-                .collect();
-            for (id, slot) in slots {
-                if let Tier::Resident(_) = slot.lock().tier {
-                    ids.push(id);
-                }
+        for (id, slot) in self.all_slots() {
+            if let Tier::Resident(_) = slot.lock().tier {
+                ids.push(id);
             }
         }
         ids.sort_unstable();
@@ -937,30 +917,25 @@ impl SessionManager {
             durability: self.durability_stats(),
             ..ManagerStats::default()
         };
-        for shard in self.shards.iter() {
-            // Clone the slot handles out so the shard lock is not held
-            // while session mutexes are taken.
-            let slots: Vec<Arc<Mutex<Slot>>> = shard.read().values().cloned().collect();
-            for slot in slots {
-                let guard = slot.lock();
-                stats.sessions += 1;
-                match &guard.tier {
-                    Tier::Resident(resident) => {
-                        let session = &resident.session;
-                        stats.resident_sessions += 1;
-                        stats.state_bytes += session.state_bytes();
-                        stats.resident_bytes += session.resident_bytes();
-                        stats.history_bytes += std::mem::size_of_val(session.history());
-                    }
-                    Tier::Hibernated { history, .. } => {
-                        stats.hibernated_sessions += 1;
-                        stats.history_bytes += std::mem::size_of_val(&history[..]);
-                        stats.hibernated_bytes += Slot::hibernated_bytes(history);
-                    }
-                    Tier::Spilled { locator, .. } => {
-                        stats.spilled_sessions += 1;
-                        stats.spilled_bytes += locator.len as usize;
-                    }
+        for (_, slot) in self.all_slots() {
+            let guard = slot.lock();
+            stats.sessions += 1;
+            match &guard.tier {
+                Tier::Resident(resident) => {
+                    let session = &resident.session;
+                    stats.resident_sessions += 1;
+                    stats.state_bytes += session.state_bytes();
+                    stats.resident_bytes += session.resident_bytes();
+                    stats.history_bytes += std::mem::size_of_val(session.history());
+                }
+                Tier::Hibernated { history, .. } => {
+                    stats.hibernated_sessions += 1;
+                    stats.history_bytes += std::mem::size_of_val(&history[..]);
+                    stats.hibernated_bytes += Slot::hibernated_bytes(history);
+                }
+                Tier::Spilled { locator, .. } => {
+                    stats.spilled_sessions += 1;
+                    stats.spilled_bytes += locator.len as usize;
                 }
             }
         }
@@ -992,6 +967,22 @@ impl SessionManager {
             resident: &self.resident,
             before,
         }
+    }
+
+    /// Handles on every slot of the table, with their ids: the one table
+    /// walk. Each shard's handles are cloned out under its read lock, so
+    /// no shard lock is held while a caller takes a session mutex.
+    fn all_slots(&self) -> Vec<(SessionId, Arc<Mutex<Slot>>)> {
+        self.shards
+            .iter()
+            .flat_map(|shard| {
+                shard
+                    .read()
+                    .iter()
+                    .map(|(&id, slot)| (id, Arc::clone(slot)))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
     }
 
     /// Handles on the slots of the resident index. The ids are copied out
@@ -1387,10 +1378,8 @@ impl SessionManager {
             if guard.last_touch.elapsed() < ttl {
                 continue;
             }
-            if let Some((freed, added)) = guard.hibernate() {
+            if guard.hibernate() {
                 report.parked += 1;
-                report.resident_bytes_freed += freed;
-                report.hibernated_bytes_added += added;
             }
         }
     }
@@ -1400,7 +1389,7 @@ impl SessionManager {
     pub fn hibernate(&self, id: SessionId) -> Result<bool> {
         let _serving = self.serving.read();
         let slot = self.slot(id)?;
-        let parked = self.lock(&slot).hibernate().is_some();
+        let parked = self.lock(&slot).hibernate();
         Ok(parked)
     }
 
@@ -1444,17 +1433,10 @@ impl SessionManager {
         // Over it: collect the parked candidates, oldest idle first — the
         // sessions least likely to wake soon.
         let mut candidates: Vec<(Instant, SessionId, Arc<Mutex<Slot>>)> = Vec::new();
-        for shard in self.shards.iter() {
-            let slots: Vec<(SessionId, Arc<Mutex<Slot>>)> = shard
-                .read()
-                .iter()
-                .map(|(&id, slot)| (id, Arc::clone(slot)))
-                .collect();
-            for (id, slot) in slots {
-                let guard = self.lock(&slot);
-                if let Tier::Hibernated { .. } = guard.tier {
-                    candidates.push((guard.last_touch, id, Arc::clone(&slot)));
-                }
+        for (id, slot) in self.all_slots() {
+            let guard = self.lock(&slot);
+            if let Tier::Hibernated { .. } = guard.tier {
+                candidates.push((guard.last_touch, id, Arc::clone(&slot)));
             }
         }
         candidates.sort_by_key(|&(touch, _, _)| touch);
@@ -1474,7 +1456,6 @@ impl SessionManager {
                 history: history.clone(),
                 pending: *pending,
             };
-            let freed = Slot::hibernated_bytes(history);
             let locator = {
                 let mut spill = state.spill.lock();
                 let locator = spill.append(&payload)?;
@@ -1505,8 +1486,6 @@ impl SessionManager {
                 history_len: payload.history.len(),
             };
             report.spilled += 1;
-            report.hibernated_bytes_freed += freed;
-            report.spilled_bytes_written += locator.len as usize;
         }
         Ok(())
     }
@@ -1598,10 +1577,7 @@ impl SessionManager {
         let slots: Vec<Arc<Mutex<Slot>>> = if same_classes {
             self.resident_slots()
         } else {
-            self.shards
-                .iter()
-                .flat_map(|shard| shard.read().values().cloned().collect::<Vec<_>>())
-                .collect()
+            self.all_slots().into_iter().map(|(_, slot)| slot).collect()
         };
         let mut doomed: Vec<SessionId> = Vec::new();
         for slot in &slots {
@@ -1924,13 +1900,20 @@ mod tests {
             m.hibernate_idle(Duration::from_secs(3600)).unwrap().parked,
             0
         );
-        // A zero TTL parks everything at once, and the report accounts
-        // for the RAM it moved between tiers.
+        // A zero TTL parks everything at once, and the tier gauges show
+        // the RAM it moved: resident bytes fall, hibernated bytes rise.
+        let before = m.stats();
         let report = m.hibernate_idle(Duration::ZERO).unwrap();
         assert_eq!(report.parked, 2);
-        assert!(report.resident_bytes_freed > report.hibernated_bytes_added);
         assert_eq!(report.spilled, 0);
-        assert_eq!(m.stats().hibernated_sessions, 2);
+        let after = m.stats();
+        assert!(after.resident_bytes < before.resident_bytes);
+        assert!(after.hibernated_bytes > before.hibernated_bytes);
+        assert!(
+            before.resident_bytes - after.resident_bytes
+                > after.hibernated_bytes - before.hibernated_bytes
+        );
+        assert_eq!(after.hibernated_sessions, 2);
         // Touching one wakes exactly that one.
         let _ = m.next_question(a).unwrap();
         assert_eq!(m.stats().hibernated_sessions, 1);
@@ -2185,11 +2168,12 @@ mod tests {
         // parked session must leave RAM for the segment files.
         let parked = m.hibernate_idle(Duration::ZERO).unwrap();
         assert_eq!(parked.parked, ids.len());
+        let before = m.stats();
         let swept = m.sweep().unwrap();
         assert_eq!(swept.spilled, ids.len());
-        assert!(swept.hibernated_bytes_freed > 0);
-        assert!(swept.spilled_bytes_written > 0);
         let stats = m.stats();
+        assert!(stats.hibernated_bytes < before.hibernated_bytes);
+        assert!(stats.spilled_bytes > before.spilled_bytes);
         assert_eq!(stats, m.stats_by_walk());
         assert_eq!(stats.spilled_sessions, ids.len());
         assert_eq!(stats.hibernated_sessions, 0);
