@@ -40,7 +40,7 @@
 //!   (sweeps may grow, and baselines older than a phase lack its block),
 //!   but zero matched points is an error.
 
-use jqi_server::json::Json;
+use jqi_bench::json::{num_at, Json};
 use std::process::ExitCode;
 
 struct Args {
@@ -126,35 +126,20 @@ impl Guard {
     }
 }
 
-fn num(doc: &Json, path: &[&str]) -> Option<f64> {
-    let mut cur = doc;
-    for key in path {
-        cur = cur.get(key)?;
-    }
-    cur.as_num()
-}
-
-fn phase<'j>(doc: &'j Json, name: &str) -> Option<&'j Json> {
-    doc.get("phases")?
-        .as_arr()?
-        .iter()
-        .find(|p| p.get("phase").and_then(Json::as_str) == Some(name))
+/// The number at `path` in the fresh report and in the baseline.
+fn both(fresh: &Json, baseline: &Json, path: &str) -> Result<(f64, f64), String> {
+    let f = num_at(fresh, path).ok_or(format!("fresh report lacks {path}"))?;
+    let b = num_at(baseline, path).ok_or(format!("baseline lacks {path}"))?;
+    Ok((f, b))
 }
 
 fn guard_server(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(), String> {
     for name in ["interactive", "batch"] {
-        let f = phase(fresh, name)
-            .and_then(|p| num(p, &["latency", "mean_us"]))
-            .ok_or(format!("fresh report lacks {name} mean_us"))?;
-        let b = phase(baseline, name)
-            .and_then(|p| num(p, &["latency", "mean_us"]))
-            .ok_or(format!("baseline lacks {name} mean_us"))?;
+        let path = format!("phases.{name}.latency.mean_us");
+        let (f, b) = both(fresh, baseline, &path)?;
         guard.at_most(&format!("{name} mean_us"), f, b);
     }
-    let f = num(fresh, &["session_memory", "state_bytes_per_session"])
-        .ok_or("fresh report lacks state_bytes_per_session")?;
-    let b = num(baseline, &["session_memory", "state_bytes_per_session"])
-        .ok_or("baseline lacks state_bytes_per_session")?;
+    let (f, b) = both(fresh, baseline, "session_memory.state_bytes_per_session")?;
     // Memory is machine-independent: a tight factor would also be fine,
     // but share the guard's knob for simplicity.
     guard.at_most("state_bytes_per_session", f, b);
@@ -165,63 +150,45 @@ fn guard_server(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(), 
         ("cold_first_question", "fleet cold first-question mean_us"),
         ("warm_first_question", "fleet warm first-question mean_us"),
     ] {
-        let f = num(fresh, &["fleet", leaf, "mean_us"])
-            .ok_or(format!("fresh report lacks fleet {leaf}"))?;
-        let b = num(baseline, &["fleet", leaf, "mean_us"])
-            .ok_or(format!("baseline lacks fleet {leaf}"))?;
+        let path = format!("fleet.{leaf}.mean_us");
+        let (f, b) = both(fresh, baseline, &path)?;
         guard.at_most(what, f, b);
     }
-    let f = num(fresh, &["fleet", "warm_speedup"]).ok_or("fresh report lacks warm_speedup")?;
-    let b = num(baseline, &["fleet", "warm_speedup"]).ok_or("baseline lacks warm_speedup")?;
+    let (f, b) = both(fresh, baseline, "fleet.warm_speedup")?;
     guard.at_least("fleet warm_speedup", f, b);
     // Hibernation tier: parked-session resident bytes are
     // machine-independent like the state bytes above.
-    let f = num(fresh, &["hibernate", "hibernated_bytes_per_session"])
-        .ok_or("fresh report lacks hibernated_bytes_per_session")?;
-    let b = num(baseline, &["hibernate", "hibernated_bytes_per_session"])
-        .ok_or("baseline lacks hibernated_bytes_per_session")?;
+    let (f, b) = both(fresh, baseline, "hibernate.hibernated_bytes_per_session")?;
     guard.at_most("hibernated_bytes_per_session", f, b);
     // One stats() call on the parked fleet: gauge loads, not a walk.
     // Guarded only when the baseline carries it (older ones predate it).
-    if let Some(b) = num(baseline, &["hibernate", "stats_us"]) {
-        let f = num(fresh, &["hibernate", "stats_us"])
-            .ok_or("fresh report lacks hibernate stats_us")?;
+    if let Some(b) = num_at(baseline, "hibernate.stats_us") {
+        let f =
+            num_at(fresh, "hibernate.stats_us").ok_or("fresh report lacks hibernate stats_us")?;
         guard.at_most("hibernate stats_us", f, b);
     }
     // Durability tier: group-commit answer latency against the baseline,
     // the WAL-on/in-memory ratio against an absolute ceiling (the
     // acceptance bar: group commit must stay within 3x of in-memory on
     // any machine), and recovery throughput as a floor.
-    let f = num(fresh, &["durability", "wal_group", "latency", "mean_us"])
-        .ok_or("fresh report lacks durability wal_group mean_us")?;
-    let b = num(baseline, &["durability", "wal_group", "latency", "mean_us"])
-        .ok_or("baseline lacks durability wal_group mean_us")?;
+    let (f, b) = both(fresh, baseline, "durability.wal_group.latency.mean_us")?;
     guard.at_most("durability wal_group mean_us", f, b);
-    let f = num(fresh, &["durability", "overhead_group_x"])
+    let f = num_at(fresh, "durability.overhead_group_x")
         .ok_or("fresh report lacks durability overhead_group_x")?;
     // Baseline 1.0: the guard's factor itself becomes the absolute bound.
     guard.at_most("durability overhead_group_x (vs in-memory)", f, 1.0);
-    let f = num(fresh, &["durability", "recovery", "sessions_per_sec"])
-        .ok_or("fresh report lacks recovery sessions_per_sec")?;
-    let b = num(baseline, &["durability", "recovery", "sessions_per_sec"])
-        .ok_or("baseline lacks recovery sessions_per_sec")?;
+    let (f, b) = both(fresh, baseline, "durability.recovery.sessions_per_sec")?;
     guard.at_least("durability recovery sessions_per_sec", f, b);
     // Transport phase: guarded only when the committed baseline carries
     // it (older baselines predate the HTTP gateway — the skip-if-absent
     // posture the scaling guard uses for grown sweeps). The fresh report
     // must carry it once the baseline does.
     if baseline.get("transport").is_some() {
-        let f = num(fresh, &["transport", "request_latency", "mean_us"])
-            .ok_or("fresh report lacks transport request mean_us")?;
-        let b = num(baseline, &["transport", "request_latency", "mean_us"])
-            .ok_or("baseline lacks transport request mean_us")?;
+        let (f, b) = both(fresh, baseline, "transport.request_latency.mean_us")?;
         guard.at_most("transport request mean_us", f, b);
         // Concurrency coverage is machine-independent: the fresh run must
         // hold open at least as many connections as the baseline did.
-        let f = num(fresh, &["transport", "open_connections_peak"])
-            .ok_or("fresh report lacks transport open_connections_peak")?;
-        let b = num(baseline, &["transport", "open_connections_peak"])
-            .ok_or("baseline lacks transport open_connections_peak")?;
+        let (f, b) = both(fresh, baseline, "transport.open_connections_peak")?;
         if f < b {
             guard.violations.push(format!(
                 "transport open_connections_peak: {f:.0} below baseline {b:.0} \
@@ -231,7 +198,7 @@ fn guard_server(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(), 
         guard.checked += 1;
         // The wire must be clean: any protocol error in the fresh run is
         // a regression regardless of factor.
-        let f = num(fresh, &["transport", "protocol_errors"])
+        let f = num_at(fresh, "transport.protocol_errors")
             .ok_or("fresh report lacks transport protocol_errors")?;
         if f > 0.0 {
             guard
@@ -247,23 +214,14 @@ fn guard_server(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(), 
     // the absolute invariants — nothing wedged, no protocol or client
     // errors — are regressions at any count.
     if baseline.get("overload").is_some() {
-        let f = num(fresh, &["overload", "shed_latency", "mean_us"])
-            .ok_or("fresh report lacks overload shed mean_us")?;
-        let b = num(baseline, &["overload", "shed_latency", "mean_us"])
-            .ok_or("baseline lacks overload shed mean_us")?;
+        let (f, b) = both(fresh, baseline, "overload.shed_latency.mean_us")?;
         guard.at_most("overload shed mean_us", f, b);
-        let f = num(fresh, &["overload", "goodput_per_sec"])
-            .ok_or("fresh report lacks overload goodput_per_sec")?;
-        let b = num(baseline, &["overload", "goodput_per_sec"])
-            .ok_or("baseline lacks overload goodput_per_sec")?;
+        let (f, b) = both(fresh, baseline, "overload.goodput_per_sec")?;
         guard.at_least("overload goodput_per_sec", f, b);
-        let f = num(fresh, &["overload", "p99_ratio"])
-            .ok_or("fresh report lacks overload p99_ratio")?;
-        let b =
-            num(baseline, &["overload", "p99_ratio"]).ok_or("baseline lacks overload p99_ratio")?;
+        let (f, b) = both(fresh, baseline, "overload.p99_ratio")?;
         guard.at_most("overload p99_ratio", f, b);
         for must_be_zero in ["wedged", "protocol_errors", "client_errors"] {
-            let f = num(fresh, &["overload", must_be_zero])
+            let f = num_at(fresh, &format!("overload.{must_be_zero}"))
                 .ok_or(format!("fresh report lacks overload {must_be_zero}"))?;
             if f > 0.0 {
                 guard
@@ -277,82 +235,53 @@ fn guard_server(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(), 
 }
 
 fn guard_scaling(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(), String> {
-    let points = |doc: &Json| -> Option<Vec<Json>> {
-        doc.get("points")
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-    };
-    let fresh_points = points(fresh).ok_or("fresh report lacks points")?;
-    let baseline_points = points(baseline).ok_or("baseline lacks points")?;
+    for (doc, which) in [(fresh, "fresh report"), (baseline, "baseline")] {
+        if doc.get("points").and_then(Json::as_arr).is_none() {
+            return Err(format!("{which} lacks points"));
+        }
+    }
+    // Per block, matched by name: the metrics that must not shrink below
+    // `baseline / factor`, then those that must not exceed `baseline ·
+    // factor`. Streaming wall clock is machine-dependent (an order-of-
+    // magnitude guard); its peak tracked ingestion bytes are not — a
+    // blow-up there means profiles stopped collapsing. The incremental
+    // rebuild-over-apply speedup is the O(delta) payoff itself. Blocks
+    // a baseline predates (streaming, incremental) are simply empty.
+    let rules: [(&str, &[&str], &[&str]); 3] = [
+        (
+            "points",
+            &["build_speedup"],
+            &["l1s_first_step_ms", "l3s_first_step_ms"],
+        ),
+        ("streaming", &[], &["build_wall_ms", "peak_tracked_bytes"]),
+        ("incremental", &["speedup"], &["delta_apply_ms"]),
+    ];
+    fn items<'j>(doc: &'j Json, block: &str) -> &'j [Json] {
+        doc.get(block).and_then(Json::as_arr).unwrap_or_default()
+    }
     let mut matched = 0usize;
-    for fp in &fresh_points {
-        let Some(name) = fp.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(bp) = baseline_points
-            .iter()
-            .find(|p| p.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            continue;
-        };
-        matched += 1;
-        if let (Some(f), Some(b)) = (num(fp, &["build_speedup"]), num(bp, &["build_speedup"])) {
-            guard.at_least(&format!("{name}: build_speedup"), f, b);
-        }
-        for metric in ["l1s_first_step_ms", "l3s_first_step_ms"] {
-            if let (Some(f), Some(b)) = (num(fp, &[metric]), num(bp, &[metric])) {
-                guard.at_most(&format!("{name}: {metric}"), f, b);
+    for (block, floors, ceilings) in rules {
+        for fp in items(fresh, block) {
+            let Some(name) = fp.get("name").and_then(Json::as_str) else {
+                continue;
+            };
+            let Some(bp) = items(baseline, block)
+                .iter()
+                .find(|p| p.get("name").and_then(Json::as_str) == Some(name))
+            else {
+                continue;
+            };
+            matched += 1;
+            for metric in floors {
+                if let (Some(f), Some(b)) = (num_at(fp, metric), num_at(bp, metric)) {
+                    guard.at_least(&format!("{name}: {metric}"), f, b);
+                }
             }
-        }
-    }
-    // The streaming phase: wall clock (machine-dependent, order-of-
-    // magnitude guard) and peak tracked ingestion bytes (machine-
-    // independent — a blow-up here means profiles stopped collapsing).
-    let block = |doc: &Json, key: &str| -> Vec<Json> {
-        doc.get(key)
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default()
-    };
-    let baseline_streaming = block(baseline, "streaming");
-    for fp in block(fresh, "streaming") {
-        let Some(name) = fp.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(bp) = baseline_streaming
-            .iter()
-            .find(|p| p.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            continue;
-        };
-        matched += 1;
-        for metric in ["build_wall_ms", "peak_tracked_bytes"] {
-            if let (Some(f), Some(b)) = (num(&fp, &[metric]), num(bp, &[metric])) {
-                guard.at_most(&format!("{name}: {metric}"), f, b);
+            for metric in ceilings {
+                if let (Some(f), Some(b)) = (num_at(fp, metric), num_at(bp, metric)) {
+                    guard.at_most(&format!("{name}: {metric}"), f, b);
+                }
             }
-        }
-    }
-    // The incremental phase (tolerant of its absence — baselines older
-    // than the delta layer lack the block): delta-apply wall clock is
-    // held like a latency, and the rebuild-over-apply speedup — the
-    // O(delta) payoff itself — must not shrink below `baseline / factor`.
-    let baseline_incremental = block(baseline, "incremental");
-    for fp in block(fresh, "incremental") {
-        let Some(name) = fp.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let Some(bp) = baseline_incremental
-            .iter()
-            .find(|p| p.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            continue;
-        };
-        matched += 1;
-        if let (Some(f), Some(b)) = (num(&fp, &["delta_apply_ms"]), num(bp, &["delta_apply_ms"])) {
-            guard.at_most(&format!("{name}: delta_apply_ms"), f, b);
-        }
-        if let (Some(f), Some(b)) = (num(&fp, &["speedup"]), num(bp, &["speedup"])) {
-            guard.at_least(&format!("{name}: speedup"), f, b);
         }
     }
     if matched == 0 {

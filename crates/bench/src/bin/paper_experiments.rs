@@ -15,7 +15,7 @@
 //! * `all` — everything, in paper order.
 
 use jqi_bench::fig7::Fig7Params;
-use jqi_bench::json::ToJson;
+use jqi_bench::json::str_at;
 use jqi_bench::{fig6, fig7, optgap, semijoin_exp, table1};
 use jqi_datagen::tpch::TpchScale;
 use jqi_datagen::PAPER_CONFIGS;
@@ -97,14 +97,14 @@ fn run_fig6(args: &Args) {
     for scale in TpchScale::ALL {
         let report = fig6::run(scale, args.seed);
         if args.json {
-            println!("{}", report.to_json().to_string_pretty());
+            println!("{}", report.to_string_pretty());
             continue;
         }
         println!("== Figure 6 — TPC-H {scale}: number of interactions ==");
-        print!("{}", report.interactions_table());
+        print!("{}", fig6::interactions_table(&report));
         println!();
         println!("== Figure 6 — TPC-H {scale}: inference time (seconds) ==");
-        print!("{}", report.time_table());
+        print!("{}", fig6::time_table(&report));
         println!();
     }
 }
@@ -113,20 +113,21 @@ fn run_fig7(args: &Args) {
     for cfg in PAPER_CONFIGS {
         let report = fig7::run(cfg, fig7_params(args));
         if args.json {
-            println!("{}", report.to_json().to_string_pretty());
+            println!("{}", report.to_string_pretty());
             continue;
         }
         println!(
             "== Figure 7 — synthetic {}: number of interactions (mean of {} runs) ==",
-            report.config, args.runs
+            str_at(&report, "config"),
+            args.runs
         );
-        print!("{}", report.interactions_table());
+        print!("{}", fig7::interactions_table(&report));
         println!();
         println!(
             "== Figure 7 — synthetic {}: inference time (seconds) ==",
-            report.config
+            str_at(&report, "config")
         );
-        print!("{}", report.time_table());
+        print!("{}", fig7::time_table(&report));
         println!();
     }
 }
@@ -134,25 +135,25 @@ fn run_fig7(args: &Args) {
 fn run_table1(args: &Args) {
     let t = table1::run(args.seed, fig7_params(args));
     if args.json {
-        println!("{}", t.to_json().to_string_pretty());
+        println!("{}", t.to_string_pretty());
         return;
     }
     println!("== Table 1 — description and summary of all experiments ==");
-    print!("{}", t.table());
+    print!("{}", table1::table(&t));
     println!();
 }
 
 fn run_semijoin(args: &Args) {
     let report = semijoin_exp::run(&[4, 5, 6, 7, 8], args.runs.max(3), args.seed);
     if args.json {
-        println!("{}", report.to_json().to_string_pretty());
+        println!("{}", report.to_string_pretty());
         return;
     }
     println!("== §6 / Theorem 6.1 — CONS⋉ solver vs DPLL on random 3SAT ==");
-    print!("{}", report.table());
+    print!("{}", semijoin_exp::table(&report));
     println!(
         "cross-validation: {}",
-        if report.all_agree() {
+        if semijoin_exp::all_agree(&report) {
             "all decisions agree"
         } else {
             "DISAGREEMENT FOUND"
@@ -164,11 +165,11 @@ fn run_semijoin(args: &Args) {
 fn run_optgap(args: &Args) {
     let report = optgap::run();
     if args.json {
-        println!("{}", report.to_json().to_string_pretty());
+        println!("{}", report.to_string_pretty());
         return;
     }
     println!("== Optimal gap — heuristic worst cases vs the minimax bound ==");
-    print!("{}", report.table());
+    print!("{}", optgap::table(&report));
     println!();
 }
 

@@ -18,8 +18,7 @@
 //!   smoke sets this so a profile blow-up fails loudly instead of OOMing
 //!   the runner.
 
-use jqi_bench::json::ToJson;
-use jqi_bench::scaling::{run, ScalingParams};
+use jqi_bench::scaling::{run, table, ScalingParams};
 use std::process::ExitCode;
 
 struct Args {
@@ -86,8 +85,8 @@ fn main() -> ExitCode {
     };
     let report = run(args.tiny, args.params);
     println!("== Scaling — Universe construction and lookahead latency ==");
-    print!("{}", report.table());
-    let json = report.to_json().to_string_pretty();
+    print!("{}", table(&report));
+    let json = report.to_string_pretty();
     if let Err(e) = std::fs::write(&args.out, json + "\n") {
         eprintln!("failed to write {}: {e}", args.out);
         return ExitCode::FAILURE;

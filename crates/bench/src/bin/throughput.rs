@@ -14,8 +14,7 @@
 //! * `--shards N` — session-table shards (default 16).
 //! * `--seed S` — seed for the RND sessions in the strategy mix.
 
-use jqi_bench::json::ToJson;
-use jqi_bench::throughput::{run, ThroughputParams};
+use jqi_bench::throughput::{run, table, ThroughputParams};
 use std::process::ExitCode;
 
 struct Args {
@@ -73,8 +72,8 @@ fn main() -> ExitCode {
     };
     let report = run(args.tiny, args.params);
     println!("== Server throughput — concurrent sessions over one universe ==");
-    print!("{}", report.table());
-    let json = report.to_json().to_string_pretty();
+    print!("{}", table(&report));
+    let json = report.to_string_pretty();
     if let Err(e) = std::fs::write(&args.out, json + "\n") {
         eprintln!("failed to write {}: {e}", args.out);
         return ExitCode::FAILURE;

@@ -6,9 +6,9 @@
 //! (`runs`, `max_goals_per_size`) so the full protocol is reproducible but
 //! the default invocation stays fast.
 
-use crate::json::{self, Json, ToJson};
-use crate::measure::{average, fmt_seconds, run_timed, Averaged, Measurement};
-use crate::report::TextTable;
+use crate::json::{f64_at, field, num, Json};
+use crate::measure::{average, fmt_seconds, run_timed, Measurement};
+use crate::report::{strategy_table, TextTable};
 use jqi_core::lattice::goals_by_size;
 use jqi_core::strategy::StrategyKind;
 use jqi_core::universe::Universe;
@@ -38,34 +38,14 @@ impl Default for Fig7Params {
     }
 }
 
-/// Results for one goal size `|θG|` under one configuration.
-#[derive(Debug, Clone)]
-pub struct Fig7SizeRow {
-    /// The goal predicate size this row aggregates.
-    pub goal_size: usize,
-    /// Per-strategy averages, in [`StrategyKind::PAPER`] order.
-    pub strategies: Vec<Averaged>,
-}
-
-/// The full Figure 7 experiment for one configuration.
-#[derive(Debug, Clone)]
-pub struct Fig7Report {
-    /// The generator configuration, in the paper's notation.
-    pub config: String,
-    /// Mean join ratio across the generated instances.
-    pub join_ratio: f64,
-    /// `|D|` of each generated instance.
-    pub product_size: u64,
-    /// One row per goal size (0..=4 typically).
-    pub rows: Vec<Fig7SizeRow>,
-}
-
 /// Ceiling on enumerated non-nullable goals per instance; instances whose
 /// lattice is larger are skipped for the affected run (kept deterministic).
 const GOAL_ENUM_LIMIT: usize = 200_000;
 
-/// Runs the Figure 7 experiment for one synthetic configuration.
-pub fn run(config: SyntheticConfig, params: Fig7Params) -> Fig7Report {
+/// Runs the Figure 7 experiment for one synthetic configuration: one row
+/// per goal size `|θG|`, with every strategy's average over the sampled
+/// goals of every generated instance, in [`StrategyKind::PAPER`] order.
+pub fn run(config: SyntheticConfig, params: Fig7Params) -> Json {
     let mut per_size: Vec<Vec<Vec<Measurement>>> = Vec::new(); // [size][strategy][run·goal]
     let mut ratio_sum = 0.0;
     let mut ratio_count = 0usize;
@@ -101,99 +81,56 @@ pub fn run(config: SyntheticConfig, params: Fig7Params) -> Fig7Report {
         }
     }
 
-    let rows: Vec<Fig7SizeRow> = per_size
+    let rows = per_size
         .into_iter()
         .enumerate()
         .filter(|(_, per_strategy)| per_strategy.iter().all(|v| !v.is_empty()))
-        .map(|(size, per_strategy)| Fig7SizeRow {
-            goal_size: size,
-            strategies: per_strategy.iter().map(|ms| average(ms)).collect(),
+        .map(|(size, per_strategy)| {
+            let strategies = per_strategy.iter().map(|ms| average(ms).json()).collect();
+            Json::Obj(vec![
+                num("goal_size", size as f64),
+                field("strategies", Json::Arr(strategies)),
+            ])
         })
         .collect();
-
-    Fig7Report {
-        config: config.to_string(),
-        join_ratio: if ratio_count > 0 {
-            ratio_sum / ratio_count as f64
-        } else {
-            0.0
-        },
-        product_size: config.product_size(),
-        rows,
-    }
+    let join_ratio = if ratio_count > 0 {
+        ratio_sum / ratio_count as f64
+    } else {
+        0.0
+    };
+    Json::Obj(vec![
+        field("config", Json::str(config.to_string())),
+        num("join_ratio", join_ratio),
+        num("product_size", config.product_size() as f64),
+        field("rows", Json::Arr(rows)),
+    ])
 }
 
-impl ToJson for Fig7SizeRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("goal_size".into(), Json::Num(self.goal_size as f64)),
-            ("strategies".into(), json::arr(&self.strategies)),
-        ])
-    }
+/// The number-of-interactions table (Figure 7a/b/e/f/i/j style) of a
+/// [`run`] report.
+pub fn interactions_table(report: &Json) -> TextTable {
+    strategy_table(report, "|θG|", goal_size, |a| {
+        format!("{:.1}", f64_at(a, "mean_interactions"))
+    })
 }
 
-impl ToJson for Fig7Report {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("config".into(), Json::str(&self.config)),
-            ("join_ratio".into(), Json::Num(self.join_ratio)),
-            ("product_size".into(), Json::Num(self.product_size as f64)),
-            ("rows".into(), json::arr(&self.rows)),
-        ])
-    }
+/// The inference-time table (Figure 7c/d/g/h/k/l style) of a [`run`]
+/// report.
+pub fn time_table(report: &Json) -> TextTable {
+    strategy_table(report, "|θG|", goal_size, |a| {
+        fmt_seconds(f64_at(a, "mean_seconds"))
+    })
 }
 
-impl Fig7Report {
-    /// The number-of-interactions table (Figure 7a/b/e/f/i/j style).
-    pub fn interactions_table(&self) -> TextTable {
-        let mut header = vec!["|θG|"];
-        let names: Vec<&str> = StrategyKind::PAPER.iter().map(|k| k.name()).collect();
-        header.extend(names.iter());
-        let mut t = TextTable::new(&header);
-        for row in &self.rows {
-            let mut cells = vec![row.goal_size.to_string()];
-            cells.extend(
-                row.strategies
-                    .iter()
-                    .map(|a| format!("{:.1}", a.mean_interactions)),
-            );
-            t.row(cells);
-        }
-        t
-    }
-
-    /// The inference-time table (Figure 7c/d/g/h/k/l style).
-    pub fn time_table(&self) -> TextTable {
-        let mut header = vec!["|θG|"];
-        let names: Vec<&str> = StrategyKind::PAPER.iter().map(|k| k.name()).collect();
-        header.extend(names.iter());
-        let mut t = TextTable::new(&header);
-        for row in &self.rows {
-            let mut cells = vec![row.goal_size.to_string()];
-            cells.extend(row.strategies.iter().map(|a| fmt_seconds(a.mean_seconds)));
-            t.row(cells);
-        }
-        t
-    }
-
-    /// The best strategy for goal size `s`, by mean interactions.
-    pub fn best_strategy(&self, goal_size: usize) -> Option<&Averaged> {
-        self.rows
-            .iter()
-            .find(|r| r.goal_size == goal_size)?
-            .strategies
-            .iter()
-            .min_by(|a, b| {
-                a.mean_interactions
-                    .partial_cmp(&b.mean_interactions)
-                    .expect("interaction means are finite")
-            })
-    }
+fn goal_size(row: &Json) -> String {
+    f64_at(row, "goal_size").to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::arr_at;
+    use crate::table1::best;
 
     fn tiny_params() -> Fig7Params {
         Fig7Params {
@@ -209,13 +146,15 @@ mod tests {
         // whole pipeline.
         let cfg = SyntheticConfig::new(2, 2, 12, 6);
         let r = run(cfg, tiny_params());
-        assert!(!r.rows.is_empty());
+        let rows = arr_at(&r, "rows");
+        assert!(!rows.is_empty());
         // Size-0 goals (∅) are always present.
-        assert_eq!(r.rows[0].goal_size, 0);
-        for row in &r.rows {
-            assert_eq!(row.strategies.len(), 5);
+        assert_eq!(f64_at(&rows[0], "goal_size"), 0.0);
+        for row in rows {
+            assert_eq!(arr_at(row, "strategies").len(), 5);
         }
-        assert_eq!(r.interactions_table().len(), r.rows.len());
+        assert_eq!(interactions_table(&r).len(), rows.len());
+        assert_eq!(time_table(&r).len(), rows.len());
     }
 
     #[test]
@@ -224,15 +163,17 @@ mod tests {
         // best strategy for it.
         let cfg = SyntheticConfig::new(2, 2, 12, 6);
         let r = run(cfg, tiny_params());
-        let best = r.best_strategy(0).expect("size-0 row exists");
-        assert_eq!(best.mean_interactions, 1.0);
+        let size0 = &arr_at(&r, "rows")[0];
+        assert_eq!(f64_at(size0, "goal_size"), 0.0, "size-0 row exists");
+        let (best, _) = best(size0, "mean_interactions");
+        assert_eq!(f64_at(best, "mean_interactions"), 1.0);
     }
 
     #[test]
     fn join_ratio_is_positive() {
         let cfg = SyntheticConfig::new(2, 3, 10, 4);
         let r = run(cfg, tiny_params());
-        assert!(r.join_ratio > 0.0);
-        assert_eq!(r.product_size, 100);
+        assert!(f64_at(&r, "join_ratio") > 0.0);
+        assert_eq!(f64_at(&r, "product_size"), 100.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Timing a single inference run.
 
-use crate::json::{Json, ToJson};
+use crate::json::{field, num, Json};
 use jqi_core::engine::{run_inference, PredicateOracle};
 use jqi_core::strategy::StrategyKind;
 use jqi_core::universe::Universe;
@@ -16,6 +16,17 @@ pub struct Measurement {
     pub interactions: usize,
     /// Wall-clock inference time in seconds.
     pub seconds: f64,
+}
+
+impl Measurement {
+    /// The measurement as a report object.
+    pub fn json(&self) -> Json {
+        Json::Obj(vec![
+            field("strategy", Json::str(&self.strategy)),
+            num("interactions", self.interactions as f64),
+            num("seconds", self.seconds),
+        ])
+    }
 }
 
 /// Runs `kind` against the goal-predicate oracle and times it.
@@ -55,26 +66,14 @@ pub struct Averaged {
     pub runs: usize,
 }
 
-impl ToJson for Measurement {
-    fn to_json(&self) -> Json {
+impl Averaged {
+    /// The average as a report object.
+    pub fn json(&self) -> Json {
         Json::Obj(vec![
-            ("strategy".into(), Json::str(&self.strategy)),
-            ("interactions".into(), Json::Num(self.interactions as f64)),
-            ("seconds".into(), Json::Num(self.seconds)),
-        ])
-    }
-}
-
-impl ToJson for Averaged {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("strategy".into(), Json::str(&self.strategy)),
-            (
-                "mean_interactions".into(),
-                Json::Num(self.mean_interactions),
-            ),
-            ("mean_seconds".into(), Json::Num(self.mean_seconds)),
-            ("runs".into(), Json::Num(self.runs as f64)),
+            field("strategy", Json::str(&self.strategy)),
+            num("mean_interactions", self.mean_interactions),
+            num("mean_seconds", self.mean_seconds),
+            num("runs", self.runs as f64),
         ])
     }
 }

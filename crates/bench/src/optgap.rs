@@ -3,31 +3,11 @@
 //! but is exponential; this quantifies what the efficient strategies give
 //! up on instances small enough to compute the bound).
 
-use crate::json::{self, Json, ToJson};
+use crate::json::{arr_at, f64_at, field, num, str_at, Json};
 use crate::report::TextTable;
 use jqi_core::paper::{example_2_1, flight_hotel};
 use jqi_core::strategy::{optimal_worst_case, strategy_worst_case, StrategyKind};
 use jqi_core::universe::Universe;
-
-/// Worst cases on one instance.
-#[derive(Debug, Clone)]
-pub struct OptGapRow {
-    /// Instance name.
-    pub instance: String,
-    /// Number of T-equivalence classes.
-    pub classes: usize,
-    /// The minimax-optimal worst case.
-    pub optimal: u32,
-    /// `(strategy, worst case)` for each deterministic heuristic.
-    pub strategies: Vec<(String, u32)>,
-}
-
-/// The experiment across the paper's running examples.
-#[derive(Debug, Clone)]
-pub struct OptGapReport {
-    /// One row per instance.
-    pub rows: Vec<OptGapRow>,
-}
 
 /// Deterministic strategies whose game tree we can afford to explore.
 const HEURISTICS: [StrategyKind; 4] = [
@@ -37,8 +17,10 @@ const HEURISTICS: [StrategyKind; 4] = [
     StrategyKind::Eg,
 ];
 
-/// Runs the experiment on the paper's two running examples.
-pub fn run() -> OptGapReport {
+/// Runs the experiment on the paper's two running examples: per instance,
+/// its class count, the minimax-optimal worst case, and each
+/// deterministic heuristic's worst case.
+pub fn run() -> Json {
     let mut rows = Vec::new();
     for (name, instance) in [
         ("Example 2.1", example_2_1()),
@@ -46,75 +28,51 @@ pub fn run() -> OptGapReport {
     ] {
         let universe = Universe::build(instance);
         let optimal = optimal_worst_case(&universe, 16).expect("running examples are small");
-        let strategies: Vec<(String, u32)> = HEURISTICS
+        let strategies = HEURISTICS
             .iter()
             .map(|&kind| {
                 let mut strategy = kind.build(0);
                 let wc = strategy_worst_case(&universe, strategy.as_mut())
                     .expect("deterministic strategy on a small universe");
-                (kind.name().to_string(), wc)
+                Json::Obj(vec![
+                    field("strategy", Json::str(kind.name())),
+                    num("worst_case", wc as f64),
+                ])
             })
             .collect();
-        rows.push(OptGapRow {
-            instance: name.to_string(),
-            classes: universe.num_classes(),
-            optimal,
-            strategies,
-        });
+        rows.push(Json::Obj(vec![
+            field("instance", Json::str(name)),
+            num("classes", universe.num_classes() as f64),
+            num("optimal", optimal as f64),
+            field("strategies", Json::Arr(strategies)),
+        ]));
     }
-    OptGapReport { rows }
+    Json::Obj(vec![field("rows", Json::Arr(rows))])
 }
 
-impl ToJson for OptGapRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("instance".into(), Json::str(&self.instance)),
-            ("classes".into(), Json::Num(self.classes as f64)),
-            ("optimal".into(), Json::Num(self.optimal as f64)),
-            (
-                "strategies".into(),
-                Json::Arr(
-                    self.strategies
-                        .iter()
-                        .map(|(name, wc)| {
-                            Json::Obj(vec![
-                                ("strategy".into(), Json::str(name)),
-                                ("worst_case".into(), Json::Num(*wc as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+/// Renders a [`run`] report as text.
+pub fn table(report: &Json) -> TextTable {
+    let rows = arr_at(report, "rows");
+    let mut header = vec!["instance", "classes", "OPT"];
+    if let Some(first) = rows.first() {
+        header.extend(
+            arr_at(first, "strategies")
+                .iter()
+                .map(|m| str_at(m, "strategy")),
+        );
     }
-}
-
-impl ToJson for OptGapReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![("rows".into(), json::arr(&self.rows))])
+    let mut t = TextTable::new(&header);
+    for r in rows {
+        let mut cells = vec![
+            str_at(r, "instance").to_string(),
+            f64_at(r, "classes").to_string(),
+            f64_at(r, "optimal").to_string(),
+        ];
+        let worst_cases = arr_at(r, "strategies").iter();
+        cells.extend(worst_cases.map(|m| f64_at(m, "worst_case").to_string()));
+        t.row(cells);
     }
-}
-
-impl OptGapReport {
-    /// Renders the gaps as text.
-    pub fn table(&self) -> TextTable {
-        let mut header = vec!["instance".to_string(), "classes".into(), "OPT".into()];
-        if let Some(first) = self.rows.first() {
-            header.extend(first.strategies.iter().map(|(n, _)| n.clone()));
-        }
-        let refs: Vec<&str> = header.iter().map(String::as_str).collect();
-        let mut t = TextTable::new(&refs);
-        for r in &self.rows {
-            let mut cells = vec![
-                r.instance.clone(),
-                r.classes.to_string(),
-                r.optimal.to_string(),
-            ];
-            cells.extend(r.strategies.iter().map(|(_, wc)| wc.to_string()));
-            t.row(cells);
-        }
-        t
-    }
+    t
 }
 
 #[cfg(test)]
@@ -124,17 +82,20 @@ mod tests {
     #[test]
     fn gaps_respect_the_lower_bound() {
         let report = run();
-        assert_eq!(report.rows.len(), 2);
-        for row in &report.rows {
-            for (name, wc) in &row.strategies {
+        let rows = arr_at(&report, "rows");
+        assert_eq!(rows.len(), 2);
+        for row in rows {
+            let optimal = f64_at(row, "optimal");
+            for m in arr_at(row, "strategies") {
+                let wc = f64_at(m, "worst_case");
                 assert!(
-                    *wc >= row.optimal,
-                    "{name} worst case {wc} below OPT {} on {}",
-                    row.optimal,
-                    row.instance
+                    wc >= optimal,
+                    "{} worst case {wc} below OPT {optimal} on {}",
+                    str_at(m, "strategy"),
+                    str_at(row, "instance")
                 );
             }
         }
-        assert_eq!(report.table().len(), 2);
+        assert_eq!(table(&report).len(), 2);
     }
 }

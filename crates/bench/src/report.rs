@@ -1,5 +1,8 @@
 //! Plain-text table rendering for the experiment reports.
 
+use crate::json::{arr_at, Json};
+use jqi_core::strategy::StrategyKind;
+
 /// A simple aligned text table with a header row.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {
@@ -70,6 +73,26 @@ impl std::fmt::Display for TextTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.render())
     }
+}
+
+/// The Figure 6/7 layout: one line per element of `report`'s `rows`, its
+/// `row_key` under `key_header`, then one `cell` per measurement of its
+/// `strategies`, under the [`StrategyKind::PAPER`] names.
+pub fn strategy_table(
+    report: &Json,
+    key_header: &str,
+    row_key: impl Fn(&Json) -> String,
+    cell: impl Fn(&Json) -> String,
+) -> TextTable {
+    let mut header = vec![key_header];
+    header.extend(StrategyKind::PAPER.iter().map(|k| k.name()));
+    let mut t = TextTable::new(&header);
+    for row in arr_at(report, "rows") {
+        let mut cells = vec![row_key(row)];
+        cells.extend(arr_at(row, "strategies").iter().map(&cell));
+        t.row(cells);
+    }
+    t
 }
 
 /// Formats a product size the way Table 1 does (`9.1 × 10^7`).

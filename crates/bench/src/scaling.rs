@@ -13,9 +13,10 @@
 //! * first-question latency of L1S and (on small class counts) L3S.
 //!
 //! The `scaling` binary renders the points as a table and writes
-//! `BENCH_scaling.json` at the repo root; see the README for the schema.
+//! `BENCH_scaling.json` at the repo root; `docs/BENCHMARKS.md` has the
+//! schema.
 
-use crate::json::{self, Json, ToJson};
+use crate::json::{arr_at, f64_at, field, num, num_at, str_at, Json};
 use jqi_core::strategy::{Lookahead, Strategy};
 use jqi_core::universe::Universe;
 use jqi_core::{InferenceState, IngestOptions, UniverseDelta};
@@ -58,143 +59,18 @@ impl Default for ScalingParams {
     }
 }
 
-/// One measured dataset point.
-#[derive(Debug, Clone)]
-pub struct ScalingPoint {
-    /// Dataset label, e.g. `synthetic (3,3,1000x1000,32·32 distinct,12)`.
-    pub name: String,
-    /// `"synthetic"` or `"tpch"`.
-    pub kind: &'static str,
-    /// `|R|`.
-    pub rows_r: usize,
-    /// `|P|`.
-    pub rows_p: usize,
-    /// `|D| = |R| · |P|`.
-    pub product_tuples: u64,
-    /// Distinct R-side join profiles found by the build.
-    pub distinct_r_profiles: usize,
-    /// Distinct P-side join profiles found by the build.
-    pub distinct_p_profiles: usize,
-    /// Number of T-equivalence classes.
-    pub classes: usize,
-    /// Wall-clock of the deduplicated `Universe::build`, in milliseconds.
-    pub build_dedup_ms: f64,
-    /// Wall-clock of the row-pair reference build (`None` above the cap).
-    pub build_rowpair_ms: Option<f64>,
-    /// `build_rowpair_ms / build_dedup_ms` when both ran.
-    pub build_speedup: Option<f64>,
-    /// First-question latency of L1S on the fresh session, milliseconds.
-    pub l1s_first_step_ms: Option<f64>,
-    /// First-question latency of L3S on the fresh session, milliseconds.
-    pub l3s_first_step_ms: Option<f64>,
-    /// Resident bytes of one fresh session's derived inference state over
-    /// this universe (`InferenceState::state_bytes`) — the per-session
-    /// footprint a server pays at this scale.
-    pub state_bytes: usize,
-    /// Resident bytes of the shared containment closure
-    /// (`ClassClosure::resident_bytes`) — paid once per universe,
-    /// amortized over every session.
-    pub closure_bytes: usize,
-}
-
-/// One measured end-to-end streaming build (the `streaming` phase):
-/// parallel chunk generation at a real TPC-H scale factor feeding
-/// `Universe::build_streaming` through bounded channels, with rows never
-/// materialized.
-#[derive(Debug, Clone)]
-pub struct StreamingPoint {
-    /// Point label, e.g. `streaming customer⋈orders SF=1`.
-    pub name: String,
-    /// TPC-H scale factor the stream was generated at.
-    pub sf: f64,
-    /// Rows streamed into `R`.
-    pub rows_r: u64,
-    /// Rows streamed into `P`.
-    pub rows_p: u64,
-    /// Distinct R-side join profiles after the fold.
-    pub distinct_r_profiles: usize,
-    /// Distinct P-side join profiles after the fold.
-    pub distinct_p_profiles: usize,
-    /// Number of T-equivalence classes of the finished universe.
-    pub classes: usize,
-    /// End-to-end wall clock (generation + both ingestion passes +
-    /// universe assembly), milliseconds.
-    pub build_wall_ms: f64,
-    /// Streamed rows per second of end-to-end wall clock.
-    pub rows_per_s: f64,
-    /// Peak tracked bytes of the profile accumulators — the streaming
-    /// build's resident ingestion state.
-    pub peak_tracked_bytes: usize,
-    /// What the rows would occupy if materialized as interned tuples.
-    pub materialized_row_bytes: u64,
-    /// `materialized_row_bytes / peak_tracked_bytes` — how far the
-    /// streaming path stays below holding the rows (≥ 10× at SF 1 is the
-    /// acceptance bar; < 1 is expected at smoke scale factors where rows
-    /// are too few to saturate the profile space).
-    pub memory_ratio: f64,
-    /// Ingestion worker threads.
-    pub threads: usize,
-    /// Parallel generator workers feeding the bounded channels.
-    pub gen_workers: usize,
-}
-
-/// One measured incremental-maintenance point (the `incremental` phase):
-/// a [`UniverseDelta`] applied to a delta-capable streaming universe via
-/// [`Universe::apply_delta`], against rebuilding from scratch with
-/// `Universe::build_streaming` over the *edited* stream — the alternative
-/// an operator without incremental maintenance actually runs.
-#[derive(Debug, Clone)]
-pub struct IncrementalPoint {
-    /// Point label, e.g. `incremental customer⋈orders SF=0.1 single-row`.
-    pub name: String,
-    /// TPC-H scale factor of the base stream.
-    pub sf: f64,
-    /// Base rows streamed into `R`.
-    pub rows_r: u64,
-    /// Base rows streamed into `P`.
-    pub rows_p: u64,
-    /// Row edits in the applied delta (inserts + deletes).
-    pub edits: usize,
-    /// T-equivalence classes before the delta.
-    pub classes_before: usize,
-    /// T-equivalence classes after the delta.
-    pub classes_after: usize,
-    /// Wall-clock of `Universe::apply_delta`, milliseconds (best of 3).
-    pub delta_apply_ms: f64,
-    /// Wall-clock of the from-scratch `Universe::build_streaming` over
-    /// the edited stream, milliseconds.
-    pub rebuild_ms: f64,
-    /// `rebuild_ms / delta_apply_ms` — the headline O(delta) payoff.
-    pub speedup: f64,
-    /// Peak resident bytes of the live row tables the delta-capable
-    /// build maintains (the memory rent incremental maintenance pays).
-    pub live_bytes: usize,
-}
-
-/// The full sweep result.
-#[derive(Debug, Clone)]
-pub struct ScalingReport {
-    /// Parameters the sweep ran with.
-    pub params: ScalingParams,
-    /// One entry per dataset, in sweep order.
-    pub points: Vec<ScalingPoint>,
-    /// The `streaming` phase's points, in sweep order.
-    pub streaming: Vec<StreamingPoint>,
-    /// The `incremental` phase's points, in sweep order.
-    pub incremental: Vec<IncrementalPoint>,
-}
-
 fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// Measures one instance (see the module docs for what is timed).
+/// Measures one instance (see the module docs for what is timed): one
+/// `points` entry of the report.
 pub fn measure_instance(
     name: String,
-    kind: &'static str,
+    kind: &str,
     instance: Instance,
     params: &ScalingParams,
-) -> ScalingPoint {
+) -> Json {
     let rows_r = instance.r().len();
     let rows_p = instance.p().len();
     let product_tuples = instance.product_size();
@@ -250,33 +126,35 @@ pub fn measure_instance(
     };
     let l1s_first_step_ms = first_step(1, params.l1s_class_cap);
     let l3s_first_step_ms = first_step(3, params.l3s_class_cap);
-    let state_bytes = InferenceState::new(&universe).state_bytes();
-    let closure_bytes = universe.closure().resident_bytes();
-
-    ScalingPoint {
-        name,
-        kind,
-        rows_r,
-        rows_p,
-        product_tuples,
-        distinct_r_profiles: universe.distinct_r_profiles(),
-        distinct_p_profiles: universe.distinct_p_profiles(),
-        classes: universe.num_classes(),
-        build_dedup_ms,
-        build_rowpair_ms,
-        build_speedup,
-        l1s_first_step_ms,
-        l3s_first_step_ms,
-        state_bytes,
-        closure_bytes,
-    }
+    let opt = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
+    Json::Obj(vec![
+        field("name", Json::Str(name)),
+        field("kind", Json::str(kind)),
+        num("rows_r", rows_r as f64),
+        num("rows_p", rows_p as f64),
+        num("product_tuples", product_tuples as f64),
+        num("distinct_r_profiles", universe.distinct_r_profiles() as f64),
+        num("distinct_p_profiles", universe.distinct_p_profiles() as f64),
+        num("classes", universe.num_classes() as f64),
+        num("build_dedup_ms", build_dedup_ms),
+        field("build_rowpair_ms", opt(build_rowpair_ms)),
+        field("build_speedup", opt(build_speedup)),
+        field("l1s_first_step_ms", opt(l1s_first_step_ms)),
+        field("l3s_first_step_ms", opt(l3s_first_step_ms)),
+        num(
+            "state_bytes",
+            InferenceState::new(&universe).state_bytes() as f64,
+        ),
+        num("closure_bytes", universe.closure().resident_bytes() as f64),
+    ])
 }
 
 /// Measures one end-to-end streaming build at scale factor `sf`:
 /// `Customer ⋈ Orders` chunks generated by parallel workers, folded into
 /// weighted profiles by `Universe::build_streaming`, with generation and
-/// folding overlapping through bounded channels.
-pub fn measure_streaming(sf: f64, params: &ScalingParams) -> StreamingPoint {
+/// folding overlapping through bounded channels, with rows never
+/// materialized. One `streaming` entry of the report.
+pub fn measure_streaming(sf: f64, params: &ScalingParams) -> Json {
     let config = SfConfig::new(sf, params.seed);
     let stream = SfStream::new(config, SfJoin::CustomerOrders)
         .expect("streaming workload schema is well-formed");
@@ -298,22 +176,28 @@ pub fn measure_streaming(sf: f64, params: &ScalingParams) -> StreamingPoint {
     let rows = stats.rows_r + stats.rows_p;
     let rows_per_s = rows as f64 / (build_wall_ms / 1e3).max(1e-9);
     let memory_ratio = stats.materialized_row_bytes as f64 / stats.peak_tracked_bytes.max(1) as f64;
-    StreamingPoint {
-        name: format!("streaming {} SF={sf}", stream.join().name()),
-        sf,
-        rows_r: stats.rows_r,
-        rows_p: stats.rows_p,
-        distinct_r_profiles: stats.distinct_r,
-        distinct_p_profiles: stats.distinct_p,
-        classes: universe.num_classes(),
-        build_wall_ms,
-        rows_per_s,
-        peak_tracked_bytes: stats.peak_tracked_bytes,
-        materialized_row_bytes: stats.materialized_row_bytes,
-        memory_ratio,
-        threads: stats.threads,
-        gen_workers,
-    }
+    Json::Obj(vec![
+        field(
+            "name",
+            Json::str(format!("streaming {} SF={sf}", stream.join().name())),
+        ),
+        num("sf", sf),
+        num("rows_r", stats.rows_r as f64),
+        num("rows_p", stats.rows_p as f64),
+        num("distinct_r_profiles", stats.distinct_r as f64),
+        num("distinct_p_profiles", stats.distinct_p as f64),
+        num("classes", universe.num_classes() as f64),
+        num("build_wall_ms", build_wall_ms),
+        num("rows_per_s", rows_per_s),
+        num("peak_tracked_bytes", stats.peak_tracked_bytes as f64),
+        num(
+            "materialized_row_bytes",
+            stats.materialized_row_bytes as f64,
+        ),
+        num("memory_ratio", memory_ratio),
+        num("threads", stats.threads as f64),
+        num("gen_workers", gen_workers as f64),
+    ])
 }
 
 /// Measures incremental maintenance at scale factor `sf`: a live
@@ -323,7 +207,8 @@ pub fn measure_streaming(sf: f64, params: &ScalingParams) -> StreamingPoint {
 /// scratch. The applied and rebuilt universes are cross-checked for
 /// agreement on class count and total tuples — the bench doubles as an
 /// end-to-end equivalence assertion at a scale the unit tests never see.
-pub fn measure_incremental(sf: f64, params: &ScalingParams) -> Vec<IncrementalPoint> {
+/// Two `incremental` entries of the report.
+pub fn measure_incremental(sf: f64, params: &ScalingParams) -> Vec<Json> {
     let config = SfConfig::new(sf, params.seed);
     let stream = SfStream::new(config, SfJoin::CustomerOrders)
         .expect("streaming workload schema is well-formed");
@@ -425,54 +310,52 @@ pub fn measure_incremental(sf: f64, params: &ScalingParams) -> Vec<IncrementalPo
         (ms(start), universe)
     };
 
-    let measure = |name: String,
-                   inserts: Vec<(Side, Tuple)>,
-                   deletes: Vec<(Side, Tuple)>|
-     -> IncrementalPoint {
-        let mut delta = UniverseDelta::new();
-        for (side, row) in &deletes {
-            delta.delete(*side, row.clone());
-        }
-        for (side, row) in &inserts {
-            delta.insert(*side, row.clone());
-        }
-        let mut best = f64::INFINITY;
-        let mut applied = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let next = base.apply_delta(&delta).expect("edit script is valid");
-            let elapsed = ms(start);
-            if elapsed < best {
-                best = elapsed;
-                applied = Some(next);
+    let measure =
+        |name: String, inserts: Vec<(Side, Tuple)>, deletes: Vec<(Side, Tuple)>| -> Json {
+            let mut delta = UniverseDelta::new();
+            for (side, row) in &deletes {
+                delta.delete(*side, row.clone());
             }
-        }
-        let applied = applied.expect("at least one run");
-        let (rebuild_ms, rebuilt) = rebuild(&inserts, &deletes);
-        assert_eq!(
-            applied.num_classes(),
-            rebuilt.num_classes(),
-            "{name}: delta-applied universe disagrees with the rebuild"
-        );
-        assert_eq!(
-            applied.total_tuples(),
-            rebuilt.total_tuples(),
-            "{name}: delta-applied universe disagrees with the rebuild"
-        );
-        IncrementalPoint {
-            name,
-            sf,
-            rows_r,
-            rows_p,
-            edits: delta.len(),
-            classes_before: base.num_classes(),
-            classes_after: applied.num_classes(),
-            delta_apply_ms: best,
-            rebuild_ms,
-            speedup: rebuild_ms / best.max(1e-9),
-            live_bytes,
-        }
-    };
+            for (side, row) in &inserts {
+                delta.insert(*side, row.clone());
+            }
+            let mut best = f64::INFINITY;
+            let mut applied = None;
+            for _ in 0..3 {
+                let start = Instant::now();
+                let next = base.apply_delta(&delta).expect("edit script is valid");
+                let elapsed = ms(start);
+                if elapsed < best {
+                    best = elapsed;
+                    applied = Some(next);
+                }
+            }
+            let applied = applied.expect("at least one run");
+            let (rebuild_ms, rebuilt) = rebuild(&inserts, &deletes);
+            assert_eq!(
+                applied.num_classes(),
+                rebuilt.num_classes(),
+                "{name}: delta-applied universe disagrees with the rebuild"
+            );
+            assert_eq!(
+                applied.total_tuples(),
+                rebuilt.total_tuples(),
+                "{name}: delta-applied universe disagrees with the rebuild"
+            );
+            Json::Obj(vec![
+                field("name", Json::Str(name)),
+                num("sf", sf),
+                num("rows_r", rows_r as f64),
+                num("rows_p", rows_p as f64),
+                num("edits", delta.len() as f64),
+                num("classes_before", base.num_classes() as f64),
+                num("classes_after", applied.num_classes() as f64),
+                num("delta_apply_ms", best),
+                num("rebuild_ms", rebuild_ms),
+                num("speedup", rebuild_ms / best.max(1e-9)),
+                num("live_bytes", live_bytes as f64),
+            ])
+        };
 
     let join = stream.join().name();
     let single = measure(
@@ -549,8 +432,8 @@ pub fn incremental_sweep(tiny: bool) -> Vec<f64> {
     vec![0.1]
 }
 
-/// Runs the full sweep.
-pub fn run(tiny: bool, params: ScalingParams) -> ScalingReport {
+/// Runs the full sweep; the report's schema is in `docs/BENCHMARKS.md`.
+pub fn run(tiny: bool, params: ScalingParams) -> Json {
     let mut points = Vec::new();
     for cfg in synthetic_sweep(tiny) {
         let instance = cfg.generate(params.seed);
@@ -579,280 +462,189 @@ pub fn run(tiny: bool, params: ScalingParams) -> ScalingReport {
         .into_iter()
         .flat_map(|sf| measure_incremental(sf, &params))
         .collect();
-    ScalingReport {
-        params,
-        points,
-        streaming,
-        incremental,
-    }
+    Json::Obj(vec![
+        field("bench", Json::str("scaling")),
+        field(
+            "generated_by",
+            Json::str("cargo run -p jqi_bench --bin scaling --release"),
+        ),
+        num("reference_cap", params.reference_cap as f64),
+        num("seed", params.seed as f64),
+        field("points", Json::Arr(points)),
+        field("streaming", Json::Arr(streaming)),
+        field("incremental", Json::Arr(incremental)),
+    ])
 }
 
-impl ScalingReport {
-    /// Plain-text table of the points.
-    pub fn table(&self) -> String {
-        let mut out = String::new();
+/// Renders a [`run`] report as plain-text tables: the points, then the
+/// streaming and incremental phases when present.
+pub fn table(report: &Json) -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "{:<44} {:>12} {:>9} {:>8} {:>12} {:>12} {:>9} {:>10} {:>10} {:>9}\n",
+        "dataset",
+        "product",
+        "profiles",
+        "classes",
+        "dedup(ms)",
+        "rowpair(ms)",
+        "speedup",
+        "L1S(ms)",
+        "L3S(ms)",
+        "state(B)"
+    ));
+    for p in arr_at(report, "points") {
+        let n = |path: &str| f64_at(p, path);
+        let opt = |path: &str| num_at(p, path).map_or("-".to_string(), |x| format!("{x:.3}"));
         out.push_str(&format!(
-            "{:<44} {:>12} {:>9} {:>8} {:>12} {:>12} {:>9} {:>10} {:>10} {:>9}\n",
-            "dataset",
-            "product",
+            "{:<44} {:>12} {:>9} {:>8} {:>12.3} {:>12} {:>9} {:>10} {:>10} {:>9}\n",
+            str_at(p, "name"),
+            n("product_tuples"),
+            format!("{}·{}", n("distinct_r_profiles"), n("distinct_p_profiles")),
+            n("classes"),
+            n("build_dedup_ms"),
+            opt("build_rowpair_ms"),
+            num_at(p, "build_speedup").map_or("-".to_string(), |s| format!("{s:.1}x")),
+            opt("l1s_first_step_ms"),
+            opt("l3s_first_step_ms"),
+            n("state_bytes"),
+        ));
+    }
+    let streaming = arr_at(report, "streaming");
+    if !streaming.is_empty() {
+        out.push_str(&format!(
+            "\n{:<40} {:>11} {:>11} {:>8} {:>11} {:>12} {:>11} {:>12} {:>8}\n",
+            "streaming build",
+            "rows",
             "profiles",
             "classes",
-            "dedup(ms)",
-            "rowpair(ms)",
-            "speedup",
-            "L1S(ms)",
-            "L3S(ms)",
-            "state(B)"
+            "wall(ms)",
+            "rows/s",
+            "peak(B)",
+            "row-mem(B)",
+            "ratio"
         ));
-        let opt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.3}"));
-        for p in &self.points {
+        for s in streaming {
+            let n = |path: &str| f64_at(s, path);
             out.push_str(&format!(
-                "{:<44} {:>12} {:>9} {:>8} {:>12.3} {:>12} {:>9} {:>10} {:>10} {:>9}\n",
-                p.name,
-                p.product_tuples,
-                format!("{}·{}", p.distinct_r_profiles, p.distinct_p_profiles),
-                p.classes,
-                p.build_dedup_ms,
-                opt(p.build_rowpair_ms),
-                p.build_speedup
-                    .map_or("-".to_string(), |s| format!("{s:.1}x")),
-                opt(p.l1s_first_step_ms),
-                opt(p.l3s_first_step_ms),
-                p.state_bytes,
+                "{:<40} {:>11} {:>11} {:>8} {:>11.1} {:>12.0} {:>11} {:>12} {:>7.1}x\n",
+                str_at(s, "name"),
+                n("rows_r") + n("rows_p"),
+                format!("{}·{}", n("distinct_r_profiles"), n("distinct_p_profiles")),
+                n("classes"),
+                n("build_wall_ms"),
+                n("rows_per_s"),
+                n("peak_tracked_bytes"),
+                n("materialized_row_bytes"),
+                n("memory_ratio"),
             ));
         }
-        if !self.streaming.is_empty() {
+    }
+    let incremental = arr_at(report, "incremental");
+    if !incremental.is_empty() {
+        out.push_str(&format!(
+            "\n{:<44} {:>7} {:>9} {:>9} {:>11} {:>12} {:>9} {:>11}\n",
+            "incremental maintenance",
+            "edits",
+            "classes",
+            "apply(ms)",
+            "rebuild(ms)",
+            "speedup",
+            "rows",
+            "live(B)"
+        ));
+        for p in incremental {
+            let n = |path: &str| f64_at(p, path);
             out.push_str(&format!(
-                "\n{:<40} {:>11} {:>11} {:>8} {:>11} {:>12} {:>11} {:>12} {:>8}\n",
-                "streaming build",
-                "rows",
-                "profiles",
-                "classes",
-                "wall(ms)",
-                "rows/s",
-                "peak(B)",
-                "row-mem(B)",
-                "ratio"
+                "{:<44} {:>7} {:>9} {:>9.3} {:>11.1} {:>11.1}x {:>9} {:>11}\n",
+                str_at(p, "name"),
+                n("edits"),
+                format!("{}→{}", n("classes_before"), n("classes_after")),
+                n("delta_apply_ms"),
+                n("rebuild_ms"),
+                n("speedup"),
+                n("rows_r") + n("rows_p"),
+                n("live_bytes"),
             ));
-            for s in &self.streaming {
-                out.push_str(&format!(
-                    "{:<40} {:>11} {:>11} {:>8} {:>11.1} {:>12.0} {:>11} {:>12} {:>7.1}x\n",
-                    s.name,
-                    s.rows_r + s.rows_p,
-                    format!("{}·{}", s.distinct_r_profiles, s.distinct_p_profiles),
-                    s.classes,
-                    s.build_wall_ms,
-                    s.rows_per_s,
-                    s.peak_tracked_bytes,
-                    s.materialized_row_bytes,
-                    s.memory_ratio,
-                ));
-            }
         }
-        if !self.incremental.is_empty() {
-            out.push_str(&format!(
-                "\n{:<44} {:>7} {:>9} {:>9} {:>11} {:>12} {:>9} {:>11}\n",
-                "incremental maintenance",
-                "edits",
-                "classes",
-                "apply(ms)",
-                "rebuild(ms)",
-                "speedup",
-                "rows",
-                "live(B)"
-            ));
-            for p in &self.incremental {
-                out.push_str(&format!(
-                    "{:<44} {:>7} {:>9} {:>9.3} {:>11.1} {:>11.1}x {:>9} {:>11}\n",
-                    p.name,
-                    p.edits,
-                    format!("{}→{}", p.classes_before, p.classes_after),
-                    p.delta_apply_ms,
-                    p.rebuild_ms,
-                    p.speedup,
-                    p.rows_r + p.rows_p,
-                    p.live_bytes,
-                ));
-            }
-        }
-        out
     }
-}
-
-impl ToJson for StreamingPoint {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::str(&self.name)),
-            ("sf".into(), Json::Num(self.sf)),
-            ("rows_r".into(), Json::num(self.rows_r as f64)),
-            ("rows_p".into(), Json::num(self.rows_p as f64)),
-            (
-                "distinct_r_profiles".into(),
-                Json::num(self.distinct_r_profiles as f64),
-            ),
-            (
-                "distinct_p_profiles".into(),
-                Json::num(self.distinct_p_profiles as f64),
-            ),
-            ("classes".into(), Json::num(self.classes as f64)),
-            ("build_wall_ms".into(), Json::Num(self.build_wall_ms)),
-            ("rows_per_s".into(), Json::Num(self.rows_per_s)),
-            (
-                "peak_tracked_bytes".into(),
-                Json::num(self.peak_tracked_bytes as f64),
-            ),
-            (
-                "materialized_row_bytes".into(),
-                Json::num(self.materialized_row_bytes as f64),
-            ),
-            ("memory_ratio".into(), Json::Num(self.memory_ratio)),
-            ("threads".into(), Json::num(self.threads as f64)),
-            ("gen_workers".into(), Json::num(self.gen_workers as f64)),
-        ])
-    }
-}
-
-impl ToJson for IncrementalPoint {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::str(&self.name)),
-            ("sf".into(), Json::Num(self.sf)),
-            ("rows_r".into(), Json::num(self.rows_r as f64)),
-            ("rows_p".into(), Json::num(self.rows_p as f64)),
-            ("edits".into(), Json::num(self.edits as f64)),
-            (
-                "classes_before".into(),
-                Json::num(self.classes_before as f64),
-            ),
-            ("classes_after".into(), Json::num(self.classes_after as f64)),
-            ("delta_apply_ms".into(), Json::Num(self.delta_apply_ms)),
-            ("rebuild_ms".into(), Json::Num(self.rebuild_ms)),
-            ("speedup".into(), Json::Num(self.speedup)),
-            ("live_bytes".into(), Json::num(self.live_bytes as f64)),
-        ])
-    }
-}
-
-impl ToJson for ScalingPoint {
-    fn to_json(&self) -> Json {
-        let opt = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
-        Json::Obj(vec![
-            ("name".into(), Json::str(&self.name)),
-            ("kind".into(), Json::str(self.kind)),
-            ("rows_r".into(), Json::num(self.rows_r as f64)),
-            ("rows_p".into(), Json::num(self.rows_p as f64)),
-            (
-                "product_tuples".into(),
-                Json::num(self.product_tuples as f64),
-            ),
-            (
-                "distinct_r_profiles".into(),
-                Json::num(self.distinct_r_profiles as f64),
-            ),
-            (
-                "distinct_p_profiles".into(),
-                Json::num(self.distinct_p_profiles as f64),
-            ),
-            ("classes".into(), Json::num(self.classes as f64)),
-            ("build_dedup_ms".into(), Json::Num(self.build_dedup_ms)),
-            ("build_rowpair_ms".into(), opt(self.build_rowpair_ms)),
-            ("build_speedup".into(), opt(self.build_speedup)),
-            ("l1s_first_step_ms".into(), opt(self.l1s_first_step_ms)),
-            ("l3s_first_step_ms".into(), opt(self.l3s_first_step_ms)),
-            ("state_bytes".into(), Json::num(self.state_bytes as f64)),
-            ("closure_bytes".into(), Json::num(self.closure_bytes as f64)),
-        ])
-    }
-}
-
-impl ToJson for ScalingReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("bench".into(), Json::str("scaling")),
-            (
-                "generated_by".into(),
-                Json::str("cargo run -p jqi_bench --bin scaling --release"),
-            ),
-            (
-                "reference_cap".into(),
-                Json::num(self.params.reference_cap as f64),
-            ),
-            ("seed".into(), Json::num(self.params.seed as f64)),
-            ("points".into(), json::arr(&self.points)),
-            ("streaming".into(), json::arr(&self.streaming)),
-            ("incremental".into(), json::arr(&self.incremental)),
-        ])
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{ci_baseline, leaf_paths};
 
     #[test]
     fn tiny_sweep_measures_everything() {
         let report = run(true, ScalingParams::default());
-        assert_eq!(report.points.len(), 2);
-        let synthetic = &report.points[0];
-        assert_eq!(synthetic.kind, "synthetic");
-        assert_eq!(synthetic.product_tuples, 10_000);
-        assert!(synthetic.distinct_r_profiles <= 8);
-        assert!(synthetic.build_dedup_ms > 0.0);
-        assert!(synthetic.build_rowpair_ms.is_some());
-        assert!(synthetic.build_speedup.is_some());
-        assert!(synthetic.l1s_first_step_ms.is_some());
-        assert!(synthetic.state_bytes > 0);
-        assert!(synthetic.closure_bytes > 0);
-        let tpch = &report.points[1];
-        assert_eq!(tpch.kind, "tpch");
-        assert!(tpch.product_tuples > 0);
-        assert_eq!(report.streaming.len(), 1);
-        let s = &report.streaming[0];
-        assert_eq!(s.sf, 0.002);
-        assert_eq!(s.rows_r, 300);
-        assert_eq!(s.rows_p, 3000);
-        assert!(s.distinct_r_profiles <= s.rows_r as usize);
-        assert!(s.classes > 0);
-        assert!(s.build_wall_ms > 0.0);
-        assert!(s.rows_per_s > 0.0);
-        assert!(s.peak_tracked_bytes > 0);
-        assert!(s.materialized_row_bytes > 0);
-        assert!(s.threads >= 1);
-        assert_eq!(report.incremental.len(), 2);
-        let single = &report.incremental[0];
-        assert!(single.name.ends_with("single-row"), "{}", single.name);
-        assert_eq!(single.edits, 1);
-        assert!(single.classes_before > 0);
-        assert!(single.delta_apply_ms > 0.0);
-        assert!(single.rebuild_ms > 0.0);
-        assert!(single.speedup > 0.0);
-        assert!(single.live_bytes > 0);
-        let batch = &report.incremental[1];
-        assert!(batch.name.ends_with("batch-1%"), "{}", batch.name);
-        assert_eq!(batch.edits, 33, "1% of 3300 streamed rows");
-        assert!(batch.classes_after > 0);
+        let points = arr_at(&report, "points");
+        assert_eq!(points.len(), 2);
+        let synthetic = |path: &str| f64_at(&points[0], path);
+        assert_eq!(str_at(&points[0], "kind"), "synthetic");
+        assert_eq!(synthetic("product_tuples"), 10_000.0);
+        assert!(synthetic("distinct_r_profiles") <= 8.0);
+        assert!(synthetic("build_dedup_ms") > 0.0);
+        for path in ["build_rowpair_ms", "build_speedup", "l1s_first_step_ms"] {
+            assert!(num_at(&points[0], path).is_some(), "{path}");
+        }
+        assert!(synthetic("state_bytes") > 0.0);
+        assert!(synthetic("closure_bytes") > 0.0);
+        assert_eq!(str_at(&points[1], "kind"), "tpch");
+        assert!(f64_at(&points[1], "product_tuples") > 0.0);
+        let streaming = arr_at(&report, "streaming");
+        assert_eq!(streaming.len(), 1);
+        let s = |path: &str| f64_at(&streaming[0], path);
+        assert_eq!(s("sf"), 0.002);
+        assert_eq!(s("rows_r"), 300.0);
+        assert_eq!(s("rows_p"), 3000.0);
+        assert!(s("distinct_r_profiles") <= s("rows_r"));
+        assert!(s("classes") > 0.0);
+        assert!(s("build_wall_ms") > 0.0);
+        assert!(s("rows_per_s") > 0.0);
+        assert!(s("peak_tracked_bytes") > 0.0);
+        assert!(s("materialized_row_bytes") > 0.0);
+        assert!(s("threads") >= 1.0);
+        let incremental = arr_at(&report, "incremental");
+        assert_eq!(incremental.len(), 2);
+        let single = |path: &str| f64_at(&incremental[0], path);
+        let name = str_at(&incremental[0], "name");
+        assert!(name.ends_with("single-row"), "{name}");
+        assert_eq!(single("edits"), 1.0);
+        assert!(single("classes_before") > 0.0);
+        assert!(single("delta_apply_ms") > 0.0);
+        assert!(single("rebuild_ms") > 0.0);
+        assert!(single("speedup") > 0.0);
+        assert!(single("live_bytes") > 0.0);
+        let name = str_at(&incremental[1], "name");
+        assert!(name.ends_with("batch-1%"), "{name}");
+        assert_eq!(
+            f64_at(&incremental[1], "edits"),
+            33.0,
+            "1% of 3300 streamed rows"
+        );
+        assert!(f64_at(&incremental[1], "classes_after") > 0.0);
     }
 
     #[test]
     fn report_renders_table_and_json() {
         let report = run(true, ScalingParams::default());
-        let table = report.table();
+        // The report's schema is the committed baseline's, key for key and
+        // in document order: `bench_guard` reads the fresh report by the
+        // baseline's keys.
+        assert_eq!(
+            leaf_paths(&report),
+            leaf_paths(&ci_baseline("bench_baseline_scaling.json")),
+            "report schema differs from ci/bench_baseline_scaling.json"
+        );
+        let table = table(&report);
         assert!(table.contains("dataset"));
         assert!(table.contains("synthetic"));
         assert!(table.contains("streaming build"));
-        let json = report.to_json().to_string_pretty();
-        assert!(json.contains("\"bench\": \"scaling\""));
-        assert!(json.contains("\"points\""));
-        assert!(json.contains("\"build_speedup\""));
-        assert!(json.contains("\"state_bytes\""));
-        assert!(json.contains("\"streaming\""));
-        assert!(json.contains("\"peak_tracked_bytes\""));
-        assert!(json.contains("\"rows_per_s\""));
         assert!(table.contains("incremental maintenance"));
-        assert!(json.contains("\"incremental\""));
-        assert!(json.contains("\"delta_apply_ms\""));
-        assert!(json.contains("\"rebuild_ms\""));
-        assert!(json.contains("\"speedup\""));
+        let json = report.to_string_pretty();
+        assert!(json.contains("\"bench\": \"scaling\""));
     }
 
     #[test]

@@ -7,40 +7,18 @@
 //! ∘ reduce` coincide with DPLL's, and the solver's running time grows
 //! sharply with the number of variables around the 3SAT phase transition.
 
-use crate::json::{self, Json, ToJson};
+use crate::json::{arr_at, f64_at, field, num, Json};
 use crate::report::TextTable;
 use jqi_semijoin::consistency::find_consistent_semijoin;
 use jqi_semijoin::reduction::{decode_valuation, reduce};
 use jqi_semijoin::sat::{dpll, random_3sat};
 use std::time::Instant;
 
-/// One (num_vars, formula) measurement.
-#[derive(Debug, Clone)]
-pub struct SemijoinRow {
-    /// Number of 3SAT variables.
-    pub num_vars: usize,
-    /// Number of clauses (≈ 4.27·vars: the hard regime).
-    pub num_clauses: usize,
-    /// Fraction of formulas the DPLL solver found satisfiable.
-    pub sat_fraction: f64,
-    /// Mean DPLL time, seconds.
-    pub dpll_seconds: f64,
-    /// Mean CONS⋉ solver time on the reduced instance, seconds.
-    pub cons_seconds: f64,
-    /// Number of formulas where the two decisions disagreed (must be 0).
-    pub disagreements: usize,
-}
-
-/// The full experiment: a sweep over variable counts.
-#[derive(Debug, Clone)]
-pub struct SemijoinReport {
-    /// One row per variable count.
-    pub rows: Vec<SemijoinRow>,
-}
-
 /// Runs `formulas` random 3SAT instances per variable count in `var_counts`,
-/// at the phase-transition clause ratio.
-pub fn run(var_counts: &[usize], formulas: usize, seed: u64) -> SemijoinReport {
+/// at the phase-transition clause ratio (≈ 4.27 clauses per variable, the
+/// hard regime): per variable count, the satisfiable fraction, both
+/// solvers' mean times and the decisions on which they disagreed.
+pub fn run(var_counts: &[usize], formulas: usize, seed: u64) -> Json {
     let mut rows = Vec::new();
     for &num_vars in var_counts {
         let num_clauses = (num_vars as f64 * 4.27).round() as usize;
@@ -71,65 +49,48 @@ pub fn run(var_counts: &[usize], formulas: usize, seed: u64) -> SemijoinReport {
                 }
             }
         }
-        rows.push(SemijoinRow {
-            num_vars,
-            num_clauses,
-            sat_fraction: sat_count as f64 / formulas as f64,
-            dpll_seconds: dpll_total / formulas as f64,
-            cons_seconds: cons_total / formulas as f64,
-            disagreements,
-        });
+        rows.push(Json::Obj(vec![
+            num("num_vars", num_vars as f64),
+            num("num_clauses", num_clauses as f64),
+            num("sat_fraction", sat_count as f64 / formulas as f64),
+            num("dpll_seconds", dpll_total / formulas as f64),
+            num("cons_seconds", cons_total / formulas as f64),
+            num("disagreements", disagreements as f64),
+        ]));
     }
-    SemijoinReport { rows }
+    Json::Obj(vec![field("rows", Json::Arr(rows))])
 }
 
-impl ToJson for SemijoinRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("num_vars".into(), Json::Num(self.num_vars as f64)),
-            ("num_clauses".into(), Json::Num(self.num_clauses as f64)),
-            ("sat_fraction".into(), Json::Num(self.sat_fraction)),
-            ("dpll_seconds".into(), Json::Num(self.dpll_seconds)),
-            ("cons_seconds".into(), Json::Num(self.cons_seconds)),
-            ("disagreements".into(), Json::Num(self.disagreements as f64)),
-        ])
-    }
-}
-
-impl ToJson for SemijoinReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![("rows".into(), json::arr(&self.rows))])
-    }
-}
-
-impl SemijoinReport {
-    /// Renders the sweep as text.
-    pub fn table(&self) -> TextTable {
-        let mut t = TextTable::new(&[
-            "vars",
-            "clauses",
-            "sat frac",
-            "DPLL (s)",
-            "CONS⋉ (s)",
-            "disagreements",
+/// Renders a [`run`] report as text.
+pub fn table(report: &Json) -> TextTable {
+    let mut t = TextTable::new(&[
+        "vars",
+        "clauses",
+        "sat frac",
+        "DPLL (s)",
+        "CONS⋉ (s)",
+        "disagreements",
+    ]);
+    for r in arr_at(report, "rows") {
+        let n = |path: &str| f64_at(r, path);
+        t.row(vec![
+            n("num_vars").to_string(),
+            n("num_clauses").to_string(),
+            format!("{:.2}", n("sat_fraction")),
+            format!("{:.5}", n("dpll_seconds")),
+            format!("{:.5}", n("cons_seconds")),
+            n("disagreements").to_string(),
         ]);
-        for r in &self.rows {
-            t.row(vec![
-                r.num_vars.to_string(),
-                r.num_clauses.to_string(),
-                format!("{:.2}", r.sat_fraction),
-                format!("{:.5}", r.dpll_seconds),
-                format!("{:.5}", r.cons_seconds),
-                r.disagreements.to_string(),
-            ]);
-        }
-        t
     }
+    t
+}
 
-    /// Whether every decision agreed (the Theorem 6.1 cross-validation).
-    pub fn all_agree(&self) -> bool {
-        self.rows.iter().all(|r| r.disagreements == 0)
-    }
+/// Whether every decision of a [`run`] report agreed (the Theorem 6.1
+/// cross-validation).
+pub fn all_agree(report: &Json) -> bool {
+    arr_at(report, "rows")
+        .iter()
+        .all(|r| f64_at(r, "disagreements") == 0.0)
 }
 
 #[cfg(test)]
@@ -139,9 +100,9 @@ mod tests {
     #[test]
     fn solver_and_dpll_always_agree() {
         let report = run(&[4, 5], 8, 42);
-        assert!(report.all_agree());
-        assert_eq!(report.rows.len(), 2);
-        assert_eq!(report.table().len(), 2);
+        assert!(all_agree(&report));
+        assert_eq!(arr_at(&report, "rows").len(), 2);
+        assert_eq!(table(&report).len(), 2);
     }
 
     #[test]
@@ -149,9 +110,9 @@ mod tests {
         // At ratio 4.27 with several formulas we expect a genuine mix —
         // in particular not 100% SAT — for at least one variable count.
         let report = run(&[5, 6], 12, 7);
-        assert!(report
-            .rows
-            .iter()
-            .any(|r| r.sat_fraction > 0.0 && r.sat_fraction < 1.0));
+        assert!(arr_at(&report, "rows").iter().any(|r| {
+            let sat = f64_at(r, "sat_fraction");
+            sat > 0.0 && sat < 1.0
+        }));
     }
 }

@@ -61,9 +61,9 @@
 //!    wedge/error counters.
 //!
 //! The `throughput` binary renders a table and writes `BENCH_server.json`
-//! at the repo root; see the README for the schema.
+//! at the repo root; `docs/BENCHMARKS.md` has the schema.
 
-use crate::json::{self, Json, ToJson};
+use crate::json::{arr_at, f64_at, field, num, str_at, Json};
 use jqi_core::paper::flight_hotel;
 use jqi_core::{ClassId, DecisionCacheStats, Label, StrategyConfig, Universe};
 use jqi_relation::BitSet;
@@ -147,634 +147,186 @@ impl LatencySummary {
             max_us: pct(1.0),
         }
     }
-}
 
-impl ToJson for LatencySummary {
-    fn to_json(&self) -> Json {
+    /// The summary as a report object.
+    pub fn json(&self) -> Json {
         Json::Obj(vec![
-            ("count".into(), Json::num(self.count as f64)),
-            ("mean_us".into(), Json::Num(self.mean_us)),
-            ("p50_us".into(), Json::Num(self.p50_us)),
-            ("p95_us".into(), Json::Num(self.p95_us)),
-            ("p99_us".into(), Json::Num(self.p99_us)),
-            ("max_us".into(), Json::Num(self.max_us)),
+            num("count", self.count as f64),
+            num("mean_us", self.mean_us),
+            num("p50_us", self.p50_us),
+            num("p95_us", self.p95_us),
+            num("p99_us", self.p99_us),
+            num("max_us", self.max_us),
         ])
     }
 }
 
-/// One measured phase.
-#[derive(Debug, Clone)]
-pub struct PhaseReport {
-    /// `"interactive"`, `"batch"`, `"snapshot"` or `"restore"`; the
-    /// durability phase's runs are `"wal_group"` and `"wal_sync"`.
-    pub name: &'static str,
-    /// Wall-clock for the whole phase, in seconds.
-    pub elapsed_s: f64,
-    /// Operations per second over the phase wall-clock (answers for the
-    /// interactive phase, batches for the batch phase, round-trips for
-    /// the snapshot phase).
-    pub ops_per_sec: f64,
-    /// Latency of one operation.
-    pub latency: LatencySummary,
-}
-
-impl PhaseReport {
-    /// A phase of `samples.len()` operations over `elapsed` wall clock.
-    fn of(name: &'static str, elapsed: Duration, samples: Vec<u64>) -> PhaseReport {
-        let elapsed_s = elapsed.as_secs_f64();
-        PhaseReport {
-            name,
-            elapsed_s,
-            ops_per_sec: samples.len() as f64 / elapsed_s,
-            latency: LatencySummary::of(samples),
-        }
-    }
-}
-
-impl ToJson for PhaseReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("phase".into(), Json::str(self.name)),
-            ("elapsed_s".into(), Json::Num(self.elapsed_s)),
-            ("ops_per_sec".into(), Json::Num(self.ops_per_sec)),
-            ("latency".into(), self.latency.to_json()),
-        ])
-    }
-}
-
-/// Restore latency bucketed by how many answers the snapshot carries.
-#[derive(Debug, Clone)]
-pub struct RestoreByHistory {
-    /// Number of answers in the replayed history.
-    pub history_len: usize,
-    /// Sessions restored with this history length.
-    pub count: usize,
-    /// Mean restore latency for the bucket, µs.
-    pub mean_us: f64,
-}
-
-impl ToJson for RestoreByHistory {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("history_len".into(), Json::num(self.history_len as f64)),
-            ("count".into(), Json::num(self.count as f64)),
-            ("mean_us".into(), Json::Num(self.mean_us)),
-        ])
-    }
+/// The report of one phase of `samples.len()` operations over `elapsed`
+/// wall clock.
+fn phase(name: &str, elapsed: Duration, samples: Vec<u64>) -> Json {
+    let elapsed_s = elapsed.as_secs_f64();
+    Json::Obj(vec![
+        field("phase", Json::str(name)),
+        num("elapsed_s", elapsed_s),
+        num("ops_per_sec", samples.len() as f64 / elapsed_s),
+        field("latency", LatencySummary::of(samples).json()),
+    ])
 }
 
 /// The decision-cache counters as a JSON object.
 fn cache_json(stats: &DecisionCacheStats) -> Json {
     Json::Obj(vec![
-        ("hits".into(), Json::num(stats.hits as f64)),
-        ("misses".into(), Json::num(stats.misses as f64)),
-        ("evictions".into(), Json::num(stats.evictions as f64)),
-        ("entries".into(), Json::num(stats.entries as f64)),
-        ("bytes".into(), Json::num(stats.bytes as f64)),
-        ("budget_bytes".into(), Json::num(stats.budget_bytes as f64)),
+        num("hits", stats.hits as f64),
+        num("misses", stats.misses as f64),
+        num("evictions", stats.evictions as f64),
+        num("entries", stats.entries as f64),
+        num("bytes", stats.bytes as f64),
+        num("budget_bytes", stats.budget_bytes as f64),
     ])
 }
 
-/// The fleet phase: cold vs warm first-question latency of a deterministic
-/// lookahead fleet over one shared TPC-H universe.
-#[derive(Debug, Clone)]
-pub struct FleetReport {
-    /// Workload label, e.g. `"tpch SF=small Join 4"`.
-    pub instance: String,
-    /// The fleet's strategy config string (e.g. `"LKS:2"`).
-    pub strategy: String,
-    /// Sessions in the cold fleet (decision cache disabled).
-    pub cold_sessions: usize,
-    /// Sessions in the warm fleet (shared decision cache enabled).
-    pub warm_sessions: usize,
-    /// First-question latency with every session computing the lookahead.
-    pub cold_first_question: LatencySummary,
-    /// First-question latency with the shared cache (first session
-    /// computes, the rest probe).
-    pub warm_first_question: LatencySummary,
-    /// `cold mean / warm mean`.
-    pub warm_speedup: f64,
-    /// The warm universe's cache counters after the fleet ran.
-    pub cache: DecisionCacheStats,
+/// The manager's footprint as the report's `session_memory` object.
+fn session_memory_json(stats: &ManagerStats) -> Json {
+    Json::Obj(vec![
+        num("sessions", stats.sessions as f64),
+        num("resident_sessions", stats.resident_sessions as f64),
+        num("hibernated_sessions", stats.hibernated_sessions as f64),
+        num("state_bytes_total", stats.state_bytes as f64),
+        num("state_bytes_per_session", stats.state_bytes_per_session()),
+        num("resident_bytes_total", stats.resident_bytes as f64),
+        num(
+            "resident_bytes_per_session",
+            stats.resident_bytes_per_session(),
+        ),
+        num("history_bytes_total", stats.history_bytes as f64),
+        num("hibernated_bytes_total", stats.hibernated_bytes as f64),
+        field("decision_cache", cache_json(&stats.decision_cache)),
+    ])
 }
 
-impl ToJson for FleetReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("instance".into(), Json::str(&self.instance)),
-            ("strategy".into(), Json::str(&self.strategy)),
-            ("cold_sessions".into(), Json::num(self.cold_sessions as f64)),
-            ("warm_sessions".into(), Json::num(self.warm_sessions as f64)),
-            (
-                "cold_first_question".into(),
-                self.cold_first_question.to_json(),
-            ),
-            (
-                "warm_first_question".into(),
-                self.warm_first_question.to_json(),
-            ),
-            ("warm_speedup".into(), Json::Num(self.warm_speedup)),
-            ("decision_cache".into(), cache_json(&self.cache)),
-        ])
-    }
-}
-
-/// The hibernate phase: the interactive fleet parked and woken again.
-#[derive(Debug, Clone)]
-pub struct HibernateReport {
-    /// Fleet size.
-    pub sessions: usize,
-    /// Sessions the zero-TTL sweep actually parked.
-    pub parked: usize,
-    /// Mean full resident footprint per materialized session before
-    /// parking (session struct + derived-state heap + history heap).
-    pub resident_bytes_per_session: f64,
-    /// Mean derived-state heap per materialized session (the PR-4 metric,
-    /// kept for continuity).
-    pub state_bytes_per_session: f64,
-    /// Mean resident bytes per parked session (replay log + pending
-    /// marker).
-    pub hibernated_bytes_per_session: f64,
-    /// Wall time of one `SessionManager::stats()` call on the parked
-    /// fleet — O(1) in its size, so it must not grow with `sessions`.
-    pub stats_us: f64,
-    /// Latency of the first touch after parking: lazy re-materialization
-    /// by replay through one `apply_batch`.
-    pub wake: LatencySummary,
-}
-
-impl ToJson for HibernateReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("sessions".into(), Json::num(self.sessions as f64)),
-            ("parked".into(), Json::num(self.parked as f64)),
-            (
-                "resident_bytes_per_session".into(),
-                Json::Num(self.resident_bytes_per_session),
-            ),
-            (
-                "state_bytes_per_session".into(),
-                Json::Num(self.state_bytes_per_session),
-            ),
-            (
-                "hibernated_bytes_per_session".into(),
-                Json::Num(self.hibernated_bytes_per_session),
-            ),
-            ("stats_us".into(), Json::Num(self.stats_us)),
-            ("wake".into(), self.wake.to_json()),
-        ])
-    }
-}
-
-/// The recovery half of the durability phase: a crashed (well, dropped)
-/// fleet rebuilt from its WAL + spill segments.
-#[derive(Debug, Clone)]
-pub struct RecoveryBench {
-    /// Sessions recovered.
-    pub sessions: usize,
-    /// …of which came back in the spilled (on-disk) tier.
-    pub spilled: usize,
-    /// WAL records replayed.
-    pub wal_records: u64,
-    /// Recovery wall clock, milliseconds.
-    pub elapsed_ms: f64,
-    /// Sessions recovered per second.
-    pub sessions_per_sec: f64,
-}
-
-impl ToJson for RecoveryBench {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("sessions".into(), Json::num(self.sessions as f64)),
-            ("spilled".into(), Json::num(self.spilled as f64)),
-            ("wal_records".into(), Json::num(self.wal_records as f64)),
-            ("elapsed_ms".into(), Json::Num(self.elapsed_ms)),
-            ("sessions_per_sec".into(), Json::Num(self.sessions_per_sec)),
-        ])
-    }
-}
-
-/// The durability phase: the interactive workload with a real WAL under
-/// it, plus a timed recovery.
-#[derive(Debug, Clone)]
-pub struct DurabilityReport {
-    /// Fleet size.
-    pub sessions: usize,
-    /// The in-memory interactive phase's per-answer mean, the latency
-    /// context for the WAL-on means below.
-    pub in_memory_mean_us: f64,
-    /// Per-answer latency with group commit (one batched write + fsync
-    /// per 2048 records) — the recommended configuration.
-    pub wal_group: PhaseReport,
-    /// Per-answer latency with an fsync per record — the cost ceiling.
-    pub wal_sync: PhaseReport,
-    /// Throughput cost of group commit: in-memory answers/s divided by
-    /// WAL-on answers/s. The acceptance gate: ≤ 3.
-    pub overhead_group_x: f64,
-    /// Throughput cost of an fsync per record, same ratio.
-    pub overhead_sync_x: f64,
-    /// WAL records the group-commit run appended.
-    pub wal_records: u64,
-    /// fsyncs the group-commit run issued (records / syncs is the
-    /// realized group size).
-    pub wal_syncs: u64,
-    /// WAL bytes the group-commit run appended, frames included.
-    pub wal_bytes: u64,
-    /// The timed recovery of the group-commit run's directory.
-    pub recovery: RecoveryBench,
-}
-
-impl ToJson for DurabilityReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("sessions".into(), Json::num(self.sessions as f64)),
-            (
-                "in_memory_mean_us".into(),
-                Json::Num(self.in_memory_mean_us),
-            ),
-            ("wal_group".into(), self.wal_group.to_json()),
-            ("wal_sync".into(), self.wal_sync.to_json()),
-            ("overhead_group_x".into(), Json::Num(self.overhead_group_x)),
-            ("overhead_sync_x".into(), Json::Num(self.overhead_sync_x)),
-            ("wal_records".into(), Json::num(self.wal_records as f64)),
-            ("wal_syncs".into(), Json::num(self.wal_syncs as f64)),
-            ("wal_bytes".into(), Json::num(self.wal_bytes as f64)),
-            ("recovery".into(), self.recovery.to_json()),
-        ])
-    }
-}
-
-/// The transport phase: the question/answer/snapshot/restore workload
-/// again, this time over real loopback HTTP through the `jqi_net` epoll
-/// server and the `jqi_server::http` gateway — one keep-alive connection
-/// per session, all of them open concurrently, so the measurement covers
-/// wire framing, JSON bodies, routing, and the parked-connection
-/// hand-off, not just the in-process service path.
-#[derive(Debug, Clone)]
-pub struct TransportReport {
-    /// Concurrent HTTP sessions (= keep-alive connections held open).
-    pub sessions: usize,
-    /// Client threads driving the connections.
-    pub client_threads: usize,
-    /// Server worker threads serving them (the epoll pool).
-    pub server_workers: usize,
-    /// Total HTTP requests issued (create + question + answer +
-    /// snapshot + restore).
-    pub requests: usize,
-    /// Phase wall clock, seconds.
-    pub elapsed_s: f64,
-    /// Requests per second over the phase wall clock.
-    pub requests_per_sec: f64,
-    /// Client-measured per-request latency (write → full response).
-    pub request_latency: LatencySummary,
-    /// `open_connections` sampled from the server while every client
-    /// connection was still alive — the concurrency actually sustained.
-    pub open_connections_peak: usize,
-    /// Sessions restored into the twin tenant over HTTP (must equal
-    /// `sessions`).
-    pub restored: usize,
-    /// Wire-level protocol errors the server observed (must be 0).
-    pub protocol_errors: u64,
-}
-
-impl ToJson for TransportReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("sessions".into(), Json::num(self.sessions as f64)),
-            (
-                "client_threads".into(),
-                Json::num(self.client_threads as f64),
-            ),
-            (
-                "server_workers".into(),
-                Json::num(self.server_workers as f64),
-            ),
-            ("requests".into(), Json::num(self.requests as f64)),
-            ("elapsed_s".into(), Json::Num(self.elapsed_s)),
-            ("requests_per_sec".into(), Json::Num(self.requests_per_sec)),
-            ("request_latency".into(), self.request_latency.to_json()),
-            (
-                "open_connections_peak".into(),
-                Json::num(self.open_connections_peak as f64),
-            ),
-            ("restored".into(), Json::num(self.restored as f64)),
-            (
-                "protocol_errors".into(),
-                Json::num(self.protocol_errors as f64),
-            ),
-        ])
-    }
-}
-
-/// The overload phase: the gateway behind the chaos proxy under more
-/// offered load than its worker pool can serve, with tight admission
-/// thresholds — the measurement of the load shedder itself. A clean
-/// uncontended pass on the same wire path sets the latency baseline;
-/// then a fleet of clients several times the worker pool hammers the
-/// same endpoints. The acceptance shape: accepted requests stay within
-/// a small factor of the uncontended p99 (the queue a request waits
-/// behind is bounded by the shed thresholds), shed responses come back
-/// in well under a millisecond (the 503 is written before routing or
-/// body parsing), nothing wedges, and the wire stays clean.
-#[derive(Debug, Clone)]
-pub struct OverloadReport {
-    /// Metered load clients (each one keep-alive connection through the
-    /// chaos proxy).
-    pub clients: usize,
-    /// Extra fault-ridden clients (delayed / dripping connections) that
-    /// ride along unmetered — they must not wedge or corrupt anything.
-    pub chaos_clients: usize,
-    /// Server worker threads the load is offered against.
-    pub server_workers: usize,
-    /// Requests the metered clients offered.
-    pub offered: usize,
-    /// …of which were admitted and served.
-    pub accepted: usize,
-    /// …of which were shed with `503 overloaded` + `Retry-After`.
-    pub shed: usize,
-    /// Responses on metered connections that were neither a served 200
-    /// nor a well-formed shed — must be 0.
-    pub client_errors: u64,
-    /// Wire-level protocol errors the server observed — must be 0 (the
-    /// phase's faults delay bytes, they never corrupt them).
-    pub protocol_errors: u64,
-    /// Clients still unfinished at the phase deadline — must be 0.
-    pub wedged: usize,
-    /// Faults the chaos proxy injected.
-    pub faults_injected: u64,
-    /// Same-wire-path latency with a single client (the baseline).
-    pub uncontended: LatencySummary,
-    /// Client-measured latency of accepted requests under overload.
-    pub accepted_latency: LatencySummary,
-    /// Client-measured latency of shed responses.
-    pub shed_latency: LatencySummary,
-    /// `accepted p99 / uncontended p99` — the queue-bounding headline.
-    pub p99_ratio: f64,
-    /// Accepted (served) requests per second over the contended window.
-    pub goodput_per_sec: f64,
-    /// Contended window wall clock, seconds.
-    pub elapsed_s: f64,
-}
-
-impl ToJson for OverloadReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("clients".into(), Json::num(self.clients as f64)),
-            ("chaos_clients".into(), Json::num(self.chaos_clients as f64)),
-            (
-                "server_workers".into(),
-                Json::num(self.server_workers as f64),
-            ),
-            ("offered".into(), Json::num(self.offered as f64)),
-            ("accepted".into(), Json::num(self.accepted as f64)),
-            ("shed".into(), Json::num(self.shed as f64)),
-            ("client_errors".into(), Json::num(self.client_errors as f64)),
-            (
-                "protocol_errors".into(),
-                Json::num(self.protocol_errors as f64),
-            ),
-            ("wedged".into(), Json::num(self.wedged as f64)),
-            (
-                "faults_injected".into(),
-                Json::num(self.faults_injected as f64),
-            ),
-            ("uncontended".into(), self.uncontended.to_json()),
-            ("accepted_latency".into(), self.accepted_latency.to_json()),
-            ("shed_latency".into(), self.shed_latency.to_json()),
-            ("p99_ratio".into(), Json::Num(self.p99_ratio)),
-            ("goodput_per_sec".into(), Json::Num(self.goodput_per_sec)),
-            ("elapsed_s".into(), Json::Num(self.elapsed_s)),
-        ])
-    }
-}
-
-/// The full benchmark report.
-#[derive(Debug, Clone)]
-pub struct ThroughputReport {
-    /// The parameters the run used.
-    pub params: ThroughputParams,
-    /// `threads · sessions_per_thread`.
-    pub concurrent_sessions: usize,
-    /// Total answers applied in the interactive phase.
-    pub total_answers: usize,
-    /// The measured phases.
-    pub phases: Vec<PhaseReport>,
-    /// Per-session resident memory, sampled after the interactive phase
-    /// while all sessions are live and fully answered.
-    pub session_memory: ManagerStats,
-    /// Restore latency as a function of history length (the `restore`
-    /// phase, bucketed).
-    pub restore_vs_history: Vec<RestoreByHistory>,
-    /// The decision-cache fleet phase (cold vs warm first questions).
-    pub fleet: FleetReport,
-    /// The hibernation phase (park + wake the interactive fleet).
-    pub hibernate: HibernateReport,
-    /// The durability phase (WAL overhead + timed recovery).
-    pub durability: DurabilityReport,
-    /// The transport phase (the workload over loopback HTTP).
-    pub transport: TransportReport,
-    /// The overload phase (load shedding under chaos-proxied pressure).
-    pub overload: OverloadReport,
-}
-
-impl ToJson for ThroughputReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("bench".into(), Json::str("server_throughput")),
-            ("instance".into(), Json::str("flight_hotel")),
-            ("threads".into(), Json::num(self.params.threads as f64)),
-            (
-                "sessions_per_thread".into(),
-                Json::num(self.params.sessions_per_thread as f64),
-            ),
-            (
-                "concurrent_sessions".into(),
-                Json::num(self.concurrent_sessions as f64),
-            ),
-            ("shards".into(), Json::num(self.params.shards as f64)),
-            ("seed".into(), Json::num(self.params.seed as f64)),
-            ("total_answers".into(), Json::num(self.total_answers as f64)),
-            (
-                "session_memory".into(),
-                Json::Obj(vec![
-                    (
-                        "sessions".into(),
-                        Json::num(self.session_memory.sessions as f64),
-                    ),
-                    (
-                        "resident_sessions".into(),
-                        Json::num(self.session_memory.resident_sessions as f64),
-                    ),
-                    (
-                        "hibernated_sessions".into(),
-                        Json::num(self.session_memory.hibernated_sessions as f64),
-                    ),
-                    (
-                        "state_bytes_total".into(),
-                        Json::num(self.session_memory.state_bytes as f64),
-                    ),
-                    (
-                        "state_bytes_per_session".into(),
-                        Json::Num(self.session_memory.state_bytes_per_session()),
-                    ),
-                    (
-                        "resident_bytes_total".into(),
-                        Json::num(self.session_memory.resident_bytes as f64),
-                    ),
-                    (
-                        "resident_bytes_per_session".into(),
-                        Json::Num(self.session_memory.resident_bytes_per_session()),
-                    ),
-                    (
-                        "history_bytes_total".into(),
-                        Json::num(self.session_memory.history_bytes as f64),
-                    ),
-                    (
-                        "hibernated_bytes_total".into(),
-                        Json::num(self.session_memory.hibernated_bytes as f64),
-                    ),
-                    (
-                        "decision_cache".into(),
-                        cache_json(&self.session_memory.decision_cache),
-                    ),
-                ]),
-            ),
-            ("phases".into(), json::arr(&self.phases)),
-            (
-                "restore_vs_history".into(),
-                json::arr(&self.restore_vs_history),
-            ),
-            ("fleet".into(), self.fleet.to_json()),
-            ("hibernate".into(), self.hibernate.to_json()),
-            ("durability".into(), self.durability.to_json()),
-            ("transport".into(), self.transport.to_json()),
-            ("overload".into(), self.overload.to_json()),
-        ])
-    }
-}
-
-impl ThroughputReport {
-    /// Renders the phases as an aligned plain-text table.
-    pub fn table(&self) -> String {
-        let mut out = String::new();
+/// Renders a [`run`] report as plain text: the phases as an aligned
+/// table, then one line per later phase.
+pub fn table(report: &Json) -> String {
+    let n = |path: &str| f64_at(report, path);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{} sessions ({} threads × {}), {} shards, {} interactive answers",
+        n("concurrent_sessions"),
+        n("threads"),
+        n("sessions_per_thread"),
+        n("shards"),
+        n("total_answers"),
+    );
+    let _ = writeln!(
+        out,
+        "session memory: {:.0} B derived state/session ({} B total), {} B history total",
+        n("session_memory.state_bytes_per_session"),
+        n("session_memory.state_bytes_total"),
+        n("session_memory.history_bytes_total"),
+    );
+    let _ = writeln!(
+        out,
+        "{:<12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "phase", "ops", "ops/s", "mean µs", "p50 µs", "p95 µs", "p99 µs", "max µs"
+    );
+    for p in arr_at(report, "phases") {
+        let n = |path: &str| f64_at(p, path);
         let _ = writeln!(
             out,
-            "{} sessions ({} threads × {}), {} shards, {} interactive answers",
-            self.concurrent_sessions,
-            self.params.threads,
-            self.params.sessions_per_thread,
-            self.params.shards,
-            self.total_answers,
+            "{:<12} {:>10} {:>12.0} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
+            str_at(p, "phase"),
+            n("latency.count"),
+            n("ops_per_sec"),
+            n("latency.mean_us"),
+            n("latency.p50_us"),
+            n("latency.p95_us"),
+            n("latency.p99_us"),
+            n("latency.max_us"),
         );
-        let _ = writeln!(
-            out,
-            "session memory: {:.0} B derived state/session ({} B total), {} B history total",
-            self.session_memory.state_bytes_per_session(),
-            self.session_memory.state_bytes,
-            self.session_memory.history_bytes,
-        );
-        let _ = writeln!(
-            out,
-            "{:<12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            "phase", "ops", "ops/s", "mean µs", "p50 µs", "p95 µs", "p99 µs", "max µs"
-        );
-        for p in &self.phases {
-            let _ = writeln!(
-                out,
-                "{:<12} {:>10} {:>12.0} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-                p.name,
-                p.latency.count,
-                p.ops_per_sec,
-                p.latency.mean_us,
-                p.latency.p50_us,
-                p.latency.p95_us,
-                p.latency.p99_us,
-                p.latency.max_us,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "fleet ({} / {}): first question cold {:.1} µs mean ({} sessions) vs warm {:.3} µs \
-             mean ({} sessions) — {:.0}× ({} hits / {} misses, {} B cache of {} B budget)",
-            self.fleet.instance,
-            self.fleet.strategy,
-            self.fleet.cold_first_question.mean_us,
-            self.fleet.cold_sessions,
-            self.fleet.warm_first_question.mean_us,
-            self.fleet.warm_sessions,
-            self.fleet.warm_speedup,
-            self.fleet.cache.hits,
-            self.fleet.cache.misses,
-            self.fleet.cache.bytes,
-            self.fleet.cache.budget_bytes,
-        );
-        let _ = writeln!(
-            out,
-            "hibernate: {} of {} sessions parked, {:.0} B resident → {:.0} B parked per \
-             session; stats {:.2} µs; wake mean {:.1} µs / p50 {:.1} µs",
-            self.hibernate.parked,
-            self.hibernate.sessions,
-            self.hibernate.resident_bytes_per_session,
-            self.hibernate.hibernated_bytes_per_session,
-            self.hibernate.stats_us,
-            self.hibernate.wake.mean_us,
-            self.hibernate.wake.p50_us,
-        );
-        let _ = writeln!(
-            out,
-            "durability: group-commit {:.1} µs/answer ({:.2}× throughput cost, {} fsyncs \
-             / {} records), fsync-per-record {:.1} µs ({:.2}×); recovery {} sessions \
-             ({} spilled, {} WAL records) in {:.1} ms — {:.0} sessions/s",
-            self.durability.wal_group.latency.mean_us,
-            self.durability.overhead_group_x,
-            self.durability.wal_syncs,
-            self.durability.wal_records,
-            self.durability.wal_sync.latency.mean_us,
-            self.durability.overhead_sync_x,
-            self.durability.recovery.sessions,
-            self.durability.recovery.spilled,
-            self.durability.recovery.wal_records,
-            self.durability.recovery.elapsed_ms,
-            self.durability.recovery.sessions_per_sec,
-        );
-        let _ = writeln!(
-            out,
-            "transport: {} concurrent HTTP sessions ({} open at peak, {} client threads → \
-             {} server workers), {} requests at {:.0} req/s; mean {:.1} µs / p95 {:.1} µs, \
-             {} restored over the wire, {} protocol errors",
-            self.transport.sessions,
-            self.transport.open_connections_peak,
-            self.transport.client_threads,
-            self.transport.server_workers,
-            self.transport.requests,
-            self.transport.requests_per_sec,
-            self.transport.request_latency.mean_us,
-            self.transport.request_latency.p95_us,
-            self.transport.restored,
-            self.transport.protocol_errors,
-        );
-        let _ = writeln!(
-            out,
-            "overload: {} clients (+{} chaos) → {} workers via chaos proxy; {} offered, \
-             {} accepted at {:.0}/s (p99 {:.1} µs, {:.2}× uncontended), {} shed at mean \
-             {:.1} µs; {} wedged, {} client errors, {} protocol errors, {} faults injected",
-            self.overload.clients,
-            self.overload.chaos_clients,
-            self.overload.server_workers,
-            self.overload.offered,
-            self.overload.accepted,
-            self.overload.goodput_per_sec,
-            self.overload.accepted_latency.p99_us,
-            self.overload.p99_ratio,
-            self.overload.shed,
-            self.overload.shed_latency.mean_us,
-            self.overload.wedged,
-            self.overload.client_errors,
-            self.overload.protocol_errors,
-            self.overload.faults_injected,
-        );
-        out
     }
+    let _ = writeln!(
+        out,
+        "fleet ({} / {}): first question cold {:.1} µs mean ({} sessions) vs warm {:.3} µs \
+         mean ({} sessions) — {:.0}× ({} hits / {} misses, {} B cache of {} B budget)",
+        str_at(report, "fleet.instance"),
+        str_at(report, "fleet.strategy"),
+        n("fleet.cold_first_question.mean_us"),
+        n("fleet.cold_sessions"),
+        n("fleet.warm_first_question.mean_us"),
+        n("fleet.warm_sessions"),
+        n("fleet.warm_speedup"),
+        n("fleet.decision_cache.hits"),
+        n("fleet.decision_cache.misses"),
+        n("fleet.decision_cache.bytes"),
+        n("fleet.decision_cache.budget_bytes"),
+    );
+    let _ = writeln!(
+        out,
+        "hibernate: {} of {} sessions parked, {:.0} B resident → {:.0} B parked per \
+         session; stats {:.2} µs; wake mean {:.1} µs / p50 {:.1} µs",
+        n("hibernate.parked"),
+        n("hibernate.sessions"),
+        n("hibernate.resident_bytes_per_session"),
+        n("hibernate.hibernated_bytes_per_session"),
+        n("hibernate.stats_us"),
+        n("hibernate.wake.mean_us"),
+        n("hibernate.wake.p50_us"),
+    );
+    let _ = writeln!(
+        out,
+        "durability: group-commit {:.1} µs/answer ({:.2}× throughput cost, {} fsyncs \
+         / {} records), fsync-per-record {:.1} µs ({:.2}×); recovery {} sessions \
+         ({} spilled, {} WAL records) in {:.1} ms — {:.0} sessions/s",
+        n("durability.wal_group.latency.mean_us"),
+        n("durability.overhead_group_x"),
+        n("durability.wal_syncs"),
+        n("durability.wal_records"),
+        n("durability.wal_sync.latency.mean_us"),
+        n("durability.overhead_sync_x"),
+        n("durability.recovery.sessions"),
+        n("durability.recovery.spilled"),
+        n("durability.recovery.wal_records"),
+        n("durability.recovery.elapsed_ms"),
+        n("durability.recovery.sessions_per_sec"),
+    );
+    let _ = writeln!(
+        out,
+        "transport: {} concurrent HTTP sessions ({} open at peak, {} client threads → \
+         {} server workers), {} requests at {:.0} req/s; mean {:.1} µs / p95 {:.1} µs, \
+         {} restored over the wire, {} protocol errors",
+        n("transport.sessions"),
+        n("transport.open_connections_peak"),
+        n("transport.client_threads"),
+        n("transport.server_workers"),
+        n("transport.requests"),
+        n("transport.requests_per_sec"),
+        n("transport.request_latency.mean_us"),
+        n("transport.request_latency.p95_us"),
+        n("transport.restored"),
+        n("transport.protocol_errors"),
+    );
+    let _ = writeln!(
+        out,
+        "overload: {} clients (+{} chaos) → {} workers via chaos proxy; {} offered, \
+         {} accepted at {:.0}/s (p99 {:.1} µs, {:.2}× uncontended), {} shed at mean \
+         {:.1} µs; {} wedged, {} client errors, {} protocol errors, {} faults injected",
+        n("overload.clients"),
+        n("overload.chaos_clients"),
+        n("overload.server_workers"),
+        n("overload.offered"),
+        n("overload.accepted"),
+        n("overload.goodput_per_sec"),
+        n("overload.accepted_latency.p99_us"),
+        n("overload.p99_ratio"),
+        n("overload.shed"),
+        n("overload.shed_latency.mean_us"),
+        n("overload.wedged"),
+        n("overload.client_errors"),
+        n("overload.protocol_errors"),
+        n("overload.faults_injected"),
+    );
+    out
 }
 
 /// The per-session setup the phases share: strategy mix + goal oracle.
@@ -890,8 +442,9 @@ fn fleet_manager(
 }
 
 /// Runs the in-process phases, then the fleet, hibernate, durability,
-/// transport and overload phases, and assembles the report.
-pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
+/// transport and overload phases, and assembles the report (its schema
+/// is in `docs/BENCHMARKS.md`).
+pub fn run(tiny: bool, params: ThroughputParams) -> Json {
     let params = if tiny {
         ThroughputParams::tiny()
     } else {
@@ -927,8 +480,7 @@ pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
     });
     let elapsed = phase_start.elapsed();
     let (latencies, histories): (Vec<_>, Vec<_>) = driven.into_iter().unzip();
-    let interactive = PhaseReport::of("interactive", elapsed, latencies.concat());
-    let total_answers = interactive.latency.count;
+    let interactive = phase("interactive", elapsed, latencies.concat());
     // Resident footprint while every session is live and fully answered.
     let session_memory = manager.stats();
 
@@ -950,7 +502,7 @@ pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
         }
         lat
     });
-    let batch = PhaseReport::of("batch", phase_start.elapsed(), lat.concat());
+    let batch = phase("batch", phase_start.elapsed(), lat.concat());
 
     // Phase 3: snapshot → JSON → restore round-trips into a fresh manager,
     // verified against the original predicate.
@@ -972,7 +524,7 @@ pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
         }
         lat
     });
-    let snapshot = PhaseReport::of("snapshot", phase_start.elapsed(), lat.concat());
+    let snapshot = phase("snapshot", phase_start.elapsed(), lat.concat());
 
     // Phase 4: the restore half alone — deterministic replay folded through
     // `apply_batch` mask ops, no JSON on the path — bucketed by history
@@ -1002,13 +554,15 @@ pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
     }
     let restore_vs_history = buckets
         .into_iter()
-        .map(|(history_len, (count, total_ns))| RestoreByHistory {
-            history_len,
-            count,
-            mean_us: total_ns as f64 / count as f64 / 1000.0,
+        .map(|(history_len, (count, total_ns))| {
+            Json::Obj(vec![
+                num("history_len", history_len as f64),
+                num("count", count as f64),
+                num("mean_us", total_ns as f64 / count as f64 / 1000.0),
+            ])
         })
         .collect();
-    let restore = PhaseReport::of("restore", elapsed, lat);
+    let restore = phase("restore", elapsed, lat);
 
     // Phase 5: the decision cache under an LkS fleet on TPC-H — cold
     // (cache disabled, every session pays the full first-question
@@ -1032,15 +586,24 @@ pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
         let _ = manager.next_question(id).expect("live session");
         wake_lat.push(t0.elapsed().as_nanos() as u64);
     }
-    let hibernate = HibernateReport {
-        sessions: total_sessions,
-        parked,
-        resident_bytes_per_session: session_memory.resident_bytes_per_session(),
-        state_bytes_per_session: session_memory.state_bytes_per_session(),
-        hibernated_bytes_per_session: parked_stats.hibernated_bytes_per_session(),
-        stats_us,
-        wake: LatencySummary::of(wake_lat),
-    };
+    let hibernate = Json::Obj(vec![
+        num("sessions", total_sessions as f64),
+        num("parked", parked as f64),
+        num(
+            "resident_bytes_per_session",
+            session_memory.resident_bytes_per_session(),
+        ),
+        num(
+            "state_bytes_per_session",
+            session_memory.state_bytes_per_session(),
+        ),
+        num(
+            "hibernated_bytes_per_session",
+            parked_stats.hibernated_bytes_per_session(),
+        ),
+        num("stats_us", stats_us),
+        field("wake", LatencySummary::of(wake_lat).json()),
+    ]);
 
     // Phase 7: durability — the interactive workload again, this time
     // with a real WAL (and spill segments) under it, then a timed
@@ -1057,19 +620,27 @@ pub fn run(tiny: bool, params: ThroughputParams) -> ThroughputReport {
     // thresholds; measures the shedder, not the service.
     let overload = overload_phase(tiny, params.seed);
 
-    ThroughputReport {
-        params,
-        concurrent_sessions: total_sessions,
-        total_answers,
-        phases: vec![interactive, batch, snapshot, restore],
-        session_memory,
-        restore_vs_history,
-        fleet,
-        hibernate,
-        durability,
-        transport,
-        overload,
-    }
+    Json::Obj(vec![
+        field("bench", Json::str("server_throughput")),
+        field("instance", Json::str("flight_hotel")),
+        num("threads", params.threads as f64),
+        num("sessions_per_thread", params.sessions_per_thread as f64),
+        num("concurrent_sessions", total_sessions as f64),
+        num("shards", params.shards as f64),
+        num("seed", params.seed as f64),
+        num("total_answers", f64_at(&interactive, "latency.count")),
+        field("session_memory", session_memory_json(&session_memory)),
+        field(
+            "phases",
+            Json::Arr(vec![interactive, batch, snapshot, restore]),
+        ),
+        field("restore_vs_history", Json::Arr(restore_vs_history)),
+        field("fleet", fleet),
+        field("hibernate", hibernate),
+        field("durability", durability),
+        field("transport", transport),
+        field("overload", overload),
+    ])
 }
 
 /// The path that creates a session on the HTTP phases' `bench` tenant.
@@ -1085,7 +656,17 @@ fn created_sid(resp: &jqi_net::ClientResponse) -> Option<u64> {
         .map(|n| n as u64)
 }
 
-/// Drives the overload phase (see [`OverloadReport`]).
+/// Drives the overload phase: the gateway behind the chaos proxy under
+/// more offered load than its worker pool can serve, with tight
+/// admission thresholds — the measurement of the load shedder itself. A
+/// clean uncontended pass on the same wire path sets the latency
+/// baseline; then a fleet of clients several times the worker pool
+/// hammers the same endpoints. The acceptance shape: accepted requests
+/// stay within a small factor of the uncontended p99 (the queue a
+/// request waits behind is bounded by the shed thresholds), shed
+/// responses come back in well under a millisecond (the 503 is written
+/// before routing or body parsing), nothing wedges, and the wire stays
+/// clean.
 ///
 /// Topology: a 2-worker gateway with `queue_soft: 2` / `queue_hard`
 /// above the client count, reached only through a [`jqi_net::ChaosProxy`]
@@ -1099,7 +680,7 @@ fn created_sid(resp: &jqi_net::ClientResponse) -> Option<u64> {
 /// fixed request budget, extended (bounded) until the fleet has
 /// collectively seen a minimum number of sheds, so the shed-latency
 /// summary is never empty on a fast machine.
-fn overload_phase(tiny: bool, seed: u64) -> OverloadReport {
+fn overload_phase(tiny: bool, seed: u64) -> Json {
     use jqi_datagen::tpch::{workload, TpchJoin, TpchScale};
     use jqi_net::{ChaosProxy, ChaosScript, Client, Fault, NetConfig};
     use jqi_server::http::{serve_with, OverloadConfig, UniverseRegistry};
@@ -1344,28 +925,31 @@ fn overload_phase(tiny: bool, seed: u64) -> OverloadReport {
         "the overload mix must shed some reads (all {offered} offered requests served)"
     );
     let accepted_latency = LatencySummary::of(accepted_lat);
-    let shed_latency = LatencySummary::of(shed_lat);
-    OverloadReport {
-        clients: clients_n,
-        chaos_clients: chaos_clients_n,
-        server_workers,
-        offered,
-        accepted,
-        shed,
-        client_errors,
-        protocol_errors: net_stats.protocol_errors,
-        wedged,
-        faults_injected: chaos_stats.faults_injected,
-        p99_ratio: accepted_latency.p99_us / uncontended.p99_us,
-        goodput_per_sec: accepted as f64 / elapsed_s,
-        uncontended,
-        accepted_latency,
-        shed_latency,
-        elapsed_s,
-    }
+    Json::Obj(vec![
+        num("clients", clients_n as f64),
+        num("chaos_clients", chaos_clients_n as f64),
+        num("server_workers", server_workers as f64),
+        num("offered", offered as f64),
+        num("accepted", accepted as f64),
+        num("shed", shed as f64),
+        num("client_errors", client_errors as f64),
+        num("protocol_errors", net_stats.protocol_errors as f64),
+        num("wedged", wedged as f64),
+        num("faults_injected", chaos_stats.faults_injected as f64),
+        field("uncontended", uncontended.json()),
+        field("accepted_latency", accepted_latency.json()),
+        field("shed_latency", LatencySummary::of(shed_lat).json()),
+        num("p99_ratio", accepted_latency.p99_us / uncontended.p99_us),
+        num("goodput_per_sec", accepted as f64 / elapsed_s),
+        num("elapsed_s", elapsed_s),
+    ])
 }
 
-/// Drives the full session lifecycle over loopback HTTP: every session
+/// Drives the transport phase: the question/answer/snapshot/restore
+/// workload again, over real loopback HTTP through the `jqi_net` epoll
+/// server and the `jqi_server::http` gateway, so the measurement covers
+/// wire framing, JSON bodies, routing, and the parked-connection
+/// hand-off, not just the in-process service path. Every session
 /// gets its own keep-alive connection, all `threads ×
 /// sessions_per_thread` connections are held open concurrently, and each
 /// session runs create → question/answer to completion → snapshot →
@@ -1378,7 +962,7 @@ fn transport_phase(
     params: &ThroughputParams,
     universe: &Arc<Universe>,
     plans: &[SessionPlan],
-) -> TransportReport {
+) -> Json {
     use jqi_net::{Client, NetConfig};
     use jqi_server::http::{serve, UniverseRegistry};
     use jqi_server::json::Json as Wire;
@@ -1518,18 +1102,18 @@ fn transport_phase(
 
     let all: Vec<u64> = latencies.into_iter().flatten().collect();
     let requests = all.len();
-    TransportReport {
-        sessions,
-        client_threads: params.threads,
-        server_workers,
-        requests,
-        elapsed_s,
-        requests_per_sec: requests as f64 / elapsed_s,
-        request_latency: LatencySummary::of(all),
-        open_connections_peak,
-        restored,
-        protocol_errors: net_stats.protocol_errors,
-    }
+    Json::Obj(vec![
+        num("sessions", sessions as f64),
+        num("client_threads", params.threads as f64),
+        num("server_workers", server_workers as f64),
+        num("requests", requests as f64),
+        num("elapsed_s", elapsed_s),
+        num("requests_per_sec", requests as f64 / elapsed_s),
+        field("request_latency", LatencySummary::of(all).json()),
+        num("open_connections_peak", open_connections_peak as f64),
+        num("restored", restored as f64),
+        num("protocol_errors", net_stats.protocol_errors as f64),
+    ])
 }
 
 const GROUP_EVERY: usize = 2048;
@@ -1549,13 +1133,13 @@ fn durability_config(group_commit_every: usize) -> DurabilityConfig {
 /// interactive phase, so the per-answer means are directly comparable.
 /// Returns the phase report and the (still live) manager.
 fn durable_drive(
-    name: &'static str,
+    name: &str,
     params: &ThroughputParams,
     universe: &Arc<Universe>,
     plans: &[SessionPlan],
     dir: &Path,
     group_commit_every: usize,
-) -> (PhaseReport, SessionManager) {
+) -> (Json, SessionManager) {
     let (manager, _) = fleet_manager(params, universe, Some((dir, group_commit_every)));
     let ids: Vec<SessionId> = plans
         .iter()
@@ -1577,8 +1161,10 @@ fn durable_drive(
     // workload's durability cost: flush inside the timed region so ops/s
     // stays honest.
     manager.flush_wal().expect("wal flush");
-    let report = PhaseReport::of(name, phase_start.elapsed(), latencies.concat());
-    (report, manager)
+    (
+        phase(name, phase_start.elapsed(), latencies.concat()),
+        manager,
+    )
 }
 
 /// Runs the durability phase (see the module docs). `in_memory` is the
@@ -1587,8 +1173,8 @@ fn durability_phase(
     params: &ThroughputParams,
     universe: &Arc<Universe>,
     plans: &[SessionPlan],
-    in_memory: &PhaseReport,
-) -> DurabilityReport {
+    in_memory: &Json,
+) -> Json {
     let root =
         std::env::temp_dir().join(format!("jqi-throughput-durability-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -1628,30 +1214,36 @@ fn durability_phase(
     drop(sync_manager);
     let _ = std::fs::remove_dir_all(&root);
 
-    DurabilityReport {
-        sessions: plans.len(),
-        in_memory_mean_us: in_memory.latency.mean_us,
-        overhead_group_x: in_memory.ops_per_sec / wal_group.ops_per_sec,
-        overhead_sync_x: in_memory.ops_per_sec / wal_sync.ops_per_sec,
-        wal_records: wal_stats.wal_records,
-        wal_syncs: wal_stats.wal_syncs,
-        wal_bytes: wal_stats.wal_appended_bytes,
-        recovery: RecoveryBench {
-            sessions: recovery_report.sessions,
-            spilled: recovery_report.spilled,
-            wal_records: recovery_report.wal_records,
-            elapsed_ms,
-            sessions_per_sec: recovery_report.sessions as f64 / (elapsed_ms / 1000.0),
-        },
-        wal_group,
-        wal_sync,
-    }
+    let overhead = |phase: &Json| f64_at(in_memory, "ops_per_sec") / f64_at(phase, "ops_per_sec");
+    let (overhead_group_x, overhead_sync_x) = (overhead(&wal_group), overhead(&wal_sync));
+    let recovery = Json::Obj(vec![
+        num("sessions", recovery_report.sessions as f64),
+        num("spilled", recovery_report.spilled as f64),
+        num("wal_records", recovery_report.wal_records as f64),
+        num("elapsed_ms", elapsed_ms),
+        num(
+            "sessions_per_sec",
+            recovery_report.sessions as f64 / (elapsed_ms / 1000.0),
+        ),
+    ]);
+    Json::Obj(vec![
+        num("sessions", plans.len() as f64),
+        num("in_memory_mean_us", f64_at(in_memory, "latency.mean_us")),
+        field("wal_group", wal_group),
+        field("wal_sync", wal_sync),
+        num("overhead_group_x", overhead_group_x),
+        num("overhead_sync_x", overhead_sync_x),
+        num("wal_records", wal_stats.wal_records as f64),
+        num("wal_syncs", wal_stats.wal_syncs as f64),
+        num("wal_bytes", wal_stats.wal_appended_bytes as f64),
+        field("recovery", recovery),
+    ])
 }
 
 /// Drives the cold and warm fleets of the fleet phase (see the module
 /// docs): same TPC-H workload, same strategy, the only difference being
 /// the universe's decision-cache budget.
-fn fleet_phase(tiny: bool, seed: u64) -> FleetReport {
+fn fleet_phase(tiny: bool, seed: u64) -> Json {
     use jqi_datagen::tpch::{workload, TpchJoin, TpchScale};
     let strategy = StrategyConfig::Lks { depth: 2 };
     let (cold_n, warm_n) = if tiny { (4, 16) } else { (32, 1024) };
@@ -1677,206 +1269,168 @@ fn fleet_phase(tiny: bool, seed: u64) -> FleetReport {
     };
     let cold_first_question = LatencySummary::of(first_questions(&cold_universe, cold_n));
     let warm_first_question = LatencySummary::of(first_questions(&warm_universe, warm_n));
-    let cache = warm_universe.decision_cache_stats();
-    FleetReport {
-        instance: format!("tpch {} {}", TpchScale::Small, TpchJoin::Join4),
-        strategy: strategy.to_string(),
-        cold_sessions: cold_n,
-        warm_sessions: warm_n,
-        warm_speedup: cold_first_question.mean_us / warm_first_question.mean_us,
-        cold_first_question,
-        warm_first_question,
-        cache,
-    }
+    Json::Obj(vec![
+        field(
+            "instance",
+            Json::str(format!("tpch {} {}", TpchScale::Small, TpchJoin::Join4)),
+        ),
+        field("strategy", Json::str(strategy.to_string())),
+        num("cold_sessions", cold_n as f64),
+        num("warm_sessions", warm_n as f64),
+        field("cold_first_question", cold_first_question.json()),
+        field("warm_first_question", warm_first_question.json()),
+        num(
+            "warm_speedup",
+            cold_first_question.mean_us / warm_first_question.mean_us,
+        ),
+        field(
+            "decision_cache",
+            cache_json(&warm_universe.decision_cache_stats()),
+        ),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
-
-    /// Every leaf key path of `value` under `path`, array indices
-    /// collapsed to `[]`.
-    fn leaf_paths(value: &Json, path: &str, out: &mut BTreeSet<String>) {
-        match value {
-            Json::Obj(fields) => {
-                for (key, field) in fields {
-                    let path = if path.is_empty() {
-                        key.clone()
-                    } else {
-                        format!("{path}.{key}")
-                    };
-                    leaf_paths(field, &path, out);
-                }
-            }
-            Json::Arr(items) => {
-                for item in items {
-                    leaf_paths(item, &format!("{path}[]"), out);
-                }
-            }
-            _ => {
-                out.insert(path.to_string());
-            }
-        }
-    }
+    use crate::json::{at, ci_baseline, leaf_paths};
 
     #[test]
     fn tiny_run_reports_all_phases() {
         let report = run(true, ThroughputParams::default());
-        assert_eq!(report.concurrent_sessions, 16);
-        assert_eq!(report.phases.len(), 4);
-        assert!(report.total_answers >= report.concurrent_sessions);
-        for phase in &report.phases {
-            assert!(phase.latency.count > 0);
-            assert!(phase.latency.p50_us <= phase.latency.p95_us);
-            assert!(phase.latency.p95_us <= phase.latency.max_us);
+        let n = |path: &str| f64_at(&report, path);
+        assert_eq!(n("concurrent_sessions"), 16.0);
+        let phases: Vec<&str> = arr_at(&report, "phases")
+            .iter()
+            .map(|p| str_at(p, "phase"))
+            .collect();
+        assert_eq!(phases, ["interactive", "batch", "snapshot", "restore"]);
+        assert!(n("total_answers") >= n("concurrent_sessions"));
+        for phase in arr_at(&report, "phases") {
+            let n = |path: &str| f64_at(phase, path);
+            assert!(n("latency.count") > 0.0);
+            assert!(n("latency.p50_us") <= n("latency.p95_us"));
+            assert!(n("latency.p95_us") <= n("latency.max_us"));
         }
         // Per-session memory was sampled while all sessions were live.
-        assert_eq!(report.session_memory.sessions, 16);
-        assert_eq!(report.session_memory.resident_sessions, 16);
-        assert!(report.session_memory.state_bytes > 0);
+        assert_eq!(n("session_memory.sessions"), 16.0);
+        assert_eq!(n("session_memory.resident_sessions"), 16.0);
+        assert!(n("session_memory.state_bytes_total") > 0.0);
         assert!(
-            report.session_memory.state_bytes_per_session() <= 200.0,
+            n("session_memory.state_bytes_per_session") <= 200.0,
             "session state ballooned: {} B/session",
-            report.session_memory.state_bytes_per_session()
+            n("session_memory.state_bytes_per_session")
         );
         // The interactive mix contains deterministic strategies, so the
         // shared decision cache saw traffic and stayed inside its budget.
-        let cache = &report.session_memory.decision_cache;
-        assert!(cache.hits + cache.misses > 0);
-        assert!(cache.bytes <= cache.budget_bytes);
+        assert!(
+            n("session_memory.decision_cache.hits") + n("session_memory.decision_cache.misses")
+                > 0.0
+        );
+        assert!(
+            n("session_memory.decision_cache.bytes")
+                <= n("session_memory.decision_cache.budget_bytes")
+        );
         // Fleet phase: the warm fleet must beat the cold one (the real
         // margin — ≥5× — is asserted on the committed full-size run, not
         // here, where debug builds and CI noise would make it flaky).
-        assert_eq!(report.fleet.cold_sessions, 4);
-        assert_eq!(report.fleet.warm_sessions, 16);
-        assert!(report.fleet.cache.hits >= (report.fleet.warm_sessions - 1) as u64);
+        assert_eq!(n("fleet.cold_sessions"), 4.0);
+        assert_eq!(n("fleet.warm_sessions"), 16.0);
+        assert!(n("fleet.decision_cache.hits") >= n("fleet.warm_sessions") - 1.0);
         assert!(
-            report.fleet.warm_speedup > 1.0,
+            n("fleet.warm_speedup") > 1.0,
             "warm fleet not faster than cold: {}",
-            report.fleet.warm_speedup
+            n("fleet.warm_speedup")
         );
-        assert!(report.fleet.cache.bytes <= report.fleet.cache.budget_bytes);
+        assert!(n("fleet.decision_cache.bytes") <= n("fleet.decision_cache.budget_bytes"));
         // Hibernate phase: everything parked, parked sessions at most half
         // the resident footprint, and every wake measured.
-        assert_eq!(report.hibernate.parked, 16);
-        assert_eq!(report.hibernate.wake.count, 16);
+        assert_eq!(n("hibernate.parked"), 16.0);
+        assert_eq!(n("hibernate.wake.count"), 16.0);
         assert!(
-            report.hibernate.hibernated_bytes_per_session * 2.0
-                <= report.hibernate.resident_bytes_per_session,
+            n("hibernate.hibernated_bytes_per_session") * 2.0
+                <= n("hibernate.resident_bytes_per_session"),
             "parked sessions not at most half the resident bytes: {} vs {}",
-            report.hibernate.hibernated_bytes_per_session,
-            report.hibernate.resident_bytes_per_session
+            n("hibernate.hibernated_bytes_per_session"),
+            n("hibernate.resident_bytes_per_session")
         );
         // Restore latencies are bucketed by history length and cover every
         // session.
-        let restored: usize = report.restore_vs_history.iter().map(|b| b.count).sum();
-        assert_eq!(restored, report.concurrent_sessions);
-        assert!(report
-            .restore_vs_history
+        let buckets = arr_at(&report, "restore_vs_history");
+        let restored: f64 = buckets.iter().map(|b| f64_at(b, "count")).sum();
+        assert_eq!(restored, n("concurrent_sessions"));
+        assert!(buckets
             .windows(2)
-            .all(|w| w[0].history_len < w[1].history_len));
+            .all(|w| f64_at(&w[0], "history_len") < f64_at(&w[1], "history_len")));
         // Durability phase: both WAL configurations drove the full fleet,
         // overheads are real ratios, and recovery brought everyone back.
-        let d = &report.durability;
-        assert_eq!(d.sessions, 16);
-        assert!(d.wal_group.latency.count >= report.concurrent_sessions);
-        assert!(d.wal_sync.latency.count >= report.concurrent_sessions);
-        assert!(d.overhead_group_x > 0.0 && d.overhead_sync_x > 0.0);
-        assert!(d.wal_records > 0 && d.wal_syncs > 0 && d.wal_bytes > 0);
-        assert_eq!(d.recovery.sessions, 16);
+        assert_eq!(n("durability.sessions"), 16.0);
+        assert!(n("durability.wal_group.latency.count") >= n("concurrent_sessions"));
+        assert!(n("durability.wal_sync.latency.count") >= n("concurrent_sessions"));
+        assert!(n("durability.overhead_group_x") > 0.0 && n("durability.overhead_sync_x") > 0.0);
+        for counter in ["wal_records", "wal_syncs", "wal_bytes"] {
+            assert!(n(&format!("durability.{counter}")) > 0.0, "{counter}");
+        }
+        assert_eq!(n("durability.recovery.sessions"), 16.0);
         assert!(
-            d.recovery.spilled > 0,
+            n("durability.recovery.spilled") > 0.0,
             "zero watermark must spill the fleet"
         );
-        assert!(d.recovery.wal_records > 0);
-        assert!(d.recovery.sessions_per_sec > 0.0);
+        assert!(n("durability.recovery.wal_records") > 0.0);
+        assert!(n("durability.recovery.sessions_per_sec") > 0.0);
         // Transport phase: every session ran its whole lifecycle over a
         // live HTTP connection, all connections were observed open at
         // once, and the wire stayed clean.
-        let t = &report.transport;
-        assert_eq!(t.sessions, 16);
-        assert_eq!(t.open_connections_peak, 16);
-        assert_eq!(t.restored, 16);
-        assert_eq!(t.protocol_errors, 0);
+        assert_eq!(n("transport.sessions"), 16.0);
+        assert_eq!(n("transport.open_connections_peak"), 16.0);
+        assert_eq!(n("transport.restored"), 16.0);
+        assert_eq!(n("transport.protocol_errors"), 0.0);
         // create + snapshot + restore per session, plus at least one
         // question round-trip each.
-        assert!(t.requests >= 4 * t.sessions);
-        assert_eq!(t.request_latency.count, t.requests);
-        assert!(t.requests_per_sec > 0.0);
+        assert!(n("transport.requests") >= 4.0 * n("transport.sessions"));
+        assert_eq!(
+            n("transport.request_latency.count"),
+            n("transport.requests")
+        );
+        assert!(n("transport.requests_per_sec") > 0.0);
         // Overload phase: both outcomes occurred, nothing wedged, the
         // wire stayed clean, and sheds were fast even in a debug build.
-        let o = &report.overload;
-        assert_eq!(o.clients, 8);
-        assert_eq!(o.offered, o.accepted + o.shed);
-        assert!(o.accepted > 0 && o.shed > 0, "{o:?}");
-        assert!(o.shed as u64 >= 25 || o.offered >= o.clients * 160, "{o:?}");
-        assert_eq!(o.client_errors, 0, "{o:?}");
-        assert_eq!(o.protocol_errors, 0, "{o:?}");
-        assert_eq!(o.wedged, 0, "{o:?}");
-        assert!(o.faults_injected >= 2, "{o:?}");
-        assert!(o.goodput_per_sec > 0.0);
+        let o = at(&report, "overload").expect("overload block");
+        let n = |path: &str| f64_at(o, path);
+        assert_eq!(n("clients"), 8.0);
+        assert_eq!(n("offered"), n("accepted") + n("shed"));
+        assert!(n("accepted") > 0.0 && n("shed") > 0.0, "{o:?}");
         assert!(
-            o.shed_latency.mean_us < 5_000.0,
-            "sheds must be fast even in debug: {:?}",
-            o.shed_latency
+            n("shed") >= 25.0 || n("offered") >= n("clients") * 160.0,
+            "{o:?}"
         );
-        // The JSON report carries the acceptance-relevant fields.
-        let json = report.to_json().to_string_pretty();
-        for needle in [
-            "server_throughput",
-            "concurrent_sessions",
-            "interactive",
-            "batch",
-            "snapshot",
-            "restore",
-            "p95_us",
-            "session_memory",
-            "state_bytes_per_session",
-            "restore_vs_history",
-            "decision_cache",
-            "budget_bytes",
-            "fleet",
-            "warm_speedup",
-            "cold_first_question",
-            "warm_first_question",
-            "hibernate",
-            "hibernated_bytes_per_session",
-            "resident_bytes_per_session",
-            "stats_us",
-            "wake",
-            "durability",
-            "wal_group",
-            "wal_sync",
-            "overhead_group_x",
-            "sessions_per_sec",
-            "transport",
-            "request_latency",
-            "open_connections_peak",
-            "overload",
-            "goodput_per_sec",
-            "p99_ratio",
-            "shed_latency",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in report");
-        }
-        // The report's schema is the committed baseline's, key for key:
-        // `bench_guard` reads the fresh report by the baseline's keys.
-        let baseline = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../ci/bench_baseline_server.json"
-        ))
-        .expect("committed baseline");
-        let baseline = Json::parse(&baseline).expect("baseline parses");
-        let (mut fresh_paths, mut baseline_paths) = (BTreeSet::new(), BTreeSet::new());
-        leaf_paths(&report.to_json(), "", &mut fresh_paths);
-        leaf_paths(&baseline, "", &mut baseline_paths);
+        assert_eq!(n("client_errors"), 0.0, "{o:?}");
+        assert_eq!(n("protocol_errors"), 0.0, "{o:?}");
+        assert_eq!(n("wedged"), 0.0, "{o:?}");
+        assert!(n("faults_injected") >= 2.0, "{o:?}");
+        assert!(n("goodput_per_sec") > 0.0);
+        assert!(
+            n("shed_latency.mean_us") < 5_000.0,
+            "sheds must be fast even in debug: {o:?}"
+        );
+        // The report's schema is the committed baseline's, key for key and
+        // in document order: `bench_guard` reads the fresh report by the
+        // baseline's keys.
         assert_eq!(
-            fresh_paths
-                .symmetric_difference(&baseline_paths)
-                .collect::<Vec<_>>(),
-            Vec::<&String>::new(),
+            leaf_paths(&report),
+            leaf_paths(&ci_baseline("bench_baseline_server.json")),
             "report schema differs from ci/bench_baseline_server.json"
         );
+        // Every line of the text table renders.
+        let table = table(&report);
+        for line in [
+            "fleet (",
+            "hibernate:",
+            "durability:",
+            "transport:",
+            "overload:",
+        ] {
+            assert!(table.contains(line), "table lacks {line}\n{table}");
+        }
     }
 }

@@ -145,7 +145,7 @@ pub fn run_inference(
         }
     }
     Ok(RunResult {
-        predicate: state.t_pos().clone(),
+        predicate: state.theta_possible().clone(),
         interactions: state.len(),
         history: state.history().to_vec(),
         sample: state.as_sample(),

@@ -59,15 +59,6 @@ pub fn maximal_among(universe: &Universe, classes: &[ClassId]) -> Vec<ClassId> {
     maximal
 }
 
-/// Classes whose signature is `⊆`-minimal among *informative* signatures is
-/// what the bottom-up strategy wants; this helper returns classes sorted by
-/// signature size then class id, the deterministic visit order used by BU.
-pub fn classes_by_signature_size(universe: &Universe) -> Vec<ClassId> {
-    let mut out: Vec<ClassId> = (0..universe.num_classes()).collect();
-    out.sort_by_key(|&c| (universe.sig(c).len(), c));
-    out
-}
-
 /// The join ratio of an instance (§5.3): the average size of the distinct
 /// most-specific predicates `N = {θ | ∃t ∈ D. T(t) = θ}`.
 ///
@@ -349,16 +340,6 @@ mod tests {
         // 1 of size 0, 1 of size 1, 7 of size 2, 3 of size 3 (§5.3).
         assert_eq!(st.size_histogram, vec![1, 1, 7, 3]);
         assert_eq!(st.num_maximal, 7);
-    }
-
-    #[test]
-    fn classes_by_signature_size_is_sorted() {
-        let u = Universe::build(example_2_1());
-        let order = classes_by_signature_size(&u);
-        assert_eq!(order.len(), 12);
-        assert!(order
-            .windows(2)
-            .all(|w| u.sig(w[0]).len() <= u.sig(w[1]).len()));
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl<'u, S: Strategy> Session<'u, S> {
     /// consistent with the answers. The user may stop early and take this
     /// (§4.1: "the halt condition Γ may be weaker in practice").
     pub fn inferred_predicate(&self) -> BitSet {
-        self.state.t_pos().clone()
+        self.state.theta_possible().clone()
     }
 
     /// What the engine already knows about class `c` without asking:

@@ -431,13 +431,6 @@ impl<'u> InferenceState<'u> {
         &self.theta_possible
     }
 
-    /// Alias of [`theta_possible`](Self::theta_possible) matching the
-    /// `Sample::t_pos` name.
-    #[inline]
-    pub fn t_pos(&self) -> &BitSet {
-        &self.theta_possible
-    }
-
     /// `θ_certain`: the attribute pairs contained in **every** consistent
     /// predicate — the lower end of the consistent interval.
     ///
@@ -1089,7 +1082,7 @@ mod tests {
     fn assert_matches_scratch(state: &InferenceState<'_>, sample: &Sample) {
         let u = state.universe();
         assert_eq!(state.is_consistent(), sample.is_consistent(u));
-        assert_eq!(state.t_pos(), sample.t_pos());
+        assert_eq!(state.theta_possible(), sample.t_pos());
         if !state.is_consistent() {
             return; // partition is only defined for consistent samples
         }
@@ -1208,7 +1201,7 @@ mod tests {
                 spec.informative().collect::<Vec<_>>(),
                 direct.informative().collect::<Vec<_>>()
             );
-            assert_eq!(spec.t_pos(), direct.t_pos());
+            assert_eq!(spec.theta_possible(), direct.theta_possible());
             assert_eq!(spec.uninformative_count(), direct.uninformative_count());
         }
     }
@@ -1229,7 +1222,7 @@ mod tests {
                     fresh.informative().collect::<Vec<_>>(),
                     buffer.informative().collect::<Vec<_>>()
                 );
-                assert_eq!(fresh.t_pos(), buffer.t_pos());
+                assert_eq!(fresh.theta_possible(), buffer.theta_possible());
                 assert_eq!(fresh.history(), buffer.history());
                 assert_eq!(fresh.is_consistent(), buffer.is_consistent());
                 assert_eq!(fresh.uninformative_count(), buffer.uninformative_count());
@@ -1335,7 +1328,7 @@ mod tests {
         // Replaying the surviving history reproduces the state.
         let mut replay = InferenceState::new(&u);
         replay.apply_batch(state.history()).unwrap();
-        assert_eq!(replay.t_pos(), state.t_pos());
+        assert_eq!(replay.theta_possible(), state.theta_possible());
         assert_eq!(
             replay.informative().collect::<Vec<_>>(),
             state.informative().collect::<Vec<_>>()
@@ -1392,7 +1385,7 @@ mod tests {
         state.apply(class_of(&u, 2, 1), Label::Negative).unwrap();
         let sample = state.as_sample();
         assert_eq!(sample.len(), 2);
-        assert_eq!(sample.t_pos(), state.t_pos());
+        assert_eq!(sample.t_pos(), state.theta_possible());
         assert_eq!(sample.positives(), state.positives());
         assert_eq!(sample.negatives(), state.negatives());
     }

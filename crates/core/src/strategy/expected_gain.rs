@@ -99,7 +99,7 @@ fn sorted_negatives_and_total<'s>(state: &'s InferenceState<'_>) -> Option<(Vec<
     let mut neg_ids: Vec<ClassId> = state.negatives().to_vec();
     neg_ids.sort_unstable();
     let negs: Vec<&BitSet> = neg_ids.iter().map(|&g| universe.sig(g)).collect();
-    let total = count_down_set(state.t_pos(), &negs);
+    let total = count_down_set(state.theta_possible(), &negs);
     if total <= 0.0 {
         return None; // inconsistent or empty C(S): probability undefined
     }
@@ -115,7 +115,7 @@ fn selecting_probability(
     negs: &[&BitSet],
     total: f64,
 ) -> f64 {
-    let base_sel = state.t_pos().intersection(state.universe().sig(c));
+    let base_sel = state.theta_possible().intersection(state.universe().sig(c));
     (count_down_set(&base_sel, negs) / total).clamp(0.0, 1.0)
 }
 
@@ -295,7 +295,7 @@ mod tests {
             })
             .count() as f64;
         let negs: Vec<&BitSet> = state.negatives().iter().map(|&g| u.sig(g)).collect();
-        let ie = count_down_set(state.t_pos(), &negs);
+        let ie = count_down_set(state.theta_possible(), &negs);
         assert_eq!(ie, brute);
     }
 }

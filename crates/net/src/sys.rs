@@ -27,7 +27,6 @@ pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLERR: u32 = 0x008;
 
 const EPOLL_CTL_ADD: c_int = 1;
-const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 
 /// `struct epoll_event`. Packed on x86-64 (glibc's `__EPOLL_PACKED`),
@@ -126,12 +125,6 @@ impl Epoll {
         self.ctl(EPOLL_CTL_MOD, fd, EPOLLIN | EPOLLONESHOT, token)
     }
 
-    /// Removes `fd` from the interest list (closing the fd does this too;
-    /// explicit removal keeps the accounting obvious).
-    pub fn del(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
-    }
-
     /// Waits up to `timeout_ms` for events, filling `events` with at most
     /// `max` of them (capped by its capacity); returns how many fired.
     /// `EINTR` retries internally.
@@ -201,7 +194,5 @@ mod tests {
         assert_eq!(epoll.wait(&mut events, 8, 50).unwrap(), 0);
         epoll.rearm(server_side.as_raw_fd(), 42).unwrap();
         assert_eq!(epoll.wait(&mut events, 8, 1000).unwrap(), 1);
-
-        epoll.del(server_side.as_raw_fd()).unwrap();
     }
 }

@@ -279,15 +279,6 @@ impl BitSet {
         out
     }
 
-    /// In-place difference: `self ← self \ other`.
-    #[inline]
-    pub fn difference_with(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.nbits, other.nbits, "universe mismatch");
-        for (a, &b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a &= !b;
-        }
-    }
-
     /// Whether `self ∩ other ⊆ third`, computed without allocating.
     ///
     /// This is the Lemma 3.4 test (`T(S⁺) ∩ T(t) ⊆ T(t′)`) on the hot path of
@@ -324,16 +315,6 @@ impl BitSet {
                 }
                 excess == 0
             })
-    }
-
-    /// Iterates over the nonzero backing words as `(word_index, word)`
-    /// pairs — the word-level walk in-place set algebra is built from.
-    pub fn iter_set_words(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.words
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w != 0)
-            .map(|(i, &w)| (i, w))
     }
 
     /// Iterates over set positions in increasing order.
@@ -485,9 +466,6 @@ mod tests {
         let b = BitSet::from_iter(10, [3, 4]);
         assert_eq!(a.intersection(&b), BitSet::from_iter(10, [3]));
         assert_eq!(a.union(&b), BitSet::from_iter(10, [1, 2, 3, 4]));
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d, BitSet::from_iter(10, [1, 2]));
     }
 
     #[test]
@@ -538,16 +516,6 @@ mod tests {
                 "mismatch at bit {bit}"
             );
         }
-    }
-
-    #[test]
-    fn iter_set_words_skips_zero_words() {
-        let s = BitSet::from_iter(200, [0, 63, 130]);
-        let words: Vec<(usize, u64)> = s.iter_set_words().collect();
-        assert_eq!(words.len(), 2);
-        assert_eq!(words[0], (0, (1 << 0) | (1 << 63)));
-        assert_eq!(words[1], (2, 1 << 2));
-        assert_eq!(BitSet::empty(100).iter_set_words().count(), 0);
     }
 
     #[test]

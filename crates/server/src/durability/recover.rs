@@ -84,6 +84,9 @@ pub struct RecoveredFleet {
     /// Largest segment number referenced or present, if any — the store
     /// resumes at the next number.
     pub max_segment: Option<u32>,
+    /// The epoch of the last logged delta that changed the class
+    /// structure (0 if none did) — the serving manager's epoch fence.
+    pub structural_epoch: u64,
 }
 
 /// Replays `wal_bytes` (a whole WAL file, header included) against
@@ -303,6 +306,7 @@ fn apply_record(
             // moves class ids, and a spilled session it moves comes back
             // parked (its segment payload holds the old ids).
             if !old.same_classes(&next) {
+                fleet.structural_epoch = next.epoch();
                 for s in fleet.sessions.values_mut() {
                     let history = std::mem::take(&mut s.history);
                     (s.history, s.pending, _) = remap_replay_parts(old, &next, history, s.pending);

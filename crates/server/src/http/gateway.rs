@@ -305,6 +305,7 @@ fn question(manager: &SessionManager, sid: SessionId) -> Result<Response, Respon
         }
     }
     fields.push(count("interactions", outcome.interactions as f64));
+    fields.push(count("epoch", outcome.epoch as f64));
     Ok(ok(Json::Obj(fields)))
 }
 
@@ -341,10 +342,22 @@ fn answers(
         };
         batch.push((class, label));
     }
+    let epoch = match doc.get("epoch") {
+        None => None,
+        Some(epoch) => Some(
+            epoch
+                .as_num()
+                .filter(|n| n.fract() == 0.0 && (0.0..=9e15).contains(n))
+                .ok_or_else(|| bad_request("\"epoch\" must be a non-negative integer"))?
+                as u64,
+        ),
+    };
     deadline_guard(request)?;
-    let outcome = manager
-        .serve(sid, SessionOp::Answers(&batch))
-        .map_err(server_error)?;
+    let op = SessionOp::Answers {
+        answers: &batch,
+        epoch,
+    };
+    let outcome = manager.serve(sid, op).map_err(server_error)?;
     Ok(ok(Json::Obj(vec![
         count("session", sid as f64),
         count("applied", outcome.applied as f64),
@@ -557,6 +570,7 @@ fn server_error(e: ServerError) -> Response {
         ServerError::Inference(_) => error(400, "inference_error", &e.to_string()),
         ServerError::Durability(_) => error(500, "durability_error", &e.to_string()),
         ServerError::Delta(_) => error(400, "bad_delta", &e.to_string()),
+        ServerError::StaleEpoch { .. } => error(409, "stale_epoch", &e.to_string()),
     }
 }
 

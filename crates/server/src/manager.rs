@@ -138,6 +138,15 @@ pub enum ServerError {
     /// mismatches, deleting absent rows, or a universe built without
     /// live tables).
     Delta(DeltaError),
+    /// Answers echoed the epoch of a question asked before a structural
+    /// delta renumbered the classes ([`SessionOp::Answers`]): their class
+    /// ids may now name other classes, so none was applied.
+    StaleEpoch {
+        /// The epoch the answers echoed.
+        echoed: u64,
+        /// The epoch of the last delta that changed the class structure.
+        structural: u64,
+    },
 }
 
 impl std::fmt::Display for ServerError {
@@ -153,6 +162,11 @@ impl std::fmt::Display for ServerError {
             ),
             ServerError::Durability(e) => write!(f, "durability error: {e}"),
             ServerError::Delta(e) => write!(f, "delta rejected: {e}"),
+            ServerError::StaleEpoch { echoed, structural } => write!(
+                f,
+                "answers to a question of epoch {echoed} are stale: the delta of epoch \
+                 {structural} renumbered the classes; ask again"
+            ),
         }
     }
 }
@@ -581,6 +595,9 @@ type Shard = RwLock<HashMap<SessionId, Arc<Mutex<Slot>>, BuildHasherDefault<Sess
 struct Serving {
     universe: Arc<Universe>,
     fingerprint: u64,
+    /// The epoch of the last delta that changed the class structure (0
+    /// if none did): class ids asked before it may name other classes.
+    structural_epoch: u64,
 }
 
 /// What one [`SessionManager::apply_delta`] did to the session fleet.
@@ -628,7 +645,14 @@ pub enum SessionOp<'a> {
     Question,
     /// Fold a batch of class-addressed answers
     /// ([`SessionManager::answer_batch`]).
-    Answers(&'a [(ClassId, Label)]),
+    Answers {
+        /// The answers.
+        answers: &'a [(ClassId, Label)],
+        /// The [`SessionOutcome::epoch`] of the question they answer, if
+        /// the caller echoes it: older than the last structural delta, the
+        /// batch is refused whole with [`ServerError::StaleEpoch`].
+        epoch: Option<u64>,
+    },
     /// Only read the state.
     Status,
 }
@@ -648,6 +672,8 @@ pub struct SessionOutcome {
     pub interactions: usize,
     /// Whether the session has nothing left to ask.
     pub done: bool,
+    /// The epoch of the universe the operation was served on.
+    pub epoch: u64,
     /// The inferred predicate `T(S⁺)` rendered over the universe's
     /// attribute names, present exactly when `done`.
     pub predicate: Option<String>,
@@ -693,6 +719,7 @@ impl SessionManager {
             serving: RwLock::new(Serving {
                 fingerprint: universe.fingerprint(),
                 universe,
+                structural_epoch: 0,
             }),
             shards: (0..config.shards.max(1))
                 .map(|_| RwLock::new(HashMap::default()))
@@ -783,6 +810,7 @@ impl SessionManager {
             }),
             ..SessionManager::new(Arc::clone(&universe), config)
         };
+        manager.serving.write().structural_epoch = fleet.structural_epoch;
         let mut report = RecoveryReport {
             wal_records: fleet.wal_records,
             wal_torn_bytes: fleet.wal_torn_bytes,
@@ -1030,14 +1058,14 @@ impl SessionManager {
     fn with_session<T>(
         &self,
         id: SessionId,
-        f: impl FnOnce(&mut OwnedSession) -> Result<T>,
+        f: impl FnOnce(&Serving, &mut OwnedSession) -> Result<T>,
     ) -> Result<T> {
         let serving = self.serving.read();
         let slot = self.slot(id)?;
         let mut guard = self.lock(&slot);
         guard.last_touch = Instant::now();
         self.lift(&mut guard)?;
-        f(guard.wake(&serving.universe)?)
+        f(&serving, guard.wake(&serving.universe)?)
     }
 
     /// Inserts, appending `record` while the shard write lock is still
@@ -1120,7 +1148,7 @@ impl SessionManager {
     /// strategy step selects a **new** candidate (re-delivery appends
     /// nothing), so recovery reproduces outstanding questions exactly.
     pub fn next_question(&self, id: SessionId) -> Result<Option<Candidate>> {
-        self.with_session(id, |session| self.ask(id, session))
+        self.with_session(id, |_, session| self.ask(id, session))
     }
 
     /// Records one class-addressed answer.
@@ -1146,7 +1174,7 @@ impl SessionManager {
     /// once per answer round has a whole round across many sessions
     /// share one fsync.
     pub fn answer_batch(&self, id: SessionId, answers: &[(ClassId, Label)]) -> Result<usize> {
-        self.with_session(id, |session| self.apply(id, session, answers))
+        self.with_session(id, |_, session| self.apply(id, session, answers))
     }
 
     /// Whether the session has nothing left to ask.
@@ -1157,7 +1185,7 @@ impl SessionManager {
     /// [`Self::inferred_predicate`], and [`Self::snapshot`], which serve
     /// parked sessions from the parked payload.
     pub fn is_done(&self, id: SessionId) -> Result<bool> {
-        self.with_session(id, |session| Ok(session.is_done()))
+        self.with_session(id, |_, session| Ok(session.is_done()))
     }
 
     /// Performs `op` and reads the state it left behind in one locked
@@ -1166,11 +1194,21 @@ impl SessionManager {
     /// however many other requests race on the session. The HTTP
     /// gateway's question, answers and status handlers are each one call
     /// of this. A touch, like [`Self::is_done`].
+    ///
+    /// The epoch fence of [`SessionOp::Answers`] is checked under the
+    /// same serving read that would apply the batch, so no structural
+    /// delta can land between the check and the apply.
     pub fn serve(&self, id: SessionId, op: SessionOp<'_>) -> Result<SessionOutcome> {
-        self.with_session(id, |session| {
+        self.with_session(id, |serving, session| {
             let (candidate, applied) = match op {
                 SessionOp::Question => (self.ask(id, session)?, 0),
-                SessionOp::Answers(answers) => (None, self.apply(id, session, answers)?),
+                SessionOp::Answers { answers, epoch } => {
+                    let structural = serving.structural_epoch;
+                    if let Some(echoed) = epoch.filter(|&e| e < structural) {
+                        return Err(ServerError::StaleEpoch { echoed, structural });
+                    }
+                    (None, self.apply(id, session, answers)?)
+                }
                 SessionOp::Status => (None, 0),
             };
             let universe = session.universe();
@@ -1180,6 +1218,7 @@ impl SessionManager {
                 applied,
                 interactions: session.interactions(),
                 done,
+                epoch: universe.epoch(),
                 predicate: done.then(|| {
                     universe
                         .instance()
@@ -1229,7 +1268,7 @@ impl SessionManager {
     /// their idle clocks.
     pub fn interactions(&self, id: SessionId) -> Result<usize> {
         let slot = self.slot(id)?;
-        let guard = self.lock(&slot);
+        let guard = slot.lock();
         Ok(match &guard.tier {
             Tier::Resident(resident) => resident.session.interactions(),
             Tier::Hibernated { history, .. } => history.len(),
@@ -1248,7 +1287,7 @@ impl SessionManager {
     pub fn inferred_predicate(&self, id: SessionId) -> Result<BitSet> {
         let serving = self.serving.read();
         let slot = self.slot(id)?;
-        let guard = self.lock(&slot);
+        let guard = slot.lock();
         let fold = |history: &[(ClassId, Label)]| {
             let mut theta = serving.universe.omega();
             for &(c, label) in history {
@@ -1279,7 +1318,7 @@ impl SessionManager {
     pub fn snapshot(&self, id: SessionId) -> Result<SessionSnapshot> {
         let serving = self.serving.read();
         let slot = self.slot(id)?;
-        let guard = self.lock(&slot);
+        let guard = slot.lock();
         let (history, pending) = match &guard.tier {
             Tier::Resident(resident) => {
                 let session = &resident.session;
@@ -1434,7 +1473,7 @@ impl SessionManager {
         // sessions least likely to wake soon.
         let mut candidates: Vec<(Instant, SessionId, Arc<Mutex<Slot>>)> = Vec::new();
         for (id, slot) in self.all_slots() {
-            let guard = self.lock(&slot);
+            let guard = slot.lock();
             if let Tier::Hibernated { .. } = guard.tier {
                 candidates.push((guard.last_touch, id, Arc::clone(&slot)));
             }
@@ -1623,6 +1662,9 @@ impl SessionManager {
         }
         serving.universe = universe;
         serving.fingerprint = report.to_fingerprint;
+        if !same_classes {
+            serving.structural_epoch = report.to_epoch;
+        }
         // Logged after the swap, so a failure here leaves RAM consistent
         // on the new universe; recovery would then refuse the unlogged
         // session loudly instead of serving it.
@@ -2631,6 +2673,28 @@ mod tests {
         let migrated = m.universe();
         let live = [m.snapshot(a).unwrap(), m.snapshot(b).unwrap()];
         assert_eq!(wal.durable_image(), wal.pristine_image());
+        // The epoch fence stands at the structural delta (epoch 2), not
+        // at the net-zero one before it.
+        let fenced = |m: &SessionManager| {
+            let stale = SessionOp::Answers {
+                answers: &[],
+                epoch: Some(1),
+            };
+            let current = SessionOp::Answers {
+                answers: &[],
+                epoch: Some(2),
+            };
+            let structural = 2;
+            assert_eq!(
+                m.serve(a, stale).unwrap_err(),
+                ServerError::StaleEpoch {
+                    echoed: 1,
+                    structural
+                }
+            );
+            assert_eq!(m.serve(a, current).unwrap().epoch, 2);
+        };
+        fenced(&m);
         drop(m);
 
         // Recovery from the base universe re-applies both deltas and lands
@@ -2647,6 +2711,7 @@ mod tests {
         for snap in &live {
             assert_eq!(&r.snapshot(snap.session).unwrap(), snap);
         }
+        fenced(&r);
         drop(r);
         // …while the files keep the base stamp: the post-delta universe is
         // not the one the directory was created with.

@@ -280,6 +280,91 @@ fn delta_endpoint_migrates_the_fleet_and_stale_snapshots_get_409() {
 }
 
 #[test]
+fn answers_echoing_an_epoch_before_a_structural_delta_get_409() {
+    let (server, _registry) = demo_server();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let created = client
+        .post("/v1/universes/demo/sessions", r#"{"strategy": "BU"}"#)
+        .unwrap();
+    assert_eq!(created.status, 201, "{:?}", created.body_str());
+    let sid = json(&created)
+        .get("session")
+        .and_then(Json::as_num)
+        .unwrap() as u64;
+    let question_path = format!("/v1/universes/demo/sessions/{sid}/question");
+    let answers_path = format!("/v1/universes/demo/sessions/{sid}/answers");
+    let ask = |client: &mut Client| {
+        let q = json(&client.get(&question_path).unwrap());
+        let class = q
+            .get("question")
+            .and_then(|q| q.get("class"))
+            .and_then(Json::as_num);
+        let epoch = q
+            .get("epoch")
+            .and_then(Json::as_num)
+            .expect("question carries its epoch");
+        (class.expect("an open question") as u64, epoch as u64)
+    };
+    let interactions = |client: &mut Client| {
+        let status = client
+            .get(&format!("/v1/universes/demo/sessions/{sid}"))
+            .unwrap();
+        json(&status)
+            .get("interactions")
+            .and_then(Json::as_num)
+            .unwrap()
+    };
+    let (class, epoch) = ask(&mut client);
+    assert_eq!(epoch, 0);
+
+    // Deleting the only Lille hotel kills every class whose signature
+    // needed it: a structural delta, which renumbers the classes.
+    let applied = client
+        .post(
+            "/v1/universes/demo/delta",
+            r#"{"delete_p": [["Lille", "AF"]]}"#,
+        )
+        .unwrap();
+    assert_eq!(applied.status, 200, "{:?}", applied.body_str());
+    assert_eq!(
+        json(&applied).get("replayed").and_then(Json::as_num),
+        Some(1.0)
+    );
+
+    // The old class id, echoed with its epoch, is refused whole.
+    let body = format!(r#"{{"answers": [{{"class": {class}, "label": "-"}}], "epoch": {epoch}}}"#);
+    let stale = client.post(&answers_path, &body).unwrap();
+    assert_eq!(stale.status, 409, "{:?}", stale.body_str());
+    assert_eq!(error_code(&stale), "stale_epoch");
+    assert_eq!(interactions(&mut client), 0.0, "nothing was applied");
+
+    // A fresh question carries the new epoch; a count-only delta after it
+    // renumbers nothing, so its answer still applies.
+    let (class, epoch) = ask(&mut client);
+    assert_eq!(epoch, 1);
+    let applied = client
+        .post(
+            "/v1/universes/demo/delta",
+            r#"{"insert_r": [["Paris", "Lille", "AF"]]}"#,
+        )
+        .unwrap();
+    assert_eq!(
+        json(&applied).get("carried").and_then(Json::as_num),
+        Some(1.0)
+    );
+    let body = format!(r#"{{"answers": [{{"class": {class}, "label": "-"}}], "epoch": {epoch}}}"#);
+    let answered = client.post(&answers_path, &body).unwrap();
+    assert_eq!(answered.status, 200, "{:?}", answered.body_str());
+    assert_eq!(interactions(&mut client), 1.0);
+
+    // A malformed epoch is a 400 before anything is applied.
+    let body = r#"{"answers": [], "epoch": -1}"#;
+    let bad = client.post(&answers_path, body).unwrap();
+    assert_eq!(bad.status, 400, "{:?}", bad.body_str());
+    drop(server);
+}
+
+#[test]
 fn wrong_universe_restore_is_a_loud_409_with_both_fingerprints() {
     let (server, registry) = demo_server();
     // A genuinely different universe: different instance, different

@@ -70,7 +70,7 @@ fn assert_state_matches_scratch(state: &InferenceState<'_>, sample: &Sample) {
     use join_query_inference::core::certain;
     let universe = state.universe();
     assert_eq!(state.is_consistent(), sample.is_consistent(universe));
-    assert_eq!(state.t_pos(), sample.t_pos());
+    assert_eq!(state.theta_possible(), sample.t_pos());
     if !state.is_consistent() {
         return; // the partition is only defined for consistent samples
     }
@@ -165,7 +165,7 @@ fn example_2_1_replay_matches_from_scratch() {
         "replay must exhaust informativeness"
     );
     assert_eq!(
-        universe.instance().equijoin(state.t_pos()),
+        universe.instance().equijoin(state.theta_possible()),
         universe.instance().equijoin(&goal),
     );
 }
