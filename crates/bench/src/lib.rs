@@ -21,6 +21,8 @@
 //! * [`optgap`] — worst cases of the deterministic heuristics against the
 //!   minimax-optimal bound on the paper's running examples.
 //! * [`report`] — plain-text table rendering shared by the binary.
+//! * [`evaluation`] — every experiment above in one document, and its
+//!   counts: the committed `BENCH_paper.json`, checked by a test.
 //!
 //! The `paper_experiments` binary drives all of it:
 //! `cargo run -p jqi-bench --bin paper_experiments --release -- all`.
@@ -28,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod evaluation;
 pub mod fig6;
 pub mod fig7;
 pub mod json;

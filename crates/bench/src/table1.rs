@@ -80,13 +80,22 @@ fn synthetic_rows(report: &Json) -> Vec<Json> {
 /// Builds the full Table 1: both TPC-H scales plus the six synthetic
 /// configurations, TPC-H first, as in the paper.
 pub fn run(seed: u64, fig7_params: Fig7Params) -> Json {
-    let mut rows = Vec::new();
-    for scale in TpchScale::ALL {
-        rows.extend(tpch_rows(&fig6::run(scale, seed)));
-    }
-    for cfg in PAPER_CONFIGS {
-        rows.extend(synthetic_rows(&fig7::run(cfg, fig7_params)));
-    }
+    let fig6: Vec<Json> = TpchScale::ALL
+        .into_iter()
+        .map(|scale| fig6::run(scale, seed))
+        .collect();
+    let fig7: Vec<Json> = PAPER_CONFIGS
+        .into_iter()
+        .map(|cfg| fig7::run(cfg, fig7_params))
+        .collect();
+    from_reports(&fig6, &fig7)
+}
+
+/// Table 1 summarising already-run Figure 6 and Figure 7 reports, in the
+/// order given.
+pub fn from_reports(fig6: &[Json], fig7: &[Json]) -> Json {
+    let tpch = fig6.iter().flat_map(tpch_rows);
+    let rows = tpch.chain(fig7.iter().flat_map(synthetic_rows)).collect();
     Json::Obj(vec![field("rows", Json::Arr(rows))])
 }
 
