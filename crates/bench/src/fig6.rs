@@ -4,23 +4,24 @@
 use crate::json::{f64_at, field, num, str_at, Json};
 use crate::measure::{fmt_seconds, run_timed};
 use crate::report::{strategy_table, TextTable};
-use jqi_core::strategy::StrategyKind;
 use jqi_core::universe::Universe;
+use jqi_core::StrategyConfig;
 use jqi_datagen::tpch::{TpchJoin, TpchScale, TpchTables};
+use std::sync::Arc;
 
 /// Runs the five TPC-H joins at `scale` with every paper strategy: one
 /// row per join, with every strategy's measurement in
-/// [`StrategyKind::PAPER`] order.
+/// [`StrategyConfig::paper`] order.
 pub fn run(scale: TpchScale, seed: u64) -> Json {
     let tables = TpchTables::generate(scale, seed);
     let rows = TpchJoin::ALL
         .into_iter()
         .map(|join| {
             let w = tables.workload(join);
-            let universe = Universe::build(w.instance.clone());
-            let strategies = StrategyKind::PAPER
+            let universe = Arc::new(Universe::build(w.instance.clone()));
+            let strategies = StrategyConfig::paper(seed)
                 .iter()
-                .map(|&kind| run_timed(&universe, kind, &w.goal, seed).json())
+                .map(|config| run_timed(&universe, config, &w.goal).json())
                 .collect();
             Json::Obj(vec![
                 field("join", Json::str(join.name())),

@@ -10,11 +10,12 @@ use crate::json::{f64_at, field, num, Json};
 use crate::measure::{average, fmt_seconds, run_timed, Measurement};
 use crate::report::{strategy_table, TextTable};
 use jqi_core::lattice::goals_by_size;
-use jqi_core::strategy::StrategyKind;
 use jqi_core::universe::Universe;
+use jqi_core::StrategyConfig;
 use jqi_datagen::SyntheticConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Parameters of one Figure 7 experiment.
 #[derive(Debug, Clone, Copy)]
@@ -44,16 +45,17 @@ const GOAL_ENUM_LIMIT: usize = 200_000;
 
 /// Runs the Figure 7 experiment for one synthetic configuration: one row
 /// per goal size `|θG|`, with every strategy's average over the sampled
-/// goals of every generated instance, in [`StrategyKind::PAPER`] order.
+/// goals of every generated instance, in [`StrategyConfig::paper`] order.
 pub fn run(config: SyntheticConfig, params: Fig7Params) -> Json {
     let mut per_size: Vec<Vec<Vec<Measurement>>> = Vec::new(); // [size][strategy][run·goal]
     let mut ratio_sum = 0.0;
     let mut ratio_count = 0usize;
     let mut rng = SmallRng::seed_from_u64(params.seed);
+    let strategies = StrategyConfig::paper(params.seed);
 
     for run_idx in 0..params.runs {
         let inst = config.generate(params.seed.wrapping_add(run_idx as u64));
-        let universe = Universe::build(inst);
+        let universe = Arc::new(Universe::build(inst));
         ratio_sum += jqi_core::lattice::join_ratio(&universe);
         ratio_count += 1;
         let Ok(groups) = goals_by_size(&universe, GOAL_ENUM_LIMIT) else {
@@ -70,12 +72,12 @@ pub fn run(config: SyntheticConfig, params: Fig7Params) -> Json {
                 picked.swap_remove(i);
             }
             while per_size.len() <= size {
-                per_size.push(vec![Vec::new(); StrategyKind::PAPER.len()]);
+                per_size.push(vec![Vec::new(); strategies.len()]);
             }
             for &gi in &picked {
                 let goal = &group[gi];
-                for (si, &kind) in StrategyKind::PAPER.iter().enumerate() {
-                    per_size[size][si].push(run_timed(&universe, kind, goal, params.seed));
+                for (si, config) in strategies.iter().enumerate() {
+                    per_size[size][si].push(run_timed(&universe, config, goal));
                 }
             }
         }

@@ -2,9 +2,10 @@
 
 use crate::json::{field, num, Json};
 use jqi_core::engine::{run_inference, PredicateOracle};
-use jqi_core::strategy::StrategyKind;
 use jqi_core::universe::Universe;
+use jqi_core::StrategyConfig;
 use jqi_relation::BitSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The outcome of one timed inference run.
@@ -29,16 +30,18 @@ impl Measurement {
     }
 }
 
-/// Runs `kind` against the goal-predicate oracle and times it.
+/// Runs the strategy `config` describes against the goal-predicate oracle
+/// and times it.
 ///
 /// The timer covers exactly what the paper times: the inference loop
 /// (strategy computation + sample bookkeeping), not the construction of the
 /// universe, which is shared by all strategies on an instance.
-pub fn run_timed(universe: &Universe, kind: StrategyKind, goal: &BitSet, seed: u64) -> Measurement {
-    let mut strategy = kind.build(seed);
+pub fn run_timed(universe: &Arc<Universe>, config: &StrategyConfig, goal: &BitSet) -> Measurement {
+    let strategy = config.build();
+    let name = strategy.name().to_string();
     let mut oracle = PredicateOracle::new(goal.clone());
     let start = Instant::now();
-    let run = run_inference(universe, strategy.as_mut(), &mut oracle)
+    let run = run_inference(universe, strategy, &mut oracle)
         .expect("goal-predicate oracles never produce inconsistent samples");
     let elapsed = start.elapsed();
     debug_assert_eq!(
@@ -47,7 +50,7 @@ pub fn run_timed(universe: &Universe, kind: StrategyKind, goal: &BitSet, seed: u
         "inferred predicate must be instance-equivalent to the goal"
     );
     Measurement {
-        strategy: kind.name().to_string(),
+        strategy: name,
         interactions: run.interactions,
         seconds: elapsed.as_secs_f64(),
     }
@@ -114,9 +117,9 @@ mod tests {
 
     #[test]
     fn measurement_counts_match_engine() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let goal = predicate_from_names(u.instance(), &[("A1", "B1")]).unwrap();
-        let m = run_timed(&u, StrategyKind::Td, &goal, 0);
+        let m = run_timed(&u, &StrategyConfig::Td, &goal);
         assert_eq!(m.strategy, "TD");
         assert!(m.interactions >= 1);
         assert!(m.seconds >= 0.0);

@@ -6,15 +6,16 @@
 use crate::json::{arr_at, f64_at, field, num, str_at, Json};
 use crate::report::TextTable;
 use jqi_core::paper::{example_2_1, flight_hotel};
-use jqi_core::strategy::{optimal_worst_case, strategy_worst_case, StrategyKind};
+use jqi_core::strategy::{optimal_worst_case, strategy_worst_case, StrategyConfig};
 use jqi_core::universe::Universe;
+use std::sync::Arc;
 
 /// Deterministic strategies whose game tree we can afford to explore.
-const HEURISTICS: [StrategyKind; 4] = [
-    StrategyKind::Bu,
-    StrategyKind::Td,
-    StrategyKind::L1s,
-    StrategyKind::Eg,
+const HEURISTICS: [StrategyConfig; 4] = [
+    StrategyConfig::Bu,
+    StrategyConfig::Td,
+    StrategyConfig::Lks { depth: 1 },
+    StrategyConfig::Eg,
 ];
 
 /// Runs the experiment on the paper's two running examples: per instance,
@@ -26,16 +27,16 @@ pub fn run() -> Json {
         ("Example 2.1", example_2_1()),
         ("Flight × Hotel", flight_hotel()),
     ] {
-        let universe = Universe::build(instance);
+        let universe = Arc::new(Universe::build(instance));
         let optimal = optimal_worst_case(&universe, 16).expect("running examples are small");
         let strategies = HEURISTICS
             .iter()
-            .map(|&kind| {
-                let mut strategy = kind.build(0);
+            .map(|config| {
+                let mut strategy = config.build();
                 let wc = strategy_worst_case(&universe, strategy.as_mut())
                     .expect("deterministic strategy on a small universe");
                 Json::Obj(vec![
-                    field("strategy", Json::str(kind.name())),
+                    field("strategy", Json::str(strategy.name())),
                     num("worst_case", wc as f64),
                 ])
             })

@@ -1,7 +1,6 @@
 //! Plain-text table rendering for the experiment reports.
 
-use crate::json::{arr_at, Json};
-use jqi_core::strategy::StrategyKind;
+use crate::json::{arr_at, str_at, Json};
 
 /// A simple aligned text table with a header row.
 #[derive(Debug, Clone, Default)]
@@ -77,17 +76,21 @@ impl std::fmt::Display for TextTable {
 
 /// The Figure 6/7 layout: one line per element of `report`'s `rows`, its
 /// `row_key` under `key_header`, then one `cell` per measurement of its
-/// `strategies`, under the [`StrategyKind::PAPER`] names.
+/// `strategies`, under the measured strategies' names.
 pub fn strategy_table(
     report: &Json,
     key_header: &str,
     row_key: impl Fn(&Json) -> String,
     cell: impl Fn(&Json) -> String,
 ) -> TextTable {
+    let rows = arr_at(report, "rows");
     let mut header = vec![key_header];
-    header.extend(StrategyKind::PAPER.iter().map(|k| k.name()));
+    if let Some(first) = rows.first() {
+        let strategies = arr_at(first, "strategies").iter();
+        header.extend(strategies.map(|m| str_at(m, "strategy")));
+    }
     let mut t = TextTable::new(&header);
-    for row in arr_at(report, "rows") {
+    for row in rows {
         let mut cells = vec![row_key(row)];
         cells.extend(arr_at(row, "strategies").iter().map(&cell));
         t.row(cells);

@@ -25,6 +25,7 @@ use jqi_datagen::tpch::{TpchJoin, TpchScale, TpchTables};
 use jqi_datagen::ScaledConfig;
 use jqi_relation::{Instance, RowChunk, Side, Tuple, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Sweep parameters.
@@ -94,6 +95,7 @@ pub fn measure_instance(
         best.expect("at least one run")
     };
     let (build_dedup_ms, universe) = timed_best(&|| Universe::build(instance.clone()));
+    let universe = Arc::new(universe);
 
     let build_rowpair_ms = (product_tuples <= params.reference_cap).then(|| {
         let (elapsed, reference) =
@@ -116,7 +118,7 @@ pub fn measure_instance(
         if universe.num_classes() > cap {
             return None;
         }
-        let state = InferenceState::new(&universe);
+        let state = InferenceState::new(Arc::clone(&universe));
         let mut strategy = Lookahead::new(depth);
         let start = Instant::now();
         let picked = strategy.next(&state).expect("strategies are infallible");
@@ -143,7 +145,7 @@ pub fn measure_instance(
         field("l3s_first_step_ms", opt(l3s_first_step_ms)),
         num(
             "state_bytes",
-            InferenceState::new(&universe).state_bytes() as f64,
+            InferenceState::new(Arc::clone(&universe)).state_bytes() as f64,
         ),
         num("closure_bytes", universe.closure().resident_bytes() as f64),
     ])

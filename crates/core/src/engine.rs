@@ -1,6 +1,6 @@
 //! The general inference algorithm (Algorithm 1) and user oracles.
 //!
-//! [`run_inference`] drives a [`Strategy`] against an [`Oracle`] until the
+//! [`run_inference`] drives a [`Session`] against an [`Oracle`] until the
 //! halt condition Γ holds (no informative tuple remains), verifying
 //! consistency after every answer exactly as Algorithm 1 lines 6–7, and
 //! returns the most specific consistent predicate `T(S⁺)`.
@@ -14,12 +14,13 @@
 //!   questions cheaply (it always answers "−" unless "+" is forced to keep
 //!   consistency); used to probe worst cases.
 
-use crate::error::{InferenceError, Result};
+use crate::error::Result;
 use crate::sample::{Label, Sample};
-use crate::state::InferenceState;
-use crate::strategy::Strategy;
+use crate::session::Session;
+use crate::strategy::DynStrategy;
 use crate::universe::{ClassId, Universe};
 use jqi_relation::BitSet;
+use std::sync::Arc;
 
 /// A source of labels: the (possibly simulated) user.
 pub trait Oracle {
@@ -122,40 +123,38 @@ pub struct RunResult {
 /// label, and stops when no informative tuple remains. Errors if the oracle
 /// produces an inconsistent labeling (lines 6–7).
 ///
-/// One [`InferenceState`] is threaded through the whole run: each answer is
-/// applied incrementally (O(affected classes)), the strategy reads the
-/// maintained candidate set, and the halt/consistency checks are O(1) reads
-/// — nothing in the loop rescans Ω.
+/// The loop is a [`Session`] answered by `oracle`: each answer is applied
+/// to its [`crate::state::InferenceState`] incrementally (O(affected
+/// classes)), the strategy reads the maintained candidate set, and the
+/// halt/consistency checks are O(1) reads — nothing in the loop rescans Ω.
 ///
 /// Note the paper's remark (§4.1): a strategy that asks only *informative*
 /// tuples can never trigger the inconsistency error, because a tuple is
 /// informative precisely when both labels keep the sample consistent. The
 /// check still guards custom strategies that may re-ask certain tuples.
 pub fn run_inference(
-    universe: &Universe,
-    strategy: &mut dyn Strategy,
+    universe: &Arc<Universe>,
+    strategy: DynStrategy,
     oracle: &mut dyn Oracle,
 ) -> Result<RunResult> {
-    let mut state = InferenceState::new(universe);
-    while let Some(c) = strategy.next(&state)? {
-        let label = oracle.label(universe, c);
-        state.apply(c, label)?;
-        if !state.is_consistent() {
-            return Err(InferenceError::InconsistentSample { class: c });
-        }
+    let mut session = Session::new(Arc::clone(universe), strategy);
+    while let Some(candidate) = session.next()? {
+        session.answer(oracle.label(universe, candidate.class))?;
     }
     Ok(RunResult {
-        predicate: state.theta_possible().clone(),
-        interactions: state.len(),
-        history: state.history().to_vec(),
-        sample: state.as_sample(),
+        predicate: session.inferred_predicate(),
+        interactions: session.interactions(),
+        history: session.history().to_vec(),
+        sample: session.sample(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::InferenceError;
     use crate::paper::{example_2_1, flight_hotel};
+    use crate::state::InferenceState;
     use crate::strategy::{BottomUp, Lookahead, Random, Strategy, TopDown};
     use crate::universe::Universe;
 
@@ -167,22 +166,22 @@ mod tests {
         let q1 = crate::predicate_from_names(&inst, &[("To", "City")]).unwrap();
         let q2 =
             crate::predicate_from_names(&inst, &[("To", "City"), ("Airline", "Discount")]).unwrap();
-        let u = Universe::build(inst);
+        let u = Arc::new(Universe::build(inst));
         for goal in [q1, q2] {
-            for mut strategy in [
-                Box::new(BottomUp::new()) as Box<dyn Strategy>,
+            for strategy in [
+                Box::new(BottomUp::new()) as DynStrategy,
                 Box::new(TopDown::new()),
                 Box::new(Lookahead::l1s()),
                 Box::new(Lookahead::l2s()),
                 Box::new(Random::new(3)),
             ] {
+                let name = strategy.name().to_string();
                 let mut oracle = PredicateOracle::new(goal.clone());
-                let run = run_inference(&u, strategy.as_mut(), &mut oracle).unwrap();
+                let run = run_inference(&u, strategy, &mut oracle).unwrap();
                 assert_eq!(
                     u.instance().equijoin(&run.predicate),
                     u.instance().equijoin(&goal),
-                    "strategy {} missed the goal",
-                    strategy.name()
+                    "strategy {name} missed the goal"
                 );
             }
         }
@@ -192,10 +191,10 @@ mod tests {
     /// (instance-equivalent to the goal).
     #[test]
     fn all_negative_returns_omega() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let goal = u.omega(); // selects nothing on this instance
         let mut oracle = PredicateOracle::new(goal);
-        let run = run_inference(&u, &mut TopDown::new(), &mut oracle).unwrap();
+        let run = run_inference(&u, Box::new(TopDown::new()), &mut oracle).unwrap();
         assert_eq!(run.predicate, u.omega());
         assert!(u.instance().equijoin(&run.predicate).is_empty());
     }
@@ -204,7 +203,7 @@ mod tests {
     /// dishonest oracle trips the consistency check of lines 6–7.
     #[test]
     fn dishonest_oracle_raises_inconsistency() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         // Script: ask (t2,t2') — answered + → T(S⁺) = {(A1,B1),(A2,B3)};
         // then ask (t4,t1') whose T ⊇ T(S⁺): the dishonest "−" answer
         // makes the sample inconsistent.
@@ -215,11 +214,11 @@ mod tests {
             fn name(&self) -> &str {
                 "scripted"
             }
-            fn next(&mut self, _: &InferenceState<'_>) -> Result<Option<ClassId>> {
+            fn next(&mut self, _: &InferenceState) -> Result<Option<ClassId>> {
                 Ok(self.0.pop())
             }
         }
-        let mut strategy = Scripted(vec![c_neg, c_pos]); // popped back-first
+        let strategy = Box::new(Scripted(vec![c_neg, c_pos])); // popped back-first
         let mut oracle = FnOracle(move |_: &Universe, c: usize| {
             if c == c_pos {
                 Label::Positive
@@ -227,7 +226,7 @@ mod tests {
                 Label::Negative
             }
         });
-        let e = run_inference(&u, &mut strategy, &mut oracle).unwrap_err();
+        let e = run_inference(&u, strategy, &mut oracle).unwrap_err();
         assert_eq!(e, InferenceError::InconsistentSample { class: c_neg });
     }
 
@@ -236,7 +235,7 @@ mod tests {
     /// consistent final sample.
     #[test]
     fn informative_only_strategies_never_error() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let mut flip = 0u32;
         let mut erratic = FnOracle(move |_: &Universe, _| {
             flip += 1;
@@ -246,16 +245,16 @@ mod tests {
                 Label::Negative
             }
         });
-        let run = run_inference(&u, &mut BottomUp::new(), &mut erratic).unwrap();
+        let run = run_inference(&u, Box::new(BottomUp::new()), &mut erratic).unwrap();
         assert!(run.sample.is_consistent(&u));
     }
 
     #[test]
     fn history_and_interactions_agree() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let goal = crate::predicate_from_names(u.instance(), &[("A1", "B1")]).unwrap();
         let mut oracle = PredicateOracle::new(goal);
-        let run = run_inference(&u, &mut Lookahead::l1s(), &mut oracle).unwrap();
+        let run = run_inference(&u, Box::new(Lookahead::l1s()), &mut oracle).unwrap();
         assert_eq!(run.history.len(), run.interactions);
         assert_eq!(run.sample.len(), run.interactions);
         // Labels in the history match the final sample.
@@ -266,9 +265,9 @@ mod tests {
 
     #[test]
     fn adversarial_oracle_is_consistent() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let mut adversary = AdversarialOracle::new();
-        let run = run_inference(&u, &mut TopDown::new(), &mut adversary).unwrap();
+        let run = run_inference(&u, Box::new(TopDown::new()), &mut adversary).unwrap();
         assert!(run.sample.is_consistent(&u));
         // The lazy adversary ends at Ω on this instance.
         assert_eq!(run.predicate, u.omega());

@@ -25,10 +25,10 @@
 //!   classes) per label instead of re-derived from scratch per step.
 //! * [`strategy`] — RND, BU, TD, L1S, L2S, LkS, and the minimax-optimal
 //!   strategy (§4), all reading the session through [`InferenceState`].
-//! * [`engine`] — the general inference algorithm (Algorithm 1) driven by an
+//! * [`session`] — Algorithm 1 one question at a time: the [`Session`] an
+//!   interactive application or a server embeds.
+//! * [`engine`] — the same session driven to the end by an
 //!   [`engine::Oracle`].
-//! * [`session`] — a step-by-step API for embedding the loop in a real
-//!   interactive application.
 //!
 //! # Example: inferring the flight & hotel query of the paper's introduction
 //!
@@ -37,6 +37,7 @@
 //! use jqi_core::universe::Universe;
 //! use jqi_core::engine::{run_inference, PredicateOracle};
 //! use jqi_core::strategy::TopDown;
+//! use std::sync::Arc;
 //!
 //! let inst = flight_hotel();
 //! // Goal Q2: Flight.To = Hotel.City ∧ Flight.Airline = Hotel.Discount
@@ -44,9 +45,9 @@
 //!     &inst,
 //!     &[("To", "City"), ("Airline", "Discount")],
 //! ).unwrap();
-//! let universe = Universe::build(inst);
+//! let universe = Arc::new(Universe::build(inst));
 //! let mut oracle = PredicateOracle::new(goal.clone());
-//! let run = run_inference(&universe, &mut TopDown::new(), &mut oracle).unwrap();
+//! let run = run_inference(&universe, Box::new(TopDown::new()), &mut oracle).unwrap();
 //! // The inferred predicate selects exactly the same tuples as the goal.
 //! assert_eq!(
 //!     universe.instance().equijoin(&run.predicate),
@@ -80,7 +81,7 @@ pub use ingest::{IngestOptions, IngestStats};
 pub use sample::{Label, Sample};
 pub use session::{Candidate, OwnedSession, Session};
 pub use state::{ClassState, InferenceState};
-pub use strategy::{DynStrategy, Strategy, StrategyConfig, StrategyKind};
+pub use strategy::{DynStrategy, Strategy, StrategyConfig};
 pub use universe::{ClassId, DecisionCacheStats, Universe, DEFAULT_DECISION_CACHE_BYTES};
 
 use jqi_relation::{BitSet, Instance};

@@ -11,7 +11,7 @@
 //!
 //! ```
 //! use jqi_core::paths::PathBuilder;
-//! use jqi_core::strategy::StrategyKind;
+//! use jqi_core::strategy::StrategyConfig;
 //! use jqi_relation::Value;
 //!
 //! // City → Flight → Hotel: two hops.
@@ -31,14 +31,14 @@
 //!     path.predicate_from_names(0, &[("Name", "From")]).unwrap(),
 //!     path.predicate_from_names(1, &[("To", "HCity")]).unwrap(),
 //! ];
-//! let run = path.infer_with_goals(&goals, StrategyKind::Td, 0).unwrap();
+//! let run = path.infer_with_goals(&goals, &StrategyConfig::Td).unwrap();
 //! assert_eq!(run.predicates.len(), 2);
 //! assert_eq!(path.count_path_tuples(&run.predicates), 1);
 //! ```
 
 use crate::engine::{run_inference, PredicateOracle};
 use crate::error::Result;
-use crate::strategy::StrategyKind;
+use crate::strategy::StrategyConfig;
 use crate::universe::Universe;
 use jqi_relation::{BitSet, Instance, Interner, Relation, RelationError, Schema, Value};
 use std::sync::Arc;
@@ -91,7 +91,7 @@ impl PathBuilder {
         let mut hops = Vec::with_capacity(self.relations.len() - 1);
         for pair in self.relations.windows(2) {
             let instance = Instance::new(self.interner.clone(), pair[0].clone(), pair[1].clone())?;
-            hops.push(Universe::build(instance));
+            hops.push(Arc::new(Universe::build(instance)));
         }
         Ok(JoinPath { hops })
     }
@@ -100,7 +100,7 @@ impl PathBuilder {
 /// A chain of two-relation inference problems.
 #[derive(Debug, Clone)]
 pub struct JoinPath {
-    hops: Vec<Universe>,
+    hops: Vec<Arc<Universe>>,
 }
 
 /// The outcome of inferring a whole path.
@@ -140,20 +140,14 @@ impl JoinPath {
     }
 
     /// Infers every hop against goal-predicate oracles, with a fresh
-    /// strategy per hop.
-    pub fn infer_with_goals(
-        &self,
-        goals: &[BitSet],
-        kind: StrategyKind,
-        seed: u64,
-    ) -> Result<PathRun> {
+    /// strategy built from `config` per hop.
+    pub fn infer_with_goals(&self, goals: &[BitSet], config: &StrategyConfig) -> Result<PathRun> {
         assert_eq!(goals.len(), self.hops.len(), "one goal per hop");
         let mut predicates = Vec::with_capacity(self.hops.len());
         let mut interactions = Vec::with_capacity(self.hops.len());
         for (universe, goal) in self.hops.iter().zip(goals) {
-            let mut strategy = kind.build(seed);
             let mut oracle = PredicateOracle::new(goal.clone());
-            let run = run_inference(universe, strategy.as_mut(), &mut oracle)?;
+            let run = run_inference(universe, config.build(), &mut oracle)?;
             predicates.push(run.predicate);
             interactions.push(run.interactions);
         }
@@ -241,14 +235,18 @@ mod tests {
             path.predicate_from_names(0, &[("Name", "From")]).unwrap(),
             path.predicate_from_names(1, &[("To", "HCity")]).unwrap(),
         ];
-        for kind in [StrategyKind::Bu, StrategyKind::Td, StrategyKind::L2s] {
-            let run = path.infer_with_goals(&goals, kind, 5).unwrap();
+        for config in [
+            StrategyConfig::Bu,
+            StrategyConfig::Td,
+            StrategyConfig::Lks { depth: 2 },
+        ] {
+            let run = path.infer_with_goals(&goals, &config).unwrap();
             for (h, (inferred, goal)) in run.predicates.iter().zip(&goals).enumerate() {
                 let inst = path.hop(h).instance();
                 assert_eq!(
                     inst.equijoin(inferred),
                     inst.equijoin(goal),
-                    "{kind} missed hop {h}"
+                    "{config} missed hop {h}"
                 );
             }
             assert!(run.total_interactions() >= 2);

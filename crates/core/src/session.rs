@@ -1,9 +1,16 @@
 //! Step-by-step interactive inference sessions.
 //!
-//! [`crate::engine::run_inference`] drives the whole loop against an
-//! [`crate::engine::Oracle`]; a [`Session`] instead exposes Algorithm 1 one
-//! question at a time so a real application (CLI, web UI, crowdsourcing
-//! task queue) can interleave the user's answers with its own control flow:
+//! A [`Session`] is Algorithm 1 one question at a time: the strategy asks
+//! an informative tuple, the caller shows it to the user and hands back
+//! the label, and the session updates `T(S⁺)` and the certain classes.
+//! A real application (CLI, web UI, crowdsourcing task queue) interleaves
+//! those steps with its own control flow; [`crate::engine::run_inference`]
+//! drives the same session against an [`crate::engine::Oracle`].
+//!
+//! A session co-owns its universe through an [`Arc`], so it can live in a
+//! service's session table, move across threads and outlive the scope
+//! that built it; its strategy is a [`DynStrategy`], so sessions with
+//! different strategies share one type.
 //!
 //! ```
 //! use jqi_core::session::Session;
@@ -11,9 +18,10 @@
 //! use jqi_core::universe::Universe;
 //! use jqi_core::Label;
 //! use jqi_core::paper::flight_hotel;
+//! use std::sync::Arc;
 //!
-//! let universe = Universe::build(flight_hotel());
-//! let mut session = Session::new(&universe, TopDown::new());
+//! let universe = Arc::new(Universe::build(flight_hotel()));
+//! let mut session = Session::new(Arc::clone(&universe), Box::new(TopDown::new()));
 //! while let Some(candidate) = session.next().unwrap() {
 //!     // Show `candidate.values(&universe)` to the user; here: accept
 //!     // flights into the hotel's city with a matching discount airline
@@ -66,21 +74,28 @@ impl Candidate {
 /// The session owns one [`InferenceState`] for its whole lifetime: answers
 /// are applied incrementally, and the halt test, known-label queries and
 /// inferred predicate are O(1) reads on the maintained state.
-#[derive(Debug)]
-pub struct Session<'u, S: Strategy> {
-    strategy: S,
-    state: InferenceState<'u>,
+pub struct Session {
+    strategy: DynStrategy,
+    state: InferenceState,
     pending: Option<ClassId>,
 }
 
-impl<'u, S: Strategy> Session<'u, S> {
+/// The name the server and the benchmark have long used for [`Session`].
+pub type OwnedSession = Session;
+
+impl Session {
     /// Starts a session over `universe` with `strategy`.
-    pub fn new(universe: &'u Universe, strategy: S) -> Self {
+    pub fn new(universe: Arc<Universe>, strategy: DynStrategy) -> Self {
         Session {
             strategy,
             state: InferenceState::new(universe),
             pending: None,
         }
+    }
+
+    /// Starts a session with the strategy described by `config`.
+    pub fn with_config(universe: Arc<Universe>, config: &StrategyConfig) -> Self {
+        Self::new(universe, config.build())
     }
 
     /// Asks the strategy for the next tuple to label. Returns `None` when
@@ -113,7 +128,7 @@ impl<'u, S: Strategy> Session<'u, S> {
 
     /// The class of the outstanding question, if any — what
     /// [`Session::pending_candidate`] re-presents and
-    /// [`OwnedSession::replay`] re-arms after a restore.
+    /// [`Session::replay`] re-arms after a restore.
     pub fn pending_class(&self) -> Option<ClassId> {
         self.pending
     }
@@ -193,7 +208,7 @@ impl<'u, S: Strategy> Session<'u, S> {
 
     /// The incrementally maintained session state — the consistent interval,
     /// class partition, entropies, and counts.
-    pub fn state(&self) -> &InferenceState<'u> {
+    pub fn state(&self) -> &InferenceState {
         &self.state
     }
 
@@ -228,48 +243,19 @@ impl<'u, S: Strategy> Session<'u, S> {
     }
 
     /// The configured strategy.
-    pub fn strategy(&self) -> &S {
-        &self.strategy
+    pub fn strategy(&self) -> &(dyn Strategy + Send) {
+        self.strategy.as_ref()
     }
 
     /// Decomposes the session into the parts a hibernated session tier
     /// keeps: the label history (the replay log) and the outstanding
     /// question, dropping every derived mask and the strategy object.
-    /// Feeding both back through [`OwnedSession::replay`] (with the same
+    /// Feeding both back through [`Session::replay`] (with the same
     /// strategy configuration) rebuilds an indistinguishable session —
     /// every strategy is a deterministic function of its configuration and
     /// the replayed state.
     pub fn into_replay_parts(self) -> (Vec<(ClassId, Label)>, Option<ClassId>) {
         (self.state.into_history(), self.pending)
-    }
-}
-
-/// A session that co-owns its universe: `Session<'static, DynStrategy>`.
-///
-/// Because [`InferenceState::new_shared`] produces a state with **no
-/// borrows** (`'static`), an owned session can be stored in a long-running
-/// service's session table, moved across threads, and outlive the scope
-/// that created it — everything a borrowing [`Session<'u>`](Session)
-/// cannot do. The strategy is boxed and [`Send`] so heterogeneous sessions
-/// (RND next to L2S next to BU) live in one map.
-///
-/// All of the session logic is shared with [`Session`]; `OwnedSession` only
-/// adds constructors.
-pub type OwnedSession = Session<'static, DynStrategy>;
-
-impl OwnedSession {
-    /// Starts an owned session over a shared universe.
-    pub fn owned(universe: Arc<Universe>, strategy: DynStrategy) -> OwnedSession {
-        Session {
-            strategy,
-            state: InferenceState::new_shared(universe),
-            pending: None,
-        }
-    }
-
-    /// Starts an owned session with the strategy described by `config`.
-    pub fn with_config(universe: Arc<Universe>, config: &StrategyConfig) -> OwnedSession {
-        Self::owned(universe, config.build())
     }
 
     /// Rebuilds a session deterministically from its recorded label
@@ -290,7 +276,7 @@ impl OwnedSession {
         config: &StrategyConfig,
         history: &[(ClassId, Label)],
         pending: Option<ClassId>,
-    ) -> Result<OwnedSession> {
+    ) -> Result<Session> {
         let mut session = Self::with_config(universe, config);
         session.apply_batch(history)?;
         if let Some(c) = pending {
@@ -312,7 +298,7 @@ impl OwnedSession {
     /// the masks carry over verbatim ([`InferenceState::rebind`]), and so
     /// do the history and the pending question, whose class ids name the
     /// same signatures on both. The strategy is rebuilt from `config`,
-    /// exactly as [`OwnedSession::replay`] would.
+    /// exactly as [`Session::replay`] would.
     ///
     /// Returns `false`, leaving the session untouched, when the class
     /// structure changed: remap the replay parts with
@@ -336,7 +322,7 @@ impl OwnedSession {
 /// its tuples were deleted) is dropped: a label about data that no longer
 /// exists constrains nothing, and dropping labels only widens the
 /// consistent interval. A pending question on such a class is withdrawn.
-/// Feed the result to [`OwnedSession::replay`] on `new`.
+/// Feed the result to [`Session::replay`] on `new`.
 pub fn remap_replay_parts(
     old: &Universe,
     new: &Universe,
@@ -365,9 +351,9 @@ mod tests {
 
     #[test]
     fn drives_to_completion_like_the_engine() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let goal = crate::predicate_from_names(u.instance(), &[("A1", "B1")]).unwrap();
-        let mut session = Session::new(&u, TopDown::new());
+        let mut session = Session::new(Arc::clone(&u), Box::new(TopDown::new()));
         while let Some(cand) = session.next().unwrap() {
             let label = if goal.is_subset(u.sig(cand.class)) {
                 Label::Positive
@@ -379,7 +365,7 @@ mod tests {
         assert!(session.is_done());
         // Same outcome as the batch engine.
         let mut oracle = crate::engine::PredicateOracle::new(goal.clone());
-        let run = crate::engine::run_inference(&u, &mut TopDown::new(), &mut oracle).unwrap();
+        let run = crate::engine::run_inference(&u, Box::new(TopDown::new()), &mut oracle).unwrap();
         assert_eq!(session.inferred_predicate(), run.predicate);
         assert_eq!(session.interactions(), run.interactions);
         assert_eq!(session.history(), &run.history[..]);
@@ -387,8 +373,8 @@ mod tests {
 
     #[test]
     fn double_next_is_rejected() {
-        let u = Universe::build(example_2_1());
-        let mut session = Session::new(&u, BottomUp::new());
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut session = Session::new(Arc::clone(&u), Box::new(BottomUp::new()));
         session.next().unwrap().unwrap();
         let e = session.next().unwrap_err();
         assert_eq!(e, InferenceError::CandidateAlreadyPending);
@@ -396,16 +382,16 @@ mod tests {
 
     #[test]
     fn answer_without_candidate_is_rejected() {
-        let u = Universe::build(example_2_1());
-        let mut session = Session::new(&u, BottomUp::new());
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut session = Session::new(Arc::clone(&u), Box::new(BottomUp::new()));
         let e = session.answer(Label::Positive).unwrap_err();
         assert_eq!(e, InferenceError::NoPendingCandidate);
     }
 
     #[test]
     fn candidate_exposes_values() {
-        let u = Universe::build(example_2_1());
-        let mut session = Session::new(&u, BottomUp::new());
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut session = Session::new(Arc::clone(&u), Box::new(BottomUp::new()));
         let cand = session.next().unwrap().unwrap();
         // BU first asks about (t3,t1') = (2,2, 1,1,0).
         assert_eq!(cand.tuple, (2, 0));
@@ -416,8 +402,8 @@ mod tests {
 
     #[test]
     fn early_stop_returns_most_specific_so_far() {
-        let u = Universe::build(example_2_1());
-        let mut session = Session::new(&u, TopDown::new());
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut session = Session::new(Arc::clone(&u), Box::new(TopDown::new()));
         let cand = session.next().unwrap().unwrap();
         session.answer(Label::Positive).unwrap();
         // Early stop: inferred predicate is exactly the signature of the
@@ -554,8 +540,8 @@ mod tests {
 
     #[test]
     fn known_label_reports_certainty() {
-        let u = Universe::build(example_2_1());
-        let mut session = Session::new(&u, BottomUp::new());
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut session = Session::new(Arc::clone(&u), Box::new(BottomUp::new()));
         let cand = session.next().unwrap().unwrap();
         assert_eq!(session.known_label(cand.class), None);
         session.answer(Label::Positive).unwrap();

@@ -59,36 +59,7 @@ use crate::universe::{ClassClosure, ClassId, Universe};
 use jqi_relation::bitset::{nth_set_bit, word_count, WORD_BITS};
 use jqi_relation::BitSet;
 use std::cell::RefCell;
-use std::ops::Deref;
 use std::sync::Arc;
-
-/// How a state reaches its universe: borrowed from the caller (the classic
-/// single-threaded `Session<'u>` shape) or shared behind an [`Arc`] (the
-/// owned shape a multi-session server hands across threads).
-///
-/// The handle is an implementation detail — everything downstream reasons
-/// through `Deref<Target = Universe>` — but it is what lets
-/// [`InferenceState<'static>`] exist without any borrow, and hence without
-/// `unsafe` self-references.
-#[derive(Debug, Clone)]
-enum UniverseHandle<'u> {
-    /// Borrowed for the state's lifetime.
-    Borrowed(&'u Universe),
-    /// Jointly owned; the state is free of borrows (`'static`).
-    Shared(Arc<Universe>),
-}
-
-impl Deref for UniverseHandle<'_> {
-    type Target = Universe;
-
-    #[inline]
-    fn deref(&self) -> &Universe {
-        match self {
-            UniverseHandle::Borrowed(u) => u,
-            UniverseHandle::Shared(u) => u,
-        }
-    }
-}
 
 /// What the engine knows about one T-equivalence class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -227,8 +198,10 @@ fn retire_words(open: &mut BitSet, into: &mut BitSet, take: &[u64], counts: &[u6
 /// strategy build their speculation on. [`InferenceState::state_bytes`]
 /// reports the resident footprint.
 #[derive(Debug, Clone)]
-pub struct InferenceState<'u> {
-    universe: UniverseHandle<'u>,
+pub struct InferenceState {
+    /// The universe the session runs over, shared by every session and
+    /// speculation over it.
+    universe: Arc<Universe>,
     /// Unlabeled, not certain — the candidate mask every strategy draws
     /// from. Always the complement of the other four masks.
     open: BitSet,
@@ -261,26 +234,13 @@ pub struct InferenceState<'u> {
     scratch: RefCell<MaskScratch>,
 }
 
-impl<'u> InferenceState<'u> {
+impl InferenceState {
     /// The state of the empty sample over `universe`.
     ///
     /// Construction performs the one full scan of the session: classes with
     /// `T(t) = Ω` are certain-positive from the start (every predicate
     /// selects them), everything else is informative.
-    pub fn new(universe: &'u Universe) -> Self {
-        Self::from_handle(UniverseHandle::Borrowed(universe))
-    }
-
-    /// Like [`InferenceState::new`], but jointly owning the universe.
-    ///
-    /// The result is `'static` — it contains no borrow at all — which is
-    /// what lets an owned session live in a long-running service's session
-    /// table and be moved freely across threads.
-    pub fn new_shared(universe: Arc<Universe>) -> InferenceState<'static> {
-        InferenceState::from_handle(UniverseHandle::Shared(universe))
-    }
-
-    fn from_handle(universe: UniverseHandle<'u>) -> Self {
+    pub fn new(universe: Arc<Universe>) -> Self {
         let classes = universe.num_classes();
         let omega_len = universe.omega_len();
         let mask_words = word_count(classes);
@@ -866,7 +826,7 @@ impl<'u> InferenceState<'u> {
     /// This is what the depth-k lookahead recursion and the minimax-optimal
     /// strategy branch on — a copy of a few machine words plus one mask
     /// apply, never a from-scratch re-derivation.
-    pub fn speculate(&self, c: ClassId, label: Label) -> InferenceState<'u> {
+    pub fn speculate(&self, c: ClassId, label: Label) -> InferenceState {
         let mut next = self.clone();
         next.apply(c, label)
             .expect("speculated class must be unlabeled and in range");
@@ -883,8 +843,13 @@ impl<'u> InferenceState<'u> {
     /// state (even over a different universe); it is overwritten
     /// wholesale, so the result is indistinguishable from
     /// `*out = self.speculate(c, label)`.
-    pub fn speculate_into(&self, c: ClassId, label: Label, out: &mut InferenceState<'u>) {
-        out.universe.clone_from(&self.universe);
+    pub fn speculate_into(&self, c: ClassId, label: Label, out: &mut InferenceState) {
+        // Every node of a lookahead tree runs over the same universe, and
+        // its refcount is shared by every session and worker thread over
+        // it: touch it only when `out` last held another universe.
+        if !Arc::ptr_eq(&out.universe, &self.universe) {
+            out.universe = Arc::clone(&self.universe);
+        }
         out.open.clone_from(&self.open);
         out.labeled_pos.clone_from(&self.labeled_pos);
         out.labeled_neg.clone_from(&self.labeled_neg);
@@ -1015,14 +980,14 @@ impl<'u> InferenceState<'u> {
     /// Returns `None` when the class structure changed (or the state is
     /// inconsistent): the label history must then be remapped by signature
     /// ([`crate::session::remap_replay_parts`]) and replayed.
-    pub fn rebind(&self, universe: Arc<Universe>) -> Option<InferenceState<'static>> {
+    pub fn rebind(&self, universe: Arc<Universe>) -> Option<InferenceState> {
         if !self.consistent || !self.universe().same_classes(&universe) {
             return None;
         }
         let omega_len = universe.omega_len();
         let mask_words = word_count(universe.num_classes());
         let mut next = InferenceState {
-            universe: UniverseHandle::Shared(universe),
+            universe,
             open: self.open.clone(),
             labeled_pos: self.labeled_pos.clone(),
             labeled_neg: self.labeled_neg.clone(),
@@ -1079,7 +1044,7 @@ mod tests {
 
     /// Checks the state against the from-scratch implementations in
     /// `certain.rs` after each of a sequence of labels.
-    fn assert_matches_scratch(state: &InferenceState<'_>, sample: &Sample) {
+    fn assert_matches_scratch(state: &InferenceState, sample: &Sample) {
         let u = state.universe();
         assert_eq!(state.is_consistent(), sample.is_consistent(u));
         assert_eq!(state.theta_possible(), sample.t_pos());
@@ -1115,8 +1080,8 @@ mod tests {
     #[test]
     fn tracks_scratch_on_example_2_1_replay() {
         // Example 2.1 driven through a mixed label sequence.
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         let mut sample = Sample::new(&u);
         assert_matches_scratch(&state, &sample);
         let script = [
@@ -1133,8 +1098,8 @@ mod tests {
 
     #[test]
     fn entropy_matches_scratch_entropy() {
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         let mut sample = Sample::new(&u);
         for c in state.informative() {
             assert_eq!(
@@ -1155,8 +1120,8 @@ mod tests {
 
     #[test]
     fn interval_brackets_every_consistent_predicate() {
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         state.apply(class_of(&u, 1, 1), Label::Positive).unwrap();
         state.apply(class_of(&u, 0, 2), Label::Negative).unwrap();
         let sample = state.as_sample();
@@ -1190,12 +1155,12 @@ mod tests {
 
     #[test]
     fn speculate_equals_apply() {
-        let u = Universe::build(example_2_1());
-        let state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let state = InferenceState::new(Arc::clone(&u));
         let c = state.nth_informative(3).unwrap();
         for label in Label::BOTH {
             let spec = state.speculate(c, label);
-            let mut direct = InferenceState::new(&u);
+            let mut direct = InferenceState::new(Arc::clone(&u));
             direct.apply(c, label).unwrap();
             assert_eq!(
                 spec.informative().collect::<Vec<_>>(),
@@ -1207,12 +1172,28 @@ mod tests {
     }
 
     #[test]
+    fn speculate_into_repoints_a_buffer_from_another_universe() {
+        let u = Arc::new(Universe::build(example_2_1()));
+        let other = Arc::new(Universe::build(example_2_1()));
+        let state = InferenceState::new(Arc::clone(&u));
+        let mut out = InferenceState::new(Arc::clone(&other));
+        let c = state.nth_informative(0).unwrap();
+        state.speculate_into(c, Label::Negative, &mut out);
+        assert!(Arc::ptr_eq(&out.universe, &u));
+        assert_eq!(Arc::strong_count(&other), 1, "the old universe is released");
+        // Over the same universe the buffer keeps its handle.
+        state.speculate_into(c, Label::Positive, &mut out);
+        assert!(Arc::ptr_eq(&out.universe, &u));
+        assert_eq!(Arc::strong_count(&u), 3);
+    }
+
+    #[test]
     fn speculate_into_equals_speculate() {
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         state.apply(class_of(&u, 0, 2), Label::Positive).unwrap();
         // Reuse a deliberately unrelated buffer state.
-        let mut buffer = InferenceState::new(&u);
+        let mut buffer = InferenceState::new(Arc::clone(&u));
         buffer.apply(class_of(&u, 2, 0), Label::Negative).unwrap();
         for c in state.informative().collect::<Vec<_>>() {
             for label in Label::BOTH {
@@ -1240,8 +1221,8 @@ mod tests {
 
     #[test]
     fn gain_matches_scratch_difference() {
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         state.apply(class_of(&u, 0, 2), Label::Positive).unwrap();
         state.apply(class_of(&u, 2, 0), Label::Negative).unwrap();
         let sample = state.as_sample();
@@ -1262,8 +1243,8 @@ mod tests {
 
     #[test]
     fn misuse_is_rejected_like_sample() {
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         assert!(matches!(
             state.apply(99, Label::Positive),
             Err(InferenceError::ClassOutOfBounds { class: 99, .. })
@@ -1277,8 +1258,8 @@ mod tests {
 
     #[test]
     fn apply_batch_folds_skips_and_rejects() {
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         let a = class_of(&u, 1, 1);
         let b = class_of(&u, 0, 2);
         // Mixed batch with an agreeing duplicate: two answers applied.
@@ -1310,8 +1291,8 @@ mod tests {
         // answering it negative is inconsistent. Unlike raw apply(), the
         // batch path rejects the answer *before* recording it, so the
         // session stays consistent and its history stays replayable.
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         let certain_pos = class_of(&u, 3, 0);
         let batch = [
             (class_of(&u, 1, 1), Label::Positive),
@@ -1326,7 +1307,7 @@ mod tests {
         assert_eq!(state.label(certain_pos), None);
         assert_eq!(state.class_state(certain_pos), ClassState::CertainPositive);
         // Replaying the surviving history reproduces the state.
-        let mut replay = InferenceState::new(&u);
+        let mut replay = InferenceState::new(Arc::clone(&u));
         replay.apply_batch(state.history()).unwrap();
         assert_eq!(replay.theta_possible(), state.theta_possible());
         assert_eq!(
@@ -1335,7 +1316,7 @@ mod tests {
         );
         // The certainly-rejected mirror case: negative first, then a batch
         // trying to answer a certain-negative class positive.
-        let mut s2 = InferenceState::new(&u);
+        let mut s2 = InferenceState::new(Arc::clone(&u));
         s2.apply(class_of(&u, 1, 1), Label::Positive).unwrap();
         s2.apply(class_of(&u, 0, 2), Label::Negative).unwrap();
         let certain_neg =
@@ -1353,8 +1334,8 @@ mod tests {
         // §3.4's certain classes mislabeled: positive on (t2,t2') makes
         // (t4,t1') certain-positive; answering it negative has no
         // consistent explanation.
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         state.apply(class_of(&u, 1, 1), Label::Positive).unwrap();
         let certain_pos = class_of(&u, 3, 0);
         assert_eq!(state.class_state(certain_pos), ClassState::CertainPositive);
@@ -1370,8 +1351,8 @@ mod tests {
         b.relation_p("P", &["B"]);
         b.row_r(&[Value::int(5)]);
         b.row_p(&[Value::int(5)]);
-        let u = Universe::build(b.build().unwrap());
-        let state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(b.build().unwrap()));
+        let state = InferenceState::new(Arc::clone(&u));
         assert_eq!(state.class_state(0), ClassState::CertainPositive);
         assert!(!state.any_informative());
         assert_eq!(state.uninformative_count(), 1);
@@ -1379,8 +1360,8 @@ mod tests {
 
     #[test]
     fn as_sample_round_trips_history() {
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         state.apply(class_of(&u, 1, 1), Label::Positive).unwrap();
         state.apply(class_of(&u, 2, 1), Label::Negative).unwrap();
         let sample = state.as_sample();
@@ -1392,8 +1373,8 @@ mod tests {
 
     #[test]
     fn nth_informative_is_select_on_the_mask() {
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         state.apply(class_of(&u, 2, 0), Label::Negative).unwrap();
         let inf: Vec<ClassId> = state.informative().collect();
         assert_eq!(inf.len(), state.informative_len());
@@ -1408,8 +1389,8 @@ mod tests {
         // The adaptive gain_pair must produce identical pairs through the
         // fused direct scan and the closure-mask assembly, empty and
         // mid-session (θ below Ω, negatives present).
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         for step in 0..3 {
             for c in state.informative().collect::<Vec<_>>() {
                 let direct = state.gain_pair_direct(c);
@@ -1437,8 +1418,8 @@ mod tests {
         // The mask-compressed session state of the paper's instances fits
         // in ~100 bytes + history: five one-word masks, two Ω-word bounds,
         // and the scratch words.
-        let u = Universe::build(crate::paper::flight_hotel());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(crate::paper::flight_hotel()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         let empty = state.state_bytes();
         assert!(empty <= 128, "empty-session state is {empty} bytes");
         state

@@ -25,7 +25,7 @@ impl BottomUp {
 /// Shared by BU and the positive-phase of TD: the informative class with the
 /// smallest signature. One pass over the maintained informative mask, using
 /// the universe's precomputed signature sizes.
-pub(crate) fn min_signature_informative(state: &InferenceState<'_>) -> Option<ClassId> {
+pub(crate) fn min_signature_informative(state: &InferenceState) -> Option<ClassId> {
     let universe = state.universe();
     state
         .informative()
@@ -37,7 +37,7 @@ impl Strategy for BottomUp {
         "BU"
     }
 
-    fn next(&mut self, state: &InferenceState<'_>) -> Result<Option<ClassId>> {
+    fn next(&mut self, state: &InferenceState) -> Result<Option<ClassId>> {
         // Deterministic and parameterless: served from the shared
         // universe-level decision cache in both phases. The scan itself is
         // one pass over the open mask, but a fleet of sessions sharing a
@@ -56,12 +56,13 @@ mod tests {
     use crate::paper::example_2_1;
     use crate::sample::Label;
     use crate::universe::Universe;
+    use std::sync::Arc;
 
     #[test]
     fn first_pick_is_the_empty_signature_tuple() {
         // §4.3: on Example 2.1, BU first asks about (t3,t1') with T = ∅.
-        let u = Universe::build(example_2_1());
-        let state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let state = InferenceState::new(Arc::clone(&u));
         let mut bu = BottomUp::new();
         let c = bu.next(&state).unwrap().unwrap();
         assert_eq!(u.representative(c), (2, 0));
@@ -72,8 +73,8 @@ mod tests {
     fn second_pick_is_the_size_one_node() {
         // §4.3: after a negative answer on ∅, BU selects (t2,t1') with
         // T = {(A1,B3)}.
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         let mut bu = BottomUp::new();
         let c0 = bu.next(&state).unwrap().unwrap();
         state.apply(c0, Label::Negative).unwrap();
@@ -85,10 +86,10 @@ mod tests {
     #[test]
     fn empty_goal_takes_one_interaction() {
         // §5.3: the goal ∅ is inferred by BU with a single question.
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let goal = u.instance().pairs().bottom();
         let mut oracle = PredicateOracle::new(goal.clone());
-        let run = run_inference(&u, &mut BottomUp::new(), &mut oracle).unwrap();
+        let run = run_inference(&u, Box::new(BottomUp::new()), &mut oracle).unwrap();
         assert_eq!(run.interactions, 1);
         assert_eq!(
             u.instance().equijoin(&run.predicate),
@@ -100,10 +101,10 @@ mod tests {
     fn all_negative_worst_case_visits_every_class() {
         // With goal Ω (nothing selected — no tuple has T = Ω here), the user
         // answers negatively throughout and BU labels all 12 classes.
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let goal = u.omega();
         let mut oracle = PredicateOracle::new(goal);
-        let run = run_inference(&u, &mut BottomUp::new(), &mut oracle).unwrap();
+        let run = run_inference(&u, Box::new(BottomUp::new()), &mut oracle).unwrap();
         assert_eq!(run.interactions, 12);
     }
 }

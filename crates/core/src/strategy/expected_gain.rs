@@ -76,7 +76,7 @@ fn count_down_set(base: &BitSet, negs: &[&BitSet]) -> f64 {
 /// The probability that class `c` is labeled positive under a uniform
 /// prior over `C(S)`. Returns `None` when `|S⁻|` exceeds the
 /// inclusion–exclusion budget.
-pub fn positive_probability(state: &InferenceState<'_>, c: ClassId) -> Option<f64> {
+pub fn positive_probability(state: &InferenceState, c: ClassId) -> Option<f64> {
     let (negs, total) = sorted_negatives_and_total(state)?;
     Some(selecting_probability(state, c, &negs, total))
 }
@@ -91,7 +91,7 @@ pub fn positive_probability(state: &InferenceState<'_>, c: ClassId) -> Option<f6
 /// negative *set* for EG's move to be cacheable under the
 /// `(T(S⁺), neg mask)` key — two sessions that labeled the same negatives
 /// in different orders must compute bit-identical gains.
-fn sorted_negatives_and_total<'s>(state: &'s InferenceState<'_>) -> Option<(Vec<&'s BitSet>, f64)> {
+fn sorted_negatives_and_total(state: &InferenceState) -> Option<(Vec<&BitSet>, f64)> {
     if state.negatives().len() > ExpectedGain::MAX_NEGATIVES {
         return None;
     }
@@ -109,12 +109,7 @@ fn sorted_negatives_and_total<'s>(state: &'s InferenceState<'_>) -> Option<(Vec<
 /// `|{θ ∈ C(S) : θ selects c}| / |C(S)|` given the hoisted invariants:
 /// predicates selecting `c` are `θ ⊆ T(S⁺) ∩ T(c)`, minus the same union
 /// of negative down-sets.
-fn selecting_probability(
-    state: &InferenceState<'_>,
-    c: ClassId,
-    negs: &[&BitSet],
-    total: f64,
-) -> f64 {
+fn selecting_probability(state: &InferenceState, c: ClassId, negs: &[&BitSet], total: f64) -> f64 {
     let base_sel = state.theta_possible().intersection(state.universe().sig(c));
     (count_down_set(&base_sel, negs) / total).clamp(0.0, 1.0)
 }
@@ -123,7 +118,7 @@ impl ExpectedGain {
     /// The uncached expected-gain selection over the current state. The
     /// candidate-invariant half of the probability (sorted negatives,
     /// `|C(S)|`) is computed once, not per informative class.
-    fn select(&self, state: &InferenceState<'_>) -> Option<ClassId> {
+    fn select(&self, state: &InferenceState) -> Option<ClassId> {
         let prior = sorted_negatives_and_total(state);
         let mut best: Option<(f64, ClassId)> = None;
         for c in state.informative() {
@@ -146,7 +141,7 @@ impl Strategy for ExpectedGain {
         "EG"
     }
 
-    fn next(&mut self, state: &InferenceState<'_>) -> Result<Option<ClassId>> {
+    fn next(&mut self, state: &InferenceState) -> Result<Option<ClassId>> {
         // The probabilities and gains are deterministic functions of the
         // derived state (the inclusion–exclusion sum iterates the negative
         // set order-independently), so EG's move is served from the shared
@@ -163,6 +158,7 @@ mod tests {
     use crate::paper::example_2_1;
     use crate::sample::Label;
     use crate::universe::Universe;
+    use std::sync::Arc;
 
     #[test]
     fn probability_is_one_for_certain_positive() {
@@ -173,8 +169,8 @@ mod tests {
         b.relation_p("P", &["B"]);
         b.row_r(&[Value::int(1)]);
         b.row_p(&[Value::int(1)]);
-        let u = Universe::build(b.build().unwrap());
-        let state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(b.build().unwrap()));
+        let state = InferenceState::new(Arc::clone(&u));
         assert_eq!(positive_probability(&state, 0), Some(1.0));
     }
 
@@ -182,8 +178,8 @@ mod tests {
     fn probability_shrinks_with_signature() {
         // Empty sample on Example 2.1: C(S) = P(Ω), |Ω| = 6, so the
         // probability that θ ⊆ T(t) is 2^{|T(t)|}/2^6.
-        let u = Universe::build(example_2_1());
-        let state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let state = InferenceState::new(Arc::clone(&u));
         for c in 0..u.num_classes() {
             let expect = 2f64.powi(u.sig(c).len() as i32) / 64.0;
             let got = positive_probability(&state, c).unwrap();
@@ -195,8 +191,8 @@ mod tests {
     fn probability_respects_negatives() {
         // After labeling the ∅-signature tuple negative, C(S) loses only
         // the empty predicate: |C(S)| = 2^6 − 1.
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         let c_empty = (0..u.num_classes()).find(|&c| u.sig(c).is_empty()).unwrap();
         state.apply(c_empty, Label::Negative).unwrap();
         let c_one = (0..u.num_classes()).find(|&c| u.sig(c).len() == 1).unwrap();
@@ -207,12 +203,11 @@ mod tests {
 
     #[test]
     fn eg_infers_correctly_on_all_goals() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let goals = crate::lattice::non_nullable_predicates(&u, 10_000).unwrap();
         for goal in &goals {
-            let mut strategy = ExpectedGain::new();
             let mut oracle = PredicateOracle::new(goal.clone());
-            let run = run_inference(&u, &mut strategy, &mut oracle).unwrap();
+            let run = run_inference(&u, Box::new(ExpectedGain::new()), &mut oracle).unwrap();
             assert_eq!(
                 u.instance().equijoin(&run.predicate),
                 u.instance().equijoin(goal),
@@ -222,17 +217,17 @@ mod tests {
 
     #[test]
     fn eg_is_competitive_with_l1s_on_average() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let goals = crate::lattice::non_nullable_predicates(&u, 10_000).unwrap();
         let mut eg_total = 0usize;
         let mut l1s_total = 0usize;
         for goal in &goals {
             let mut o1 = PredicateOracle::new(goal.clone());
-            eg_total += run_inference(&u, &mut ExpectedGain::new(), &mut o1)
+            eg_total += run_inference(&u, Box::new(ExpectedGain::new()), &mut o1)
                 .unwrap()
                 .interactions;
             let mut o2 = PredicateOracle::new(goal.clone());
-            l1s_total += run_inference(&u, &mut crate::strategy::Lookahead::l1s(), &mut o2)
+            l1s_total += run_inference(&u, Box::new(crate::strategy::Lookahead::l1s()), &mut o2)
                 .unwrap()
                 .interactions;
         }
@@ -251,12 +246,12 @@ mod tests {
         // different ORDERS must compute bit-identical probabilities and
         // the same move — the f64 inclusion–exclusion sum must not depend
         // on labeling order. Cache disabled: compare raw computation.
-        let u = Universe::build(example_2_1()).with_decision_cache_budget(0);
-        let probe = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()).with_decision_cache_budget(0));
+        let probe = InferenceState::new(Arc::clone(&u));
         let n1 = probe.nth_informative(0).unwrap();
         let n2 = probe.nth_informative(3).unwrap();
-        let mut a = InferenceState::new(&u);
-        let mut b = InferenceState::new(&u);
+        let mut a = InferenceState::new(Arc::clone(&u));
+        let mut b = InferenceState::new(Arc::clone(&u));
         a.apply(n1, Label::Negative).unwrap();
         a.apply(n2, Label::Negative).unwrap();
         b.apply(n2, Label::Negative).unwrap();
@@ -278,8 +273,8 @@ mod tests {
     #[test]
     fn inclusion_exclusion_matches_enumeration() {
         // Cross-check count_down_set against brute force on Example 2.1.
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         state
             .apply(u.class_of(1, 1).unwrap(), Label::Positive)
             .unwrap();

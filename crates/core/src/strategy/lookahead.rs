@@ -68,7 +68,7 @@ impl Lookahead {
     }
 
     /// The uncached Algorithm 4/6 selection over the current state.
-    fn select(&self, state: &InferenceState<'_>) -> Option<ClassId> {
+    fn select(&self, state: &InferenceState) -> Option<ClassId> {
         if self.depth == 1 {
             // Streaming Algorithm 4: track the select_best incumbent while
             // sweeping the informative mask, no entry vector.
@@ -91,7 +91,7 @@ impl Lookahead {
     /// Every value is the exact Algorithm 5 result: branch-and-bound only
     /// happens *inside* each class's recursion, against incumbents whose
     /// defeat is already decided.
-    pub fn entropies(&self, state: &InferenceState<'_>) -> Vec<(ClassId, Entropy)> {
+    pub fn entropies(&self, state: &InferenceState) -> Vec<(ClassId, Entropy)> {
         if self.depth == 1 {
             state.entropies()
         } else {
@@ -122,12 +122,12 @@ impl Lookahead {
 /// One node's candidate ordering: class and its raw `(u⁺, u⁻)` pair.
 type Ordering = Vec<(ClassId, (u64, u64))>;
 
-struct Scratch<'u> {
-    states: Vec<Option<InferenceState<'u>>>,
+struct Scratch {
+    states: Vec<Option<InferenceState>>,
     orders: Vec<Option<Ordering>>,
 }
 
-impl<'u> Scratch<'u> {
+impl Scratch {
     fn new(depth: usize) -> Self {
         Scratch {
             states: (0..=depth).map(|_| None).collect(),
@@ -167,13 +167,13 @@ fn update_best(best: &mut Option<(ClassId, Entropy)>, t: ClassId, e: Entropy) {
 /// With `alpha = 0, beta = u64::MAX` the result is the exact
 /// [`select_best`] over exact entropies. Returns `None` iff no informative
 /// class remains.
-fn best_successor<'u>(
-    s: &InferenceState<'u>,
+fn best_successor(
+    s: &InferenceState,
     base: u64,
     k: usize,
     alpha: u64,
     beta: u64,
-    scratch: &mut Scratch<'u>,
+    scratch: &mut Scratch,
 ) -> Option<(ClassId, Entropy)> {
     if !s.any_informative() {
         return None;
@@ -237,14 +237,14 @@ fn best_successor<'u>(
 /// back below `cutoff` the node is abandoned and an upper bound of the true
 /// value (still `< cutoff`) is returned — the caller discards it. Pass `0`
 /// to force the exact value.
-fn entropy_rel<'u>(
-    current: &InferenceState<'u>,
+fn entropy_rel(
+    current: &InferenceState,
     base: u64,
     c: ClassId,
     pair: (u64, u64),
     k: usize,
     cutoff: u64,
-    scratch: &mut Scratch<'u>,
+    scratch: &mut Scratch,
 ) -> Entropy {
     let (g_pos, g_neg) = pair;
     if k == 1 {
@@ -307,7 +307,7 @@ impl Strategy for Lookahead {
         &self.name
     }
 
-    fn next(&mut self, state: &InferenceState<'_>) -> Result<Option<ClassId>> {
+    fn next(&mut self, state: &InferenceState) -> Result<Option<ClassId>> {
         // The selection is a deterministic function of the derived state,
         // so it is served from the universe-level decision cache in *both*
         // phases: a server running thousands of sessions over one shared
@@ -327,13 +327,14 @@ mod tests {
     use crate::entropy::select_best;
     use crate::paper::example_2_1;
     use crate::universe::Universe;
+    use std::sync::Arc;
 
     #[test]
     fn l1s_first_choice_matches_section_4_4() {
         // §4.4 (with the Figure 5 typo corrected, see entropy::tests):
         // L1S picks (t2,t1'), whose entropy (1,4) has the maximal min.
-        let u = Universe::build(example_2_1());
-        let state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let state = InferenceState::new(Arc::clone(&u));
         let mut l1s = Lookahead::l1s();
         let c = l1s.next(&state).unwrap().unwrap();
         assert_eq!(u.representative(c), (1, 0));
@@ -343,8 +344,8 @@ mod tests {
     fn deep_entropies_match_the_scratch_recursion() {
         // entropy_rel over speculated states must agree with the reference
         // entropy_k over cloned samples (Algorithm 5 semantics).
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         state
             .apply(u.class_of(0, 2).unwrap(), crate::Label::Positive)
             .unwrap();
@@ -370,8 +371,8 @@ mod tests {
         // recursion must reproduce the exhaustive entropy_k values AND the
         // exhaustive select_best choice, at depths 2 and 3.
         use jqi_datagen_free::tiny_synthetic;
-        let u = Universe::build(tiny_synthetic());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(tiny_synthetic()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         let first = state.nth_informative(0).unwrap();
         state.apply(first, crate::Label::Negative).unwrap();
         let sample = state.as_sample();
@@ -433,22 +434,23 @@ mod tests {
         // The paper's empirical claim (§5.3) is about averages: across all
         // non-nullable goals (and several RND seeds), L2S needs fewer
         // interactions than the random baseline.
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let goals = crate::lattice::non_nullable_predicates(&u, 10_000).unwrap();
         let mut l2s_total = 0usize;
         let mut rnd_total = 0usize;
         let seeds = [1u64, 2, 3, 4, 5];
         for goal in &goals {
             let mut o = PredicateOracle::new(goal.clone());
-            l2s_total += run_inference(&u, &mut Lookahead::l2s(), &mut o)
+            l2s_total += run_inference(&u, Box::new(Lookahead::l2s()), &mut o)
                 .unwrap()
                 .interactions
                 * seeds.len();
             for &seed in &seeds {
                 let mut o = PredicateOracle::new(goal.clone());
-                rnd_total += run_inference(&u, &mut crate::strategy::Random::new(seed), &mut o)
-                    .unwrap()
-                    .interactions;
+                rnd_total +=
+                    run_inference(&u, Box::new(crate::strategy::Random::new(seed)), &mut o)
+                        .unwrap()
+                        .interactions;
             }
         }
         assert!(

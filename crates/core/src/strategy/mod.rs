@@ -59,7 +59,7 @@ pub(crate) const CACHE_KEY_LKS: u64 = 0x4c6b_5300;
 /// mask key no longer determines the state.
 pub(crate) fn cached_move(
     base_key: u64,
-    state: &InferenceState<'_>,
+    state: &InferenceState,
     compute: impl FnOnce() -> Option<ClassId>,
 ) -> Option<ClassId> {
     if !state.is_consistent() {
@@ -82,17 +82,7 @@ pub trait Strategy {
 
     /// The next informative class to present, or `None` when the halt
     /// condition Γ holds (no informative tuple remains).
-    fn next(&mut self, state: &InferenceState<'_>) -> Result<Option<ClassId>>;
-}
-
-impl<S: Strategy + ?Sized> Strategy for Box<S> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn next(&mut self, state: &InferenceState<'_>) -> Result<Option<ClassId>> {
-        (**self).next(state)
-    }
+    fn next(&mut self, state: &InferenceState) -> Result<Option<ClassId>>;
 }
 
 /// A boxed, thread-safe strategy object.
@@ -100,7 +90,7 @@ impl<S: Strategy + ?Sized> Strategy for Box<S> {
 /// [`Strategy`] is object-safe, and every strategy in the crate is `Send`,
 /// so heterogeneous strategies (RND next to L2S next to BU) can live in one
 /// session table and move across threads with their sessions. This is the
-/// strategy type of [`crate::session::OwnedSession`].
+/// strategy type of [`crate::session::Session`].
 pub type DynStrategy = Box<dyn Strategy + Send>;
 
 /// A serializable description of a strategy: enough to rebuild it exactly.
@@ -150,17 +140,17 @@ impl StrategyConfig {
         }
     }
 
-    /// The config describing what [`StrategyKind::build`] builds.
-    pub fn from_kind(kind: StrategyKind, seed: u64) -> StrategyConfig {
-        match kind {
-            StrategyKind::Rnd => StrategyConfig::Rnd { seed },
-            StrategyKind::Bu => StrategyConfig::Bu,
-            StrategyKind::Td => StrategyConfig::Td,
-            StrategyKind::L1s => StrategyConfig::Lks { depth: 1 },
-            StrategyKind::L2s => StrategyConfig::Lks { depth: 2 },
-            StrategyKind::Optimal => StrategyConfig::Optimal,
-            StrategyKind::Eg => StrategyConfig::Eg,
-        }
+    /// The five strategies compared throughout §5, in the paper's order
+    /// (BU, TD, L1S, L2S, RND); `seed` seeds RND. Their display names are
+    /// the built strategies' [`Strategy::name`]s.
+    pub fn paper(seed: u64) -> [StrategyConfig; 5] {
+        [
+            StrategyConfig::Bu,
+            StrategyConfig::Td,
+            StrategyConfig::Lks { depth: 1 },
+            StrategyConfig::Lks { depth: 2 },
+            StrategyConfig::Rnd { seed },
+        ]
     }
 }
 
@@ -213,90 +203,28 @@ impl std::str::FromStr for StrategyConfig {
     }
 }
 
-/// A dynamic catalogue of the paper's strategies, used by the experiment
-/// harness to iterate over all of them uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StrategyKind {
-    /// Random informative tuple (baseline).
-    Rnd,
-    /// Bottom-up local strategy (Algorithm 2).
-    Bu,
-    /// Top-down local strategy (Algorithm 3).
-    Td,
-    /// One-step lookahead skyline (Algorithm 4).
-    L1s,
-    /// Two-step lookahead skyline (Algorithm 6).
-    L2s,
-    /// Minimax-optimal (small instances only).
-    Optimal,
-    /// Expected-gain under a uniform prior over consistent predicates
-    /// (a probabilistic extension beyond the paper — §7 future work).
-    Eg,
-}
-
-impl StrategyKind {
-    /// The five strategies compared throughout §5, in the paper's order.
-    pub const PAPER: [StrategyKind; 5] = [
-        StrategyKind::Bu,
-        StrategyKind::Td,
-        StrategyKind::L1s,
-        StrategyKind::L2s,
-        StrategyKind::Rnd,
-    ];
-
-    /// Display name matching the paper's figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            StrategyKind::Rnd => "RND",
-            StrategyKind::Bu => "BU",
-            StrategyKind::Td => "TD",
-            StrategyKind::L1s => "L1S",
-            StrategyKind::L2s => "L2S",
-            StrategyKind::Optimal => "OPT",
-            StrategyKind::Eg => "EG",
-        }
-    }
-
-    /// Instantiates the strategy; `seed` only affects [`Random`].
-    pub fn build(self, seed: u64) -> DynStrategy {
-        StrategyConfig::from_kind(self, seed).build()
-    }
-}
-
-impl std::fmt::Display for StrategyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{run_inference, PredicateOracle};
     use crate::paper::example_2_1;
     use crate::universe::Universe;
+    use std::sync::Arc;
 
-    /// Every catalogued strategy infers an instance-equivalent predicate on
+    /// Every paper strategy infers an instance-equivalent predicate on
     /// Example 2.1, for every non-nullable goal.
     #[test]
     fn all_strategies_reach_equivalent_predicates() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let goals = crate::lattice::non_nullable_predicates(&u, 10_000).unwrap();
-        for kind in [
-            StrategyKind::Rnd,
-            StrategyKind::Bu,
-            StrategyKind::Td,
-            StrategyKind::L1s,
-            StrategyKind::L2s,
-        ] {
+        for config in StrategyConfig::paper(42) {
             for goal in &goals {
-                let mut strategy = kind.build(42);
                 let mut oracle = PredicateOracle::new(goal.clone());
-                let run = run_inference(&u, strategy.as_mut(), &mut oracle).unwrap();
+                let run = run_inference(&u, config.build(), &mut oracle).unwrap();
                 assert_eq!(
                     u.instance().equijoin(&run.predicate),
                     u.instance().equijoin(goal),
-                    "{kind} failed on goal {goal:?}"
+                    "{config} failed on goal {goal:?}"
                 );
             }
         }
@@ -304,8 +232,9 @@ mod tests {
 
     #[test]
     fn kind_names_match_paper() {
-        assert_eq!(StrategyKind::Rnd.to_string(), "RND");
-        assert_eq!(StrategyKind::L2s.to_string(), "L2S");
-        assert_eq!(StrategyKind::PAPER.len(), 5);
+        let names = StrategyConfig::paper(7).map(|config| config.build().name().to_string());
+        assert_eq!(names, ["BU", "TD", "L1S", "L2S", "RND"]);
+        assert_eq!(StrategyConfig::Eg.build().name(), "EG");
+        assert_eq!(StrategyConfig::Optimal.build().name(), "OPT");
     }
 }

@@ -21,6 +21,7 @@ use crate::state::InferenceState;
 use crate::strategy::Strategy;
 use crate::universe::{ClassId, Universe};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Default cap on the number of informative classes the optimal strategy
 /// will consider (the state space is `O(3^classes)`).
@@ -28,7 +29,7 @@ pub const DEFAULT_CLASS_LIMIT: usize = 14;
 
 /// Canonical memo key: one byte per class (0 unlabeled, 1 positive,
 /// 2 negative).
-fn state_key(state: &InferenceState<'_>) -> Vec<u8> {
+fn state_key(state: &InferenceState) -> Vec<u8> {
     (0..state.num_classes())
         .map(|c| match state.label(c) {
             None => 0,
@@ -41,7 +42,7 @@ fn state_key(state: &InferenceState<'_>) -> Vec<u8> {
 /// Worst-case number of interactions from `state` under optimal play,
 /// with the optimal first question.
 fn minimax(
-    state: &InferenceState<'_>,
+    state: &InferenceState,
     memo: &mut HashMap<Vec<u8>, (u32, Option<ClassId>)>,
 ) -> (u32, Option<ClassId>) {
     let key = state_key(state);
@@ -83,12 +84,12 @@ fn minimax(
 ///
 /// Fails with [`InferenceError::UniverseTooLarge`] when there are more than
 /// `limit` classes.
-pub fn optimal_worst_case(universe: &Universe, limit: usize) -> Result<u32> {
+pub fn optimal_worst_case(universe: &Arc<Universe>, limit: usize) -> Result<u32> {
     let classes = universe.num_classes();
     if classes > limit {
         return Err(InferenceError::UniverseTooLarge { classes, limit });
     }
-    let state = InferenceState::new(universe);
+    let state = InferenceState::new(Arc::clone(universe));
     let mut memo = HashMap::new();
     Ok(minimax(&state, &mut memo).0)
 }
@@ -101,8 +102,8 @@ pub fn optimal_worst_case(universe: &Universe, limit: usize) -> Result<u32> {
 /// strategy. Exponential in the number of classes; a yardstick for small
 /// instances. Stateful strategies (e.g. [`crate::strategy::Random`]) would
 /// leak RNG state across branches and give meaningless results.
-pub fn strategy_worst_case(universe: &Universe, strategy: &mut dyn Strategy) -> Result<u32> {
-    fn rec(strategy: &mut dyn Strategy, state: &InferenceState<'_>) -> Result<u32> {
+pub fn strategy_worst_case(universe: &Arc<Universe>, strategy: &mut dyn Strategy) -> Result<u32> {
+    fn rec(strategy: &mut dyn Strategy, state: &InferenceState) -> Result<u32> {
         match strategy.next(state)? {
             None => Ok(0),
             Some(c) => {
@@ -115,7 +116,7 @@ pub fn strategy_worst_case(universe: &Universe, strategy: &mut dyn Strategy) -> 
             }
         }
     }
-    rec(strategy, &InferenceState::new(universe))
+    rec(strategy, &InferenceState::new(Arc::clone(universe)))
 }
 
 /// OPT: plays the minimax-optimal strategy, caching the game tree across
@@ -152,7 +153,7 @@ impl Strategy for Optimal {
         "OPT"
     }
 
-    fn next(&mut self, state: &InferenceState<'_>) -> Result<Option<ClassId>> {
+    fn next(&mut self, state: &InferenceState) -> Result<Option<ClassId>> {
         // OPT stays off the universe-level decision cache: it is restricted
         // to tiny universes anyway, carries its own game-tree memo that
         // amortizes across the whole run, and its error path (the class
@@ -181,13 +182,13 @@ mod tests {
     fn trivial_universe_costs_zero() {
         // Example 3.3: the single product tuple has T = Ω = {(A1,B1),(A2,B1)},
         // certain-positive from the start, so no question is ever needed.
-        let u = Universe::build(example_3_3());
+        let u = Arc::new(Universe::build(example_3_3()));
         assert_eq!(optimal_worst_case(&u, 14).unwrap(), 0);
     }
 
     #[test]
     fn example_2_1_optimal_worst_case() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let opt = optimal_worst_case(&u, 14).unwrap();
         // Sanity bounds: at least ⌈log2⌉ of distinguishable outcomes, at
         // most the class count.
@@ -215,27 +216,25 @@ mod tests {
         // adversary, so heuristics may finish under `opt` against it — but
         // the run must still be consistent and halt.
         let mut adversary = AdversarialOracle::new();
-        let run = run_inference(&u, &mut TopDown::new(), &mut adversary).unwrap();
+        let run = run_inference(&u, Box::new(TopDown::new()), &mut adversary).unwrap();
         assert!(run.sample.is_consistent(&u));
     }
 
     #[test]
     fn optimal_strategy_attains_its_own_bound() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let bound = optimal_worst_case(&u, 14).unwrap();
-        let mut opt = Optimal::new();
         let mut adversary = AdversarialOracle::new();
-        let run = run_inference(&u, &mut opt, &mut adversary).unwrap();
+        let run = run_inference(&u, Box::new(Optimal::new()), &mut adversary).unwrap();
         assert_eq!(run.interactions as u32, bound);
     }
 
     #[test]
     fn optimal_infers_correct_predicates_too() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let goal = crate::predicate_from_names(u.instance(), &[("A1", "B1")]).unwrap();
-        let mut opt = Optimal::new();
         let mut oracle = PredicateOracle::new(goal.clone());
-        let run = run_inference(&u, &mut opt, &mut oracle).unwrap();
+        let run = run_inference(&u, Box::new(Optimal::new()), &mut oracle).unwrap();
         assert_eq!(
             u.instance().equijoin(&run.predicate),
             u.instance().equijoin(&goal)
@@ -244,7 +243,7 @@ mod tests {
 
     #[test]
     fn limit_is_enforced() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         assert!(matches!(
             optimal_worst_case(&u, 5),
             Err(InferenceError::UniverseTooLarge {
@@ -253,7 +252,7 @@ mod tests {
             })
         ));
         let mut opt = Optimal::with_limit(5);
-        let state = InferenceState::new(&u);
+        let state = InferenceState::new(Arc::clone(&u));
         assert!(opt.next(&state).is_err());
     }
 }

@@ -43,7 +43,7 @@ impl Strategy for Random {
         "RND"
     }
 
-    fn next(&mut self, state: &InferenceState<'_>) -> Result<Option<ClassId>> {
+    fn next(&mut self, state: &InferenceState) -> Result<Option<ClassId>> {
         // RND deliberately bypasses the universe-level decision cache: its
         // choice depends on the per-session seed and on |S| (the history
         // length), neither of which the shared (T(S⁺), negative-mask) key
@@ -70,11 +70,12 @@ mod tests {
     use crate::paper::example_2_1;
     use crate::sample::Label;
     use crate::universe::Universe;
+    use std::sync::Arc;
 
     #[test]
     fn picks_only_informative_classes() {
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         let mut rnd = Random::new(7);
         for _ in 0..5 {
             let c = rnd.next(&state).unwrap().expect("informative left");
@@ -88,8 +89,8 @@ mod tests {
 
     #[test]
     fn choice_is_a_pure_function_of_seed_and_state() {
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         let mut rnd = Random::new(99);
         let a = rnd.next(&state).unwrap();
         // No hidden stream position: re-asking the same state re-draws the
@@ -104,8 +105,8 @@ mod tests {
 
     #[test]
     fn different_seeds_can_disagree() {
-        let u = Universe::build(example_2_1());
-        let state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let state = InferenceState::new(Arc::clone(&u));
         let picks: std::collections::HashSet<_> = (0..32u64)
             .map(|seed| Random::new(seed).next(&state).unwrap())
             .collect();
@@ -120,8 +121,8 @@ mod tests {
         b.relation_p("P", &["B"]);
         b.row_r(&[Value::int(1)]);
         b.row_p(&[Value::int(1)]);
-        let u = Universe::build(b.build().unwrap());
-        let state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(b.build().unwrap()));
+        let state = InferenceState::new(Arc::clone(&u));
         let mut rnd = Random::new(0);
         assert_eq!(rnd.next(&state).unwrap(), None);
     }

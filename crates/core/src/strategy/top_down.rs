@@ -31,7 +31,7 @@ impl TopDown {
 
 impl TopDown {
     /// The uncached Algorithm 3 selection over the current state.
-    fn select(&self, state: &InferenceState<'_>) -> Option<ClassId> {
+    fn select(&self, state: &InferenceState) -> Option<ClassId> {
         if !state.positives().is_empty() {
             // Lines 3–5: with a positive example the goal is non-nullable;
             // switch to the bottom-up order.
@@ -76,7 +76,7 @@ impl Strategy for TopDown {
         "TD"
     }
 
-    fn next(&mut self, state: &InferenceState<'_>) -> Result<Option<ClassId>> {
+    fn next(&mut self, state: &InferenceState) -> Result<Option<ClassId>> {
         // TD is deterministic and parameterless; its move is served from
         // the shared universe-level decision cache in both phases. The
         // phase bit the cache helper folds in matters for TD in
@@ -93,13 +93,14 @@ mod tests {
     use crate::paper::example_2_1;
     use crate::sample::Label;
     use crate::universe::Universe;
+    use std::sync::Arc;
 
     #[test]
     fn first_picks_are_maximal_nodes() {
         // §4.3: TD first asks about tuples corresponding to ⊆-maximal
         // predicates, e.g. {(A1,B1),(A1,B2),(A2,B3)} = (t4,t1').
-        let u = Universe::build(example_2_1());
-        let state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let state = InferenceState::new(Arc::clone(&u));
         let mut td = TopDown::new();
         let c = td.next(&state).unwrap().unwrap();
         let maximal = crate::lattice::maximal_classes(&u);
@@ -111,9 +112,9 @@ mod tests {
     fn goal_omega_labels_only_maximal_classes() {
         // If the user answers all-negative, TD infers Ω after labeling the
         // seven maximal classes — not all twelve (BU's worst case).
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let mut oracle = PredicateOracle::new(u.omega());
-        let run = run_inference(&u, &mut TopDown::new(), &mut oracle).unwrap();
+        let run = run_inference(&u, Box::new(TopDown::new()), &mut oracle).unwrap();
         assert_eq!(run.interactions, crate::lattice::maximal_classes(&u).len());
         assert_eq!(run.interactions, 7);
         assert_eq!(run.predicate, u.omega());
@@ -121,8 +122,8 @@ mod tests {
 
     #[test]
     fn switches_to_bottom_up_after_a_positive() {
-        let u = Universe::build(example_2_1());
-        let mut state = InferenceState::new(&u);
+        let u = Arc::new(Universe::build(example_2_1()));
+        let mut state = InferenceState::new(Arc::clone(&u));
         let mut td = TopDown::new();
         let c = td.next(&state).unwrap().unwrap();
         state.apply(c, Label::Positive).unwrap();
@@ -134,12 +135,17 @@ mod tests {
 
     #[test]
     fn agrees_with_bu_for_all_positive_history() {
-        let u = Universe::build(example_2_1());
+        let u = Arc::new(Universe::build(example_2_1()));
         let goal = crate::predicate_from_names(u.instance(), &[("A1", "B1")]).unwrap();
         let mut oracle_td = PredicateOracle::new(goal.clone());
         let mut oracle_bu = PredicateOracle::new(goal.clone());
-        let td = run_inference(&u, &mut TopDown::new(), &mut oracle_td).unwrap();
-        let bu = run_inference(&u, &mut crate::strategy::BottomUp::new(), &mut oracle_bu).unwrap();
+        let td = run_inference(&u, Box::new(TopDown::new()), &mut oracle_td).unwrap();
+        let bu = run_inference(
+            &u,
+            Box::new(crate::strategy::BottomUp::new()),
+            &mut oracle_bu,
+        )
+        .unwrap();
         assert_eq!(
             u.instance().equijoin(&td.predicate),
             u.instance().equijoin(&bu.predicate)

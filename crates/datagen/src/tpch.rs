@@ -370,6 +370,7 @@ mod tests {
     use jqi_core::engine::{run_inference, PredicateOracle};
     use jqi_core::strategy::TopDown;
     use jqi_core::universe::Universe;
+    use std::sync::Arc;
 
     #[test]
     fn tables_have_expected_shapes() {
@@ -444,9 +445,9 @@ mod tests {
     fn inference_recovers_each_goal_join() {
         let t = TpchTables::generate(TpchScale::Small, 6);
         for w in t.workloads() {
-            let u = Universe::build(w.instance.clone());
+            let u = Arc::new(Universe::build(w.instance.clone()));
             let mut oracle = PredicateOracle::new(w.goal.clone());
-            let run = run_inference(&u, &mut TopDown::new(), &mut oracle).unwrap();
+            let run = run_inference(&u, Box::new(TopDown::new()), &mut oracle).unwrap();
             assert_eq!(
                 u.instance().equijoin(&run.predicate),
                 u.instance().equijoin(&w.goal),

@@ -35,7 +35,7 @@ use crate::durability::{
     SegmentStore, SpillLocator, SpillPayload, SpillStore, Wal, WalRecord, WalStorage,
 };
 use crate::snapshot::SessionSnapshot;
-use jqi_core::session::{remap_replay_parts, Candidate, OwnedSession};
+use jqi_core::session::{remap_replay_parts, Candidate, Session};
 use jqi_core::{
     ClassId, DecisionCacheStats, DeltaError, InferenceError, Label, StrategyConfig, Universe,
     UniverseDelta,
@@ -231,7 +231,7 @@ enum Tier {
 
 impl Tier {
     /// A freshly materialized session, not yet counted.
-    fn resident(session: OwnedSession) -> Tier {
+    fn resident(session: Session) -> Tier {
         Tier::Resident(Box::new(Resident {
             session,
             counted: Footprint::default(),
@@ -244,7 +244,7 @@ impl Tier {
 /// or spilled slot's they cannot be re-derived from the slot when it is
 /// next locked.
 struct Resident {
-    session: OwnedSession,
+    session: Session,
     counted: Footprint,
 }
 
@@ -256,7 +256,7 @@ struct Resident {
 struct Footprint([usize; 9]);
 
 impl Footprint {
-    fn resident(session: &OwnedSession) -> Footprint {
+    fn resident(session: &Session) -> Footprint {
         let history = std::mem::size_of_val(session.history());
         let (state, resident) = (session.state_bytes(), session.resident_bytes());
         Footprint([1, 1, 0, 0, state, resident, history, 0, 0])
@@ -424,10 +424,9 @@ impl Slot {
     fn wake(
         &mut self,
         universe: &Arc<Universe>,
-    ) -> std::result::Result<&mut OwnedSession, InferenceError> {
+    ) -> std::result::Result<&mut Session, InferenceError> {
         if let Tier::Hibernated { history, pending } = &self.tier {
-            let session =
-                OwnedSession::replay(Arc::clone(universe), &self.config, history, *pending)?;
+            let session = Session::replay(Arc::clone(universe), &self.config, history, *pending)?;
             self.tier = Tier::resident(session);
         }
         match &mut self.tier {
@@ -1058,7 +1057,7 @@ impl SessionManager {
     fn with_session<T>(
         &self,
         id: SessionId,
-        f: impl FnOnce(&Serving, &mut OwnedSession) -> Result<T>,
+        f: impl FnOnce(&Serving, &mut Session) -> Result<T>,
     ) -> Result<T> {
         let serving = self.serving.read();
         let slot = self.slot(id)?;
@@ -1115,7 +1114,7 @@ impl SessionManager {
     /// can report the next universe's).
     pub fn create_session_stamped(&self, strategy: StrategyConfig) -> Result<(SessionId, u64)> {
         let serving = self.serving.read();
-        let session = OwnedSession::with_config(Arc::clone(&serving.universe), &strategy);
+        let session = Session::with_config(Arc::clone(&serving.universe), &strategy);
         let slot = Arc::new(Mutex::new(Slot::new(
             strategy.clone(),
             Tier::resident(session),
@@ -1229,7 +1228,7 @@ impl SessionManager {
     }
 
     /// [`Self::next_question`]'s body on an already-locked session.
-    fn ask(&self, id: SessionId, session: &mut OwnedSession) -> Result<Option<Candidate>> {
+    fn ask(&self, id: SessionId, session: &mut Session) -> Result<Option<Candidate>> {
         if let Some(pending) = session.pending_candidate() {
             return Ok(Some(pending));
         }
@@ -1244,7 +1243,7 @@ impl SessionManager {
     fn apply(
         &self,
         id: SessionId,
-        session: &mut OwnedSession,
+        session: &mut Session,
         answers: &[(ClassId, Label)],
     ) -> Result<usize> {
         let before = session.history().len();
@@ -1570,7 +1569,7 @@ impl SessionManager {
     ///
     /// * **Unchanged** — consistency and certainty read signatures only,
     ///   so no history can have become invalid. A resident session
-    ///   rebinds through [`OwnedSession::rebind`], its masks carried
+    ///   rebinds through [`Session::rebind`], its masks carried
     ///   verbatim in O(masks); a parked or spilled session is left exactly
     ///   as it is. Only the resident slots are visited (found through the
     ///   resident index, not a table walk), so the migration costs

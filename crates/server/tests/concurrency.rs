@@ -35,14 +35,14 @@ fn goals(universe: &Universe, take: usize) -> Vec<BitSet> {
         .collect()
 }
 
-/// Drives a borrowing single-threaded session to completion — the
-/// reference every concurrent session is compared against.
+/// Drives a single-threaded session to completion — the reference every
+/// concurrent session is compared against.
 fn single_threaded_reference(
-    universe: &Universe,
+    universe: &Arc<Universe>,
     config: &StrategyConfig,
     goal: &BitSet,
 ) -> (BitSet, Vec<(ClassId, Label)>) {
-    let mut session = Session::new(universe, config.build());
+    let mut session = Session::with_config(Arc::clone(universe), config);
     while let Some(q) = session.next().expect("strategies do not fail") {
         session
             .answer(oracle_label(universe, goal, q.class))

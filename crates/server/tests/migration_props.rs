@@ -6,7 +6,7 @@
 //! parked ones are not touched at all; over a structural delta every
 //! session is remapped by signature and replayed. Whatever path ran, each
 //! surviving session must be indistinguishable from the oracle —
-//! `OwnedSession::replay` on the new universe of the session's pre-delta
+//! `Session::replay` on the new universe of the session's pre-delta
 //! identity (strategy, history, pending question) remapped by signature:
 //! same history, pending class, interaction count, θ bounds and next
 //! question. And after every delta, recovering the durable log from the
@@ -22,7 +22,7 @@
 mod common;
 
 use common::{live_universe, oracle_label, random_delta, strategy_mix, Rng, Rows};
-use jqi_core::{ClassId, Label, OwnedSession, Universe};
+use jqi_core::{ClassId, Label, Session, Universe};
 use jqi_relation::BitSet;
 use jqi_server::durability::{MemSegments, MemWal};
 use jqi_server::{
@@ -87,11 +87,7 @@ fn durability() -> DurabilityConfig {
 
 /// The oracle: `snapshot`'s pre-delta identity remapped by signature onto
 /// `post` and replayed from scratch; `None` if it no longer replays.
-fn replayed(
-    pre: &Universe,
-    post: &Arc<Universe>,
-    snapshot: &SessionSnapshot,
-) -> Option<OwnedSession> {
+fn replayed(pre: &Universe, post: &Arc<Universe>, snapshot: &SessionSnapshot) -> Option<Session> {
     let remap = |c: ClassId| post.class_for_signature(pre.sig(c));
     let history: Vec<(ClassId, Label)> = snapshot
         .history
@@ -99,7 +95,7 @@ fn replayed(
         .filter_map(|&(c, label)| Some((remap(c)?, label)))
         .collect();
     let pending = snapshot.pending.and_then(remap);
-    OwnedSession::replay(Arc::clone(post), &snapshot.strategy, &history, pending).ok()
+    Session::replay(Arc::clone(post), &snapshot.strategy, &history, pending).ok()
 }
 
 fn check_migration(
@@ -108,7 +104,7 @@ fn check_migration(
     pre: &Universe,
     post: &Arc<Universe>,
     before: &BTreeMap<u64, SessionSnapshot>,
-    expected: &mut BTreeMap<u64, OwnedSession>,
+    expected: &mut BTreeMap<u64, Session>,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(report.sessions, before.len());
     prop_assert_eq!(
@@ -149,9 +145,8 @@ fn check_migration(
             m.inferred_predicate(id).expect("live"),
             oracle.inferred_predicate()
         );
-        let rebuilt =
-            OwnedSession::replay(Arc::clone(post), &now.strategy, &now.history, now.pending)
-                .expect("a served session replays");
+        let rebuilt = Session::replay(Arc::clone(post), &now.strategy, &now.history, now.pending)
+            .expect("a served session replays");
         prop_assert_eq!(
             rebuilt.state().interval(),
             oracle.state().interval(),

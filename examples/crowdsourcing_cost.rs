@@ -11,6 +11,7 @@
 
 use join_query_inference::datagen::SyntheticConfig;
 use join_query_inference::prelude::*;
+use std::sync::Arc;
 
 const CENTS_PER_LABEL: f64 = 5.0;
 
@@ -20,7 +21,7 @@ fn main() {
     println!("microtask price: {CENTS_PER_LABEL} ¢/label");
     println!();
 
-    let universe = Universe::build(cfg.generate(7));
+    let universe = Arc::new(Universe::build(cfg.generate(7)));
     let groups = join_query_inference::core::lattice::goals_by_size(&universe, 200_000)
         .expect("lattice fits in memory");
 
@@ -36,12 +37,12 @@ fn main() {
         if sample.is_empty() {
             continue;
         }
-        for kind in StrategyKind::PAPER {
+        for config in StrategyConfig::paper(99) {
+            let name = config.build().name().to_string();
             let mut total = 0usize;
             for goal in &sample {
-                let mut strategy = kind.build(99);
                 let mut oracle = PredicateOracle::new((*goal).clone());
-                let run = run_inference(&universe, strategy.as_mut(), &mut oracle)
+                let run = run_inference(&universe, config.build(), &mut oracle)
                     .expect("consistent oracle");
                 total += run.interactions;
             }
@@ -50,7 +51,7 @@ fn main() {
                 "{:>6} {:>7} {:>9} {:>9.1} {:>10.1}¢",
                 size,
                 sample.len(),
-                kind.name(),
+                name,
                 mean,
                 mean * CENTS_PER_LABEL
             );
@@ -59,7 +60,9 @@ fn main() {
     }
 
     // Worst-case budget: an adversarial worker on the paper's Example 2.1.
-    let tiny = Universe::build(join_query_inference::core::paper::example_2_1());
+    let tiny = Arc::new(Universe::build(
+        join_query_inference::core::paper::example_2_1(),
+    ));
     let optimal =
         join_query_inference::core::strategy::optimal_worst_case(&tiny, 14).expect("12 classes");
     println!(
@@ -68,14 +71,18 @@ fn main() {
         optimal,
         optimal as f64 * CENTS_PER_LABEL
     );
-    for kind in [StrategyKind::Bu, StrategyKind::Td, StrategyKind::L2s] {
-        let mut strategy = kind.build(0);
+    for strategy in [
+        Box::new(BottomUp::new()) as DynStrategy,
+        Box::new(TopDown::new()),
+        Box::new(Lookahead::l2s()),
+    ] {
+        let name = strategy.name().to_string();
         let mut adversary = AdversarialOracle::new();
-        let run = run_inference(&tiny, strategy.as_mut(), &mut adversary)
-            .expect("adversary stays consistent");
+        let run =
+            run_inference(&tiny, strategy, &mut adversary).expect("adversary stays consistent");
         println!(
             "  {:>3} against an adversarial worker: {} labels ({}¢)",
-            kind.name(),
+            name,
             run.interactions,
             run.interactions as f64 * CENTS_PER_LABEL
         );

@@ -55,7 +55,7 @@ fn main() {
     // Arc (no borrow), exactly as a long-running server would hold it.
     let universe = Arc::new(Universe::build(instance));
     let mut session =
-        OwnedSession::with_config(Arc::clone(&universe), &StrategyConfig::Lks { depth: 2 });
+        Session::with_config(Arc::clone(&universe), &StrategyConfig::Lks { depth: 2 });
     let stdin = std::io::stdin();
     let mut lines = stdin.lock().lines();
 

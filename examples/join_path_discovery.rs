@@ -51,11 +51,11 @@ fn main() {
     ];
 
     println!("inferring a {}-hop join path:", path.num_hops());
-    for kind in [StrategyKind::Td, StrategyKind::L2s] {
+    for config in [StrategyConfig::Td, StrategyConfig::Lks { depth: 2 }] {
         let run = path
-            .infer_with_goals(&goals, kind, 1)
+            .infer_with_goals(&goals, &config)
             .expect("consistent oracles");
-        println!("\nstrategy {}:", kind.name());
+        println!("\nstrategy {}:", config.build().name());
         for (h, theta) in run.predicates.iter().enumerate() {
             println!(
                 "  hop {h}: {} ({} questions)",

@@ -7,6 +7,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use join_query_inference::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // Figure 1's instance.
@@ -29,7 +30,7 @@ fn main() {
     let goal = predicate_from_names(&instance, &[("To", "City"), ("Airline", "Discount")])
         .expect("attributes exist");
 
-    let universe = Universe::build(instance);
+    let universe = Arc::new(Universe::build(instance));
     println!(
         "Cartesian product: {} tuples in {} equivalence classes",
         universe.total_tuples(),
@@ -38,8 +39,9 @@ fn main() {
     println!();
 
     // Drive a session with the top-down strategy; the "user" answers
-    // according to the hidden query.
-    let mut session = Session::new(&universe, TopDown::new());
+    // according to the hidden query. The session co-owns the universe, so
+    // it could as well be stored in a table or moved to another thread.
+    let mut session = Session::new(Arc::clone(&universe), Box::new(TopDown::new()));
     while let Some(candidate) = session.next().expect("strategy never fails") {
         let selected = goal.is_subset(universe.sig(candidate.class));
         let label = if selected {

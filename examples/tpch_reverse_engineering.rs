@@ -8,33 +8,33 @@
 
 use join_query_inference::datagen::tpch::{TpchJoin, TpchScale, TpchTables};
 use join_query_inference::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let tables = TpchTables::generate(TpchScale::Small, 2024);
     println!("strategy interactions per TPC-H join (goal never revealed):");
     println!();
     print!("{:8}", "join");
-    for kind in StrategyKind::PAPER {
-        print!(" {:>5}", kind.name());
+    for config in StrategyConfig::paper(42) {
+        print!(" {:>5}", config.build().name());
     }
     println!("  inferred predicate (most specific, via TD)");
 
     for join in TpchJoin::ALL {
         let w = tables.workload(join);
-        let universe = Universe::build(w.instance.clone());
+        let universe = Arc::new(Universe::build(w.instance.clone()));
         print!("{:8}", join.name());
         let mut td_predicate = None;
-        for kind in StrategyKind::PAPER {
-            let mut strategy = kind.build(42);
+        for config in StrategyConfig::paper(42) {
             let mut oracle = PredicateOracle::new(w.goal.clone());
-            let run = run_inference(&universe, strategy.as_mut(), &mut oracle)
+            let run = run_inference(&universe, config.build(), &mut oracle)
                 .expect("goal oracles are consistent");
             // Every strategy must land on an instance-equivalent predicate.
             assert_eq!(
                 universe.instance().equijoin(&run.predicate),
                 universe.instance().equijoin(&w.goal),
             );
-            if kind == StrategyKind::Td {
+            if config == StrategyConfig::Td {
                 td_predicate = Some(run.predicate.clone());
             }
             print!(" {:>5}", run.interactions);

@@ -34,6 +34,7 @@
 //!
 //! ```
 //! use join_query_inference::prelude::*;
+//! use std::sync::Arc;
 //!
 //! // Two tables the user cannot write a join query over.
 //! let mut b = InstanceBuilder::new();
@@ -48,11 +49,11 @@
 //! // The "user": labels pairs according to the hidden query
 //! // Flight.To = Hotel.City.
 //! let goal = predicate_from_names(&instance, &[("To", "City")]).unwrap();
-//! let universe = Universe::build(instance);
+//! let universe = Arc::new(Universe::build(instance));
 //! let mut oracle = PredicateOracle::new(goal.clone());
 //!
 //! // Infer with the top-down strategy.
-//! let run = run_inference(&universe, &mut TopDown::new(), &mut oracle).unwrap();
+//! let run = run_inference(&universe, Box::new(TopDown::new()), &mut oracle).unwrap();
 //! assert_eq!(
 //!     universe.instance().equijoin(&run.predicate),
 //!     universe.instance().equijoin(&goal),
@@ -74,10 +75,9 @@ pub mod prelude {
     pub use jqi_core::engine::{
         run_inference, AdversarialOracle, FnOracle, Oracle, PredicateOracle, RunResult,
     };
-    pub use jqi_core::session::{Candidate, OwnedSession, Session};
+    pub use jqi_core::session::{Candidate, Session};
     pub use jqi_core::strategy::{
-        BottomUp, DynStrategy, Lookahead, Optimal, Random, Strategy, StrategyConfig, StrategyKind,
-        TopDown,
+        BottomUp, DynStrategy, Lookahead, Optimal, Random, Strategy, StrategyConfig, TopDown,
     };
     pub use jqi_core::universe::Universe;
     pub use jqi_core::{predicate_from_names, ClassState, InferenceState, Label, Sample};
@@ -92,7 +92,7 @@ mod tests {
         use crate::prelude::*;
         let u = Universe::build(jqi_core::paper::example_2_1());
         assert_eq!(u.num_classes(), 12);
-        let _ = StrategyKind::PAPER;
+        assert_eq!(StrategyConfig::paper(0).len(), 5);
         let _ = Label::Positive;
     }
 }

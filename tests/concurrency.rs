@@ -58,9 +58,8 @@ fn parallel_inference_runs_share_one_universe() {
         .map(|goal| {
             let universe = Arc::clone(&universe);
             thread::spawn(move || {
-                let mut strategy = TopDown::new();
                 let mut oracle = PredicateOracle::new(goal.clone());
-                let run = run_inference(&universe, &mut strategy, &mut oracle)
+                let run = run_inference(&universe, Box::new(TopDown::new()), &mut oracle)
                     .expect("consistent oracle");
                 assert_eq!(
                     universe.instance().equijoin(&run.predicate),

@@ -15,16 +15,15 @@ fn tpch_joins_recovered_by_all_strategies() {
     for scale in [TpchScale::Small, TpchScale::Large] {
         let tables = TpchTables::generate(scale, 11);
         for w in tables.workloads() {
-            let universe = Universe::build(w.instance.clone());
-            for kind in StrategyKind::PAPER {
-                let mut strategy = kind.build(1);
+            let universe = Arc::new(Universe::build(w.instance.clone()));
+            for config in StrategyConfig::paper(1) {
                 let mut oracle = PredicateOracle::new(w.goal.clone());
-                let run = run_inference(&universe, strategy.as_mut(), &mut oracle)
+                let run = run_inference(&universe, config.build(), &mut oracle)
                     .expect("consistent oracle");
                 assert_eq!(
                     universe.instance().equijoin(&run.predicate),
                     universe.instance().equijoin(&w.goal),
-                    "{kind} missed {} at {scale}",
+                    "{config} missed {} at {scale}",
                     w.join
                 );
             }
@@ -37,13 +36,12 @@ fn tpch_joins_recovered_by_all_strategies() {
 #[test]
 fn synthetic_goals_of_every_size_converge() {
     let cfg = SyntheticConfig::new(2, 3, 25, 10);
-    let universe = Universe::build(cfg.generate(3));
+    let universe = Arc::new(Universe::build(cfg.generate(3)));
     let groups = join_query_inference::core::lattice::goals_by_size(&universe, 200_000).unwrap();
     for goals in &groups {
         for goal in goals.iter().take(5) {
-            let mut strategy = TopDown::new();
             let mut oracle = PredicateOracle::new(goal.clone());
-            let run = run_inference(&universe, &mut strategy, &mut oracle).unwrap();
+            let run = run_inference(&universe, Box::new(TopDown::new()), &mut oracle).unwrap();
             assert_eq!(
                 universe.instance().equijoin(&run.predicate),
                 universe.instance().equijoin(goal),
@@ -62,7 +60,7 @@ fn synthetic_goals_of_every_size_converge() {
 #[test]
 fn after_halt_every_class_is_certain_with_the_true_label() {
     let cfg = SyntheticConfig::new(3, 3, 20, 8);
-    let universe = Universe::build(cfg.generate(5));
+    let universe = Arc::new(Universe::build(cfg.generate(5)));
     let goal = {
         // Pick a nonempty signature as goal so the join is non-trivial.
         let c = (0..universe.num_classes())
@@ -70,9 +68,8 @@ fn after_halt_every_class_is_certain_with_the_true_label() {
             .expect("classes exist");
         universe.sig(c).clone()
     };
-    let mut strategy = Lookahead::l1s();
     let mut oracle = PredicateOracle::new(goal.clone());
-    let run = run_inference(&universe, &mut strategy, &mut oracle).unwrap();
+    let run = run_inference(&universe, Box::new(Lookahead::l1s()), &mut oracle).unwrap();
     for c in 0..universe.num_classes() {
         let truth = if goal.is_subset(universe.sig(c)) {
             Label::Positive
@@ -98,9 +95,9 @@ fn csv_to_inference_pipeline() {
     assert_eq!(relation_to_csv(&interner, &r), flights);
     let instance = Instance::new(interner, r, p).unwrap();
     let goal = predicate_from_names(&instance, &[("To", "City")]).unwrap();
-    let universe = Universe::build(instance);
+    let universe = Arc::new(Universe::build(instance));
     let mut oracle = PredicateOracle::new(goal.clone());
-    let run = run_inference(&universe, &mut TopDown::new(), &mut oracle).unwrap();
+    let run = run_inference(&universe, Box::new(TopDown::new()), &mut oracle).unwrap();
     assert_eq!(
         universe.instance().equijoin(&run.predicate),
         universe.instance().equijoin(&goal)
@@ -111,15 +108,16 @@ fn csv_to_inference_pipeline() {
 /// semantics of the result (instance equivalence — §3.3).
 #[test]
 fn strategies_agree_semantically_pairwise() {
-    let universe = Universe::build(SyntheticConfig::new(2, 4, 15, 6).generate(13));
+    let universe = Arc::new(Universe::build(
+        SyntheticConfig::new(2, 4, 15, 6).generate(13),
+    ));
     let groups = join_query_inference::core::lattice::goals_by_size(&universe, 200_000).unwrap();
     let goals: Vec<_> = groups.iter().flat_map(|g| g.iter().take(3)).collect();
     for goal in goals {
         let mut results = Vec::new();
-        for kind in StrategyKind::PAPER {
-            let mut strategy = kind.build(17);
+        for config in StrategyConfig::paper(17) {
             let mut oracle = PredicateOracle::new(goal.clone());
-            let run = run_inference(&universe, strategy.as_mut(), &mut oracle).unwrap();
+            let run = run_inference(&universe, config.build(), &mut oracle).unwrap();
             results.push(universe.instance().equijoin(&run.predicate));
         }
         for pair in results.windows(2) {
@@ -138,19 +136,18 @@ fn figure_7_shape_td_beats_bu_on_size_2_goals() {
     let mut td_total = 0usize;
     let mut goals_seen = 0usize;
     for seed in 0..3u64 {
-        let universe = Universe::build(cfg.generate(seed));
+        let universe = Arc::new(Universe::build(cfg.generate(seed)));
         let groups =
             join_query_inference::core::lattice::goals_by_size(&universe, 500_000).unwrap();
         let Some(size2) = groups.get(2) else { continue };
         for goal in size2.iter().take(6) {
             goals_seen += 1;
-            for (kind, total) in [
-                (StrategyKind::Bu, &mut bu_total),
-                (StrategyKind::Td, &mut td_total),
+            for (config, total) in [
+                (StrategyConfig::Bu, &mut bu_total),
+                (StrategyConfig::Td, &mut td_total),
             ] {
-                let mut strategy = kind.build(0);
                 let mut oracle = PredicateOracle::new(goal.clone());
-                *total += run_inference(&universe, strategy.as_mut(), &mut oracle)
+                *total += run_inference(&universe, config.build(), &mut oracle)
                     .unwrap()
                     .interactions;
             }

@@ -107,9 +107,9 @@ fn example_3_1_consistency() {
 fn section_3_3_instance_equivalence() {
     let inst = example_3_3();
     let goal = predicate_from_names(&inst, &[("A1", "B1")]).unwrap();
-    let universe = Universe::build(inst);
+    let universe = std::sync::Arc::new(Universe::build(inst));
     let mut oracle = PredicateOracle::new(goal.clone());
-    let run = run_inference(&universe, &mut BottomUp::new(), &mut oracle).unwrap();
+    let run = run_inference(&universe, Box::new(BottomUp::new()), &mut oracle).unwrap();
     // T(S⁺) = {(A1,B1),(A2,B1)} ⊋ θG, yet equivalent over the instance.
     assert_eq!(run.predicate.len(), 2);
     assert!(goal.is_subset(&run.predicate));

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 // Our inference `Strategy` trait collides with proptest's generator trait;
 // inside this file, `Strategy` means proptest's.
 use proptest::strategy::Strategy;
+use std::sync::Arc;
 
 /// Proptest generator for a small random instance: R (2 attrs), P (2
 /// attrs), up to 5 rows each, values in 0..4.
@@ -66,7 +67,7 @@ fn mask_to_theta(nbits: usize, mask: u8) -> BitSet {
 
 /// Asserts that an [`InferenceState`] agrees with the from-scratch
 /// recomputation via `certain.rs` / `entropy.rs` on every derived quantity.
-fn assert_state_matches_scratch(state: &InferenceState<'_>, sample: &Sample) {
+fn assert_state_matches_scratch(state: &InferenceState, sample: &Sample) {
     use join_query_inference::core::certain;
     let universe = state.universe();
     assert_eq!(state.is_consistent(), sample.is_consistent(universe));
@@ -137,11 +138,11 @@ fn assert_state_matches_scratch(state: &InferenceState<'_>, sample: &Sample) {
 #[test]
 fn example_2_1_replay_matches_from_scratch() {
     use join_query_inference::core::paper::example_2_1;
-    let universe = Universe::build(example_2_1());
+    let universe = Arc::new(Universe::build(example_2_1()));
     // The goal of Example 3.1: θ0 = {(A1,B1),(A2,B3)}.
     let goal = predicate_from_names(universe.instance(), &[("A1", "B1"), ("A2", "B3")])
         .expect("paper attributes exist");
-    let mut state = InferenceState::new(&universe);
+    let mut state = InferenceState::new(Arc::clone(&universe));
     let mut sample = Sample::new(&universe);
     assert_state_matches_scratch(&state, &sample);
     for c in 0..universe.num_classes() {
@@ -190,14 +191,14 @@ fn multiword_class_instance() -> Instance {
 /// words (> 64 classes), through a full goal-driven replay.
 #[test]
 fn mask_state_matches_scratch_beyond_64_classes() {
-    let universe = Universe::build(multiword_class_instance());
+    let universe = Arc::new(Universe::build(multiword_class_instance()));
     assert!(
         universe.num_classes() > 64,
         "want multi-word class masks, got {} classes",
         universe.num_classes()
     );
     let goal = BitSet::from_iter(universe.omega_len(), [0usize, 4]);
-    let mut state = InferenceState::new(&universe);
+    let mut state = InferenceState::new(Arc::clone(&universe));
     let mut sample = Sample::new(&universe);
     let mut step = 0usize;
     while let Some(c) = state.nth_informative(0) {
@@ -250,8 +251,8 @@ proptest! {
         inst in wide_instance(),
         labels in prop::collection::vec(0u8..3, 0..8),
     ) {
-        let universe = Universe::build(inst);
-        let mut state = InferenceState::new(&universe);
+        let universe = Arc::new(Universe::build(inst));
+        let mut state = InferenceState::new(Arc::clone(&universe));
         let mut sample = Sample::new(&universe);
         for (c, &l) in labels.iter().enumerate().take(universe.num_classes()) {
             let label = match l {
@@ -285,9 +286,9 @@ proptest! {
     ) {
         use join_query_inference::datagen::ScaledConfig;
         let cfg = ScaledConfig::new(3, 3, 120, 90, 10, 8, 6);
-        let universe = Universe::build(cfg.generate(seed));
+        let universe = Arc::new(Universe::build(cfg.generate(seed)));
         prop_assert!(universe.total_tuples() == 120 * 90);
-        let mut state = InferenceState::new(&universe);
+        let mut state = InferenceState::new(Arc::clone(&universe));
         let mut sample = Sample::new(&universe);
         for (i, &l) in labels.iter().enumerate() {
             let label = match l {
@@ -366,8 +367,8 @@ proptest! {
         inst in duplicate_heavy_instance(),
         labels in prop::collection::vec(0u8..3, 0..4),
     ) {
-        let universe = Universe::build(inst);
-        let mut state = InferenceState::new(&universe);
+        let universe = Arc::new(Universe::build(inst));
+        let mut state = InferenceState::new(Arc::clone(&universe));
         for (c, &l) in labels.iter().enumerate().take(universe.num_classes()) {
             let label = match l {
                 0 => continue,
@@ -413,8 +414,8 @@ proptest! {
         inst in small_instance(),
         labels in prop::collection::vec(0u8..3, 0..10),
     ) {
-        let universe = Universe::build(inst);
-        let mut state = InferenceState::new(&universe);
+        let universe = Arc::new(Universe::build(inst));
+        let mut state = InferenceState::new(Arc::clone(&universe));
         let mut sample = Sample::new(&universe);
         for (c, &l) in labels.iter().enumerate().take(universe.num_classes()) {
             let label = match l {
@@ -442,8 +443,8 @@ proptest! {
         inst in small_instance(),
         labels in prop::collection::vec(0u8..3, 0..8),
     ) {
-        let universe = Universe::build(inst);
-        let mut state = InferenceState::new(&universe);
+        let universe = Arc::new(Universe::build(inst));
+        let mut state = InferenceState::new(Arc::clone(&universe));
         for (c, &l) in labels.iter().enumerate().take(universe.num_classes()) {
             let label = match l {
                 0 => continue,
@@ -576,11 +577,10 @@ proptest! {
     fn inference_is_correct_and_bounded(inst in small_instance(), m in goal_mask(), seed in 0u64..1000) {
         let nbits = inst.pairs().len();
         let goal = mask_to_theta(nbits, m);
-        let universe = Universe::build(inst);
-        for kind in StrategyKind::PAPER.into_iter().chain([StrategyKind::Eg]) {
-            let mut strategy = kind.build(seed);
+        let universe = Arc::new(Universe::build(inst));
+        for config in StrategyConfig::paper(seed).into_iter().chain([StrategyConfig::Eg]) {
             let mut oracle = PredicateOracle::new(goal.clone());
-            let run = run_inference(&universe, strategy.as_mut(), &mut oracle)
+            let run = run_inference(&universe, config.build(), &mut oracle)
                 .expect("goal oracles are consistent");
             prop_assert_eq!(
                 universe.instance().equijoin(&run.predicate),
@@ -606,14 +606,14 @@ proptest! {
     #[test]
     fn optimal_is_a_lower_bound(inst in small_instance()) {
         use join_query_inference::core::strategy::{optimal_worst_case, strategy_worst_case};
-        let universe = Universe::build(inst);
+        let universe = Arc::new(Universe::build(inst));
         prop_assume!(universe.num_classes() <= 8);
         let opt = optimal_worst_case(&universe, 8).expect("small universe");
-        for kind in [StrategyKind::Bu, StrategyKind::Td, StrategyKind::L1s] {
-            let mut strategy = kind.build(0);
+        for config in [StrategyConfig::Bu, StrategyConfig::Td, StrategyConfig::Lks { depth: 1 }] {
+            let mut strategy = config.build();
             let wc = strategy_worst_case(&universe, strategy.as_mut())
                 .expect("deterministic strategy");
-            prop_assert!(wc >= opt, "{} worst case {} < OPT {}", kind.name(), wc, opt);
+            prop_assert!(wc >= opt, "{} worst case {} < OPT {}", strategy.name(), wc, opt);
         }
         // And OPT attains its own bound.
         let mut optimal = Optimal::with_limit(8);
@@ -741,19 +741,19 @@ fn deterministic_configs() -> Vec<StrategyConfig> {
 /// asserting the cached move equals the cache-free reference at every
 /// step. Runs two passes over the cached universe so the second pass is
 /// served from a populated cache.
-fn assert_cached_moves_match(cached: &Universe, uncached: &Universe, goal: &BitSet) {
+fn assert_cached_moves_match(cached: &Arc<Universe>, uncached: &Arc<Universe>, goal: &BitSet) {
     use join_query_inference::core::strategy::Strategy as InferenceStrategy;
     for config in deterministic_configs() {
         for pass in 0..2 {
             let mut s_cached = config.build();
             let mut s_uncached = config.build();
-            let mut st_cached = InferenceState::new(cached);
-            let mut st_uncached = InferenceState::new(uncached);
+            let mut st_cached = InferenceState::new(Arc::clone(cached));
+            let mut st_uncached = InferenceState::new(Arc::clone(uncached));
             let mut step = 0usize;
             loop {
-                let a = InferenceStrategy::next(&mut s_cached, &st_cached)
+                let a = InferenceStrategy::next(s_cached.as_mut(), &st_cached)
                     .expect("deterministic strategies are infallible");
-                let b = InferenceStrategy::next(&mut s_uncached, &st_uncached)
+                let b = InferenceStrategy::next(s_uncached.as_mut(), &st_uncached)
                     .expect("deterministic strategies are infallible");
                 assert_eq!(
                     a, b,
@@ -786,8 +786,8 @@ proptest! {
     #[test]
     fn cached_moves_match_uncached(inst in small_instance(), m in goal_mask()) {
         let goal = mask_to_theta(inst.pairs().len(), m);
-        let cached = Universe::build(inst.clone());
-        let uncached = Universe::build(inst).with_decision_cache_budget(0);
+        let cached = Arc::new(Universe::build(inst.clone()));
+        let uncached = Arc::new(Universe::build(inst).with_decision_cache_budget(0));
         assert_cached_moves_match(&cached, &uncached, &goal);
     }
 
@@ -801,17 +801,17 @@ proptest! {
     ) {
         let goal = mask_to_theta(inst.pairs().len(), m);
         // ~1 KiB: a handful of entries, so LRU eviction churns constantly.
-        let cached = Universe::build(inst.clone()).with_decision_cache_budget(1 << 10);
-        let uncached = Universe::build(inst).with_decision_cache_budget(0);
+        let cached = Arc::new(Universe::build(inst.clone()).with_decision_cache_budget(1 << 10));
+        let uncached = Arc::new(Universe::build(inst).with_decision_cache_budget(0));
         for config in deterministic_configs() {
             use join_query_inference::core::strategy::Strategy as InferenceStrategy;
             let mut s_cached = config.build();
             let mut s_uncached = config.build();
-            let mut st_cached = InferenceState::new(&cached);
-            let mut st_uncached = InferenceState::new(&uncached);
+            let mut st_cached = InferenceState::new(Arc::clone(&cached));
+            let mut st_uncached = InferenceState::new(Arc::clone(&uncached));
             loop {
-                let a = InferenceStrategy::next(&mut s_cached, &st_cached).unwrap();
-                let b = InferenceStrategy::next(&mut s_uncached, &st_uncached).unwrap();
+                let a = InferenceStrategy::next(s_cached.as_mut(), &st_cached).unwrap();
+                let b = InferenceStrategy::next(s_uncached.as_mut(), &st_uncached).unwrap();
                 prop_assert_eq!(a, b, "eviction-pressure move diverges for {}", config);
                 let Some(c) = a else { break };
                 let label = if goal.is_subset(cached.sig(c)) {
@@ -834,8 +834,8 @@ proptest! {
 #[test]
 fn cached_moves_match_uncached_beyond_64_classes() {
     let inst = multiword_class_instance();
-    let cached = Universe::build(inst.clone());
-    let uncached = Universe::build(inst).with_decision_cache_budget(0);
+    let cached = Arc::new(Universe::build(inst.clone()));
+    let uncached = Arc::new(Universe::build(inst).with_decision_cache_budget(0));
     assert!(cached.num_classes() > 64, "want multi-word class masks");
     // Ω itself (all-negative answers, pure negative phase) and a small
     // predicate (positives arrive, θ shrinks below Ω).
@@ -862,8 +862,8 @@ fn cached_moves_match_uncached_on_wide_omega() {
         b.row_p_ints(&row);
     }
     let inst = b.build().expect("well-formed");
-    let cached = Universe::build(inst.clone());
-    let uncached = Universe::build(inst).with_decision_cache_budget(0);
+    let cached = Arc::new(Universe::build(inst.clone()));
+    let uncached = Arc::new(Universe::build(inst).with_decision_cache_budget(0));
     assert!(cached.omega_len() > 64, "want multi-word Ω");
     let goal = BitSet::from_iter(cached.omega_len(), [1usize, 67]);
     assert_cached_moves_match(&cached, &uncached, &goal);
@@ -1339,13 +1339,13 @@ fn post_delta_universe_serves_no_stale_cached_moves() {
         b.row_p_ints(&p);
     }
     let inst = b.build().expect("well-formed");
-    let base = Universe::build(inst.clone());
+    let base = Arc::new(Universe::build(inst.clone()));
 
     // Warm the pre-delta cache (the lock-step driver runs two passes, so
     // the second is served from the cache).
     let goal = mask_to_theta(inst.pairs().len(), 0b0101);
     let uncached = rebuild_edited(&inst, inst.r().rows().to_vec(), inst.p().rows().to_vec(), 0);
-    assert_cached_moves_match(&base, &uncached, &goal);
+    assert_cached_moves_match(&base, &Arc::new(uncached), &goal);
     let warm = base.decision_cache_stats();
     assert!(warm.hits > 0 && warm.entries > 0, "pre-delta cache is warm");
 
@@ -1354,7 +1354,7 @@ fn post_delta_universe_serves_no_stale_cached_moves() {
     let mut delta = UniverseDelta::new();
     let row = Tuple::intern(inst.interner(), &[Value::int(2), Value::int(1)]);
     delta.insert(Side::R, row.clone());
-    let applied = base.apply_delta(&delta).expect("valid edit");
+    let applied = Arc::new(base.apply_delta(&delta).expect("valid edit"));
     assert_eq!(applied.epoch(), 1);
     assert_ne!(applied.fingerprint(), base.fingerprint());
 
@@ -1370,5 +1370,5 @@ fn post_delta_universe_serves_no_stale_cached_moves() {
     let mut r = inst.r().rows().to_vec();
     r.push(row);
     let rebuilt_uncached = rebuild_edited(&inst, r, inst.p().rows().to_vec(), 0);
-    assert_cached_moves_match(&applied, &rebuilt_uncached, &goal);
+    assert_cached_moves_match(&applied, &Arc::new(rebuilt_uncached), &goal);
 }

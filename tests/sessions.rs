@@ -4,6 +4,7 @@
 use join_query_inference::core::session::Session;
 use join_query_inference::datagen::SyntheticConfig;
 use join_query_inference::prelude::*;
+use std::sync::Arc;
 
 /// Driving a session manually produces byte-identical history, predicate
 /// and interaction count to the batch engine, for every paper strategy on
@@ -11,7 +12,9 @@ use join_query_inference::prelude::*;
 #[test]
 fn session_equals_engine_for_every_strategy() {
     for seed in 0..4u64 {
-        let universe = Universe::build(SyntheticConfig::new(2, 3, 12, 5).generate(seed));
+        let universe = Arc::new(Universe::build(
+            SyntheticConfig::new(2, 3, 12, 5).generate(seed),
+        ));
         let goals = join_query_inference::core::lattice::goals_by_size(&universe, 100_000).unwrap();
         let goal = goals
             .iter()
@@ -20,13 +23,11 @@ fn session_equals_engine_for_every_strategy() {
             .expect("some goal")
             .clone();
         // RND must use the same seed in both runs to stay comparable.
-        for kind in StrategyKind::PAPER {
-            let mut engine_strategy = kind.build(seed);
+        for config in StrategyConfig::paper(seed) {
             let mut oracle = PredicateOracle::new(goal.clone());
-            let engine_run =
-                run_inference(&universe, engine_strategy.as_mut(), &mut oracle).unwrap();
+            let engine_run = run_inference(&universe, config.build(), &mut oracle).unwrap();
 
-            let mut session = Session::new(&universe, kind.build(seed));
+            let mut session = Session::with_config(Arc::clone(&universe), &config);
             while let Some(candidate) = session.next().unwrap() {
                 let label = if goal.is_subset(universe.sig(candidate.class)) {
                     Label::Positive
@@ -36,7 +37,11 @@ fn session_equals_engine_for_every_strategy() {
                 session.answer(label).unwrap();
             }
             assert!(session.is_done());
-            assert_eq!(session.history(), &engine_run.history[..], "{kind} history");
+            assert_eq!(
+                session.history(),
+                &engine_run.history[..],
+                "{config} history"
+            );
             assert_eq!(session.inferred_predicate(), engine_run.predicate);
             assert_eq!(session.interactions(), engine_run.interactions);
         }
@@ -47,7 +52,9 @@ fn session_equals_engine_for_every_strategy() {
 /// with more positive answers, and always consistent with the answers.
 #[test]
 fn early_stop_predicates_are_consistent_prefixes() {
-    let universe = Universe::build(SyntheticConfig::new(3, 3, 15, 6).generate(9));
+    let universe = Arc::new(Universe::build(
+        SyntheticConfig::new(3, 3, 15, 6).generate(9),
+    ));
     let goals = join_query_inference::core::lattice::goals_by_size(&universe, 100_000).unwrap();
     let goal = goals
         .iter()
@@ -55,7 +62,7 @@ fn early_stop_predicates_are_consistent_prefixes() {
         .find_map(|g| g.first())
         .expect("some goal")
         .clone();
-    let mut session = Session::new(&universe, Lookahead::l1s());
+    let mut session = Session::new(Arc::clone(&universe), Box::new(Lookahead::l1s()));
     let mut previous = universe.omega();
     while let Some(candidate) = session.next().unwrap() {
         let label = if goal.is_subset(universe.sig(candidate.class)) {
@@ -82,8 +89,10 @@ fn early_stop_predicates_are_consistent_prefixes() {
 #[test]
 fn misuse_errors_do_not_poison_the_session() {
     use join_query_inference::core::InferenceError;
-    let universe = Universe::build(SyntheticConfig::new(2, 2, 8, 4).generate(1));
-    let mut session = Session::new(&universe, TopDown::new());
+    let universe = Arc::new(Universe::build(
+        SyntheticConfig::new(2, 2, 8, 4).generate(1),
+    ));
+    let mut session = Session::new(Arc::clone(&universe), Box::new(TopDown::new()));
     assert_eq!(
         session.answer(Label::Positive).unwrap_err(),
         InferenceError::NoPendingCandidate
@@ -105,7 +114,9 @@ fn misuse_errors_do_not_poison_the_session() {
 /// certain) it stays decided with the same label.
 #[test]
 fn known_labels_are_stable() {
-    let universe = Universe::build(SyntheticConfig::new(2, 3, 10, 4).generate(4));
+    let universe = Arc::new(Universe::build(
+        SyntheticConfig::new(2, 3, 10, 4).generate(4),
+    ));
     let goals = join_query_inference::core::lattice::goals_by_size(&universe, 100_000).unwrap();
     let goal = goals
         .iter()
@@ -113,7 +124,7 @@ fn known_labels_are_stable() {
         .find_map(|g| g.first())
         .expect("some goal")
         .clone();
-    let mut session = Session::new(&universe, BottomUp::new());
+    let mut session = Session::new(Arc::clone(&universe), Box::new(BottomUp::new()));
     let mut decided: Vec<Option<Label>> = vec![None; universe.num_classes()];
     while let Some(candidate) = session.next().unwrap() {
         let label = if goal.is_subset(universe.sig(candidate.class)) {
