@@ -4,7 +4,7 @@
 //! throughput [--tiny] [--out PATH] [--threads M] [--sessions K] [--shards N] [--seed S]
 //! ```
 //!
-//! * `--tiny` — CI-smoke sizes (2 threads × 8 sessions).
+//! * `--tiny` — CI-smoke sizes (2 threads × 128 sessions).
 //! * `--out PATH` — where to write the JSON report
 //!   (default `BENCH_server.json`, i.e. the repo root when invoked via
 //!   `cargo run` from the workspace root).

@@ -102,11 +102,13 @@ impl Default for ThroughputParams {
 }
 
 impl ThroughputParams {
-    /// CI-smoke sizes.
+    /// CI-smoke sizes: few threads, but enough sessions that every
+    /// phase's mean rests on hundreds of samples, so one host reproduces
+    /// its own reading.
     pub fn tiny() -> Self {
         ThroughputParams {
             threads: 2,
-            sessions_per_thread: 8,
+            sessions_per_thread: 128,
             ..Self::default()
         }
     }
@@ -577,9 +579,14 @@ pub fn run(tiny: bool, params: ThroughputParams) -> Json {
         .hibernate_idle(Duration::ZERO)
         .expect("in-memory")
         .parked;
+    // One `stats()` call is well under a microsecond: time one call per
+    // session and report the mean.
     let t0 = Instant::now();
+    for _ in &ids {
+        std::hint::black_box(manager.stats());
+    }
+    let stats_us = t0.elapsed().as_nanos() as f64 / 1000.0 / ids.len() as f64;
     let parked_stats = manager.stats();
-    let stats_us = t0.elapsed().as_nanos() as f64 / 1000.0;
     let mut wake_lat: Vec<u64> = Vec::with_capacity(ids.len());
     for &id in &ids {
         let t0 = Instant::now();
@@ -1299,7 +1306,9 @@ mod tests {
     fn tiny_run_reports_all_phases() {
         let report = run(true, ThroughputParams::default());
         let n = |path: &str| f64_at(&report, path);
-        assert_eq!(n("concurrent_sessions"), 16.0);
+        let tiny = ThroughputParams::tiny();
+        let sessions = (tiny.threads * tiny.sessions_per_thread) as f64;
+        assert_eq!(n("concurrent_sessions"), sessions);
         let phases: Vec<&str> = arr_at(&report, "phases")
             .iter()
             .map(|p| str_at(p, "phase"))
@@ -1313,8 +1322,8 @@ mod tests {
             assert!(n("latency.p95_us") <= n("latency.max_us"));
         }
         // Per-session memory was sampled while all sessions were live.
-        assert_eq!(n("session_memory.sessions"), 16.0);
-        assert_eq!(n("session_memory.resident_sessions"), 16.0);
+        assert_eq!(n("session_memory.sessions"), sessions);
+        assert_eq!(n("session_memory.resident_sessions"), sessions);
         assert!(n("session_memory.state_bytes_total") > 0.0);
         assert!(
             n("session_memory.state_bytes_per_session") <= 200.0,
@@ -1345,8 +1354,8 @@ mod tests {
         assert!(n("fleet.decision_cache.bytes") <= n("fleet.decision_cache.budget_bytes"));
         // Hibernate phase: everything parked, parked sessions at most half
         // the resident footprint, and every wake measured.
-        assert_eq!(n("hibernate.parked"), 16.0);
-        assert_eq!(n("hibernate.wake.count"), 16.0);
+        assert_eq!(n("hibernate.parked"), sessions);
+        assert_eq!(n("hibernate.wake.count"), sessions);
         assert!(
             n("hibernate.hibernated_bytes_per_session") * 2.0
                 <= n("hibernate.resident_bytes_per_session"),
@@ -1364,14 +1373,14 @@ mod tests {
             .all(|w| f64_at(&w[0], "history_len") < f64_at(&w[1], "history_len")));
         // Durability phase: both WAL configurations drove the full fleet,
         // overheads are real ratios, and recovery brought everyone back.
-        assert_eq!(n("durability.sessions"), 16.0);
+        assert_eq!(n("durability.sessions"), sessions);
         assert!(n("durability.wal_group.latency.count") >= n("concurrent_sessions"));
         assert!(n("durability.wal_sync.latency.count") >= n("concurrent_sessions"));
         assert!(n("durability.overhead_group_x") > 0.0 && n("durability.overhead_sync_x") > 0.0);
         for counter in ["wal_records", "wal_syncs", "wal_bytes"] {
             assert!(n(&format!("durability.{counter}")) > 0.0, "{counter}");
         }
-        assert_eq!(n("durability.recovery.sessions"), 16.0);
+        assert_eq!(n("durability.recovery.sessions"), sessions);
         assert!(
             n("durability.recovery.spilled") > 0.0,
             "zero watermark must spill the fleet"
@@ -1381,9 +1390,9 @@ mod tests {
         // Transport phase: every session ran its whole lifecycle over a
         // live HTTP connection, all connections were observed open at
         // once, and the wire stayed clean.
-        assert_eq!(n("transport.sessions"), 16.0);
-        assert_eq!(n("transport.open_connections_peak"), 16.0);
-        assert_eq!(n("transport.restored"), 16.0);
+        assert_eq!(n("transport.sessions"), sessions);
+        assert_eq!(n("transport.open_connections_peak"), sessions);
+        assert_eq!(n("transport.restored"), sessions);
         assert_eq!(n("transport.protocol_errors"), 0.0);
         // create + snapshot + restore per session, plus at least one
         // question round-trip each.
