@@ -13,14 +13,14 @@
 //! * `semijoin` — the §6 cross-validation sweep (CONS⋉ vs DPLL).
 //! * `opt` — worst-case gap of the heuristics vs the minimax optimum.
 //! * `all` — everything, in paper order; under `--json`, one document
-//!   with a field per experiment.
+//!   with a field per experiment, `table1` summarising its `fig6` and
+//!   `fig7` reports.
 //!
-//! `--json` prints the reports instead of the tables; `--counts` prints
-//! them without their timing fields (it implies `--json`).
-//! `all --counts` is the committed `BENCH_paper.json`.
+//! `--counts` prints the JSON without its timing fields (it implies
+//! `--json`); `all --counts` is the committed `BENCH_paper.json`.
 
 use jqi_bench::fig7::Fig7Params;
-use jqi_bench::json::{arr_at, at, str_at, Json};
+use jqi_bench::json::{str_at, Json};
 use jqi_bench::{evaluation, fig6, fig7, optgap, semijoin_exp, table1};
 use jqi_datagen::tpch::TpchScale;
 use jqi_datagen::PAPER_CONFIGS;
@@ -82,10 +82,7 @@ fn parse_args() -> Result<Option<Args>, String> {
                     .map_err(|e| format!("bad --seed: {e}"))?;
             }
             "--json" => args.json = true,
-            "--counts" => {
-                args.json = true;
-                args.counts = true;
-            }
+            "--counts" => (args.json, args.counts) = (true, true),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(None);
@@ -104,50 +101,77 @@ fn fig7_params(args: &Args) -> Fig7Params {
     }
 }
 
-/// Prints one JSON document, without its timing fields under `--counts`.
-fn print_json(args: &Args, doc: &Json) {
-    if args.counts {
-        println!("{}", evaluation::counts(doc).to_string_pretty());
+/// Prints one report as JSON, without its timing fields under `--counts`.
+fn print_json(args: &Args, report: &Json) {
+    let report = if args.counts {
+        &evaluation::counts(report)
     } else {
-        println!("{}", doc.to_string_pretty());
+        report
+    };
+    println!("{}", report.to_string_pretty());
+}
+
+fn run_fig6(args: &Args) {
+    for scale in TpchScale::ALL {
+        let report = fig6::run(scale, args.seed);
+        if args.json {
+            print_json(args, &report);
+            continue;
+        }
+        println!("== Figure 6 — TPC-H {scale}: number of interactions ==");
+        print!("{}", fig6::interactions_table(&report));
+        println!();
+        println!("== Figure 6 — TPC-H {scale}: inference time (seconds) ==");
+        print!("{}", fig6::time_table(&report));
+        println!();
     }
 }
 
-fn print_fig6(report: &Json) {
-    let scale = str_at(report, "scale");
-    println!("== Figure 6 — TPC-H {scale}: number of interactions ==");
-    print!("{}", fig6::interactions_table(report));
-    println!();
-    println!("== Figure 6 — TPC-H {scale}: inference time (seconds) ==");
-    print!("{}", fig6::time_table(report));
-    println!();
+fn run_fig7(args: &Args) {
+    for cfg in PAPER_CONFIGS {
+        let report = fig7::run(cfg, fig7_params(args));
+        if args.json {
+            print_json(args, &report);
+            continue;
+        }
+        println!(
+            "== Figure 7 — synthetic {}: number of interactions (mean of {} runs) ==",
+            str_at(&report, "config"),
+            args.runs
+        );
+        print!("{}", fig7::interactions_table(&report));
+        println!();
+        println!(
+            "== Figure 7 — synthetic {}: inference time (seconds) ==",
+            str_at(&report, "config")
+        );
+        print!("{}", fig7::time_table(&report));
+        println!();
+    }
 }
 
-fn print_fig7(args: &Args, report: &Json) {
-    let config = str_at(report, "config");
-    println!(
-        "== Figure 7 — synthetic {config}: number of interactions (mean of {} runs) ==",
-        args.runs
-    );
-    print!("{}", fig7::interactions_table(report));
-    println!();
-    println!("== Figure 7 — synthetic {config}: inference time (seconds) ==");
-    print!("{}", fig7::time_table(report));
-    println!();
-}
-
-fn print_table1(report: &Json) {
+fn run_table1(args: &Args) {
+    let t = table1::run(args.seed, fig7_params(args));
+    if args.json {
+        print_json(args, &t);
+        return;
+    }
     println!("== Table 1 — description and summary of all experiments ==");
-    print!("{}", table1::table(report));
+    print!("{}", table1::table(&t));
     println!();
 }
 
-fn print_semijoin(report: &Json) {
+fn run_semijoin(args: &Args) {
+    let report = evaluation::semijoin(fig7_params(args));
+    if args.json {
+        print_json(args, &report);
+        return;
+    }
     println!("== §6 / Theorem 6.1 — CONS⋉ solver vs DPLL on random 3SAT ==");
-    print!("{}", semijoin_exp::table(report));
+    print!("{}", semijoin_exp::table(&report));
     println!(
         "cross-validation: {}",
-        if semijoin_exp::all_agree(report) {
+        if semijoin_exp::all_agree(&report) {
             "all decisions agree"
         } else {
             "DISAGREEMENT FOUND"
@@ -156,60 +180,15 @@ fn print_semijoin(report: &Json) {
     println!();
 }
 
-fn print_optgap(report: &Json) {
-    println!("== Optimal gap — heuristic worst cases vs the minimax bound ==");
-    print!("{}", optgap::table(report));
-    println!();
-}
-
-/// Runs one experiment and prints its report(s): as JSON under `--json`,
-/// else as the paper's tables.
-fn run_one(args: &Args) {
-    let params = fig7_params(args);
-    let reports: Vec<Json> = match args.command.as_str() {
-        "fig6" => TpchScale::ALL
-            .into_iter()
-            .map(|scale| fig6::run(scale, args.seed))
-            .collect(),
-        "fig7" => PAPER_CONFIGS
-            .into_iter()
-            .map(|cfg| fig7::run(cfg, params))
-            .collect(),
-        "table1" => vec![table1::run(args.seed, params)],
-        "semijoin" => vec![evaluation::semijoin(params)],
-        "opt" => vec![optgap::run()],
-        _ => unreachable!("validated by parse_args"),
-    };
-    for report in &reports {
-        if args.json {
-            print_json(args, report);
-            continue;
-        }
-        match args.command.as_str() {
-            "fig6" => print_fig6(report),
-            "fig7" => print_fig7(args, report),
-            "table1" => print_table1(report),
-            "semijoin" => print_semijoin(report),
-            _ => print_optgap(report),
-        }
-    }
-}
-
-/// Runs every experiment once ([`evaluation::all`]) and prints the one
-/// document under `--json`, else every table in paper order.
-fn run_all(args: &Args) {
-    let doc = evaluation::all(fig7_params(args));
+fn run_optgap(args: &Args) {
+    let report = optgap::run();
     if args.json {
-        print_json(args, &doc);
+        print_json(args, &report);
         return;
     }
-    arr_at(&doc, "fig6").iter().for_each(print_fig6);
-    for report in arr_at(&doc, "fig7") {
-        print_fig7(args, report);
-    }
-    print_table1(at(&doc, "table1").expect("table1 report"));
-    print_semijoin(at(&doc, "semijoin").expect("semijoin report"));
-    print_optgap(at(&doc, "opt").expect("opt report"));
+    println!("== Optimal gap — heuristic worst cases vs the minimax bound ==");
+    print!("{}", optgap::table(&report));
+    println!();
 }
 
 fn main() -> ExitCode {
@@ -221,10 +200,21 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.command == "all" {
-        run_all(&args);
-    } else {
-        run_one(&args);
+    match args.command.as_str() {
+        "fig6" => run_fig6(&args),
+        "fig7" => run_fig7(&args),
+        "table1" => run_table1(&args),
+        "semijoin" => run_semijoin(&args),
+        "opt" => run_optgap(&args),
+        "all" if args.json => print_json(&args, &evaluation::all(fig7_params(&args))),
+        "all" => {
+            run_fig6(&args);
+            run_fig7(&args);
+            run_table1(&args);
+            run_semijoin(&args);
+            run_optgap(&args);
+        }
+        _ => unreachable!("validated by parse_args"),
     }
     ExitCode::SUCCESS
 }

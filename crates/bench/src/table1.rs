@@ -80,14 +80,8 @@ fn synthetic_rows(report: &Json) -> Vec<Json> {
 /// Builds the full Table 1: both TPC-H scales plus the six synthetic
 /// configurations, TPC-H first, as in the paper.
 pub fn run(seed: u64, fig7_params: Fig7Params) -> Json {
-    let fig6: Vec<Json> = TpchScale::ALL
-        .into_iter()
-        .map(|scale| fig6::run(scale, seed))
-        .collect();
-    let fig7: Vec<Json> = PAPER_CONFIGS
-        .into_iter()
-        .map(|cfg| fig7::run(cfg, fig7_params))
-        .collect();
+    let fig6 = TpchScale::ALL.map(|scale| fig6::run(scale, seed));
+    let fig7 = PAPER_CONFIGS.map(|cfg| fig7::run(cfg, fig7_params));
     from_reports(&fig6, &fig7)
 }
 

@@ -40,7 +40,7 @@
 use crate::error::{InferenceError, Result};
 use crate::sample::{Label, Sample};
 use crate::state::InferenceState;
-use crate::strategy::{DynStrategy, Strategy, StrategyConfig};
+use crate::strategy::{DynStrategy, StrategyConfig};
 use crate::universe::{ClassId, Universe};
 use jqi_relation::{BitSet, Value};
 use std::sync::Arc;
@@ -240,11 +240,6 @@ impl Session {
     /// The universe the session runs over.
     pub fn universe(&self) -> &Universe {
         self.state.universe()
-    }
-
-    /// The configured strategy.
-    pub fn strategy(&self) -> &(dyn Strategy + Send) {
-        self.strategy.as_ref()
     }
 
     /// Decomposes the session into the parts a hibernated session tier
