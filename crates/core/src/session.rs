@@ -80,7 +80,8 @@ pub struct Session {
     pending: Option<ClassId>,
 }
 
-/// The name the server and the benchmark have long used for [`Session`].
+/// An alias of [`Session`], kept for the end-to-end benchmark, which
+/// names it.
 pub type OwnedSession = Session;
 
 impl Session {
