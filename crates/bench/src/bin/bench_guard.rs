@@ -15,8 +15,9 @@
 //!   the fleet phase's warm and cold first-question `mean_us` plus the
 //!   warm-over-cold speedup (`warm_speedup` must not shrink below
 //!   `baseline / factor`), the hibernation tier's parked-session
-//!   resident bytes (`hibernated_bytes_per_session`) and one `stats()`
-//!   call on the parked fleet (`stats_us`, when the baseline has it),
+//!   resident bytes (`hibernated_bytes_per_session`) and the mean wall
+//!   time of a `stats()` call on the parked fleet, over one call per
+//!   session (`stats_us`, when the baseline has it),
 //!   and the durability tier: group-commit per-answer `mean_us` vs the
 //!   baseline, `overhead_group_x` (the in-memory/WAL-on throughput
 //!   ratio) against an **absolute** ceiling of `factor` (WAL-on interactive throughput

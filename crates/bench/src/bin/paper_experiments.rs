@@ -20,7 +20,7 @@
 //! `--json`); `all --counts` is the committed `BENCH_paper.json`.
 
 use jqi_bench::fig7::Fig7Params;
-use jqi_bench::json::{str_at, Json};
+use jqi_bench::json::{arr_at, at, str_at, Json};
 use jqi_bench::{evaluation, fig6, fig7, optgap, semijoin_exp, table1};
 use jqi_datagen::tpch::TpchScale;
 use jqi_datagen::PAPER_CONFIGS;
@@ -111,67 +111,51 @@ fn print_json(args: &Args, report: &Json) {
     println!("{}", report.to_string_pretty());
 }
 
-fn run_fig6(args: &Args) {
-    for scale in TpchScale::ALL {
-        let report = fig6::run(scale, args.seed);
-        if args.json {
-            print_json(args, &report);
-            continue;
-        }
-        println!("== Figure 6 — TPC-H {scale}: number of interactions ==");
-        print!("{}", fig6::interactions_table(&report));
-        println!();
-        println!("== Figure 6 — TPC-H {scale}: inference time (seconds) ==");
-        print!("{}", fig6::time_table(&report));
-        println!();
-    }
-}
-
-fn run_fig7(args: &Args) {
-    for cfg in PAPER_CONFIGS {
-        let report = fig7::run(cfg, fig7_params(args));
-        if args.json {
-            print_json(args, &report);
-            continue;
-        }
-        println!(
-            "== Figure 7 — synthetic {}: number of interactions (mean of {} runs) ==",
-            str_at(&report, "config"),
-            args.runs
-        );
-        print!("{}", fig7::interactions_table(&report));
-        println!();
-        println!(
-            "== Figure 7 — synthetic {}: inference time (seconds) ==",
-            str_at(&report, "config")
-        );
-        print!("{}", fig7::time_table(&report));
-        println!();
-    }
-}
-
-fn run_table1(args: &Args) {
-    let t = table1::run(args.seed, fig7_params(args));
+/// Prints `report` as JSON under `--json`, else as the tables `render`
+/// draws.
+fn emit(args: &Args, report: &Json, render: fn(&Args, &Json)) {
     if args.json {
-        print_json(args, &t);
-        return;
+        print_json(args, report);
+    } else {
+        render(args, report);
     }
-    println!("== Table 1 — description and summary of all experiments ==");
-    print!("{}", table1::table(&t));
+}
+
+fn render_fig6(_: &Args, report: &Json) {
+    let scale = str_at(report, "scale");
+    println!("== Figure 6 — TPC-H {scale}: number of interactions ==");
+    print!("{}", fig6::interactions_table(report));
+    println!();
+    println!("== Figure 6 — TPC-H {scale}: inference time (seconds) ==");
+    print!("{}", fig6::time_table(report));
     println!();
 }
 
-fn run_semijoin(args: &Args) {
-    let report = evaluation::semijoin(fig7_params(args));
-    if args.json {
-        print_json(args, &report);
-        return;
-    }
+fn render_fig7(args: &Args, report: &Json) {
+    let config = str_at(report, "config");
+    println!(
+        "== Figure 7 — synthetic {config}: number of interactions (mean of {} runs) ==",
+        args.runs
+    );
+    print!("{}", fig7::interactions_table(report));
+    println!();
+    println!("== Figure 7 — synthetic {config}: inference time (seconds) ==");
+    print!("{}", fig7::time_table(report));
+    println!();
+}
+
+fn render_table1(_: &Args, report: &Json) {
+    println!("== Table 1 — description and summary of all experiments ==");
+    print!("{}", table1::table(report));
+    println!();
+}
+
+fn render_semijoin(_: &Args, report: &Json) {
     println!("== §6 / Theorem 6.1 — CONS⋉ solver vs DPLL on random 3SAT ==");
-    print!("{}", semijoin_exp::table(&report));
+    print!("{}", semijoin_exp::table(report));
     println!(
         "cross-validation: {}",
-        if semijoin_exp::all_agree(&report) {
+        if semijoin_exp::all_agree(report) {
             "all decisions agree"
         } else {
             "DISAGREEMENT FOUND"
@@ -180,15 +164,25 @@ fn run_semijoin(args: &Args) {
     println!();
 }
 
-fn run_optgap(args: &Args) {
-    let report = optgap::run();
-    if args.json {
-        print_json(args, &report);
-        return;
-    }
+fn render_optgap(_: &Args, report: &Json) {
     println!("== Optimal gap — heuristic worst cases vs the minimax bound ==");
-    print!("{}", optgap::table(&report));
+    print!("{}", optgap::table(report));
     println!();
+}
+
+/// The tables of every report in one [`evaluation::all`] document, in
+/// paper order, so text `all` runs each experiment once, as `--json` does.
+fn render_all(args: &Args, doc: &Json) {
+    arr_at(doc, "fig6")
+        .iter()
+        .for_each(|r| render_fig6(args, r));
+    arr_at(doc, "fig7")
+        .iter()
+        .for_each(|r| render_fig7(args, r));
+    let field = |name| at(doc, name).expect("evaluation::all has every experiment");
+    render_table1(args, field("table1"));
+    render_semijoin(args, field("semijoin"));
+    render_optgap(args, field("opt"));
 }
 
 fn main() -> ExitCode {
@@ -200,20 +194,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let params = fig7_params(&args);
     match args.command.as_str() {
-        "fig6" => run_fig6(&args),
-        "fig7" => run_fig7(&args),
-        "table1" => run_table1(&args),
-        "semijoin" => run_semijoin(&args),
-        "opt" => run_optgap(&args),
-        "all" if args.json => print_json(&args, &evaluation::all(fig7_params(&args))),
-        "all" => {
-            run_fig6(&args);
-            run_fig7(&args);
-            run_table1(&args);
-            run_semijoin(&args);
-            run_optgap(&args);
-        }
+        "fig6" => TpchScale::ALL
+            .iter()
+            .for_each(|&scale| emit(&args, &fig6::run(scale, args.seed), render_fig6)),
+        "fig7" => PAPER_CONFIGS
+            .iter()
+            .for_each(|&config| emit(&args, &fig7::run(config, params), render_fig7)),
+        "table1" => emit(&args, &table1::run(args.seed, params), render_table1),
+        "semijoin" => emit(&args, &evaluation::semijoin(params), render_semijoin),
+        "opt" => emit(&args, &optgap::run(), render_optgap),
+        "all" => emit(&args, &evaluation::all(params), render_all),
         _ => unreachable!("validated by parse_args"),
     }
     ExitCode::SUCCESS

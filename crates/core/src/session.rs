@@ -342,7 +342,7 @@ pub fn remap_replay_parts(
 mod tests {
     use super::*;
     use crate::paper::example_2_1;
-    use crate::strategy::{BottomUp, TopDown};
+    use crate::strategy::{BottomUp, Strategy, TopDown};
     use crate::universe::Universe;
 
     #[test]
@@ -359,12 +359,21 @@ mod tests {
             session.answer(label).unwrap();
         }
         assert!(session.is_done());
-        // Same outcome as the batch engine.
-        let mut oracle = crate::engine::PredicateOracle::new(goal.clone());
-        let run = crate::engine::run_inference(&u, Box::new(TopDown::new()), &mut oracle).unwrap();
-        assert_eq!(session.inferred_predicate(), run.predicate);
-        assert_eq!(session.interactions(), run.interactions);
-        assert_eq!(session.history(), &run.history[..]);
+        // Same outcome as Algorithm 1 written out over the state alone.
+        let mut state = InferenceState::new(Arc::clone(&u));
+        let mut strategy = TopDown::new();
+        while let Some(c) = strategy.next(&state).unwrap() {
+            let label = if goal.is_subset(u.sig(c)) {
+                Label::Positive
+            } else {
+                Label::Negative
+            };
+            state.apply(c, label).unwrap();
+            assert!(state.is_consistent());
+        }
+        assert_eq!(&session.inferred_predicate(), state.theta_possible());
+        assert_eq!(session.interactions(), state.len());
+        assert_eq!(session.history(), state.history());
     }
 
     #[test]
