@@ -17,17 +17,16 @@
 //!   `baseline / factor`), the hibernation tier's parked-session
 //!   resident bytes (`hibernated_bytes_per_session`) and the mean wall
 //!   time of a `stats()` call on the parked fleet, over one call per
-//!   session (`stats_us`, when the baseline has it),
-//!   and the durability tier: group-commit per-answer `mean_us` vs the
-//!   baseline, `overhead_group_x` (the in-memory/WAL-on throughput
-//!   ratio) against an **absolute** ceiling of `factor` (WAL-on interactive throughput
-//!   must stay within 3x of in-memory on any machine), and recovery
-//!   `sessions_per_sec` as a floor. When the baseline carries a
-//!   `transport` block (PR 8+), the HTTP request `mean_us` is guarded
-//!   like the other latencies, `open_connections_peak` must not shrink,
-//!   and `protocol_errors` must be zero. When it carries an `overload`
-//!   block (PR 9+), shed `mean_us` and the accepted `p99_ratio` are
-//!   held `at_most`, `goodput_per_sec` must not shrink, and `wedged` /
+//!   session (`stats_us`), and the durability tier: group-commit
+//!   per-answer `mean_us` vs the baseline, `overhead_group_x` (the
+//!   in-memory/WAL-on throughput ratio) against an **absolute** ceiling
+//!   of `factor` (WAL-on interactive throughput must stay within 3x of
+//!   in-memory on any machine), and recovery `sessions_per_sec` as a
+//!   floor. In the `transport` block the HTTP request `mean_us` is
+//!   guarded like the other latencies, `open_connections_peak` must not
+//!   shrink, and `protocol_errors` must be zero. In the `overload` block
+//!   shed `mean_us` and the accepted `p99_ratio` are held `at_most`,
+//!   `goodput_per_sec` must not shrink, and `wedged` /
 //!   `protocol_errors` / `client_errors` must be zero at any factor.
 //! * `--kind scaling` — per dataset point matched **by name**,
 //!   `build_speedup` must not shrink below `baseline / factor` and
@@ -38,10 +37,14 @@
 //!   name), `delta_apply_ms` must not exceed `baseline · factor` and the
 //!   rebuild-over-apply `speedup` must not shrink below
 //!   `baseline / factor`. Points present on only one side are skipped
-//!   (sweeps may grow, and baselines older than a phase lack its block),
-//!   but zero matched points is an error.
+//!   (sweeps may grow), but a block with no matched point is an error.
+//!
+//! Every guarded block and metric must be present on both sides: a
+//! missing one is an error, never a skipped check. The one exception is
+//! a scaling metric that is `null` on both sides (`l3s_first_step_ms`
+//! above its class cap: measured on neither).
 
-use jqi_bench::json::{num_at, Json};
+use jqi_bench::json::{at, num_at, Json};
 use std::process::ExitCode;
 
 struct Args {
@@ -161,13 +164,9 @@ fn guard_server(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(), 
     // machine-independent like the state bytes above.
     let (f, b) = both(fresh, baseline, "hibernate.hibernated_bytes_per_session")?;
     guard.at_most("hibernated_bytes_per_session", f, b);
-    // One stats() call on the parked fleet: gauge loads, not a walk.
-    // Guarded only when the baseline carries it (older ones predate it).
-    if let Some(b) = num_at(baseline, "hibernate.stats_us") {
-        let f =
-            num_at(fresh, "hibernate.stats_us").ok_or("fresh report lacks hibernate stats_us")?;
-        guard.at_most("hibernate stats_us", f, b);
-    }
+    // A stats() call on the parked fleet: gauge loads, not a walk.
+    let (f, b) = both(fresh, baseline, "hibernate.stats_us")?;
+    guard.at_most("hibernate stats_us", f, b);
     // Durability tier: group-commit answer latency against the baseline,
     // the WAL-on/in-memory ratio against an absolute ceiling (the
     // acceptance bar: group commit must stay within 3x of in-memory on
@@ -180,74 +179,53 @@ fn guard_server(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(), 
     guard.at_most("durability overhead_group_x (vs in-memory)", f, 1.0);
     let (f, b) = both(fresh, baseline, "durability.recovery.sessions_per_sec")?;
     guard.at_least("durability recovery sessions_per_sec", f, b);
-    // Transport phase: guarded only when the committed baseline carries
-    // it (older baselines predate the HTTP gateway — the skip-if-absent
-    // posture the scaling guard uses for grown sweeps). The fresh report
-    // must carry it once the baseline does.
-    if baseline.get("transport").is_some() {
-        let (f, b) = both(fresh, baseline, "transport.request_latency.mean_us")?;
-        guard.at_most("transport request mean_us", f, b);
-        // Concurrency coverage is machine-independent: the fresh run must
-        // hold open at least as many connections as the baseline did.
-        let (f, b) = both(fresh, baseline, "transport.open_connections_peak")?;
-        if f < b {
-            guard.violations.push(format!(
-                "transport open_connections_peak: {f:.0} below baseline {b:.0} \
-                 (concurrency coverage must not shrink)"
-            ));
-        }
-        guard.checked += 1;
-        // The wire must be clean: any protocol error in the fresh run is
-        // a regression regardless of factor.
-        let f = num_at(fresh, "transport.protocol_errors")
-            .ok_or("fresh report lacks transport protocol_errors")?;
-        if f > 0.0 {
-            guard
-                .violations
-                .push(format!("transport protocol_errors: {f:.0} (must be 0)"));
-        }
-        guard.checked += 1;
+    // Transport phase: HTTP request latency like the other latencies.
+    let (f, b) = both(fresh, baseline, "transport.request_latency.mean_us")?;
+    guard.at_most("transport request mean_us", f, b);
+    // Concurrency coverage is machine-independent: the fresh run must
+    // hold open at least as many connections as the baseline did.
+    let (f, b) = both(fresh, baseline, "transport.open_connections_peak")?;
+    if f < b {
+        guard.violations.push(format!(
+            "transport open_connections_peak: {f:.0} below baseline {b:.0} \
+             (concurrency coverage must not shrink)"
+        ));
     }
-    // Overload phase: guarded only when the baseline carries it (older
-    // baselines predate the load shedder). Shed responses must stay
-    // fast, goodput under overload must not shrink, the accepted-p99
-    // blow-up over the uncontended baseline is held like a latency, and
-    // the absolute invariants — nothing wedged, no protocol or client
-    // errors — are regressions at any count.
-    if baseline.get("overload").is_some() {
-        let (f, b) = both(fresh, baseline, "overload.shed_latency.mean_us")?;
-        guard.at_most("overload shed mean_us", f, b);
-        let (f, b) = both(fresh, baseline, "overload.goodput_per_sec")?;
-        guard.at_least("overload goodput_per_sec", f, b);
-        let (f, b) = both(fresh, baseline, "overload.p99_ratio")?;
-        guard.at_most("overload p99_ratio", f, b);
-        for must_be_zero in ["wedged", "protocol_errors", "client_errors"] {
-            let f = num_at(fresh, &format!("overload.{must_be_zero}"))
-                .ok_or(format!("fresh report lacks overload {must_be_zero}"))?;
-            if f > 0.0 {
-                guard
-                    .violations
-                    .push(format!("overload {must_be_zero}: {f:.0} (must be 0)"));
-            }
-            guard.checked += 1;
+    guard.checked += 1;
+    // Overload phase: shed responses must stay fast, goodput under
+    // overload must not shrink, and the accepted-p99 blow-up over the
+    // uncontended baseline is held like a latency.
+    let (f, b) = both(fresh, baseline, "overload.shed_latency.mean_us")?;
+    guard.at_most("overload shed mean_us", f, b);
+    let (f, b) = both(fresh, baseline, "overload.goodput_per_sec")?;
+    guard.at_least("overload goodput_per_sec", f, b);
+    let (f, b) = both(fresh, baseline, "overload.p99_ratio")?;
+    guard.at_most("overload p99_ratio", f, b);
+    // Absolute invariants, regressions at any count and any factor: a
+    // clean wire, nothing wedged, no client errors. The baseline must
+    // carry them too, so a report without them is never a baseline.
+    for path in [
+        "transport.protocol_errors",
+        "overload.wedged",
+        "overload.protocol_errors",
+        "overload.client_errors",
+    ] {
+        let (f, _) = both(fresh, baseline, path)?;
+        if f > 0.0 {
+            guard.violations.push(format!("{path}: {f:.0} (must be 0)"));
         }
+        guard.checked += 1;
     }
     Ok(())
 }
 
 fn guard_scaling(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(), String> {
-    for (doc, which) in [(fresh, "fresh report"), (baseline, "baseline")] {
-        if doc.get("points").and_then(Json::as_arr).is_none() {
-            return Err(format!("{which} lacks points"));
-        }
-    }
     // Per block, matched by name: the metrics that must not shrink below
     // `baseline / factor`, then those that must not exceed `baseline ·
     // factor`. Streaming wall clock is machine-dependent (an order-of-
     // magnitude guard); its peak tracked ingestion bytes are not — a
     // blow-up there means profiles stopped collapsing. The incremental
-    // rebuild-over-apply speedup is the O(delta) payoff itself. Blocks
-    // a baseline predates (streaming, incremental) are simply empty.
+    // rebuild-over-apply speedup is the O(delta) payoff itself.
     let rules: [(&str, &[&str], &[&str]); 3] = [
         (
             "points",
@@ -257,36 +235,48 @@ fn guard_scaling(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(),
         ("streaming", &[], &["build_wall_ms", "peak_tracked_bytes"]),
         ("incremental", &["speedup"], &["delta_apply_ms"]),
     ];
-    fn items<'j>(doc: &'j Json, block: &str) -> &'j [Json] {
-        doc.get(block).and_then(Json::as_arr).unwrap_or_default()
+    fn items<'j>(doc: &'j Json, which: &str, block: &str) -> Result<&'j [Json], String> {
+        doc.get(block)
+            .and_then(Json::as_arr)
+            .ok_or(format!("{which} lacks {block}"))
     }
-    let mut matched = 0usize;
     for (block, floors, ceilings) in rules {
-        for fp in items(fresh, block) {
-            let Some(name) = fp.get("name").and_then(Json::as_str) else {
-                continue;
-            };
-            let Some(bp) = items(baseline, block)
+        let baseline_points = items(baseline, "baseline", block)?;
+        let mut matched = 0usize;
+        for fp in items(fresh, "fresh report", block)? {
+            let name = fp.get("name").and_then(Json::as_str).unwrap_or_default();
+            let Some(bp) = baseline_points
                 .iter()
                 .find(|p| p.get("name").and_then(Json::as_str) == Some(name))
             else {
                 continue;
             };
             matched += 1;
+            // A metric a point measures only below a size cap (the L3S
+            // first step) is `null` on both sides above it: not measured,
+            // so not compared. `null` on one side only is an error.
+            let pair = |metric: &str| match (at(fp, metric), at(bp, metric)) {
+                (Some(Json::Null), Some(Json::Null)) => Ok(None),
+                _ => both(fp, bp, metric)
+                    .map(Some)
+                    .map_err(|e| format!("{name}: {e}")),
+            };
             for metric in floors {
-                if let (Some(f), Some(b)) = (num_at(fp, metric), num_at(bp, metric)) {
+                if let Some((f, b)) = pair(metric)? {
                     guard.at_least(&format!("{name}: {metric}"), f, b);
                 }
             }
             for metric in ceilings {
-                if let (Some(f), Some(b)) = (num_at(fp, metric), num_at(bp, metric)) {
+                if let Some((f, b)) = pair(metric)? {
                     guard.at_most(&format!("{name}: {metric}"), f, b);
                 }
             }
         }
-    }
-    if matched == 0 {
-        return Err("no dataset points matched between fresh and baseline".into());
+        if matched == 0 {
+            return Err(format!(
+                "no {block} point matched between fresh and baseline"
+            ));
+        }
     }
     Ok(())
 }

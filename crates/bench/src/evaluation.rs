@@ -64,6 +64,7 @@ pub fn counts(doc: &Json) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::at;
 
     /// Regenerates the evaluation at the default parameters (those of a
     /// bare `paper_experiments all`) and compares its counts, as text,
@@ -88,5 +89,34 @@ mod tests {
             committed == fresh,
             "BENCH_paper.json and a fresh run differ in length or line endings"
         );
+    }
+
+    /// Every cell the claims ledger in `docs/BENCHMARKS.md` cites (a code
+    /// span `<dotted path> = <value>`) is in the committed
+    /// `BENCH_paper.json` with that value (numbers to the two decimals
+    /// the ledger prints).
+    #[test]
+    fn claims_ledger_cites_committed_cells() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let read = |file: &str| std::fs::read_to_string(format!("{root}/{file}")).expect(file);
+        let doc = Json::parse(&read("BENCH_paper.json")).expect("BENCH_paper.json parses");
+        let benchmarks = read("docs/BENCHMARKS.md");
+        let ledger = benchmarks
+            .split_once("### Claims ledger")
+            .and_then(|(_, rest)| rest.split("\n## ").next())
+            .expect("docs/BENCHMARKS.md has a claims ledger");
+        let mut cited = 0;
+        for span in ledger.split('`').skip(1).step_by(2) {
+            let Some((path, value)) = span.split_once(" = ") else {
+                continue;
+            };
+            let cell = at(&doc, path).unwrap_or_else(|| panic!("BENCH_paper.json has no {path}"));
+            match (cell.as_num(), value.parse::<f64>()) {
+                (Some(n), Ok(v)) => assert!((n - v).abs() < 0.005 + 1e-9, "{path} is {n}, not {v}"),
+                _ => assert_eq!(cell.as_str(), Some(value), "{path}"),
+            }
+            cited += 1;
+        }
+        assert!(cited > 0, "the claims ledger cites no cell");
     }
 }

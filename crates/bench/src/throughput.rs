@@ -38,8 +38,9 @@
 //!    commit (`wal_group`, one batched write + fsync per 2048 records,
 //!    plus one final flush inside the timed region) and with an fsync per
 //!    record (`wal_sync`, the cost ceiling), each also as a throughput
-//!    ratio against the in-memory interactive phase (answers/s divided by
-//!    WAL-on answers/s — the acceptance gate holds this within 3×); then
+//!    ratio against the same drive in memory (answers/s divided by WAL-on
+//!    answers/s — the acceptance gate holds the group-commit one within
+//!    3×, as the median over five in-memory/WAL-on pairs); then
 //!    the whole fleet is parked, spilled to segments, the manager dropped,
 //!    and `SessionManager::recover` is timed — recovery wall clock and
 //!    sessions/s.
@@ -615,7 +616,7 @@ pub fn run(tiny: bool, params: ThroughputParams) -> Json {
     // Phase 7: durability — the interactive workload again, this time
     // with a real WAL (and spill segments) under it, then a timed
     // recovery of the whole fleet.
-    let durability = durability_phase(&params, &universe, &plans, &interactive);
+    let durability = durability_phase(&params, &universe, &plans);
 
     // Phase 8: transport — the workload over loopback HTTP through the
     // `jqi_net` server and the gateway, one keep-alive connection per
@@ -1125,6 +1126,11 @@ fn transport_phase(
 
 const GROUP_EVERY: usize = 2048;
 
+/// In-memory/WAL-on pairs behind `overhead_group_x`, which is their
+/// median ratio: one group-commit run is a few ms of fsync-bound work, so
+/// a single pair moves with one slow sync.
+const OVERHEAD_PAIRS: usize = 5;
+
 fn durability_config(group_commit_every: usize) -> DurabilityConfig {
     DurabilityConfig {
         group_commit_every,
@@ -1135,19 +1141,19 @@ fn durability_config(group_commit_every: usize) -> DurabilityConfig {
     }
 }
 
-/// The interactive workload on a durable manager rooted at `dir`: same
-/// fleet shape, thread layout and question/answer loop as the in-memory
-/// interactive phase, so the per-answer means are directly comparable.
-/// Returns the phase report and the (still live) manager.
-fn durable_drive(
+/// The interactive workload on a fresh manager, in memory or durable in a
+/// directory (see [`fleet_manager`]): same fleet shape, thread layout and
+/// question/answer loop as the interactive phase, so the per-answer
+/// means are directly comparable. Returns the phase report and the
+/// (still live) manager.
+fn drive_fleet(
     name: &str,
     params: &ThroughputParams,
     universe: &Arc<Universe>,
     plans: &[SessionPlan],
-    dir: &Path,
-    group_commit_every: usize,
+    durable: Option<(&Path, usize)>,
 ) -> (Json, SessionManager) {
-    let (manager, _) = fleet_manager(params, universe, Some((dir, group_commit_every)));
+    let (manager, _) = fleet_manager(params, universe, durable);
     let ids: Vec<SessionId> = plans
         .iter()
         .map(|p| {
@@ -1166,7 +1172,7 @@ fn durable_drive(
     });
     // The batch the group-commit quota had not yet synced is part of the
     // workload's durability cost: flush inside the timed region so ops/s
-    // stays honest.
+    // stays honest (in memory this is a no-op).
     manager.flush_wal().expect("wal flush");
     (
         phase(name, phase_start.elapsed(), latencies.concat()),
@@ -1174,29 +1180,38 @@ fn durable_drive(
     )
 }
 
-/// Runs the durability phase (see the module docs). `in_memory` is the
-/// in-memory interactive phase's report — the overhead baseline.
+/// Runs the durability phase (see the module docs).
 fn durability_phase(
     params: &ThroughputParams,
     universe: &Arc<Universe>,
     plans: &[SessionPlan],
-    in_memory: &Json,
 ) -> Json {
     let root =
         std::env::temp_dir().join(format!("jqi-throughput-durability-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
-    // Group commit — the recommended configuration, and the directory the
-    // recovery measurement uses.
-    let group_dir = root.join("group");
-    let (wal_group, manager) = durable_drive(
-        "wal_group",
-        params,
-        universe,
-        plans,
-        &group_dir,
-        GROUP_EVERY,
-    );
+    // Group commit — the recommended configuration — paired with the same
+    // drive in memory, `OVERHEAD_PAIRS` times, each WAL-on run in its own
+    // directory. The first pair's runs are the reported ones, and its
+    // directory is the one the recovery measurement uses.
+    let mut group_ratios = Vec::with_capacity(OVERHEAD_PAIRS);
+    let mut first = None;
+    for k in 0..OVERHEAD_PAIRS {
+        let (in_memory, _) = drive_fleet("in_memory", params, universe, plans, None);
+        let dir = root.join(format!("group-{k}"));
+        let (wal_group, manager) = drive_fleet(
+            "wal_group",
+            params,
+            universe,
+            plans,
+            Some((&dir, GROUP_EVERY)),
+        );
+        group_ratios.push(f64_at(&in_memory, "ops_per_sec") / f64_at(&wal_group, "ops_per_sec"));
+        first.get_or_insert((in_memory, wal_group, manager, dir));
+    }
+    group_ratios.sort_by(f64::total_cmp);
+    let overhead_group_x = group_ratios[OVERHEAD_PAIRS / 2];
+    let (in_memory, wal_group, manager, group_dir) = first.expect("at least one pair");
     // Park and spill the whole fleet so recovery exercises segment reads
     // and WAL replay together, then "crash" (drop without ceremony — the
     // data is already synced, which is the point).
@@ -1216,13 +1231,16 @@ fn durability_phase(
     drop(recovered);
 
     // fsync per record — the cost ceiling.
-    let (wal_sync, sync_manager) =
-        durable_drive("wal_sync", params, universe, plans, &root.join("sync"), 1);
+    let (wal_sync, sync_manager) = drive_fleet(
+        "wal_sync",
+        params,
+        universe,
+        plans,
+        Some((&root.join("sync"), 1)),
+    );
     drop(sync_manager);
     let _ = std::fs::remove_dir_all(&root);
-
-    let overhead = |phase: &Json| f64_at(in_memory, "ops_per_sec") / f64_at(phase, "ops_per_sec");
-    let (overhead_group_x, overhead_sync_x) = (overhead(&wal_group), overhead(&wal_sync));
+    let overhead_sync_x = f64_at(&in_memory, "ops_per_sec") / f64_at(&wal_sync, "ops_per_sec");
     let recovery = Json::Obj(vec![
         num("sessions", recovery_report.sessions as f64),
         num("spilled", recovery_report.spilled as f64),
@@ -1235,7 +1253,7 @@ fn durability_phase(
     ]);
     Json::Obj(vec![
         num("sessions", plans.len() as f64),
-        num("in_memory_mean_us", f64_at(in_memory, "latency.mean_us")),
+        num("in_memory_mean_us", f64_at(&in_memory, "latency.mean_us")),
         field("wal_group", wal_group),
         field("wal_sync", wal_sync),
         num("overhead_group_x", overhead_group_x),

@@ -63,7 +63,7 @@ use jqi_relation::bitset::{hash_words, or_shifted, word_count, WORD_BITS};
 use jqi_relation::stream::profile_key;
 use jqi_relation::{BitSet, Instance, Tuple};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -356,7 +356,8 @@ pub struct DecisionCacheStats {
     /// Probes that had to compute the move (including hash collisions whose
     /// exact-mask verification failed — those never return a cached value).
     pub misses: u64,
-    /// Entries dropped by the LRU policy to stay inside the byte budget.
+    /// Entries dropped to stay inside the byte budget, oldest inserted
+    /// first.
     pub evictions: u64,
     /// Live entries at sampling time.
     pub entries: usize,
@@ -366,22 +367,15 @@ pub struct DecisionCacheStats {
     pub budget_bytes: usize,
 }
 
-/// Estimated per-entry overhead beyond the mask words: the slab node, the
-/// key→slot map entry, and allocator slack.
-const CACHE_ENTRY_OVERHEAD: usize = std::mem::size_of::<CacheEntry>() + 48;
+/// Estimated per-entry overhead beyond the mask words: the map slot (key
+/// and entry), the key's slot in the insertion queue, and allocator slack.
+const CACHE_ENTRY_OVERHEAD: usize =
+    std::mem::size_of::<((u64, u64), CacheEntry)>() + std::mem::size_of::<(u64, u64)>() + 32;
 
-/// When an insert pushes the cache past its budget, eviction frees down
-/// to this many eighths of the budget in one batch, so the O(entries)
-/// recency scan is amortized over many subsequent inserts instead of
-/// re-running at the boundary on every miss.
-const CACHE_EVICT_TO_EIGHTHS: usize = 7;
-
-/// One memoized decision: the exact mask keys it was computed for, the
-/// chosen candidate, and its recency stamp.
+/// One memoized decision: the exact mask keys it was computed for and the
+/// chosen candidate.
 #[derive(Debug)]
 struct CacheEntry {
-    /// The full map key, kept so eviction can remove the map entry.
-    key: (u64, u64),
     /// Exact `T(S⁺)` mask words (empty while `θ = Ω` — the normalized form
     /// of the whole negative phase).
     pos: Box<[u64]>,
@@ -389,10 +383,6 @@ struct CacheEntry {
     neg: Box<[u64]>,
     /// The memoized move (`None` = the strategy halted).
     value: Option<ClassId>,
-    /// Last-touch tick of the cache clock. Atomic so the **hit** path can
-    /// bump recency under the shared read lock — concurrent hits never
-    /// contend with each other.
-    stamp: AtomicU64,
 }
 
 impl CacheEntry {
@@ -401,45 +391,14 @@ impl CacheEntry {
     }
 }
 
-/// The write-locked core of the decision cache: a slab of entries indexed
-/// by `(strategy_key, mask hash)`. Recency lives in the per-entry atomic
-/// stamps, not in this struct, so reads never need the write lock.
+/// The write-locked core of the decision cache: the entries by
+/// `(strategy_key, mask hash)`, and their keys in insertion order, oldest
+/// first.
 #[derive(Debug, Default)]
 struct CacheInner {
-    map: HashMap<(u64, u64), u32>,
-    slab: Vec<CacheEntry>,
-    free: Vec<u32>,
+    map: HashMap<(u64, u64), CacheEntry>,
+    order: VecDeque<(u64, u64)>,
     bytes: usize,
-}
-
-impl CacheInner {
-    /// Evicts least-recently-stamped entries until `bytes ≤ target`;
-    /// returns how many were dropped. Runs under the write lock, so the
-    /// stamps are quiescent and the scan sees a consistent recency order.
-    fn evict_down_to(&mut self, target: usize) -> u64 {
-        let mut order: Vec<(u64, u32)> = self
-            .map
-            .values()
-            .map(|&slot| (self.slab[slot as usize].stamp.load(Ordering::Relaxed), slot))
-            .collect();
-        order.sort_unstable();
-        let mut evicted = 0u64;
-        for (_, slot) in order {
-            if self.bytes <= target {
-                break;
-            }
-            let e = &mut self.slab[slot as usize];
-            let freed = e.bytes();
-            let key = e.key;
-            e.pos = Box::default();
-            e.neg = Box::default();
-            self.bytes -= freed;
-            self.map.remove(&key);
-            self.free.push(slot);
-            evicted += 1;
-        }
-        evicted
-    }
 }
 
 /// The universe-level **full-policy decision cache**: a bounded memo of
@@ -465,18 +424,16 @@ impl CacheInner {
 /// miss, never to a wrong move.
 ///
 /// Concurrency: the hot path (a fleet of sessions hitting warm entries)
-/// takes only the **read** lock — recency is bumped through the entry's
-/// atomic stamp, so hits proceed in parallel and never serialize on a
-/// mutex. Misses take the write lock once to insert. Memory is bounded by
-/// a byte budget with exact-LRU batch eviction (oldest stamps first, down
-/// to ⅞ of the budget — a small batch, not a drop-all cliff); a budget of
-/// `0` disables caching entirely.
+/// takes only the **read** lock and writes nothing but the `hits`
+/// counter, so hits proceed in parallel. Misses take the write lock once
+/// to insert. Memory is bounded by a byte budget with eviction in
+/// **insertion order**: an insert that takes the cache past its budget
+/// drops the oldest entries, however recently they were hit, until the
+/// cache fits again. A budget of `0` disables caching entirely.
 #[derive(Debug)]
 pub(crate) struct DecisionCache {
     budget: usize,
     inner: RwLock<CacheInner>,
-    /// Monotone recency clock; every probe draws a fresh tick.
-    clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -487,7 +444,6 @@ impl DecisionCache {
         DecisionCache {
             budget,
             inner: RwLock::new(CacheInner::default()),
-            clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -498,11 +454,8 @@ impl DecisionCache {
     /// Read lock only — see the type docs.
     fn lookup(&self, key: (u64, u64), pos: &[u64], neg: &[u64]) -> Option<Option<ClassId>> {
         let inner = self.inner.read().expect("decision cache poisoned");
-        if let Some(&slot) = inner.map.get(&key) {
-            let e = &inner.slab[slot as usize];
+        if let Some(e) = inner.map.get(&key) {
             if &*e.pos == pos && &*e.neg == neg {
-                let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-                e.stamp.store(tick, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(e.value);
             }
@@ -511,48 +464,31 @@ impl DecisionCache {
         None
     }
 
-    /// Records a computed move, batch-evicting the least recent entries
-    /// when the byte budget is exceeded. An existing entry under the same
-    /// key (a racing compute, or a hash collision) is overwritten — for
-    /// races the values agree, and for collisions exact verification
-    /// keeps either resident value safe.
+    /// Records a computed move, then evicts the oldest entries while the
+    /// byte budget is exceeded. An existing entry under the same key (a
+    /// racing compute, or a hash collision) is overwritten in place and
+    /// keeps its queue position — for races the values agree, and for
+    /// collisions exact verification keeps either resident value safe.
     fn insert(&self, key: (u64, u64), pos: &[u64], neg: &[u64], value: Option<ClassId>) {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        let entry = CacheEntry {
+            pos: pos.into(),
+            neg: neg.into(),
+            value,
+        };
         let mut inner = self.inner.write().expect("decision cache poisoned");
-        if let Some(&slot) = inner.map.get(&key) {
-            let e = &mut inner.slab[slot as usize];
-            let old = e.bytes();
-            e.pos = pos.into();
-            e.neg = neg.into();
-            e.value = value;
-            *e.stamp.get_mut() = tick;
-            let new = e.bytes();
-            inner.bytes = inner.bytes - old + new;
-        } else {
-            let entry = CacheEntry {
-                key,
-                pos: pos.into(),
-                neg: neg.into(),
-                value,
-                stamp: AtomicU64::new(tick),
-            };
-            inner.bytes += entry.bytes();
-            let slot = match inner.free.pop() {
-                Some(slot) => {
-                    inner.slab[slot as usize] = entry;
-                    slot
-                }
-                None => {
-                    inner.slab.push(entry);
-                    (inner.slab.len() - 1) as u32
-                }
-            };
-            inner.map.insert(key, slot);
+        inner.bytes += entry.bytes();
+        match inner.map.insert(key, entry) {
+            Some(old) => inner.bytes -= old.bytes(),
+            None => inner.order.push_back(key),
         }
-        if inner.bytes > self.budget {
-            let target = self.budget / 8 * CACHE_EVICT_TO_EIGHTHS;
-            let evicted = inner.evict_down_to(target);
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        // Every queued key is cached, so the queue empties only once
+        // `bytes` is back to 0 — even an entry larger than the whole
+        // budget is dropped again.
+        while inner.bytes > self.budget {
+            let oldest = inner.order.pop_front().expect("a cached entry is queued");
+            let e = inner.map.remove(&oldest).expect("a queued key is cached");
+            inner.bytes -= e.bytes();
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -909,7 +845,9 @@ impl Universe {
     }
 
     /// Replaces the decision cache with an empty one bounded by `bytes`
-    /// (`0` disables caching entirely — every probe computes).
+    /// (`0` disables caching entirely — every probe computes). An insert
+    /// that takes the cache past `bytes` evicts the oldest inserted
+    /// entries until it fits; a hit does not make an entry younger.
     ///
     /// Builder-style so call sites read
     /// `Universe::build(inst).with_decision_cache_budget(n)`.
@@ -1491,8 +1429,8 @@ mod tests {
     #[test]
     fn decision_cache_lru_eviction_respects_budget() {
         // Budget fits only a handful of entries; older ones must be
-        // evicted least-recently-used first, and bytes must never exceed
-        // the budget after an insert settles.
+        // evicted oldest-inserted first, and bytes must never exceed the
+        // budget after an insert settles.
         let budget = 4 * (CACHE_ENTRY_OVERHEAD + 16);
         let u = Universe::build(example_2_1()).with_decision_cache_budget(budget);
         for i in 0..16u64 {
@@ -1515,12 +1453,60 @@ mod tests {
             recomputed = true;
             Some(0)
         });
-        assert!(recomputed, "the LRU entry should have been evicted");
+        assert!(recomputed, "the oldest entry should have been evicted");
         // Cloned universes restart with an empty cache but keep the budget.
         let clone = u.clone();
         let cs = clone.decision_cache_stats();
         assert_eq!((cs.entries, cs.hits, cs.misses), (0, 0, 0));
         assert_eq!(cs.budget_bytes, budget);
+    }
+
+    #[test]
+    fn decision_cache_evicts_in_insertion_order_not_by_use() {
+        let entry = CACHE_ENTRY_OVERHEAD + 16;
+        let budget = 4 * entry;
+        let u = Universe::build(example_2_1()).with_decision_cache_budget(budget);
+        for i in 0..4u64 {
+            u.cached_decision(1, &[i], &[i], || Some(i as usize));
+        }
+        assert_eq!(u.decision_cache_stats().bytes, budget, "four entries fit");
+        // Hit the oldest entry just before the budget fills: it is still
+        // the first one out.
+        assert_eq!(u.cached_decision(1, &[0], &[0], || unreachable!()), Some(0));
+        u.cached_decision(1, &[4], &[4], || Some(4));
+        let stats = u.decision_cache_stats();
+        assert_eq!((stats.evictions, stats.entries), (1, 4));
+        assert!(stats.bytes <= budget);
+        for i in 1..5u64 {
+            assert_eq!(
+                u.cached_decision(1, &[i], &[i], || unreachable!()),
+                Some(i as usize)
+            );
+        }
+        let mut recomputed = false;
+        u.cached_decision(1, &[0], &[0], || {
+            recomputed = true;
+            Some(0)
+        });
+        assert!(
+            recomputed,
+            "the first-inserted entry goes first, hit or not"
+        );
+
+        // One entry larger than the whole budget evicts everything,
+        // itself included, so bytes still stay inside the budget.
+        let wide = vec![u64::MAX; 2 * budget / 8];
+        assert!(CACHE_ENTRY_OVERHEAD + 8 * (wide.len() + 1) > budget);
+        u.cached_decision(2, &wide, &[0], || Some(9));
+        let stats = u.decision_cache_stats();
+        assert!(stats.bytes <= budget, "{} > {budget}", stats.bytes);
+        assert_eq!((stats.entries, stats.bytes), (0, 0));
+        let mut recomputed = false;
+        u.cached_decision(2, &wide, &[0], || {
+            recomputed = true;
+            Some(9)
+        });
+        assert!(recomputed, "an entry over the budget is not kept");
     }
 
     #[test]

@@ -800,7 +800,8 @@ proptest! {
         m in goal_mask(),
     ) {
         let goal = mask_to_theta(inst.pairs().len(), m);
-        // ~1 KiB: a handful of entries, so LRU eviction churns constantly.
+        // ~1 KiB: a handful of entries, so inserts keep evicting the
+        // oldest ones, including entries hit moments before.
         let cached = Arc::new(Universe::build(inst.clone()).with_decision_cache_budget(1 << 10));
         let uncached = Arc::new(Universe::build(inst).with_decision_cache_budget(0));
         for config in deterministic_configs() {
