@@ -10,7 +10,9 @@
 //! * the row-pair reference build (`Universe::build_rowpair_reference`,
 //!   the pre-deduplication algorithm), skipped above
 //!   [`ScalingParams::reference_cap`] product tuples,
-//! * first-question latency of L1S and (on small class counts) L3S.
+//! * first-question latency of L1S and (on small class counts) L3S,
+//! * for the streaming and incremental phases, the wall time of each
+//!   stage of a streaming build (shared scan, fold, assembly).
 //!
 //! The `scaling` binary renders the points as a table and writes
 //! `BENCH_scaling.json` at the repo root; `docs/BENCHMARKS.md` has the
@@ -19,7 +21,7 @@
 use crate::json::{arr_at, f64_at, field, num, num_at, str_at, Json};
 use jqi_core::strategy::{Lookahead, Strategy};
 use jqi_core::universe::Universe;
-use jqi_core::{InferenceState, IngestOptions, UniverseDelta};
+use jqi_core::{InferenceState, IngestOptions, IngestStats, UniverseDelta};
 use jqi_datagen::stream::{SfConfig, SfJoin, SfStream};
 use jqi_datagen::tpch::{TpchJoin, TpchScale, TpchTables};
 use jqi_datagen::ScaledConfig;
@@ -62,6 +64,17 @@ impl Default for ScalingParams {
 
 fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
+}
+
+/// A streaming build's three stage times, in ms, as report fields named
+/// `{prefix}shared_scan_ms`, `{prefix}fold_ms` and `{prefix}assemble_ms`.
+fn stage_fields(prefix: &str, stats: &IngestStats) -> [(String, Json); 3] {
+    [
+        ("shared_scan_ms", stats.shared_scan_s),
+        ("fold_ms", stats.fold_s),
+        ("assemble_ms", stats.assemble_s),
+    ]
+    .map(|(name, s)| num(&format!("{prefix}{name}"), s * 1e3))
 }
 
 /// Measures one instance (see the module docs for what is timed): one
@@ -178,7 +191,7 @@ pub fn measure_streaming(sf: f64, params: &ScalingParams) -> Json {
     let rows = stats.rows_r + stats.rows_p;
     let rows_per_s = rows as f64 / (build_wall_ms / 1e3).max(1e-9);
     let memory_ratio = stats.materialized_row_bytes as f64 / stats.peak_tracked_bytes.max(1) as f64;
-    Json::Obj(vec![
+    let mut fields = vec![
         field(
             "name",
             Json::str(format!("streaming {} SF={sf}", stream.join().name())),
@@ -190,6 +203,9 @@ pub fn measure_streaming(sf: f64, params: &ScalingParams) -> Json {
         num("distinct_p_profiles", stats.distinct_p as f64),
         num("classes", universe.num_classes() as f64),
         num("build_wall_ms", build_wall_ms),
+    ];
+    fields.extend(stage_fields("", &stats));
+    fields.extend([
         num("rows_per_s", rows_per_s),
         num("peak_tracked_bytes", stats.peak_tracked_bytes as f64),
         num(
@@ -199,7 +215,8 @@ pub fn measure_streaming(sf: f64, params: &ScalingParams) -> Json {
         num("memory_ratio", memory_ratio),
         num("threads", stats.threads as f64),
         num("gen_workers", gen_workers as f64),
-    ])
+    ]);
+    Json::Obj(fields)
 }
 
 /// Measures incremental maintenance at scale factor `sf`: a live
@@ -230,6 +247,7 @@ pub fn measure_incremental(sf: f64, params: &ScalingParams) -> Vec<Json> {
     let (rows_r, rows_p) = (stats.rows_r, stats.rows_p);
     let total_rows = rows_r + rows_p;
     let live_bytes = stats.peak_tracked_bytes;
+    let live_stages = stage_fields("live_", &stats);
 
     // Edit material: the first streamed rows of each side are the delete
     // candidates; fresh-key variants of them (the key column replaced by
@@ -344,7 +362,7 @@ pub fn measure_incremental(sf: f64, params: &ScalingParams) -> Vec<Json> {
                 rebuilt.total_tuples(),
                 "{name}: delta-applied universe disagrees with the rebuild"
             );
-            Json::Obj(vec![
+            let mut fields = vec![
                 field("name", Json::Str(name)),
                 num("sf", sf),
                 num("rows_r", rows_r as f64),
@@ -356,7 +374,9 @@ pub fn measure_incremental(sf: f64, params: &ScalingParams) -> Vec<Json> {
                 num("rebuild_ms", rebuild_ms),
                 num("speedup", rebuild_ms / best.max(1e-9)),
                 num("live_bytes", live_bytes as f64),
-            ])
+            ];
+            fields.extend(live_stages.clone());
+            Json::Obj(fields)
         };
 
     let join = stream.join().name();
@@ -481,6 +501,15 @@ pub fn run(tiny: bool, params: ScalingParams) -> Json {
 /// Renders a [`run`] report as plain-text tables: the points, then the
 /// streaming and incremental phases when present.
 pub fn table(report: &Json) -> String {
+    let stages = |point: &Json, prefix: &str| {
+        let n = |stage: &str| f64_at(point, &format!("{prefix}{stage}_ms"));
+        format!(
+            "{:.1}/{:.1}/{:.1}",
+            n("shared_scan"),
+            n("fold"),
+            n("assemble")
+        )
+    };
     let mut out = String::new();
     out.push_str(&format!(
         "{:<44} {:>12} {:>9} {:>8} {:>12} {:>12} {:>9} {:>10} {:>10} {:>9}\n",
@@ -515,12 +544,13 @@ pub fn table(report: &Json) -> String {
     let streaming = arr_at(report, "streaming");
     if !streaming.is_empty() {
         out.push_str(&format!(
-            "\n{:<40} {:>11} {:>11} {:>8} {:>11} {:>12} {:>11} {:>12} {:>8}\n",
+            "\n{:<40} {:>11} {:>11} {:>8} {:>11} {:>22} {:>12} {:>11} {:>12} {:>8}\n",
             "streaming build",
             "rows",
             "profiles",
             "classes",
             "wall(ms)",
+            "scan/fold/assemble(ms)",
             "rows/s",
             "peak(B)",
             "row-mem(B)",
@@ -529,12 +559,13 @@ pub fn table(report: &Json) -> String {
         for s in streaming {
             let n = |path: &str| f64_at(s, path);
             out.push_str(&format!(
-                "{:<40} {:>11} {:>11} {:>8} {:>11.1} {:>12.0} {:>11} {:>12} {:>7.1}x\n",
+                "{:<40} {:>11} {:>11} {:>8} {:>11.1} {:>22} {:>12.0} {:>11} {:>12} {:>7.1}x\n",
                 str_at(s, "name"),
                 n("rows_r") + n("rows_p"),
                 format!("{}·{}", n("distinct_r_profiles"), n("distinct_p_profiles")),
                 n("classes"),
                 n("build_wall_ms"),
+                stages(s, ""),
                 n("rows_per_s"),
                 n("peak_tracked_bytes"),
                 n("materialized_row_bytes"),
@@ -545,7 +576,7 @@ pub fn table(report: &Json) -> String {
     let incremental = arr_at(report, "incremental");
     if !incremental.is_empty() {
         out.push_str(&format!(
-            "\n{:<44} {:>7} {:>9} {:>9} {:>11} {:>12} {:>9} {:>11}\n",
+            "\n{:<44} {:>7} {:>9} {:>9} {:>11} {:>12} {:>9} {:>11} {:>22}\n",
             "incremental maintenance",
             "edits",
             "classes",
@@ -553,12 +584,13 @@ pub fn table(report: &Json) -> String {
             "rebuild(ms)",
             "speedup",
             "rows",
-            "live(B)"
+            "live(B)",
+            "live scan/fold/asm(ms)"
         ));
         for p in incremental {
             let n = |path: &str| f64_at(p, path);
             out.push_str(&format!(
-                "{:<44} {:>7} {:>9} {:>9.3} {:>11.1} {:>11.1}x {:>9} {:>11}\n",
+                "{:<44} {:>7} {:>9} {:>9.3} {:>11.1} {:>11.1}x {:>9} {:>11} {:>22}\n",
                 str_at(p, "name"),
                 n("edits"),
                 format!("{}→{}", n("classes_before"), n("classes_after")),
@@ -567,6 +599,7 @@ pub fn table(report: &Json) -> String {
                 n("speedup"),
                 n("rows_r") + n("rows_p"),
                 n("live_bytes"),
+                stages(p, "live_"),
             ));
         }
     }
@@ -608,6 +641,8 @@ mod tests {
         assert!(s("peak_tracked_bytes") > 0.0);
         assert!(s("materialized_row_bytes") > 0.0);
         assert!(s("threads") >= 1.0);
+        let stages = s("shared_scan_ms") + s("fold_ms") + s("assemble_ms");
+        assert!(stages > 0.0 && stages <= s("build_wall_ms"), "{stages}");
         let incremental = arr_at(&report, "incremental");
         assert_eq!(incremental.len(), 2);
         let single = |path: &str| f64_at(&incremental[0], path);
@@ -619,6 +654,7 @@ mod tests {
         assert!(single("rebuild_ms") > 0.0);
         assert!(single("speedup") > 0.0);
         assert!(single("live_bytes") > 0.0);
+        assert!(single("live_assemble_ms") > 0.0 && single("live_fold_ms") > 0.0);
         let name = str_at(&incremental[1], "name");
         assert!(name.ends_with("batch-1%"), "{name}");
         assert_eq!(

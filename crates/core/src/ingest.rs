@@ -60,6 +60,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
+use std::time::Instant;
 
 /// Options for a streaming ingestion run.
 #[derive(Debug, Clone, Copy)]
@@ -133,6 +134,13 @@ pub struct IngestStats {
     /// Worker threads the fold ran with (1 for a live build, whose fold is
     /// sequential).
     pub threads: usize,
+    /// Wall seconds of pass 1, the shared-symbol scan.
+    pub shared_scan_s: f64,
+    /// Wall seconds of pass 2, the profile or live fold.
+    pub fold_s: f64,
+    /// Wall seconds of the assembly: the profile-pair scan into classes
+    /// and the containment closure.
+    pub assemble_s: f64,
 }
 
 /// Estimated per-entry overhead of a profile accumulator beyond its key
@@ -539,8 +547,17 @@ impl Universe {
     where
         I: Iterator<Item = RowChunk>,
     {
+        let start = Instant::now();
         let shared = scan_shared_symbols(&schema, source());
-        Self::build_on_shared(schema, shared, source(), options)
+        let shared_scan_s = start.elapsed().as_secs_f64();
+        let (universe, stats) = Self::build_on_shared(schema, shared, source(), options);
+        (
+            universe,
+            IngestStats {
+                shared_scan_s,
+                ..stats
+            },
+        )
     }
 
     /// [`Universe::build_streaming`] with [`IngestOptions::live`] set.
@@ -574,6 +591,7 @@ impl Universe {
         chunks: impl Iterator<Item = RowChunk>,
         options: &IngestOptions,
     ) -> (Universe, IngestStats) {
+        let start = Instant::now();
         let ((r_reps, r_weights), (p_reps, p_weights), rows, mut stats) = if options.live {
             let (r, p, lt, stats) = fold_live(&schema, &shared, chunks, options.byte_ceiling);
             (r, p, Rows::Live(Box::new(lt)), stats)
@@ -596,6 +614,8 @@ impl Universe {
         let instance = schema
             .into_instance(r_reps, p_reps)
             .expect("streamed rows match their declared schemas");
+        stats.fold_s = start.elapsed().as_secs_f64();
+        let start = Instant::now();
         let universe = Universe::assemble(
             instance,
             shared,
@@ -604,6 +624,7 @@ impl Universe {
             options.threads.max(1),
             rows,
         );
+        stats.assemble_s = start.elapsed().as_secs_f64();
         (universe, stats)
     }
 }
@@ -665,8 +686,13 @@ mod tests {
     fn streaming_build_collapses_profiles() {
         let schema = schema();
         let all = chunks(&schema, 2);
+        let start = Instant::now();
         let (u, stats) =
             Universe::build_streaming(schema, || all.clone().into_iter(), &opts(1, false));
+        let wall = start.elapsed().as_secs_f64();
+        // The three stage timers are disjoint parts of the build.
+        let stages = stats.shared_scan_s + stats.fold_s + stats.assemble_s;
+        assert!(stages > 0.0 && stages <= wall, "{stages} s of {wall} s");
         assert_eq!(stats.rows_r, 6);
         assert_eq!(stats.rows_p, 4);
         assert_eq!(stats.distinct_r, 2);
