@@ -34,7 +34,9 @@
 //!   `baseline · factor`; per `streaming` phase point (also matched by
 //!   name), `build_wall_ms` and `peak_tracked_bytes` must not exceed
 //!   `baseline · factor`; per `incremental` phase point (also matched by
-//!   name), `delta_apply_ms` must not exceed `baseline · factor` and the
+//!   name), `delta_apply_ms` and `rebuild_ms` (the from-scratch streaming
+//!   build the delta is compared with, so a slower universe-construction
+//!   kernel fails here) must not exceed `baseline · factor` and the
 //!   rebuild-over-apply `speedup` must not shrink below
 //!   `baseline / factor`. Points present on only one side are skipped
 //!   (sweeps may grow), but a block with no matched point is an error.
@@ -225,7 +227,8 @@ fn guard_scaling(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(),
     // factor`. Streaming wall clock is machine-dependent (an order-of-
     // magnitude guard); its peak tracked ingestion bytes are not — a
     // blow-up there means profiles stopped collapsing. The incremental
-    // rebuild-over-apply speedup is the O(delta) payoff itself.
+    // rebuild-over-apply speedup is the O(delta) payoff itself, and the
+    // rebuild time it divides by is the universe-construction kernel's.
     let rules: [(&str, &[&str], &[&str]); 3] = [
         (
             "points",
@@ -233,7 +236,11 @@ fn guard_scaling(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(),
             &["l1s_first_step_ms", "l3s_first_step_ms"],
         ),
         ("streaming", &[], &["build_wall_ms", "peak_tracked_bytes"]),
-        ("incremental", &["speedup"], &["delta_apply_ms"]),
+        (
+            "incremental",
+            &["speedup"],
+            &["delta_apply_ms", "rebuild_ms"],
+        ),
     ];
     fn items<'j>(doc: &'j Json, which: &str, block: &str) -> Result<&'j [Json], String> {
         doc.get(block)

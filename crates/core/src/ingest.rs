@@ -9,9 +9,10 @@
 //! ingests a stream of [`RowChunk`]s, folds each chunk into per-thread
 //! `profile key → (weight, first row, representative)` maps, merges the
 //! maps deterministically, and hands the resulting weighted profiles to the
-//! same pair-loop kernel the materialized build uses. Rows are dropped the
-//! moment their chunk is folded; what stays resident is one representative
-//! [`Tuple`] and one counter per *distinct* profile.
+//! profile-pair kernel the materialized build uses (which visits only the
+//! profile pairs that share a value; see [`crate::universe`]). Rows are
+//! dropped the moment their chunk is folded; what stays resident is one
+//! representative [`Tuple`] and one counter per *distinct* profile.
 //!
 //! # Two passes, one bounded memory footprint
 //!

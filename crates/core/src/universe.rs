@@ -12,36 +12,48 @@
 //! multiplicity. This is what makes TPC-H-scale products (10⁷–10⁸ tuples)
 //! tractable: the number of *distinct* signatures stays small.
 //!
-//! # Construction: profile deduplication before pair enumeration
+//! # Construction: profile deduplication, then a sparse pair scan
 //!
 //! [`Universe::build`] never walks the raw `|R| · |P|` product. It first
 //! canonicalizes each row to its *join profile* — the row's symbol tuple
 //! restricted to symbols occurring in the opposite relation (see
 //! [`jqi_relation::stream::profile_key`]) — and deduplicates rows into
 //! weighted distinct profiles. Two rows with equal profiles produce
-//! identical signatures against every opposite row, so the pair loop only
-//! has to visit `distinct_R · distinct_P` profile pairs, multiplying the
-//! two profile counts into the class weight. Total cost:
+//! identical signatures against every opposite row, so only
+//! `distinct_R · distinct_P` profile pairs remain, each weighted by the
+//! product of the two profile counts.
+//!
+//! Most of those pairs share no value, and a pair that shares no value has
+//! the signature ∅ (§3: `T(t)` holds exactly the attribute pairs whose
+//! values are equal). So the pair scan visits only the pairs that share a
+//! value. The P side is indexed once as one posting list per shared symbol
+//! (the P profiles holding it, each with the P columns that hold it).
+//! Each R profile walks the postings of its shared symbols, builds the
+//! signatures of the P profiles it reaches, and folds every other P
+//! profile into one ∅ observation. Total cost:
 //!
 //! * `O(|R| · n + |P| · m)` hashing to deduplicate rows into profiles,
-//! * `O(distinct_R · distinct_P · n)` symbol-map lookups for the remaining
-//!   pair loop (`n = arity(R)`), using a per-P-profile index from value
-//!   symbols to column masks,
+//! * `O(distinct_P · m)` to build the postings,
+//! * `O(Σ_r (postings of r's symbols) + distinct_R · distinct_P / 64)`
+//!   for the pair scan, plus one class-table probe per pair that shares a
+//!   value and one per R profile for its ∅ pairs,
 //!
 //! instead of the former `O(|R| · |P| · n)`. On duplicate-heavy instances
 //! (the TPC-H regime the paper targets: 10⁷–10⁸ product tuples, a handful
-//! of distinct signatures) this is orders of magnitude less work. When the
-//! remaining profile-pair loop is still large it is parallelized with
-//! `std::thread::scope` over R-profile chunks; the per-thread class tables
-//! are merged in chunk order, so class ids, counts, and representatives are
-//! **identical** to the sequential build. P relations of any arity are
-//! supported: column masks are multi-word (`bitset::or_shifted`), not
-//! capped at 64 attributes.
+//! of distinct signatures) this is orders of magnitude less work. The ∅
+//! observation is made at the position of the first P profile it covers,
+//! so class ids follow the first-occurrence order of visiting every pair.
+//! When the scan is large it is parallelized with `std::thread::scope`
+//! over R-profile chunks; the per-thread class tables are merged in chunk
+//! order, so class ids, counts, and representatives are **identical** to
+//! the sequential build. P relations of any arity are supported: column
+//! masks are multi-word (`bitset::or_shifted`), not capped at 64
+//! attributes.
 //!
-//! The pre-deduplication row-pair loop is kept as
-//! [`Universe::build_rowpair_reference`] — an executable specification used
-//! by the equivalence property tests and as the baseline of the `scaling`
-//! benchmark.
+//! [`Universe::build_rowpair_reference`] walks every row pair and computes
+//! each signature directly, with no profiles and no postings: an
+//! executable specification used by the equivalence tests and the
+//! baseline of the `scaling` benchmark.
 //!
 //! # One builder per source
 //!
@@ -600,63 +612,104 @@ fn distinct_profiles(keys: impl Iterator<Item = Box<[u32]>>) -> Vec<Profile> {
     out
 }
 
-/// Treats every row as its own profile (the reference, no-dedup path).
-fn row_profiles(rows: usize) -> Vec<Profile> {
-    (0..rows)
-        .map(|r| Profile {
-            rep: r as u32,
-            count: 1,
-        })
-        .collect()
-}
-
-/// Per-distinct-P-profile symbol index: raw value symbol → P-column mask.
+/// The P side's shared symbols as posting lists, in CSR form.
 ///
-/// Masks live in one arena with stride `pwords` words, so arbitrary P
-/// arities are supported (no 64-column limit). Only symbols shared with R
-/// are indexed — everything else can never match an R cell.
-struct PIndex {
-    pwords: usize,
-    /// One map per distinct P profile, aligned with the profile list.
-    maps: Vec<HashMap<u32, u32>>,
+/// For the shared symbol of rank `k` (its position among the shared
+/// symbols in id order), postings `offsets[k]..offsets[k + 1]` name the P
+/// profiles whose representative row holds it, in P-profile order
+/// (`pids`), each with the P columns that hold it (`masks`, stride
+/// `pwords` words, so P relations of any arity are supported). The lists
+/// are indexed by rank rather than by symbol id, so the index costs
+/// `O(postings)` plus one `u32` per 64 symbol ids for the rank directory.
+struct Postings<'s> {
+    shared: &'s BitSet,
+    /// Shared symbols below each word of `shared`.
+    rank_base: Vec<u32>,
+    offsets: Vec<u32>,
+    pids: Vec<u32>,
     masks: Vec<u64>,
+    pwords: usize,
 }
 
-impl PIndex {
-    fn build(p_rows: &[Tuple], shared: &BitSet, p_profiles: &[Profile], m: usize) -> PIndex {
+impl<'s> Postings<'s> {
+    fn build(p_rows: &[Tuple], shared: &'s BitSet, p_profiles: &[Profile], m: usize) -> Self {
         let pwords = word_count(m);
-        let mut maps = Vec::with_capacity(p_profiles.len());
-        let mut masks: Vec<u64> = Vec::new();
-        for profile in p_profiles {
-            let mut map: HashMap<u32, u32> = HashMap::new();
+        let mut rank_base = Vec::with_capacity(shared.words().len());
+        let mut ranks = 0u32;
+        for w in shared.words() {
+            rank_base.push(ranks);
+            ranks += w.count_ones();
+        }
+        let mut index = Postings {
+            shared,
+            rank_base,
+            offsets: vec![0; ranks as usize + 1],
+            pids: Vec::new(),
+            masks: Vec::new(),
+            pwords,
+        };
+        // Each profile's distinct shared symbols with their column masks,
+        // in profile order, counted per rank.
+        let mut entries: Vec<(u32, u32)> = Vec::new();
+        let mut entry_masks: Vec<u64> = Vec::new();
+        for (pid, profile) in (0u32..).zip(p_profiles) {
+            let first = entries.len();
             for (j, sym) in p_rows[profile.rep as usize].symbols().iter().enumerate() {
-                if !shared.contains(sym.index()) {
+                let Some(rank) = index.rank(sym.index()) else {
                     continue;
-                }
-                let slot = match map.entry(sym.0) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let slot = (masks.len() / pwords.max(1)) as u32;
-                        masks.resize(masks.len() + pwords, 0);
-                        *e.insert(slot)
+                };
+                let e = match entries[first..].iter().position(|&(r, _)| r == rank) {
+                    Some(k) => first + k,
+                    None => {
+                        entries.push((rank, pid));
+                        entry_masks.resize(entry_masks.len() + pwords, 0);
+                        index.offsets[rank as usize + 1] += 1;
+                        entries.len() - 1
                     }
                 };
-                let base = slot as usize * pwords;
-                masks[base + j / 64] |= 1u64 << (j % 64);
+                entry_masks[e * pwords + j / WORD_BITS] |= 1u64 << (j % WORD_BITS);
             }
-            maps.push(map);
         }
-        PIndex {
-            pwords,
-            maps,
-            masks,
+        for k in 1..index.offsets.len() {
+            index.offsets[k] += index.offsets[k - 1];
         }
+        // A stable counting sort by rank keeps every list in P-profile order.
+        let mut next = index.offsets.clone();
+        index.pids = vec![0; entries.len()];
+        index.masks = vec![0; entry_masks.len()];
+        for (e, &(rank, pid)) in entries.iter().enumerate() {
+            let k = next[rank as usize] as usize;
+            next[rank as usize] += 1;
+            index.pids[k] = pid;
+            index.masks[k * pwords..(k + 1) * pwords]
+                .copy_from_slice(&entry_masks[e * pwords..(e + 1) * pwords]);
+        }
+        index
     }
 
+    /// The rank of symbol `sym` among the shared symbols, if it is shared.
     #[inline]
-    fn mask(&self, slot: u32) -> &[u64] {
-        let base = slot as usize * self.pwords;
-        &self.masks[base..base + self.pwords]
+    fn rank(&self, sym: usize) -> Option<u32> {
+        if !self.shared.contains(sym) {
+            return None;
+        }
+        let below = self.shared.words()[sym / WORD_BITS] & ((1u64 << (sym % WORD_BITS)) - 1);
+        Some(self.rank_base[sym / WORD_BITS] + below.count_ones())
+    }
+
+    /// The `(P profile, column mask)` postings of symbol `sym`; none if it
+    /// is not shared.
+    #[inline]
+    fn of(&self, sym: usize) -> impl Iterator<Item = (usize, &[u64])> + '_ {
+        let range = self.rank(sym).map_or(0..0, |k| {
+            self.offsets[k as usize] as usize..self.offsets[k as usize + 1] as usize
+        });
+        range.map(move |k| {
+            (
+                self.pids[k] as usize,
+                &self.masks[k * self.pwords..(k + 1) * self.pwords],
+            )
+        })
     }
 }
 
@@ -699,30 +752,72 @@ impl ClassTable {
 }
 
 /// The profile-pair kernel: classifies every `(r_profile, p_profile)` pair
-/// of `r_chunk × p_profiles` into a local class table.
+/// of `r_chunk × p_profiles` into a local class table, visiting only the
+/// pairs that share a value.
+///
+/// Per R profile, the postings of its shared symbols are ORed, each mask
+/// shifted to its R column's offset `i·m`, into a scratch signature row per
+/// P profile, and every P profile reached is marked touched. The touched
+/// pairs are observed in P-profile order. Every other pair shares no value,
+/// so its signature is ∅: the untouched pairs are folded into one
+/// observation, weighted by the untouched P weight and emitted at the
+/// position of the first untouched P profile (its representative), so
+/// class ids, counts and representatives are those of visiting every pair
+/// in order.
 fn scan_chunk(
     r_rows: &[Tuple],
     r_chunk: &[Profile],
     p_profiles: &[Profile],
-    pindex: &PIndex,
+    postings: &Postings,
     nbits: usize,
     m: usize,
 ) -> ClassTable {
+    let words = word_count(nbits);
+    let p_weight: u64 = p_profiles.iter().map(|p| p.count).sum();
     let mut table = ClassTable::default();
-    let mut scratch: Vec<u64> = vec![0; word_count(nbits)];
+    let mut sig_rows: Vec<u64> = vec![0; p_profiles.len() * words];
+    let mut touched_bits: Vec<u64> = vec![0; word_count(p_profiles.len())];
+    let mut touched: Vec<usize> = Vec::new();
+    let empty: Vec<u64> = vec![0; words];
     for rp in r_chunk {
-        let r_syms = r_rows[rp.rep as usize].symbols();
-        for (pid, pp) in p_profiles.iter().enumerate() {
-            scratch.iter_mut().for_each(|w| *w = 0);
-            let pmap = &pindex.maps[pid];
-            for (i, sym) in r_syms.iter().enumerate() {
-                if let Some(&slot) = pmap.get(&sym.0) {
-                    // Place the m-bit column mask at bit offset i·m.
-                    or_shifted(&mut scratch, pindex.mask(slot), i * m);
+        for (i, sym) in r_rows[rp.rep as usize].symbols().iter().enumerate() {
+            for (pid, mask) in postings.of(sym.index()) {
+                or_shifted(&mut sig_rows[pid * words..(pid + 1) * words], mask, i * m);
+                let bit = 1u64 << (pid % WORD_BITS);
+                if touched_bits[pid / WORD_BITS] & bit == 0 {
+                    touched_bits[pid / WORD_BITS] |= bit;
+                    touched.push(pid);
                 }
             }
-            table.observe(nbits, &scratch, rp.count * pp.count, (rp.rep, pp.rep));
         }
+        touched.sort_unstable();
+        let mut untouched = (touched.len() < p_profiles.len()).then(|| {
+            touched
+                .iter()
+                .enumerate()
+                .take_while(|(k, &p)| *k == p)
+                .count()
+        });
+        let untouched_weight = p_weight - touched.iter().map(|&p| p_profiles[p].count).sum::<u64>();
+        let observe_empty = |table: &mut ClassTable, first: usize| {
+            let rep = (rp.rep, p_profiles[first].rep);
+            table.observe(nbits, &empty, rp.count * untouched_weight, rep);
+        };
+        for &pid in &touched {
+            if let Some(first) = untouched.filter(|&first| first < pid) {
+                observe_empty(&mut table, first);
+                untouched = None;
+            }
+            let sig = &mut sig_rows[pid * words..(pid + 1) * words];
+            let pp = &p_profiles[pid];
+            table.observe(nbits, sig, rp.count * pp.count, (rp.rep, pp.rep));
+            sig.fill(0);
+            touched_bits[pid / WORD_BITS] = 0;
+        }
+        if let Some(first) = untouched {
+            observe_empty(&mut table, first);
+        }
+        touched.clear();
     }
     table
 }
@@ -775,17 +870,29 @@ impl Universe {
     }
 
     /// The pre-deduplication construction: walk every `(ri, pi)` row pair
-    /// of the raw Cartesian product, exactly as the seed implementation
-    /// did. `O(|R| · |P| · n)`. Kept as an executable specification (the
-    /// property tests assert [`Universe::build`] is equivalent) and as the
-    /// baseline the `scaling` benchmark measures speedups against.
+    /// of the raw Cartesian product in order, computing each signature
+    /// directly with [`Instance::signature_into`]. `O(|R| · |P| · n · m)`.
+    /// It shares no profiles and no postings with [`Universe::build`], so
+    /// it is an executable specification of it (the tests assert equal
+    /// class ids, counts and representatives) and the baseline the
+    /// `scaling` benchmark measures speedups against.
     pub fn build_rowpair_reference(instance: Instance) -> Self {
-        let shared = instance.shared_symbols();
-        let r_profiles = row_profiles(instance.r().len());
-        let p_profiles = row_profiles(instance.p().len());
-        Self::assemble(instance, shared, r_profiles, p_profiles, 1, Rows::Complete)
+        let nbits = instance.pairs().len();
+        let (rows_r, rows_p) = (instance.r().len(), instance.p().len());
+        let mut table = ClassTable::default();
+        let mut sig = BitSet::empty(nbits);
+        for ri in 0..rows_r {
+            for pi in 0..rows_p {
+                instance.signature_into(ri, pi, &mut sig);
+                table.observe(nbits, sig.words(), 1, (ri as u32, pi as u32));
+            }
+        }
+        Self::from_classes(instance, table, (rows_r, rows_p), 1, Rows::Complete)
     }
 
+    /// Classifies the weighted profile pairs with the sparse kernel
+    /// ([`scan_chunk`]), in parallel over R-profile chunks when `threads >
+    /// 1`, merging the chunk tables in chunk order.
     pub(crate) fn assemble(
         instance: Instance,
         shared: BitSet,
@@ -794,23 +901,22 @@ impl Universe {
         threads: usize,
         rows: Rows,
     ) -> Self {
-        let ps = instance.pairs();
-        let m = ps.arity_p();
-        let nbits = ps.len();
-        let pindex = PIndex::build(instance.p().rows(), &shared, &p_profiles, m);
+        let m = instance.pairs().arity_p();
+        let nbits = instance.pairs().len();
+        let postings = Postings::build(instance.p().rows(), &shared, &p_profiles, m);
         let r_rows = instance.r().rows();
 
         let scan_threads = threads.clamp(1, r_profiles.len().max(1));
-        let mut table = if scan_threads <= 1 {
-            scan_chunk(r_rows, &r_profiles, &p_profiles, &pindex, nbits, m)
+        let table = if scan_threads <= 1 {
+            scan_chunk(r_rows, &r_profiles, &p_profiles, &postings, nbits, m)
         } else {
             let chunk = r_profiles.len().div_ceil(scan_threads);
             let locals: Vec<ClassTable> = std::thread::scope(|s| {
                 let handles: Vec<_> = r_profiles
                     .chunks(chunk)
                     .map(|r_chunk| {
-                        let (p_profiles, pindex) = (&p_profiles, &pindex);
-                        s.spawn(move || scan_chunk(r_rows, r_chunk, p_profiles, pindex, nbits, m))
+                        let (p_profiles, postings) = (&p_profiles, &postings);
+                        s.spawn(move || scan_chunk(r_rows, r_chunk, p_profiles, postings, nbits, m))
                     })
                     .collect();
                 handles
@@ -824,10 +930,24 @@ impl Universe {
             }
             merged
         };
+        let distinct = (r_profiles.len(), p_profiles.len());
+        Self::from_classes(instance, table, distinct, threads, rows)
+    }
 
+    /// The universe over a finished class table: signature sizes, the
+    /// containment closure (built on `threads` workers) and an empty
+    /// decision cache. `distinct` is the number of R and P profiles the
+    /// build enumerated.
+    fn from_classes(
+        instance: Instance,
+        mut table: ClassTable,
+        distinct: (usize, usize),
+        threads: usize,
+        rows: Rows,
+    ) -> Self {
         let sig_sizes = table.sigs.iter().map(|s| s.len() as u32).collect();
         table.buckets.shrink_to_fit();
-        let closure = ClassClosure::build(&table.sigs, nbits, threads);
+        let closure = ClassClosure::build(&table.sigs, instance.pairs().len(), threads);
         Universe {
             instance,
             sigs: table.sigs,
@@ -837,8 +957,8 @@ impl Universe {
             buckets: table.buckets,
             closure,
             decision_cache: DecisionCache::new(DEFAULT_DECISION_CACHE_BYTES),
-            distinct_r: r_profiles.len(),
-            distinct_p: p_profiles.len(),
+            distinct_r: distinct.0,
+            distinct_p: distinct.1,
             epoch: 0,
             rows,
         }
@@ -1104,7 +1224,7 @@ impl Universe {
 mod tests {
     use super::*;
     use crate::paper::example_2_1;
-    use jqi_relation::{InstanceBuilder, Value};
+    use jqi_relation::{Instance, InstanceBuilder, Value};
 
     #[test]
     fn example_2_1_has_twelve_singleton_classes() {
@@ -1258,10 +1378,49 @@ mod tests {
         }
     }
 
+    /// Asserts that every in-memory build of `inst`, sequential and at
+    /// 2, 3 and 8 threads, equals the row-pair reference class by class,
+    /// in id order: signature, count and representative. Returns the
+    /// reference.
+    fn assert_matches_reference(inst: &Instance) -> Universe {
+        let reference = Universe::build_rowpair_reference(inst.clone());
+        let mut builds = vec![("build".to_string(), Universe::build(inst.clone()))];
+        for threads in [1, 2, 3, 8] {
+            let u = Universe::build_with_parallelism(inst.clone(), threads);
+            builds.push((format!("{threads} threads"), u));
+        }
+        for (what, u) in &builds {
+            assert_eq!(u.sigs(), reference.sigs(), "{what}: signatures");
+            assert_eq!(u.counts(), reference.counts(), "{what}: counts");
+            for c in 0..reference.num_classes() {
+                assert_eq!(
+                    u.representative(c),
+                    reference.representative(c),
+                    "{what}: representative of class {c}"
+                );
+            }
+            assert_eq!(u.fingerprint(), reference.fingerprint(), "{what}");
+        }
+        reference
+    }
+
+    fn instance(r: (&[&str], &[&[i64]]), p: (&[&str], &[&[i64]])) -> Instance {
+        let mut b = InstanceBuilder::new();
+        b.relation_r("R", r.0);
+        b.relation_p("P", p.0);
+        for row in r.1 {
+            b.row_r_ints(row);
+        }
+        for row in p.1 {
+            b.row_p_ints(row);
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn dedup_build_matches_rowpair_reference() {
         // Duplicate-heavy instance: the deduplicated build must produce the
-        // same signature/count multiset and total as the row-pair loop.
+        // reference's classes in the reference's order.
         let mut b = InstanceBuilder::new();
         b.relation_r("R", &["A1", "A2"]);
         b.relation_p("P", &["B1"]);
@@ -1272,23 +1431,72 @@ mod tests {
             b.row_p_ints(&[j % 4]);
         }
         let inst = b.build().unwrap();
-        let fast = Universe::build(inst.clone());
-        let reference = Universe::build_rowpair_reference(inst);
-        assert_eq!(fast.total_tuples(), reference.total_tuples());
-        let key = |u: &Universe| {
-            let mut v: Vec<(BitSet, u64)> = u.iter().map(|(_, s, n)| (s.clone(), n)).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(key(&fast), key(&reference));
-        // Representatives land in their own class in both builds.
-        for u in [&fast, &reference] {
-            for c in 0..u.num_classes() {
-                let (ri, pi) = u.representative(c);
-                assert_eq!(&u.instance().signature(ri, pi), u.sig(c));
-            }
+        let reference = assert_matches_reference(&inst);
+        assert_eq!(reference.total_tuples(), 24 * 18);
+        // Representatives land in their own class.
+        for c in 0..reference.num_classes() {
+            let (ri, pi) = reference.representative(c);
+            assert_eq!(&inst.signature(ri, pi), reference.sig(c));
         }
-        assert!(fast.distinct_r_profiles() < 24);
+        assert!(Universe::build(inst).distinct_r_profiles() < 24);
+    }
+
+    #[test]
+    fn empty_class_born_between_touched_p_profiles() {
+        // P profiles in order: [1], [hole], [2]. The first R row touches
+        // the first and the last, so ∅ is first seen in the middle.
+        let inst = instance(
+            (&["A1", "A2"], &[&[1, 2], &[5, 1], &[6, 7]]),
+            (&["B"], &[&[1], &[3], &[2], &[3]]),
+        );
+        let u = assert_matches_reference(&inst);
+        let empty = u.sigs().iter().position(BitSet::is_empty).unwrap();
+        assert_eq!(empty, 1, "∅ is the second class, after A1=B");
+        assert_eq!(u.representative(empty), (0, 1));
+        // Row 0 pairs with the two P rows holding 3, row 1 with all but
+        // the 1, row 2 with all four.
+        assert_eq!(u.count(empty), 2 + 3 + 4);
+    }
+
+    #[test]
+    fn row_touching_every_p_profile_has_no_empty_pair() {
+        let inst = instance(
+            (&["A1", "A2"], &[&[1, 2], &[8, 9]]),
+            (&["B"], &[&[1], &[2], &[1]]),
+        );
+        let u = assert_matches_reference(&inst);
+        let empty = u.sigs().iter().position(BitSet::is_empty).unwrap();
+        assert_eq!(u.representative(empty), (1, 0), "born in the second row");
+        assert_eq!(u.count(empty), 3);
+        assert_eq!(u.num_classes(), 3);
+    }
+
+    #[test]
+    fn one_symbol_in_two_r_and_two_p_columns() {
+        let inst = instance(
+            (&["A1", "A2"], &[&[4, 4], &[4, 5], &[9, 4]]),
+            (
+                &["B1", "B2"],
+                &[&[4, 4], &[4, 9], &[9, 4], &[9, 9], &[5, 4]],
+            ),
+        );
+        let u = assert_matches_reference(&inst);
+        // (4,4) × (4,4) agrees on all four attribute pairs.
+        let c = u.class_of(0, 0).unwrap();
+        assert_eq!(u.sig(c).len(), 4);
+        assert_eq!(u.total_tuples(), 15);
+    }
+
+    #[test]
+    fn p_side_sharing_no_symbol_is_one_empty_class() {
+        let inst = instance(
+            (&["A"], &[&[1], &[2], &[1]]),
+            (&["B1", "B2"], &[&[3, 4], &[5, 6]]),
+        );
+        let u = assert_matches_reference(&inst);
+        assert_eq!(u.num_classes(), 1);
+        assert!(u.sig(0).is_empty());
+        assert_eq!((u.count(0), u.representative(0)), (6, (0, 0)));
     }
 
     #[test]
