@@ -203,9 +203,6 @@ pub fn measure_streaming(sf: f64, params: &ScalingParams) -> Json {
         num("distinct_p_profiles", stats.distinct_p as f64),
         num("classes", universe.num_classes() as f64),
         num("build_wall_ms", build_wall_ms),
-    ];
-    fields.extend(stage_fields("", &stats));
-    fields.extend([
         num("rows_per_s", rows_per_s),
         num("peak_tracked_bytes", stats.peak_tracked_bytes as f64),
         num(
@@ -215,7 +212,8 @@ pub fn measure_streaming(sf: f64, params: &ScalingParams) -> Json {
         num("memory_ratio", memory_ratio),
         num("threads", stats.threads as f64),
         num("gen_workers", gen_workers as f64),
-    ]);
+    ];
+    fields.extend(stage_fields("", &stats));
     Json::Obj(fields)
 }
 

@@ -137,7 +137,8 @@ pub struct IngestStats {
     pub threads: usize,
     /// Wall seconds of pass 1, the shared-symbol scan.
     pub shared_scan_s: f64,
-    /// Wall seconds of pass 2, the profile or live fold.
+    /// Wall seconds of pass 2, the profile or live fold, up to the
+    /// representative instance the assembly starts from.
     pub fold_s: f64,
     /// Wall seconds of the assembly: the profile-pair scan into classes
     /// and the containment closure.
@@ -551,14 +552,9 @@ impl Universe {
         let start = Instant::now();
         let shared = scan_shared_symbols(&schema, source());
         let shared_scan_s = start.elapsed().as_secs_f64();
-        let (universe, stats) = Self::build_on_shared(schema, shared, source(), options);
-        (
-            universe,
-            IngestStats {
-                shared_scan_s,
-                ..stats
-            },
-        )
+        let (universe, mut stats) = Self::build_on_shared(schema, shared, source(), options);
+        stats.shared_scan_s = shared_scan_s;
+        (universe, stats)
     }
 
     /// [`Universe::build_streaming`] with [`IngestOptions::live`] set.

@@ -670,6 +670,11 @@ impl<'s> Postings<'s> {
                 entry_masks[e * pwords + j / WORD_BITS] |= 1u64 << (j % WORD_BITS);
             }
         }
+        assert!(
+            u32::try_from(entries.len()).is_ok(),
+            "{} postings overflow the u32 offsets",
+            entries.len()
+        );
         for k in 1..index.offsets.len() {
             index.offsets[k] += index.offsets[k - 1];
         }
@@ -791,31 +796,23 @@ fn scan_chunk(
             }
         }
         touched.sort_unstable();
-        let mut untouched = (touched.len() < p_profiles.len()).then(|| {
-            touched
-                .iter()
-                .enumerate()
-                .take_while(|(k, &p)| *k == p)
-                .count()
-        });
+        // The first untouched P profile (`p_profiles.len()` if none): the
+        // ∅ observation of every untouched pair is made at its position.
+        let mut first_untouched = (0..).zip(&touched).take_while(|&(k, &p)| k == p).count();
         let untouched_weight = p_weight - touched.iter().map(|&p| p_profiles[p].count).sum::<u64>();
-        let observe_empty = |table: &mut ClassTable, first: usize| {
-            let rep = (rp.rep, p_profiles[first].rep);
-            table.observe(nbits, &empty, rp.count * untouched_weight, rep);
-        };
-        for &pid in &touched {
-            if let Some(first) = untouched.filter(|&first| first < pid) {
-                observe_empty(&mut table, first);
-                untouched = None;
+        for pid in touched.iter().copied().chain([p_profiles.len()]) {
+            if first_untouched < pid {
+                let rep = (rp.rep, p_profiles[first_untouched].rep);
+                table.observe(nbits, &empty, rp.count * untouched_weight, rep);
+                first_untouched = usize::MAX;
             }
+            let Some(pp) = p_profiles.get(pid) else {
+                break;
+            };
             let sig = &mut sig_rows[pid * words..(pid + 1) * words];
-            let pp = &p_profiles[pid];
             table.observe(nbits, sig, rp.count * pp.count, (rp.rep, pp.rep));
             sig.fill(0);
             touched_bits[pid / WORD_BITS] = 0;
-        }
-        if let Some(first) = untouched {
-            observe_empty(&mut table, first);
         }
         touched.clear();
     }
