@@ -34,11 +34,13 @@
 //!
 //! * `O(|R| · n + |P| · m)` hashing to deduplicate rows into profiles,
 //! * `O(distinct_P · m)` to build the postings,
-//! * `O(Σ_r (postings of r's symbols) + distinct_R · distinct_P / 64)`
-//!   for the pair scan, plus one class-table probe per pair that shares a
-//!   value and one per R profile for its ∅ pairs,
+//! * per R profile, one mask OR per posting of its symbols, a sort of the
+//!   `k` P profiles it touches, and `k + 1` class-table probes (one per
+//!   touched pair, one for all its ∅ pairs),
 //!
-//! instead of the former `O(|R| · |P| · n)`. On duplicate-heavy instances
+//! instead of `O(|R| · |P| · n)` for walking the product, or one symbol
+//! lookup per column of every profile pair for a dense profile-pair
+//! loop. On duplicate-heavy instances
 //! (the TPC-H regime the paper targets: 10⁷–10⁸ product tuples, a handful
 //! of distinct signatures) this is orders of magnitude less work. The ∅
 //! observation is made at the position of the first P profile it covers,
@@ -1375,10 +1377,9 @@ mod tests {
         }
     }
 
-    /// Asserts that every in-memory build of `inst`, sequential and at
-    /// 2, 3 and 8 threads, equals the row-pair reference class by class,
-    /// in id order: signature, count and representative. Returns the
-    /// reference.
+    /// Asserts that every in-memory build of `inst` (`build`, and 1, 2, 3
+    /// and 8 threads) equals the row-pair reference class by class, in id
+    /// order: signature, count and representative. Returns the reference.
     fn assert_matches_reference(inst: &Instance) -> Universe {
         let reference = Universe::build_rowpair_reference(inst.clone());
         let mut builds = vec![("build".to_string(), Universe::build(inst.clone()))];
