@@ -21,11 +21,12 @@
 //!   is stored in copy-on-write chunks (`crate::chunked`).
 //! * [`Universe::apply_delta`] — clones the universe once and edits the
 //!   clone: adjusting profile weights, retiring/creating profiles,
-//!   patching class counts/representatives/buckets, and patching the
-//!   `ClassClosure` only for affected classes. The clone shares the live
-//!   tables' chunks and the instance's relations with the receiver, and
-//!   the edits copy only the chunks (and the relation side) they write,
-//!   so a single-row delta costs O(Δ + chunks touched), not O(live rows).
+//!   patching class counts/representatives/buckets, and rebuilding the
+//!   `ClassClosure` from the signatures when a class is born or dies. The
+//!   clone shares the live tables' chunks and the instance's relations
+//!   with the receiver, and the edits copy only the chunks (and the
+//!   relation side) they write, so a single-row delta costs
+//!   O(Δ + chunks touched), not O(live rows).
 //!   The result's [`Universe::epoch`] is bumped and its decision cache
 //!   starts empty.
 //!
@@ -81,7 +82,7 @@
 
 use crate::chunked::{ChainIndex, Chunked, NONE_U32};
 use crate::universe::{ClassClosure, Rows, Universe};
-use jqi_relation::bitset::{hash_words, BitSet};
+use jqi_relation::bitset::{hash_words, BitSet, WORD_BITS};
 use jqi_relation::stream::{Side, PROFILE_HOLE};
 use jqi_relation::{Instance, Tuple};
 use std::collections::HashMap;
@@ -237,33 +238,65 @@ impl fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// A growable symbol set (plain bit words; the interner can grow past any
-/// capacity fixed at build time, so [`BitSet`] does not fit here).
+/// A growable symbol set (plain bit words). The interner grows while a
+/// stream is consumed and as deltas arrive, past any capacity a [`BitSet`]
+/// fixes up front.
 #[derive(Debug, Clone, Default)]
-struct SymSet {
+pub(crate) struct SymbolSet {
     words: Vec<u64>,
 }
 
-impl SymSet {
-    fn from_bitset(b: &BitSet) -> SymSet {
-        SymSet {
+impl SymbolSet {
+    fn from_bitset(b: &BitSet) -> SymbolSet {
+        SymbolSet {
             words: b.words().to_vec(),
         }
     }
 
     #[inline]
     fn contains(&self, s: u32) -> bool {
-        let w = s as usize / 64;
-        w < self.words.len() && self.words[w] >> (s % 64) & 1 == 1
+        let w = s as usize / WORD_BITS;
+        w < self.words.len() && self.words[w] >> (s as usize % WORD_BITS) & 1 == 1
     }
 
-    fn insert(&mut self, s: u32) {
-        let w = s as usize / 64;
+    pub(crate) fn insert(&mut self, s: u32) {
+        let w = s as usize / WORD_BITS;
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
         }
-        self.words[w] |= 1 << (s % 64);
+        self.words[w] |= 1 << (s as usize % WORD_BITS);
     }
+
+    /// Intersection as a `BitSet` of capacity `cap`.
+    pub(crate) fn intersect(&self, other: &SymbolSet, cap: usize) -> BitSet {
+        let mut out = BitSet::empty(cap);
+        for w in 0..self.words.len().min(other.words.len()) {
+            let mut bits = self.words[w] & other.words[w];
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                let index = w * WORD_BITS + b;
+                if index < cap {
+                    out.insert(index);
+                }
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+}
+
+/// The profile key of the row `syms` under the holing mask `ever_shared`:
+/// every symbol outside it becomes [`PROFILE_HOLE`].
+fn holed_key(syms: &[u32], ever_shared: &SymbolSet) -> Vec<u32> {
+    syms.iter()
+        .map(|&s| {
+            if ever_shared.contains(s) {
+                s
+            } else {
+                PROFILE_HOLE
+            }
+        })
+        .collect()
 }
 
 /// Content hash of a raw symbol row (FNV-style with a finishing shift; the
@@ -463,6 +496,53 @@ impl SideTable {
         id
     }
 
+    /// Records one occurrence of the row `syms`: finds or adds the distinct
+    /// row and bumps its weight and symbol units. On the row's first live
+    /// occurrence (fresh, or resurrected from a tombstone, whose stored
+    /// profile may predate `ever_shared` growth) the row joins the profile
+    /// of its key under `ever_shared` (see [`SideTable::join_profile`]).
+    /// The profile's weight is the caller's to bump. Returns the row and
+    /// whether its profile was revived.
+    fn insert_row(
+        &mut self,
+        syms: &[u32],
+        ever_shared: &SymbolSet,
+        instance_row: impl FnOnce(&mut SideTable, u32) -> u32,
+    ) -> (u32, bool) {
+        let row = match self.find_row(syms) {
+            Some(row) => row,
+            None => self.add_row(syms),
+        };
+        self.bump_units(syms, 1);
+        if self.add_weight(row, 1) > 1 {
+            return (row, false);
+        }
+        let revived = self.join_profile(row, &holed_key(syms, ever_shared), instance_row);
+        (row, revived)
+    }
+
+    /// Points `row` at the profile keyed `key`, adding the profile when the
+    /// key is new; `instance_row(self, row)` names the instance row that
+    /// backs an added profile. Returns whether the profile was found
+    /// retired (weight 0): the caller repoints a revived profile's
+    /// representative at `row`.
+    fn join_profile(
+        &mut self,
+        row: u32,
+        key: &[u32],
+        instance_row: impl FnOnce(&mut SideTable, u32) -> u32,
+    ) -> bool {
+        let (prof, revived) = match self.find_prof(key) {
+            Some(p) => (p, self.prof_weight(p) == 0),
+            None => {
+                let inst = instance_row(self, row);
+                (self.add_prof(key, row, inst), false)
+            }
+        };
+        self.prof_of.set(row as usize, prof);
+        revived
+    }
+
     /// Scans for a surviving row of profile `p` to become its
     /// representative. O(rows) — only runs when a representative dies.
     fn any_live_row_of(&self, p: u32) -> Option<u32> {
@@ -497,7 +577,7 @@ pub(crate) struct LiveTables {
     pub(crate) p: SideTable,
     /// Grow-only superset of the truly-shared symbol set; the profile
     /// grouping's holing mask.
-    ever_shared: SymSet,
+    ever_shared: SymbolSet,
 }
 
 impl LiveTables {
@@ -507,8 +587,18 @@ impl LiveTables {
         LiveTables {
             r: SideTable::new(arity_r),
             p: SideTable::new(arity_p),
-            ever_shared: SymSet::from_bitset(shared),
+            ever_shared: SymbolSet::from_bitset(shared),
         }
+    }
+
+    /// `side`'s table, with the holing mask its profile keys are formed
+    /// under.
+    fn side_mut(&mut self, side: Side) -> (&mut SideTable, &SymbolSet) {
+        let st = match side {
+            Side::R => &mut self.r,
+            Side::P => &mut self.p,
+        };
+        (st, &self.ever_shared)
     }
 
     /// Rebuilds live tables from a complete instance (the
@@ -522,72 +612,35 @@ impl LiveTables {
             &shared,
         );
         let mut syms: Vec<u32> = Vec::new();
-        for side in [Side::R, Side::P] {
-            let rel = match side {
-                Side::R => instance.r(),
-                Side::P => instance.p(),
-            };
-            for row in rel.rows() {
+        for (side, rel) in [(Side::R, instance.r()), (Side::P, instance.p())] {
+            let (st, ever_shared) = lt.side_mut(side);
+            for (i, row) in (0u32..).zip(rel.rows()) {
                 syms.clear();
                 syms.extend(row.symbols().iter().map(|s| s.0));
-                lt.ingest(side, &syms, true);
+                // Instance row `i` holds this occurrence, so it backs the
+                // profile the occurrence opens.
+                let (row, _) = st.insert_row(&syms, ever_shared, |_, _| i);
+                st.inst_rows.push(&[row]);
+                st.add_prof_weight(st.prof_of(row), 1);
             }
         }
         lt
     }
 
-    /// Folds one data row in (+1 multiplicity). `instance_backed` records
-    /// the row as the next instance row of its side (the
-    /// `from_instance` path); the streaming path passes `false` and lets
-    /// [`LiveTables::finalize_ingest`] wire instance rows to profiles.
+    /// Folds one streamed row in (+1 multiplicity). Profile `i` is backed
+    /// by instance row `i`, which [`LiveTables::finalize_ingest`] wires up.
     ///
     /// Ingest assumes `ever_shared` already covers every symbol that is
     /// (or will become) shared — true for both construction paths — so no
     /// transition handling happens here.
-    pub(crate) fn ingest(&mut self, side: Side, syms: &[u32], instance_backed: bool) {
-        let st = match side {
-            Side::R => &mut self.r,
-            Side::P => &mut self.p,
-        };
-        let row = match st.find_row(syms) {
-            Some(row) => row,
-            None => st.add_row(syms),
-        };
-        if instance_backed {
-            st.inst_rows.push(&[row]);
-        }
-        let weight = st.add_weight(row, 1);
-        st.bump_units(syms, 1);
-        if weight == 1 {
-            // First occurrence: group under the holing mask.
-            let key: Vec<u32> = syms
-                .iter()
-                .map(|&s| {
-                    if self.ever_shared.contains(s) {
-                        s
-                    } else {
-                        PROFILE_HOLE
-                    }
-                })
-                .collect();
-            let p = match st.find_prof(&key) {
-                Some(p) => p,
-                None => {
-                    let instance_row = if instance_backed {
-                        (st.inst_rows.len() - 1) as u32
-                    } else {
-                        st.prof_count() as u32
-                    };
-                    st.add_prof(&key, row, instance_row)
-                }
-            };
-            st.prof_of.set(row as usize, p);
-        }
+    pub(crate) fn ingest(&mut self, side: Side, syms: &[u32]) {
+        let (st, ever_shared) = self.side_mut(side);
+        let (row, _) = st.insert_row(syms, ever_shared, |st, _| st.prof_count() as u32);
         st.add_prof_weight(st.prof_of(row), 1);
     }
 
-    /// Completes a streaming (`instance_backed = false`) ingest: instance
-    /// row `i` of each side is profile `i`'s representative.
+    /// Completes a streaming ingest: instance row `i` of each side is
+    /// profile `i`'s representative.
     pub(crate) fn finalize_ingest(&mut self) {
         self.r.inst_rows = self.r.prof_rep.clone();
         self.p.inst_rows = self.p.prof_rep.clone();
@@ -621,10 +674,9 @@ struct Birth {
 
 /// The signed per-class count accumulator of one `apply_delta` call.
 struct PairAcc {
-    /// Changed profiles of the current settle window → weight at window
-    /// start.
-    changed_r: HashMap<u32, u64>,
-    changed_p: HashMap<u32, u64>,
+    /// Per side (R, P), changed profiles of the current settle window →
+    /// weight at window start.
+    changed: [HashMap<u32, u64>; 2],
     /// Signed count deltas for pre-existing classes.
     cdelta: Vec<i64>,
     /// Signatures not present in the universe, with accumulated deltas.
@@ -636,8 +688,7 @@ struct PairAcc {
 impl PairAcc {
     fn new(classes: usize, nbits: usize) -> PairAcc {
         PairAcc {
-            changed_r: HashMap::new(),
-            changed_p: HashMap::new(),
+            changed: Default::default(),
             cdelta: vec![0; classes],
             births: Vec::new(),
             birth_buckets: HashMap::new(),
@@ -646,10 +697,9 @@ impl PairAcc {
     }
 
     fn touch(&mut self, side: Side, p: u32, weight_before: u64) {
-        match side {
-            Side::R => self.changed_r.entry(p).or_insert(weight_before),
-            Side::P => self.changed_p.entry(p).or_insert(weight_before),
-        };
+        self.changed[side as usize]
+            .entry(p)
+            .or_insert(weight_before);
     }
 
     /// Adds `v` product tuples to the class carrying the signature in
@@ -681,49 +731,48 @@ impl PairAcc {
         });
     }
 
-    /// Scores the current window: every changed profile sweeps the
-    /// opposite side once (`Δw_r · w_p^old + w_r^new · Δw_p` per pair,
-    /// accumulated per signature), then the window resets. Profile order
-    /// is sorted so class-birth order — and hence the resulting
-    /// fingerprint — is deterministic.
+    /// Scores the current window, then resets it: every changed profile
+    /// sweeps the opposite side once (`Δw_r · w_p^old + w_r^new · Δw_p`
+    /// per pair, accumulated per signature). Changed R profiles sweep the
+    /// P weights of the window start, then changed P profiles sweep the
+    /// new R weights. Changed profiles go in id order so class-birth
+    /// order — and hence the resulting fingerprint — is deterministic.
     fn settle(&mut self, u: &Universe, lt: &LiveTables) {
         let pairs = u.instance.pairs();
-        let changed_r = std::mem::take(&mut self.changed_r);
-        let changed_p = std::mem::take(&mut self.changed_p);
-        let mut changed: Vec<(u32, u64)> = changed_r.into_iter().collect();
-        changed.sort_unstable();
-        for (pr, old) in changed {
-            let dr = lt.r.prof_weight(pr) as i64 - old as i64;
-            if dr == 0 {
-                continue;
-            }
-            let r_syms = lt.r.rep_syms(pr);
-            for pp in 0..lt.p.prof_count() as u32 {
-                let wp_old = changed_p.get(&pp).copied().unwrap_or(lt.p.prof_weight(pp));
-                if wp_old == 0 {
+        let [changed_r, changed_p] = std::mem::take(&mut self.changed);
+        // The P sweep reads current R weights: no map probe per pair.
+        let sweeps = [
+            (Side::R, &changed_r, Some(&changed_p)),
+            (Side::P, &changed_p, None),
+        ];
+        for (side, changed, opp_old) in sweeps {
+            let (st, opp) = match side {
+                Side::R => (&lt.r, &lt.p),
+                Side::P => (&lt.p, &lt.r),
+            };
+            let mut changed: Vec<(u32, u64)> = changed.iter().map(|(&x, &w)| (x, w)).collect();
+            changed.sort_unstable();
+            for (x, old) in changed {
+                let dx = st.prof_weight(x) as i64 - old as i64;
+                if dx == 0 {
                     continue;
                 }
-                pairs.signature_of_into(r_syms, lt.p.rep_syms(pp), &mut self.scratch);
-                let rep = (lt.r.prof_instance(pr), lt.p.prof_instance(pp));
-                self.bump(u, dr * wp_old as i64, rep);
-            }
-        }
-        let mut changed: Vec<(u32, u64)> = changed_p.into_iter().collect();
-        changed.sort_unstable();
-        for (pp, old) in changed {
-            let dp = lt.p.prof_weight(pp) as i64 - old as i64;
-            if dp == 0 {
-                continue;
-            }
-            let p_syms = lt.p.rep_syms(pp);
-            for pr in 0..lt.r.prof_count() as u32 {
-                let wr_new = lt.r.prof_weight(pr);
-                if wr_new == 0 {
-                    continue;
+                let x_rep = (st.rep_syms(x), st.prof_instance(x));
+                for y in 0..opp.prof_count() as u32 {
+                    let wy = opp_old
+                        .and_then(|old| old.get(&y).copied())
+                        .unwrap_or_else(|| opp.prof_weight(y));
+                    if wy == 0 {
+                        continue;
+                    }
+                    let y_rep = (opp.rep_syms(y), opp.prof_instance(y));
+                    let (r, p) = match side {
+                        Side::R => (x_rep, y_rep),
+                        Side::P => (y_rep, x_rep),
+                    };
+                    pairs.signature_of_into(r.0, p.0, &mut self.scratch);
+                    self.bump(u, dx * wy as i64, (r.1, p.1));
                 }
-                pairs.signature_of_into(lt.r.rep_syms(pr), p_syms, &mut self.scratch);
-                let rep = (lt.r.prof_instance(pr), lt.p.prof_instance(pp));
-                self.bump(u, wr_new as i64 * dp, rep);
             }
         }
     }
@@ -772,8 +821,8 @@ impl Universe {
     ///   compacted away when their count reaches zero (class ids are only
     ///   stable when no class dies — migration maps ids by signature);
     /// * representatives repaired to surviving rows;
-    /// * the [`crate::universe::ClassClosure`] patched in place per birth
-    ///   (full rebuild only on deaths or a 64-class mask-stride crossing);
+    /// * the [`crate::universe::ClassClosure`] rebuilt from the signatures
+    ///   when a class is born or dies, and kept as it is otherwise;
     /// * [`Universe::epoch`] bumped by one (so [`Universe::fingerprint`]
     ///   changes even if the class structure does not) and an **empty**
     ///   decision cache with the same budget.
@@ -839,7 +888,6 @@ impl Universe {
         let nbits = u.instance.pairs().len();
         let mut acc = PairAcc::new(u.sigs.len(), nbits);
         let mut syms: Vec<u32> = Vec::new();
-        let mut key: Vec<u32> = Vec::new();
 
         for (index, e) in delta.edits().iter().enumerate() {
             syms.clear();
@@ -863,7 +911,7 @@ impl Universe {
                         lt.ever_shared.insert(s);
                         split_on_shared(&mut lt, e.side.opposite(), s, &mut u.instance);
                     }
-                    apply_insert(&mut lt, e.side, &syms, &mut u.instance, &mut acc, &mut key);
+                    apply_insert(&mut lt, e.side, &syms, &mut u.instance, &mut acc);
                 }
                 EditOp::Delete => {
                     apply_delete(&mut lt, e.side, &syms, &mut u.instance, &mut acc).map_err(
@@ -888,52 +936,26 @@ impl Universe {
 /// *existing* opposite rows are unchanged (no opposite row contains `s`
 /// yet, or `s` would already have been shared).
 fn split_on_shared(lt: &mut LiveTables, side: Side, s: u32, instance: &mut Instance) {
-    let LiveTables {
-        r, p, ever_shared, ..
-    } = lt;
-    let st = match side {
-        Side::R => r,
-        Side::P => p,
-    };
-    let mut key: Vec<u32> = Vec::new();
+    let (st, ever_shared) = lt.side_mut(side);
     let mut touched: Vec<u32> = Vec::new();
     for row in 0..st.row_count() as u32 {
         if st.weight(row) == 0 || !st.row_syms(row).contains(&s) {
             continue;
         }
         let old_p = st.prof_of(row);
-        key.clear();
-        key.extend(st.row_syms(row).iter().map(|&v| {
-            if ever_shared.contains(v) {
-                v
-            } else {
-                PROFILE_HOLE
-            }
-        }));
+        let key = holed_key(st.row_syms(row), ever_shared);
         if st.prof_key(old_p) == key.as_slice() {
             continue;
         }
         let w = st.weight(row) as i64;
         st.add_prof_weight(old_p, -w);
         touched.push(old_p);
-        let new_p = match st.find_prof(&key) {
-            Some(np) => {
-                if st.prof_weight(np) == 0 {
-                    // Revive a retired key: repoint its representative.
-                    set_rep(st, side, np, row, instance);
-                }
-                np
-            }
-            None => {
-                let inst = instance
-                    .push_symbol_row(side, st.row_syms(row).to_vec().as_slice())
-                    .expect("profile representative row matches its schema arity");
-                st.inst_rows.push(&[row]);
-                st.add_prof(&key, row, inst as u32)
-            }
-        };
+        let revived = st.join_profile(row, &key, |st, row| push_rep(st, side, row, instance));
+        let new_p = st.prof_of(row);
+        if revived {
+            set_rep(st, side, new_p, row, instance);
+        }
         st.add_prof_weight(new_p, w);
-        st.prof_of.set(row as usize, new_p);
     }
     // Groups whose representative moved away need a surviving one.
     touched.sort_unstable();
@@ -964,6 +986,16 @@ fn set_rep(st: &mut SideTable, side: Side, p: u32, row: u32, instance: &mut Inst
     st.inst_rows.set(inst, row);
 }
 
+/// Backs a new profile of `side` with a fresh instance row holding `row`;
+/// returns that instance row.
+fn push_rep(st: &mut SideTable, side: Side, row: u32, instance: &mut Instance) -> u32 {
+    let inst = instance
+        .push_symbol_row(side, st.row_syms(row))
+        .expect("representative rows match their schema arity");
+    st.inst_rows.push(&[row]);
+    inst as u32
+}
+
 /// Structural insert: +1 multiplicity, profile assignment/revival, window
 /// bookkeeping.
 fn apply_insert(
@@ -972,51 +1004,15 @@ fn apply_insert(
     syms: &[u32],
     instance: &mut Instance,
     acc: &mut PairAcc,
-    key: &mut Vec<u32>,
 ) {
-    let LiveTables {
-        r, p, ever_shared, ..
-    } = lt;
-    let st = match side {
-        Side::R => r,
-        Side::P => p,
-    };
-    let row = match st.find_row(syms) {
-        Some(row) => row,
-        None => st.add_row(syms),
-    };
-    let weight = st.add_weight(row, 1);
-    st.bump_units(syms, 1);
-    if weight == 1 {
-        // Fresh or resurrected: (re)compute the group under the *current*
-        // holing mask (a tombstoned row's stored profile may predate
-        // `ever_shared` growth).
-        key.clear();
-        key.extend(syms.iter().map(|&v| {
-            if ever_shared.contains(v) {
-                v
-            } else {
-                PROFILE_HOLE
-            }
-        }));
-        let prof = match st.find_prof(key) {
-            Some(pr) => {
-                if st.prof_weight(pr) == 0 {
-                    set_rep(st, side, pr, row, instance);
-                }
-                pr
-            }
-            None => {
-                let inst = instance
-                    .push_symbol_row(side, syms)
-                    .expect("validated arity");
-                st.inst_rows.push(&[row]);
-                st.add_prof(key, row, inst as u32)
-            }
-        };
-        st.prof_of.set(row as usize, prof);
-    }
+    let (st, ever_shared) = lt.side_mut(side);
+    let (row, revived) = st.insert_row(syms, ever_shared, |st, row| {
+        push_rep(st, side, row, instance)
+    });
     let prof = st.prof_of(row);
+    if revived {
+        set_rep(st, side, prof, row, instance);
+    }
     acc.touch(side, prof, st.prof_weight(prof));
     st.add_prof_weight(prof, 1);
 }
@@ -1031,10 +1027,7 @@ fn apply_delete(
     instance: &mut Instance,
     acc: &mut PairAcc,
 ) -> Result<(), ()> {
-    let st = match side {
-        Side::R => &mut lt.r,
-        Side::P => &mut lt.p,
-    };
+    let (st, _) = lt.side_mut(side);
     let row = st
         .find_row(syms)
         .filter(|&row| st.weight(row) > 0)
@@ -1054,10 +1047,12 @@ fn apply_delete(
 }
 
 /// Applies the settled count deltas: births append, zero-count classes
-/// compact away, the closure is patched or rebuilt, representatives are
-/// repaired, and the live tables are attached to the result.
+/// compact away, the closure is rebuilt when a class was born or died,
+/// representatives are repaired, and the live tables are attached to the
+/// result.
 fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
     let nbits = u.instance.pairs().len();
+    let classes_before = u.sigs.len();
 
     let mut deaths = false;
     for (c, &d) in acc.cdelta.iter().enumerate() {
@@ -1085,14 +1080,11 @@ fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
         u.sigs.push(birth.sig);
         u.counts.push(birth.delta as u64);
         u.reps.push(birth.rep);
-        if !deaths {
-            u.closure.push_class(&u.sigs, nbits);
-        }
     }
 
     if deaths {
         // Compact: surviving classes keep their relative order (stable
-        // remap), buckets and closure are rebuilt over the survivors.
+        // remap), and buckets are rebuilt over the survivors.
         let mut w = 0usize;
         for c in 0..u.sigs.len() {
             if u.counts[c] > 0 {
@@ -1114,6 +1106,9 @@ fn finalize(u: &mut Universe, lt: LiveTables, acc: PairAcc) {
                 .or_default()
                 .push(c as u32);
         }
+    }
+    // The closure is a function of the signatures alone.
+    if deaths || u.sigs.len() != classes_before {
         u.closure = ClassClosure::build(&u.sigs, nbits, 1);
     }
 
@@ -1520,5 +1515,26 @@ mod tests {
             u = check(&mut m, &u, &d);
         }
         assert_eq!(u.epoch(), 6);
+    }
+
+    #[test]
+    fn births_and_deaths_across_the_64_class_mask_word() {
+        // Against every P row over {0..3}³, R row (0, 0, 0) makes the 8
+        // signatures `{all R columns} × J`; (0, 1, 2) adds one per map from
+        // P columns to a matching R column or none (4³, ∅ already there).
+        let p_rows: Vec<[i64; 3]> = (0..64).map(|v| [v / 16, v / 4 % 4, v % 4]).collect();
+        let p_refs: Vec<&[i64]> = p_rows.iter().map(|r| r.as_slice()).collect();
+        let mut m = Model::new(&[&[0, 0, 0]], &p_refs);
+        let base = m.build();
+        assert_eq!(base.closure().mask_words(), 1);
+        let mut d = UniverseDelta::new();
+        d.insert(Side::R, m.tuple(&[0, 1, 2]));
+        let grown = check(&mut m, &base, &d);
+        assert_eq!(grown.num_classes(), base.num_classes() + 63);
+        assert_eq!(grown.closure().mask_words(), 2);
+        let mut d = UniverseDelta::new();
+        d.delete(Side::R, m.tuple(&[0, 1, 2]));
+        let shrunk = check(&mut m, &grown, &d);
+        assert_eq!(shrunk.closure().mask_words(), 1);
     }
 }

@@ -53,9 +53,8 @@
 //! every thread count and chunk size (property-tested in
 //! `tests/properties.rs`).
 
-use crate::delta::LiveTables;
+use crate::delta::{LiveTables, SymbolSet};
 use crate::universe::{Profile, Rows, Universe};
-use jqi_relation::bitset::WORD_BITS;
 use jqi_relation::{BitSet, RowChunk, Side, StreamSchema, Symbol, Tuple};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -240,40 +239,6 @@ impl SideAcc {
     }
 }
 
-/// A growable symbol-occurrence set (plain word vector; `BitSet` has a
-/// fixed capacity but the interner grows while the stream is consumed).
-#[derive(Debug, Default)]
-struct SymbolSet {
-    words: Vec<u64>,
-}
-
-impl SymbolSet {
-    fn insert(&mut self, index: usize) {
-        let w = index / WORD_BITS;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        self.words[w] |= 1u64 << (index % WORD_BITS);
-    }
-
-    /// Intersection as a `BitSet` of capacity `cap`.
-    fn intersect(&self, other: &SymbolSet, cap: usize) -> BitSet {
-        let mut out = BitSet::empty(cap);
-        for w in 0..self.words.len().min(other.words.len()) {
-            let mut bits = self.words[w] & other.words[w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                let index = w * WORD_BITS + b;
-                if index < cap {
-                    out.insert(index);
-                }
-                bits &= bits - 1;
-            }
-        }
-        out
-    }
-}
-
 /// The first streaming pass: per-side symbol-occurrence sets, intersected
 /// into the exact shared-symbol set (the streaming analogue of
 /// [`jqi_relation::Instance::shared_symbols`]).
@@ -289,7 +254,7 @@ fn scan_shared_symbols(schema: &StreamSchema, chunks: impl Iterator<Item = RowCh
         };
         for row in &chunk.rows {
             for sym in row.symbols() {
-                set.insert(sym.index());
+                set.insert(sym.0);
             }
         }
     }
@@ -317,8 +282,8 @@ fn fold_chunk(
     added
 }
 
-/// Tracks global accumulator residency across workers and enforces the
-/// byte ceiling.
+/// Tracks ingestion residency (the profile maps across workers, or the
+/// live tables) and enforces the byte ceiling.
 struct ByteTracker {
     current: AtomicUsize,
     peak: AtomicUsize,
@@ -334,7 +299,7 @@ impl ByteTracker {
         }
     }
 
-    /// Adds a worker's post-chunk byte delta; panics past the ceiling.
+    /// Adds a post-chunk byte delta; panics past the ceiling.
     fn add(&self, delta: usize) {
         if delta == 0 {
             return;
@@ -345,8 +310,8 @@ impl ByteTracker {
             assert!(
                 now <= ceiling,
                 "streaming ingestion exceeded its byte ceiling: \
-                 {now} tracked accumulator bytes > {ceiling} — the stream's \
-                 profiles are not collapsing (distinct profiles ≈ rows?)"
+                 {now} tracked bytes > {ceiling} — the stream's profiles \
+                 (live: its distinct rows) are not collapsing"
             );
         }
     }
@@ -475,6 +440,7 @@ fn fold_live(
     chunks: impl Iterator<Item = RowChunk>,
     byte_ceiling: Option<usize>,
 ) -> (SideProfiles, SideProfiles, LiveTables, IngestStats) {
+    let tracker = ByteTracker::new(byte_ceiling);
     let mut stats = IngestStats {
         threads: 1,
         ..IngestStats::default()
@@ -485,28 +451,24 @@ fn fold_live(
         shared,
     );
     let mut syms: Vec<u32> = Vec::new();
+    let mut tracked = 0;
     for chunk in chunks {
         stats.chunks += 1;
         for row in &chunk.rows {
             syms.clear();
             syms.extend(row.symbols().iter().map(|s| s.0));
-            lt.ingest(chunk.side, &syms, false);
+            lt.ingest(chunk.side, &syms);
         }
         match chunk.side {
             Side::R => stats.rows_r += chunk.rows.len() as u64,
             Side::P => stats.rows_p += chunk.rows.len() as u64,
         }
+        // The tables only grow while they fold.
         let resident = lt.resident_bytes();
-        stats.peak_tracked_bytes = stats.peak_tracked_bytes.max(resident);
-        if let Some(ceiling) = byte_ceiling {
-            assert!(
-                resident <= ceiling,
-                "live streaming ingestion exceeded its byte ceiling: \
-                 {resident} resident live-table bytes > {ceiling} — the \
-                 stream's distinct rows are not collapsing"
-            );
-        }
+        tracker.add(resident - tracked);
+        tracked = resident;
     }
+    stats.peak_tracked_bytes = tracker.peak();
     lt.finalize_ingest();
     let side_profiles = |st: &crate::delta::SideTable| -> SideProfiles {
         (0..st.prof_count() as u32)

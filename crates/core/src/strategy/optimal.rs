@@ -4,8 +4,9 @@
 //! standard construction of a minimax tree" but is exponential. We build it
 //! anyway — with memoization over labeled-state vectors — as a quality
 //! yardstick for the heuristics on small instances: property tests assert
-//! that no heuristic ever beats the optimal worst case, and the `optimal_gap`
-//! benchmark measures how close TD / L2S come.
+//! that no heuristic ever beats the optimal worst case, and the optimal-gap
+//! experiment (`paper_experiments opt`) measures how close BU, TD, L1S and
+//! EG come.
 //!
 //! The game: the algorithm picks an informative class, the adversary (the
 //! worst-case user) picks a label; the cost of a state is the number of

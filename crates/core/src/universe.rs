@@ -99,40 +99,6 @@ const STATIC_MASK_BITS_CAP: u64 = 1 << 26;
 /// single-threaded.
 const CLOSURE_PARALLEL_THRESHOLD: u64 = 1 << 18;
 
-/// Fills one class's static `up`/`down` strides (each `mask_words` long,
-/// `down_c` zeroed) from the per-Ω-bit member masks, for a closure over
-/// `classes` classes: the per-class step of [`ClassClosure::build`] and of
-/// a class birth in [`ClassClosure::push_class`].
-fn fill_static_masks(
-    sig: &BitSet,
-    members: &[u64],
-    omega_len: usize,
-    classes: usize,
-    up_c: &mut [u64],
-    down_c: &mut [u64],
-) {
-    let mask_words = up_c.len();
-    // up(c) = ⋂_{b ∈ sig(c)} members(b); the empty signature is
-    // contained in everything, so start from all-ones.
-    up_c.iter_mut().for_each(|w| *w = !0);
-    for b in sig.iter() {
-        let m = &members[b * mask_words..(b + 1) * mask_words];
-        up_c.iter_mut().zip(m).for_each(|(w, &v)| *w &= v);
-    }
-    // down(c) = ¬⋃_{b ∈ Ω∖sig(c)} members(b), clamped to the live classes
-    // so iteration never sees phantom bits.
-    for b in 0..omega_len {
-        if sig.contains(b) {
-            continue;
-        }
-        let m = &members[b * mask_words..(b + 1) * mask_words];
-        down_c.iter_mut().zip(m).for_each(|(w, &v)| *w |= v);
-    }
-    down_c.iter_mut().for_each(|w| *w = !*w);
-    clamp_mask(down_c, classes);
-    clamp_mask(up_c, classes);
-}
-
 /// The containment order among T-equivalence classes, precomputed once per
 /// [`Universe`] and shared read-only by every session.
 ///
@@ -171,7 +137,9 @@ pub struct ClassClosure {
 }
 
 impl ClassClosure {
-    /// Builds the closure for `sigs` over an Ω of `omega_len` bits.
+    /// Builds the closure for `sigs` over an Ω of `omega_len` bits. It is a
+    /// function of the signatures alone, so [`Universe::apply_delta`]
+    /// rebuilds it whenever a delta births or retires a class.
     ///
     /// Cost: `O(Σ|sig|)` for the per-bit member masks plus — when the
     /// static masks fit the cap — `O(classes · |Ω| · mask_words)` word ops
@@ -194,7 +162,25 @@ impl ClassClosure {
             let mut up = vec![0u64; classes * mask_words];
             let mut down = vec![0u64; classes * mask_words];
             let fill = |c: ClassId, up_c: &mut [u64], down_c: &mut [u64]| {
-                fill_static_masks(&sigs[c], &members, omega_len, classes, up_c, down_c);
+                // up(c) = ⋂_{b ∈ sig(c)} members(b); the empty signature is
+                // contained in everything, so start from all-ones.
+                up_c.iter_mut().for_each(|w| *w = !0);
+                for b in sigs[c].iter() {
+                    let m = &members[b * mask_words..(b + 1) * mask_words];
+                    up_c.iter_mut().zip(m).for_each(|(w, &v)| *w &= v);
+                }
+                // down(c) = ¬⋃_{b ∈ Ω∖sig(c)} members(b), clamped to the
+                // live classes so iteration never sees phantom bits.
+                for b in 0..omega_len {
+                    if sigs[c].contains(b) {
+                        continue;
+                    }
+                    let m = &members[b * mask_words..(b + 1) * mask_words];
+                    down_c.iter_mut().zip(m).for_each(|(w, &v)| *w |= v);
+                }
+                down_c.iter_mut().for_each(|w| *w = !*w);
+                clamp_mask(down_c, classes);
+                clamp_mask(up_c, classes);
             };
             let work = classes as u64 * (omega_len as u64).max(1) * mask_words as u64;
             let threads = if work < CLOSURE_PARALLEL_THRESHOLD {
@@ -243,54 +229,6 @@ impl ClassClosure {
             members,
             up,
             down,
-        }
-    }
-
-    /// Appends the last class of `sigs` to the closure in place — the
-    /// delta-maintenance patch path for a class *birth*.
-    ///
-    /// `sigs` must be the full post-birth signature list (the new class
-    /// last, everything before it unchanged since the closure was built).
-    /// O(classes · |Ω|-words) instead of the full `O(classes · |Ω| ·
-    /// mask_words)` rebuild: the member masks gain one bit per signature
-    /// bit, the new class's `up`/`down` strides are computed from them, and
-    /// each existing class gains at most one bit (two subset tests). Falls
-    /// back to a full rebuild when the mask stride grows (a 64-class word
-    /// boundary) or the static-mask memory cap is crossed.
-    pub(crate) fn push_class(&mut self, sigs: &[BitSet], omega_len: usize) {
-        let c = self.classes;
-        debug_assert_eq!(sigs.len(), c + 1);
-        let statics_after = ((c + 1) as u64).pow(2) <= STATIC_MASK_BITS_CAP;
-        if word_count(c + 1) != self.mask_words || self.has_static_masks() != statics_after {
-            *self = ClassClosure::build(sigs, omega_len, 1);
-            return;
-        }
-        let mw = self.mask_words;
-        let sig = &sigs[c];
-        let (wi, bit) = (c / WORD_BITS, 1u64 << (c % WORD_BITS));
-        for b in sig.iter() {
-            self.members[b * mw + wi] |= bit;
-        }
-        self.classes = c + 1;
-        if let (Some(up), Some(down)) = (self.up.as_mut(), self.down.as_mut()) {
-            up.resize((c + 1) * mw, 0);
-            down.resize((c + 1) * mw, 0);
-            fill_static_masks(
-                sig,
-                &self.members,
-                omega_len,
-                c + 1,
-                &mut up[c * mw..(c + 1) * mw],
-                &mut down[c * mw..(c + 1) * mw],
-            );
-            for (t, sig_t) in sigs.iter().enumerate().take(c) {
-                if sig_t.is_subset(sig) {
-                    up[t * mw + wi] |= bit;
-                }
-                if sig.is_subset(sig_t) {
-                    down[t * mw + wi] |= bit;
-                }
-            }
         }
     }
 
