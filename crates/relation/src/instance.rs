@@ -208,7 +208,7 @@ impl Instance {
     /// Like [`Instance::signature`] but reuses `out` (cleared first).
     pub fn signature_into(&self, ri: usize, pi: usize, out: &mut BitSet) {
         debug_assert_eq!(out.capacity(), self.pairs.len());
-        *out = self.pairs.bottom();
+        out.words_mut().fill(0);
         let tr = &self.r.rows()[ri];
         let tp = &self.p.rows()[pi];
         for i in 0..self.pairs.n {
@@ -462,6 +462,16 @@ mod tests {
                 assert_eq!(ps.decode(ps.index(i, j)), (i, j));
             }
         }
+    }
+
+    #[test]
+    fn signature_into_reuses_the_buffer() {
+        let inst = example_2_1();
+        let mut out = inst.signature(0, 0);
+        let words = out.words().as_ptr();
+        inst.signature_into(2, 0, &mut out);
+        assert_eq!(out.words().as_ptr(), words, "signature_into reallocated");
+        assert_eq!(out, inst.signature(2, 0));
     }
 
     #[test]
