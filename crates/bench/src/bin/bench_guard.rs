@@ -34,9 +34,11 @@
 //!   `baseline · factor`; per `streaming` phase point (also matched by
 //!   name), `build_wall_ms` and `peak_tracked_bytes` must not exceed
 //!   `baseline · factor`; per `incremental` phase point (also matched by
-//!   name), `delta_apply_ms` and `rebuild_ms` (the from-scratch streaming
+//!   name), `delta_apply_ms`, `rebuild_ms` (the from-scratch streaming
 //!   build the delta is compared with, so a slower universe-construction
-//!   kernel fails here) must not exceed `baseline · factor` and the
+//!   kernel fails here) and `live_fold_ms` (the live build's row fold,
+//!   the per-row step every live table is built with) must not exceed
+//!   `baseline · factor` and the
 //!   rebuild-over-apply `speedup` must not shrink below
 //!   `baseline / factor`. Points present on only one side are skipped
 //!   (sweeps may grow), but a block with no matched point is an error.
@@ -227,8 +229,9 @@ fn guard_scaling(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(),
     // factor`. Streaming wall clock is machine-dependent (an order-of-
     // magnitude guard); its peak tracked ingestion bytes are not — a
     // blow-up there means profiles stopped collapsing. The incremental
-    // rebuild-over-apply speedup is the O(delta) payoff itself, and the
-    // rebuild time it divides by is the universe-construction kernel's.
+    // rebuild-over-apply speedup is the O(delta) payoff itself, the
+    // rebuild time it divides by is the universe-construction kernel's,
+    // and the live fold times the live tables' per-row insert step.
     let rules: [(&str, &[&str], &[&str]); 3] = [
         (
             "points",
@@ -239,7 +242,7 @@ fn guard_scaling(guard: &mut Guard, fresh: &Json, baseline: &Json) -> Result<(),
         (
             "incremental",
             &["speedup"],
-            &["delta_apply_ms", "rebuild_ms"],
+            &["delta_apply_ms", "rebuild_ms", "live_fold_ms"],
         ),
     ];
     fn items<'j>(doc: &'j Json, which: &str, block: &str) -> Result<&'j [Json], String> {
